@@ -12,15 +12,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from .kernel import DomainError
-from .functions import boundary_exponent, boundary_rotation, core_function
+from .functions import boundary_exponent, boundary_rotation
 from .measures import random_measure
 from .verification import (
     DEFAULT_GRID,
@@ -42,12 +38,9 @@ from .geometry import (
     covering_radius,
     minimize_boundary_gap,
     wedge_spirals,
-    winding_numbers,
 )
 from .render import render_svg
 from .serialize import dumps, fmt, load_function_spec
-
-THREAD_ENV = "SPIRALCOVER_THREADS"
 
 CHECK_ORDER = (
     "membership",
@@ -83,14 +76,6 @@ def _grid_from_args(args) -> GridSpec:
         radii = tuple(float(r) for r in args.grid_radii.split(","))
     angles = args.grid_angles if args.grid_angles else DEFAULT_GRID.angles_per_ring
     return GridSpec(radii=radii, angles_per_ring=angles)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get(THREAD_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_construct(args) -> int:
@@ -158,37 +143,11 @@ def cmd_distort(args) -> int:
 
 def cmd_cover(args) -> int:
     f, params = load_function_spec(_load_json(args.input))
-    threads = _thread_count()
-    if threads > 1:
-        curve = boundary_curve(f, args.rho, n=512)
-        core = core_function(params)
-        from .functions import evaluate
-
-        theta = np.linspace(0.0, 2.0 * np.pi, args.samples, endpoint=False)
-        ws = evaluate(core, args.r_inner * np.exp(1j * theta))
-        chunks = np.array_split(ws, threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: winding_numbers(curve, c), chunks))
-        ok = all((p[0] == 1).all() and not p[1].any() for p in parts)
-        indet = int(sum(p[1].sum() for p in parts))
-        dists = np.concatenate([p[2] for p in parts])
-        report_dict = {
-            "check": "covering",
-            "passed": bool(ok),
-            "worst_margin": float(dists.min() if ok else -dists.min()),
-            "worst_z": [float(ws[int(dists.argmin())].real), float(ws[int(dists.argmin())].imag)],
-            "tolerance": 0.0,
-            "samples": int(args.samples),
-        }
-    else:
-        result = check_covering(f, params, args.r_inner, args.rho, m=args.samples)
-        indet = result.indeterminate_count
-        report_dict = result.report.to_dict()
-        ok = result.report.passed
-    if indet:
-        print(f"warning: {indet} indeterminate winding sample(s)", file=sys.stderr)
-    _write(args.output, dumps(report_dict))
-    return 0 if ok else 1
+    result = check_covering(f, params, args.r_inner, args.rho, m=args.samples)
+    if result.indeterminate_count:
+        print(f"warning: {result.indeterminate_count} indeterminate winding sample(s)", file=sys.stderr)
+    _write(args.output, dumps(result.report.to_dict()))
+    return 0 if result.report.passed else 1
 
 
 def cmd_radius_table(args) -> int:

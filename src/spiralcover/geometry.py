@@ -25,7 +25,7 @@ from .functions import (
     evaluate,
     _in_admissible_region,
 )
-from .verification import InteriorSpirallikeMap, VerificationReport
+from .verification import InteriorSpirallikeMap, VerificationReport, _report
 
 __all__ = [
     "PolyLine",
@@ -49,6 +49,8 @@ __all__ = [
 
 GUARD_FACTOR = 1e-12  # of the curve diameter; closer points are indeterminate
 MAX_TURN = 0.2        # radians of turning per segment before bisection
+DISTANCE_BLOCK = 16   # segments per bounding box in the curve-distance search
+PRUNE_SLACK = 1e-9    # relative slack on the distance upper bound, for rounding
 
 
 class IndeterminateWindingError(ValueError):
@@ -167,41 +169,100 @@ def boundary_curve(f: ProductForm, rho: float, n: int = 256, refine_tol: float =
     return _adaptive_closed_curve(lambda z: evaluate(f, z), rho, n, refine_tol)
 
 
+def _crossing_windings(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Winding numbers around pts of the closed polygon with edges a[k] -> b[k].
+
+    Crossing rule (Hormann & Agathos, Comput. Geom. 20, 2001): the
+    horizontal line through a point meets only the edges whose half-open
+    y-span holds its height.  An upward edge with the point on its left
+    adds +1, a downward edge with the point on its right adds -1.  The
+    samples are sorted by height, so each edge finds its points by
+    bisection and only crossing (edge, point) pairs are tested.
+    """
+    order = np.argsort(pts.imag)
+    heights = pts.imag[order]
+    first = np.searchsorted(heights, np.minimum(a.imag, b.imag))
+    counts = np.searchsorted(heights, np.maximum(a.imag, b.imag)) - first
+    edge_idx = np.repeat(np.arange(a.size), counts)
+    # sorted positions first[k], ..., first[k] + counts[k] - 1 of each edge k
+    pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
+    pt_idx = order[pos]
+    tail, head, w = a[edge_idx], b[edge_idx], pts[pt_idx]
+    va, vb = tail - w, head - w
+    # (a-w) x (b-w) > 0 when w is left of a -> b: the cross product of the
+    # dense angle sum, whose rounding error shrinks as w nears either vertex
+    side = np.sign(va.real * vb.imag - va.imag * vb.real)
+    signs = np.where(head.imag > tail.imag, np.maximum(side, 0.0), np.minimum(side, 0.0))
+    return np.bincount(pt_idx, weights=signs, minlength=pts.size).astype(np.int64)
+
+
+def _curve_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray, guard: float) -> np.ndarray:
+    """Distance from each of pts to the polyline with segments a[k] -> b[k].
+
+    Segments are grouped DISTANCE_BLOCK at a time.  A (point, block)
+    pair is searched only when the block's bounding box is no farther
+    than the point's distance to the nearest block start vertex, a point
+    on the curve; the relative slack and the guard absorb rounding in
+    the bounds and in the segment formula.  Searched pairs get the same
+    per-segment formula as a dense scan, so the minimum is the same float.
+    """
+    n_blocks = -(-a.size // DISTANCE_BLOCK)
+    # the last block repeats the final segment; a repeat leaves the minimum unchanged
+    seg = np.minimum(np.arange(n_blocks * DISTANCE_BLOCK), a.size - 1).reshape(n_blocks, DISTANCE_BLOCK)
+    start, end = a[seg], b[seg]
+    edge = end - start
+    edge_sq = np.abs(edge) ** 2
+    edge_sq = np.where(edge_sq > 0, edge_sq, 1.0)
+    x_lo = np.minimum(start.real, end.real).min(axis=1)
+    x_hi = np.maximum(start.real, end.real).max(axis=1)
+    y_lo = np.minimum(start.imag, end.imag).min(axis=1)
+    y_hi = np.maximum(start.imag, end.imag).max(axis=1)
+
+    dists = np.empty(pts.size, dtype=np.float64)
+    # bounds the (point, segment) pairs of one pass even when nothing is pruned
+    chunk = max(1, 2_000_000 // seg.size)
+    for lo in range(0, pts.size, chunk):
+        w = pts[lo : lo + chunk]
+        px, py = w.real[:, None], w.imag[:, None]
+        dx = np.clip(px, x_lo, x_hi) - px
+        dy = np.clip(py, y_lo, y_hi) - py
+        box_sq = dx * dx + dy * dy
+        ux, uy = start[:, 0].real - px, start[:, 0].imag - py
+        vertex_sq = ux * ux + uy * uy
+        rows = np.arange(w.size)
+        nearest = vertex_sq.argmin(axis=1)
+        upper = np.sqrt(vertex_sq[rows, nearest]) * (1.0 + PRUNE_SLACK) + guard
+        keep = box_sq <= (upper * upper)[:, None]
+        # a start vertex lies in its own box, so this only matters for NaN
+        # points: every point keeps a block and reduceat sees no empty run
+        keep[rows, nearest] = True
+        pt_k, blk_k = np.nonzero(keep)
+        va = start[blk_k] - w[pt_k, None]
+        e = edge[blk_k]
+        t = -(va.real * e.real + va.imag * e.imag) / edge_sq[blk_k]
+        t = np.clip(t, 0.0, 1.0)
+        near = np.abs(va + t * e).min(axis=1)
+        dists[lo : lo + chunk] = np.minimum.reduceat(near, np.searchsorted(pt_k, rows))
+    return dists
+
+
 def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Winding numbers of a closed polyline around many points at once.
 
     Returns (windings, indeterminate, distances); a point closer to the
     curve than the guard distance cannot be classified at the curve's
-    own resolution and is marked indeterminate instead.
+    own resolution and is marked indeterminate instead.  The cost is the
+    crossing (edge, point) pairs plus the segments of the pruned distance
+    blocks, not points x vertices.
     """
     if not poly.closed:
         raise ValueError("winding numbers need a closed polyline")
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    verts = np.concatenate([poly.points, poly.points[:1]])
+    a = poly.points
+    b = np.roll(a, -1)
     guard = GUARD_FACTOR * poly.diameter()
-
-    windings = np.empty(pts.size, dtype=np.int64)
-    dists = np.empty(pts.size, dtype=np.float64)
-    chunk = max(1, int(2_000_000 // max(1, verts.size)))
-    a_all, b_all = verts[:-1], verts[1:]
-    edge = b_all - a_all
-    edge_sq = np.abs(edge) ** 2
-    for lo in range(0, pts.size, chunk):
-        w = pts[lo : lo + chunk, None]
-        va = a_all[None, :] - w
-        vb = b_all[None, :] - w
-        cross = va.real * vb.imag - va.imag * vb.real
-        dot = va.real * vb.real + va.imag * vb.imag
-        total = np.arctan2(cross, dot).sum(axis=1) / (2.0 * np.pi)
-        windings[lo : lo + chunk] = np.rint(total).astype(np.int64)
-
-        t = -(va.real * edge.real[None, :] + va.imag * edge.imag[None, :]) / np.where(
-            edge_sq[None, :] > 0, edge_sq[None, :], 1.0
-        )
-        t = np.clip(t, 0.0, 1.0)
-        dists[lo : lo + chunk] = np.abs(va + t * edge[None, :]).min(axis=1)
-
-    return windings, dists < guard, dists
+    dists = _curve_distances(a, b, pts, guard)
+    return _crossing_windings(a, b, pts), dists < guard, dists
 
 
 def winding_number(poly: PolyLine, w: complex) -> int:
@@ -231,6 +292,19 @@ def contains_point(
     if indet[0]:
         return None
     return bool(wn[0] == 1)
+
+
+def _winding_margins(curve: PolyLine, pts: np.ndarray):
+    """Winding test of pts against curve: (windings, indeterminate, distances, margins).
+
+    A sample passes when it winds once and is determinate; its margin is
+    its distance to the curve.  Failing samples carry margin <= -guard,
+    so pass/fail follows the sign of the worst margin.
+    """
+    wn, indet, dists = winding_numbers(curve, pts)
+    guard = GUARD_FACTOR * curve.diameter()
+    margins = np.where((wn == 1) & ~indet, dists, -np.maximum(dists, guard))
+    return wn, indet, dists, margins
 
 
 @dataclass(frozen=True)
@@ -272,21 +346,8 @@ def check_covering(
     core = core_function(params)
     theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     ws = evaluate(core, r_inner * np.exp(1j * theta))
-    wn, indet, dists = winding_numbers(curve, ws)
-    ok = (wn == 1) & ~indet
-    guard = GUARD_FACTOR * curve.diameter()
-    # failing samples carry margin <= -guard so pass/fail follows the sign
-    margins = np.where(ok, dists, -np.maximum(dists, guard))
-    i = int(np.argmin(margins))
-    report = VerificationReport(
-        check="covering",
-        passed=bool(ok.all()),
-        worst_margin=float(margins[i]),
-        worst_location=complex(ws[i]),
-        tolerance=0.0,
-        samples=m,
-    )
-    return CoveringResult(report, wn, indet, dists, ws)
+    wn, indet, dists, margins = _winding_margins(curve, ws)
+    return CoveringResult(_report("covering", margins, ws, 0.0), wn, indet, dists, ws)
 
 
 def covering_radius(s: float) -> float:
@@ -404,16 +465,7 @@ def check_wedge_containment(
     rot = boundary_rotation(f, params)
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     zz = rho * np.exp(1j * theta)
-    margins = wedge_margin(nu, rot, eval_log(f, zz))
-    i = int(np.argmin(margins))
-    return VerificationReport(
-        check="wedge-containment",
-        passed=bool(margins[i] >= -tolerance),
-        worst_margin=float(margins[i]),
-        worst_location=complex(zz[i]),
-        tolerance=tolerance,
-        samples=n,
-    )
+    return _report("wedge-containment", wedge_margin(nu, rot, eval_log(f, zz)), zz, tolerance)
 
 
 @dataclass(frozen=True)
@@ -487,17 +539,5 @@ def covering_composition(
     radii = np.linspace(0.2, max_sample_radius, n_r)
     theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
     pts = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    wn, indet, dists = winding_numbers(curve, pts)
-    ok = (wn == 1) & ~indet
-    guard = GUARD_FACTOR * curve.diameter()
-    margins = np.where(ok, dists, -np.maximum(dists, guard))
-    i = int(np.argmin(margins))
-    report = VerificationReport(
-        check="disk-coverage",
-        passed=bool(ok.all()),
-        worst_margin=float(margins[i]),
-        worst_location=complex(pts[i]),
-        tolerance=0.0,
-        samples=int(pts.size),
-    )
-    return g, report
+    margins = _winding_margins(curve, pts)[3]
+    return g, _report("disk-coverage", margins, pts, 0.0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -126,12 +127,55 @@ class TestCover:
         assert data["passed"] is True
         assert data["samples"] == 128
 
-    def test_threaded_covering(self, example_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPIRALCOVER_THREADS", "2")
-        out = tmp_path / "c.json"
-        code = main(["cover", "-i", example_path, "--samples", "64", "-o", str(out)])
-        assert code == 0
-        assert json.loads(out.read_text())["passed"] is True
+    # sha256 over the concatenated `cover` reports at the README settings,
+    # recorded with the dense winding test (numpy 2.4, x86_64): the pruned
+    # winding test must reproduce them byte for byte
+    COVER_DIGESTS = {
+        "readme-example": "e97c98b87ada63013b2c209f24f9f8adb067a55f2744d4777c90c2b348382e19",
+        "population-20": "57a36c311e99130118be46f80fccc40ffeacbdcbc7cc828105220872c7cfcb4b",
+        "bare-power-5": "a51b0c60217ef484d70eca46be457302a982cfa99f3925e1ccecbb890f0d026f",
+    }
+
+    @staticmethod
+    def cover_specs(kind, population):
+        """(specs, expected exit code) of one kind of `cover` input."""
+        if kind == "readme-example":
+            return [EXAMPLE_SPEC], 0
+        if kind == "population-20":
+            return [e.f.to_dict(e.params) for e in population[:20]], 0
+        # (1-z)**(mu*b) declared with beta = b + 0.3: part of the declared core is not covered
+        specs = []
+        for e, b in zip(population[:5], (0.1, 0.2, 0.3, 0.4, 0.5)):
+            mu = e.params.mu
+            specs.append(
+                {"mu": [mu.real, mu.imag], "beta": b + 0.3,
+                 "prefactor": [(mu * b).real, (mu * b).imag], "factors": []}
+            )
+        return specs, 1
+
+    @pytest.mark.parametrize("kind", sorted(COVER_DIGESTS))
+    def test_report_bytes_match_recorded_digest(self, kind, population, tmp_path):
+        specs, code = self.cover_specs(kind, population)
+        digest = hashlib.sha256()
+        for k, spec in enumerate(specs):
+            src, out = tmp_path / f"in{k}.json", tmp_path / f"out{k}.json"
+            src.write_text(dumps(spec))
+            args = ["--r-inner", "0.95", "--rho", "0.999", "--samples", "512"]
+            assert main(["cover", "-i", str(src), "-o", str(out), *args]) == code
+            digest.update(out.read_bytes())
+        assert digest.hexdigest() == self.COVER_DIGESTS[kind]
+
+    def test_report_ignores_thread_variable(self, population, tmp_path, monkeypatch):
+        # a failing input: its worst margin is that of a failing sample
+        specs, _ = self.cover_specs("bare-power-5", population)
+        src = tmp_path / "in.json"
+        src.write_text(dumps(specs[0]))
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("SPIRALCOVER_THREADS", threads)
+            outs.append(tmp_path / f"out{threads}.json")
+            assert main(["cover", "-i", str(src), "--samples", "64", "-o", str(outs[-1])]) == 1
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 class TestRadiusTable:

@@ -119,6 +119,121 @@ class TestWindingNumber:
         assert np.all(dists > 0)
 
 
+def dense_winding_numbers(poly, points):
+    """Reference for winding_numbers: every point x segment pair.
+
+    The winding number is the rounded arctan2 angle sum; the distance is
+    the clipped-projection formula over every segment.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    verts = np.concatenate([poly.points, poly.points[:1]])
+    a, b = verts[None, :-1], verts[None, 1:]
+    va, vb = a - pts[:, None], b - pts[:, None]
+    cross = va.real * vb.imag - va.imag * vb.real
+    dot = va.real * vb.real + va.imag * vb.imag
+    windings = np.rint(np.arctan2(cross, dot).sum(axis=1) / (2.0 * np.pi)).astype(np.int64)
+    edge = b - a
+    edge_sq = np.abs(edge) ** 2
+    t = -(va.real * edge.real + va.imag * edge.imag) / np.where(edge_sq > 0, edge_sq, 1.0)
+    dists = np.abs(va + np.clip(t, 0.0, 1.0) * edge).min(axis=1)
+    return windings, dists < sc.geometry.GUARD_FACTOR * poly.diameter(), dists
+
+
+def assert_matches_dense(poly, points):
+    wn, indet, dists = winding_numbers(poly, points)
+    ref_wn, ref_indet, ref_dists = dense_winding_numbers(poly, points)
+    assert dists.dtype == np.float64 and dists.tobytes() == ref_dists.tobytes()
+    assert np.array_equal(indet, ref_indet)
+    assert wn.dtype == np.int64 and np.array_equal(wn[~indet], ref_wn[~indet])
+    return wn, indet
+
+
+def probe_points(poly, rng, count):
+    """Box points, points at exactly a vertex's height, and points a few guards off an edge."""
+    a = poly.points
+    b = np.roll(a, -1)
+    lo, hi = a.min(), a.max()
+    span = hi - lo
+    box = lo - 0.2 * span + 1.4 * (rng.uniform(size=count) * span.real + 1j * rng.uniform(size=count) * span.imag)
+    k = rng.integers(a.size, size=count)
+    level = box.real + 1j * a[k].imag
+    guard = sc.geometry.GUARD_FACTOR * poly.diameter()
+    off = np.exp(2j * np.pi * rng.uniform(size=count)) * guard * 10.0 ** rng.uniform(-1.0, 3.0, size=count)
+    near = a[k] + rng.uniform(-0.2, 1.2, size=count) * (b[k] - a[k]) + off
+    return np.concatenate([box, level, near, near.real + 1j * a[k].imag])
+
+
+class TestWindingAgainstDense:
+    @given(
+        st.integers(min_value=16, max_value=120),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.integers(min_value=0, max_value=200),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_star_polygons(self, n, seed, scale, count):
+        rng = np.random.default_rng(seed)
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
+        center = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        poly = PolyLine(scale * (center + rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta)), closed=True)
+        assert_matches_dense(poly, probe_points(poly, rng, count))
+
+    @given(
+        st.integers(min_value=2, max_value=6),
+        st.floats(min_value=0.1, max_value=0.9),
+        st.integers(min_value=40, max_value=120),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_multi_turn_spirals(self, turns, depth, per_turn, seed):
+        # winds `turns` times round 0 while its modulus swings once between
+        # 1 - depth and 1 + depth: many crossings per horizontal line
+        t = np.linspace(0.0, 2.0 * np.pi, turns * per_turn, endpoint=False)
+        poly = PolyLine(np.exp(1j * turns * t) * (1.0 + depth * np.cos(t)), closed=True)
+        assert_matches_dense(poly, probe_points(poly, np.random.default_rng(seed), 100))
+        assert winding_number(poly, 0.0) == turns
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_figure_eight(self, seed):
+        theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        eight = PolyLine(np.concatenate([-1.0 + np.exp(1j * theta), 1.0 - np.exp(-1j * theta)]), closed=True)
+        wn, indet = assert_matches_dense(eight, probe_points(eight, np.random.default_rng(seed), 150))
+        assert set(wn[~indet]) <= {-1, 0, 1}
+
+    @given(st.integers(min_value=16, max_value=80), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_vertices_and_edge_midpoints_indeterminate(self, n, seed):
+        rng = np.random.default_rng(seed)
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
+        poly = PolyLine(rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta), closed=True)
+        mids = (poly.points + np.roll(poly.points, -1)) / 2.0
+        _, indet = assert_matches_dense(poly, np.concatenate([poly.points, mids]))
+        assert indet.all()
+
+    def test_covering_samples_over_several_passes(self, worked_example):
+        # 5000 samples against an ~900-vertex curve take several passes of
+        # the bounded-memory distance search
+        f, params = worked_example
+        curve = boundary_curve(f, 0.999, n=512)
+        theta = np.linspace(0.0, 2.0 * np.pi, 5000, endpoint=False)
+        ws = evaluate(core_function(params), 0.95 * np.exp(1j * theta))
+        wn, indet, dists = winding_numbers(curve, ws)
+        for lo in range(0, ws.size, 500):
+            ref_wn, ref_indet, ref_dists = dense_winding_numbers(curve, ws[lo : lo + 500])
+            assert dists[lo : lo + 500].tobytes() == ref_dists.tobytes()
+            assert np.array_equal(indet[lo : lo + 500], ref_indet)
+            assert np.array_equal(wn[lo : lo + 500], ref_wn)
+        assert (wn == 1).all() and not indet.any()
+
+    def test_single_point_and_empty(self):
+        poly = regular_ngon(64)
+        assert_matches_dense(poly, 0.3 + 0.1j)
+        wn, indet, dists = winding_numbers(poly, [])
+        assert wn.shape == indet.shape == dists.shape == (0,)
+        assert (wn.dtype, indet.dtype, dists.dtype) == (np.int64, np.bool_, np.float64)
+
+
 class TestBoundaryCurve:
     def test_core_modulus_range(self):
         f = ProductForm(0.6)  # (1-z)**0.6
