@@ -16,12 +16,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
 from .kernel import DomainError, log_principal
-from .measures import AtomicCircleMeasure, MixedMeasure, make_measure
+from .measures import AtomicCircleMeasure, make_measure
 
 __all__ = [
     "ClassParams",
@@ -133,14 +133,12 @@ class ProductForm:
         return d
 
 
-def construct(params: ClassParams, sigma: Union[AtomicCircleMeasure, MixedMeasure]) -> ProductForm:
+def construct(params: ClassParams, sigma: AtomicCircleMeasure) -> ProductForm:
     """Class member for an atomic measure: nodes conj(zeta_j), exponents mu*(1-beta)*w_j.
 
     The result is guaranteed to satisfy the defining class inequality;
     the verification module can re-check that on a grid.
     """
-    if isinstance(sigma, MixedMeasure):
-        sigma = sigma.effective()
     mu, beta = params.mu, params.beta
     facs = tuple((complex(np.conj(p)), mu * (1.0 - beta) * w) for p, w in sigma.atoms)
     return ProductForm(mu, facs)
@@ -233,7 +231,7 @@ def transform_class(f: ProductForm, frm: ClassParams, to: ClassParams) -> Produc
     return ProductForm(new_pref, new_facs)
 
 
-def boundary_exponent(f: ProductForm, params: ClassParams) -> complex:
+def boundary_exponent(f: ProductForm) -> complex:
     """Limit of f'(r)*(r-1)/f(r) as r -> 1-: the spiral-wedge exponent.
 
     Closed form: prefactor minus the exponents of nodes at 1; factors
@@ -245,7 +243,7 @@ def boundary_exponent(f: ProductForm, params: ClassParams) -> complex:
     return complex(f.prefactor - at_one)
 
 
-def boundary_rotation(f: ProductForm, params: ClassParams) -> float:
+def boundary_rotation(f: ProductForm) -> float:
     """Limit of arg(f(r)**(1/exponent)) as r -> 1-: the wedge midline rotation.
 
     Closed form: -sum over nodes c != 1 of Im((e/exponent)*Log(1-c)).
@@ -254,7 +252,7 @@ def boundary_rotation(f: ProductForm, params: ClassParams) -> float:
     pinned by the radial-limit estimate, which this equals by
     construction.
     """
-    nu = boundary_exponent(f, params)
+    nu = boundary_exponent(f)
     if abs(nu) <= NODE_TOL:
         raise DomainError("boundary exponent is 0; rotation undefined")
     total = 0.0

@@ -20,6 +20,8 @@ from .kernel import DomainError
 from .functions import (
     ClassParams,
     ProductForm,
+    boundary_exponent,
+    boundary_rotation,
     core_function,
     eval_log,
     evaluate,
@@ -229,20 +231,17 @@ def _curve_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray, guard: float
         box_sq = dx * dx + dy * dy
         ux, uy = start[:, 0].real - px, start[:, 0].imag - py
         vertex_sq = ux * ux + uy * uy
-        rows = np.arange(w.size)
-        nearest = vertex_sq.argmin(axis=1)
-        upper = np.sqrt(vertex_sq[rows, nearest]) * (1.0 + PRUNE_SLACK) + guard
+        upper = np.sqrt(vertex_sq.min(axis=1)) * (1.0 + PRUNE_SLACK) + guard
+        # a point's nearest start vertex lies in its own block's box, so every
+        # point keeps a block and reduceat sees no empty run
         keep = box_sq <= (upper * upper)[:, None]
-        # a start vertex lies in its own box, so this only matters for NaN
-        # points: every point keeps a block and reduceat sees no empty run
-        keep[rows, nearest] = True
         pt_k, blk_k = np.nonzero(keep)
         va = start[blk_k] - w[pt_k, None]
         e = edge[blk_k]
         t = -(va.real * e.real + va.imag * e.imag) / edge_sq[blk_k]
         t = np.clip(t, 0.0, 1.0)
         near = np.abs(va + t * e).min(axis=1)
-        dists[lo : lo + chunk] = np.minimum.reduceat(near, np.searchsorted(pt_k, rows))
+        dists[lo : lo + chunk] = np.minimum.reduceat(near, np.searchsorted(pt_k, np.arange(w.size)))
     return dists
 
 
@@ -258,6 +257,8 @@ def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.
     if not poly.closed:
         raise ValueError("winding numbers need a closed polyline")
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("non-finite point")
     a = poly.points
     b = np.roll(a, -1)
     guard = GUARD_FACTOR * poly.diameter()
@@ -459,10 +460,8 @@ def check_wedge_containment(
     Only containment is asserted; minimality of the wedge is not
     grid-decidable and is out of scope.
     """
-    from .functions import boundary_exponent, boundary_rotation
-
-    nu = boundary_exponent(f, params)
-    rot = boundary_rotation(f, params)
+    nu = boundary_exponent(f)
+    rot = boundary_rotation(f)
     theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     zz = rho * np.exp(1j * theta)
     return _report("wedge-containment", wedge_margin(nu, rot, eval_log(f, zz)), zz, tolerance)

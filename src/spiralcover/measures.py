@@ -2,10 +2,7 @@
 
 An atomic measure is the universal input here: finite sums of point
 masses are dense in the function class being modelled, so nothing more
-general is represented.  A mixed type records a Lebesgue component for
-bookkeeping; the Lebesgue part of the measure integrates to zero
-against the antiholomorphic log kernel, so map construction only ever
-consumes the reduced atomic part.
+general is represented.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from .kernel import DomainError
 
 __all__ = [
     "AtomicCircleMeasure",
-    "MixedMeasure",
     "make_measure",
     "dirac_reweight",
     "random_measure",
@@ -172,23 +168,3 @@ def random_measure(n: int, seed: int) -> AtomicCircleMeasure:
     weights = weights / weights.sum()
     return make_measure(list(zip(np.exp(1j * angles), weights)))
 
-
-@dataclass(frozen=True)
-class MixedMeasure:
-    """Bookkeeping split d(sigma) = w*d(lambda) + (1-w)*d(reduced).
-
-    The normalized Lebesgue part integrates to zero against the
-    antiholomorphic kernel log(1 - z*conj(zeta)), so every evaluation
-    consumes only the reduced atomic part.
-    """
-
-    lebesgue_weight: float
-    reduced: AtomicCircleMeasure
-
-    def __post_init__(self):
-        if not 0 <= self.lebesgue_weight < 1:
-            raise ValueError("lebesgue_weight must lie in [0, 1)")
-
-    def effective(self) -> AtomicCircleMeasure:
-        """The part that contributes to log-kernel integrals."""
-        return self.reduced

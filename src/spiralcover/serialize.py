@@ -19,7 +19,6 @@ __all__ = [
     "to_jsonable",
     "dumps",
     "load_function_spec",
-    "dump_function_spec",
 ]
 
 
@@ -83,7 +82,3 @@ def load_function_spec(data: dict) -> tuple[ProductForm, ClassParams]:
         (_as_complex(f["node"]), _as_complex(f["exponent"])) for f in data["factors"]
     )
     return ProductForm(prefactor, factors), params
-
-
-def dump_function_spec(f: ProductForm, params: ClassParams) -> dict:
-    return f.to_dict(params)

@@ -17,14 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import DomainError, log_principal
-from .functions import (
-    ClassParams,
-    ProductForm,
-    boundary_exponent,
-    eval_log,
-    evaluate,
-    log_derivative,
-)
+from .functions import ClassParams, ProductForm, eval_log, log_derivative
 
 __all__ = [
     "GridSpec",
@@ -211,29 +204,28 @@ class ValueBounds(NamedTuple):
     f_hi: float | None
 
 
-def modulus_arg_bounds(params: ClassParams, z: complex) -> ValueBounds:
-    """Sharp modulus/argument envelopes at a point.
+def modulus_arg_bounds(params: ClassParams, z):
+    """Sharp modulus/argument envelopes at a point or an array of points.
 
     (1-|z|)**(1-beta) <= |(1-z)/f**(1/mu)| <= (1+|z|)**(1-beta) and
     |arg| <= (1-beta)*arcsin|z| for every class member.  The |f|
     envelopes only make sense for real mu and are None otherwise.
     """
-    z = complex(z)
-    if abs(z) >= 1:
+    zz = np.asarray(z, dtype=np.complex128)
+    az = np.abs(zz)
+    if not np.all(az < 1):  # NaN fails too
         raise DomainError("z outside the open unit disk")
-    mu, beta = params.mu, params.beta
-    az = abs(z)
-    mod_lo = (1.0 - az) ** (1.0 - beta)
-    mod_hi = (1.0 + az) ** (1.0 - beta)
-    arg_cap = (1.0 - beta) * math.asin(az)
-    if mu.imag == 0.0:
-        m = mu.real
-        base = abs(1.0 - z) ** m
-        f_lo = base / (1.0 + az) ** (m * (1.0 - beta))
-        f_hi = base / (1.0 - az) ** (m * (1.0 - beta))
-    else:
-        f_lo = f_hi = None
-    return ValueBounds(mod_lo, mod_hi, arg_cap, f_lo, f_hi)
+    one_m_b = 1.0 - params.beta
+    f_lo = f_hi = None
+    if params.mu.imag == 0.0:
+        m = params.mu.real
+        base = np.abs(1.0 - zz) ** m
+        f_lo = base / (1.0 + az) ** (m * one_m_b)
+        f_hi = base / (1.0 - az) ** (m * one_m_b)
+    out = ValueBounds((1.0 - az) ** one_m_b, (1.0 + az) ** one_m_b, one_m_b * np.arcsin(az), f_lo, f_hi)
+    if np.ndim(z) == 0:
+        return ValueBounds(*(None if b is None else float(b) for b in out))
+    return out
 
 
 class DerivativeBounds(NamedTuple):
@@ -243,28 +235,34 @@ class DerivativeBounds(NamedTuple):
     raw_lower: float
 
 
-def derivative_bounds(params: ClassParams, z: complex) -> DerivativeBounds:
-    """|f'| envelopes for real mu in (0, 2].
+def _derivative_bounds_apply(params: ClassParams) -> bool:
+    """Whether the |f'| envelopes are stated for these parameters: real mu in (0, 2]."""
+    return params.mu.imag == 0.0 and 0.0 < params.mu.real <= 2.0
+
+
+def derivative_bounds(params: ClassParams, z):
+    """|f'| envelopes for real mu in (0, 2], at a point or an array of points.
 
     lower <= |f'(z)| <= upper <= simple_upper.  The lower bracket
     |(1-conj(z))/(1-z) + beta*conj(z)| - 1 + beta is >= beta*(1-|z|),
     hence never truly negative; it is still clamped at 0 and the raw
     value reported alongside.
     """
-    z = complex(z)
-    if abs(z) >= 1:
+    zz = np.asarray(z, dtype=np.complex128)
+    az = np.abs(zz)
+    if not np.all(az < 1):  # NaN fails too
         raise DomainError("z outside the open unit disk")
-    mu, beta = params.mu, params.beta
-    if mu.imag != 0.0 or not 0.0 < mu.real <= 2.0:
+    if not _derivative_bounds_apply(params):
         raise DomainError("derivative bounds need real mu in (0, 2]")
-    m = mu.real
-    az = abs(z)
-    base = m * abs(1.0 - z) ** m / (1.0 - az**2)
-    bracket = abs((1.0 - z.conjugate()) / (1.0 - z) + beta * z.conjugate())
+    m, beta = params.mu.real, params.beta
+    power = np.abs(1.0 - zz) ** m
+    base = m * power / (1.0 - az**2)
+    bracket = np.abs((1.0 - np.conj(zz)) / (1.0 - zz) + beta * np.conj(zz))
     raw_lower = base / (1.0 + az) ** (m * (1.0 - beta)) * (bracket - 1.0 + beta)
     upper = base / (1.0 - az) ** (m * (1.0 - beta)) * (bracket + 1.0 - beta)
-    simple_upper = 2.0 * m * abs(1.0 - z) ** m / ((1.0 - az**2) * (1.0 - az) ** (m * (1.0 - beta)))
-    return DerivativeBounds(max(raw_lower, 0.0), upper, simple_upper, raw_lower)
+    simple_upper = 2.0 * m * power / ((1.0 - az**2) * (1.0 - az) ** (m * (1.0 - beta)))
+    out = DerivativeBounds(np.maximum(raw_lower, 0.0), upper, simple_upper, raw_lower)
+    return DerivativeBounds(*map(float, out)) if np.ndim(z) == 0 else out
 
 
 def check_value_bounds(
@@ -275,25 +273,15 @@ def check_value_bounds(
 ) -> VerificationReport:
     """Worst margin over all applicable modulus/argument envelopes."""
     pts = grid.points()
-    q = log_principal(1.0 - pts) - eval_log(f, pts) / params.mu
+    log_f = eval_log(f, pts)
+    q = log_principal(1.0 - pts) - log_f / params.mu
     ratio_mod = np.exp(q.real)
-    ratio_arg = q.imag
-    az = np.abs(pts)
-    one_m_b = 1.0 - params.beta
-    margins = [
-        ratio_mod - (1.0 - az) ** one_m_b,
-        (1.0 + az) ** one_m_b - ratio_mod,
-        one_m_b * np.arcsin(az) - np.abs(ratio_arg),
-    ]
-    if params.mu.imag == 0.0:
-        m = params.mu.real
-        fmod = np.exp(eval_log(f, pts).real)
-        base = np.abs(1.0 - pts) ** m
-        margins.append(fmod - base / (1.0 + az) ** (m * one_m_b))
-        margins.append(base / (1.0 - az) ** (m * one_m_b) - fmod)
-    stacked = np.stack(margins)
-    per_point = stacked.min(axis=0)
-    return _report("value-bounds", per_point, pts, tolerance)
+    b = modulus_arg_bounds(params, pts)
+    margins = [ratio_mod - b.mod_lo, b.mod_hi - ratio_mod, b.arg_cap - np.abs(q.imag)]
+    if b.f_lo is not None:
+        fmod = np.exp(log_f.real)
+        margins += [fmod - b.f_lo, b.f_hi - fmod]
+    return _report("value-bounds", np.min(margins, axis=0), pts, tolerance)
 
 
 def check_derivative_value_bounds(
@@ -305,13 +293,9 @@ def check_derivative_value_bounds(
     """Worst margin of lower <= |f'| <= upper <= simple_upper over the grid."""
     pts = grid.points()
     fd = np.exp(eval_log(f, pts).real) * np.abs(log_derivative(f, pts))
-    margins = np.empty((3, pts.size))
-    for i, z in enumerate(pts):
-        b = derivative_bounds(params, z)
-        margins[0, i] = fd[i] - b.lower
-        margins[1, i] = b.upper - fd[i]
-        margins[2, i] = b.simple_upper - b.upper
-    return _report("derivative-bounds", margins.min(axis=0), pts, tolerance)
+    b = derivative_bounds(params, pts)
+    margins = np.min([fd - b.lower, b.upper - fd, b.simple_upper - b.upper], axis=0)
+    return _report("derivative-bounds", margins, pts, tolerance)
 
 
 def schwarz_function(f: ProductForm, params: ClassParams, z):
@@ -395,6 +379,26 @@ def check_interior_identity(
     return _report("interior-identity", -dev, pts, tolerance)
 
 
+def _growth_margins(f: ProductForm, params: ClassParams, zz: np.ndarray, ts) -> list:
+    """growth_margin at each shift t of ts; the logs at zz are computed once."""
+    phi = params.phi
+    cos2 = 2.0 * math.cos(phi)
+    if not all(0.0 < t < cos2 for t in ts):
+        raise DomainError("t outside (0, 2*cos(arg mu))")
+    log_f = eval_log(f, zz)
+    log_1mz = log_principal(1.0 - zz)
+    margins = []
+    for t in ts:
+        shifted = zz * (1.0 - cmath.exp(-1j * phi) * t)
+        if np.any(np.abs(shifted) >= 1.0):
+            raise DomainError("shifted point outside the disk")
+        lhs = np.exp((eval_log(f, shifted) - log_f).real)
+        log_ratio = params.mu * (log_principal(1.0 - shifted) - log_1mz)
+        rhs = np.exp(log_ratio.real) * (1.0 - t / cos2) ** (-params.mu.real * (1.0 - params.beta))
+        margins.append(rhs - lhs)
+    return margins
+
+
 def growth_margin(f: ProductForm, params: ClassParams, z, t: float):
     """RHS - LHS of the spiral growth inequality at shift parameter t.
 
@@ -403,18 +407,7 @@ def growth_margin(f: ProductForm, params: ClassParams, z, t: float):
     (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  Moduli are taken branch
     safely through exp(Re(eval_log)).
     """
-    phi = params.phi
-    cos2 = 2.0 * math.cos(phi)
-    if not 0.0 < t < cos2:
-        raise DomainError("t outside (0, 2*cos(arg mu))")
-    zz = np.asarray(z, dtype=np.complex128)
-    shifted = zz * (1.0 - cmath.exp(-1j * phi) * t)
-    if np.any(np.abs(shifted) >= 1.0):
-        raise DomainError("shifted point outside the disk")
-    lhs = np.exp((eval_log(f, shifted) - eval_log(f, zz)).real)
-    log_ratio = params.mu * (log_principal(1.0 - shifted) - log_principal(1.0 - zz))
-    rhs = np.exp(log_ratio.real) * (1.0 - t / cos2) ** (-params.mu.real * (1.0 - params.beta))
-    out = rhs - lhs
+    out = _growth_margins(f, params, np.asarray(z, dtype=np.complex128), [t])[0]
     return float(out) if np.ndim(z) == 0 else out
 
 
@@ -433,5 +426,5 @@ def check_growth(
     pts = grid.points()
     cos2 = 2.0 * math.cos(params.phi)
     ts = [cos2 * k / (t_samples + 1.0) for k in range(1, t_samples + 1)]
-    margins = np.stack([growth_margin(f, params, pts, t) for t in ts])
+    margins = np.stack(_growth_margins(f, params, pts, ts))
     return _report("growth", margins.min(axis=0), pts, tolerance)

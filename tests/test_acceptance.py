@@ -168,12 +168,12 @@ def test_criterion_07_boundary_limit_agreement(population):
     rotation inequalities."""
     worst_nu, worst_a = 0.0, 0.0
     for entry in population:
-        nu = sc.boundary_exponent(entry.f, entry.params)
+        nu = sc.boundary_exponent(entry.f)
         nu_est = sc.boundary_exponent_radial(entry.f)
         worst_nu = max(worst_nu, abs(nu - nu_est))
         assert abs(nu - nu_est) <= 1e-3
 
-        a = sc.boundary_rotation(entry.f, entry.params)
+        a = sc.boundary_rotation(entry.f)
         a_est = sc.boundary_rotation_radial(entry.f, nu)
         worst_a = max(worst_a, abs(a - a_est))
         assert abs(a - a_est) <= 1e-3

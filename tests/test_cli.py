@@ -64,6 +64,11 @@ class TestConstruct:
         assert len(data["atoms"]) == 4
         assert sum(a["weight"] for a in data["atoms"]) == pytest.approx(1.0)
 
+    def test_default_sample_count(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["construct", "--seed", "7", "-o", str(out)]) == 0
+        assert len(json.loads(out.read_text())["atoms"]) == 256
+
     def test_needs_input_or_seed(self, capsys):
         assert main(["construct"]) == 2
 
@@ -99,11 +104,66 @@ class TestCheck:
     def test_unknown_check_name(self, example_path):
         assert main(["check", "-i", example_path, "--checks", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("checks", [",", "", " , "])
+    def test_empty_check_list(self, example_path, tmp_path, checks):
+        out = tmp_path / "report.json"
+        assert main(["check", "-i", example_path, "--checks", checks, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    def test_derivative_bounds_on_complex_mu(self, population, tmp_path):
+        entry = population[0]
+        assert entry.params.mu.imag != 0.0
+        path = tmp_path / "complex.json"
+        path.write_text(dumps(entry.f.to_dict(entry.params)))
+        assert main(["check", "-i", str(path), "--checks", "derivative-bounds"]) == 2
+        out = tmp_path / "report.json"
+        assert main(["check", "-i", str(path), "--checks", "all", "-o", str(out)]) == 0
+        names = [c["check"] for c in json.loads(out.read_text())["checks"]]
+        assert "derivative-bounds" not in names
+
     def test_byte_identical_reports(self, example_path, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         main(["check", "-i", example_path, "-o", str(a)])
         main(["check", "-i", example_path, "-o", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_parser_state_does_not_leak_between_calls(self, example_path, tmp_path):
+        first, cover, last = tmp_path / "a.json", tmp_path / "c.json", tmp_path / "b.json"
+        assert main(["check", "-i", example_path, "--checks", "all", "-o", str(first)]) == 0
+        assert main(["cover", "-i", example_path, "--samples", "64", "-o", str(cover)]) == 0
+        assert main(["check", "-i", example_path, "--checks", "all", "-o", str(last)]) == 0
+        assert first.read_bytes() == last.read_bytes()
+
+    # sha256 over the concatenated reports, recorded before the check table and
+    # the array envelopes replaced the per-name dispatch and the per-point loop
+    # (numpy 2.4, x86_64).  real-population-20 was re-recorded once: numpy's
+    # complex abs, division and power round differently from Python scalars in
+    # the last bit, which moves two derivative-bounds margins in the 12th digit.
+    CHECK_DIGESTS = {
+        "readme-example": "1002f5d999d8ec6f82df35c1af1a37f98febda02e0a1a0d2879c85c83cc74bee",
+        "population-20": "81b591b133d1cb98f20f6d30435cda136b19046783d8f2092453d604e89554e0",
+        "real-population-20": "e037d6f294ca0a4bc39597bb7b55d7029db9affd53d7f53769ef555d484c12a3",
+        "distort-readme-example": "da3bc43b04818d05c9538e7b7b4452c11b21b712b6f72baca983c7355cb8ef41",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CHECK_DIGESTS))
+    def test_report_bytes_match_recorded_digest(self, kind, population, tmp_path):
+        argv = ["check", "--checks", "all"]
+        if kind == "distort-readme-example":
+            argv, specs = ["distort"], [EXAMPLE_SPEC]
+        elif kind == "readme-example":
+            specs = [EXAMPLE_SPEC]
+        elif kind == "population-20":
+            specs = [e.f.to_dict(e.params) for e in population[:20]]
+        else:
+            specs = [e.real_f.to_dict(e.real_params) for e in population[:20]]
+        digest = hashlib.sha256()
+        for k, spec in enumerate(specs):
+            src, out = tmp_path / f"in{k}.json", tmp_path / f"out{k}.json"
+            src.write_text(dumps(spec))
+            assert main([*argv, "-i", str(src), "-o", str(out)]) == 0
+            digest.update(out.read_bytes())
+        assert digest.hexdigest() == self.CHECK_DIGESTS[kind]
 
 
 class TestDistort:
@@ -176,6 +236,17 @@ class TestCover:
             outs.append(tmp_path / f"out{threads}.json")
             assert main(["cover", "-i", str(src), "--samples", "64", "-o", str(outs[-1])]) == 1
         assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+class TestSamples:
+    @pytest.mark.parametrize("command", ["construct", "cover", "radius-table", "render"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_rejected(self, command, samples, example_path, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = [command, "--samples", samples, "-o", str(out)]
+        argv += ["--seed", "7"] if command == "construct" else ["-i", example_path]
+        assert main(argv) == 2
+        assert not out.exists()
 
 
 class TestRadiusTable:

@@ -94,12 +94,6 @@ class TestConstruct:
             f = construct(ClassParams(1.0 + 0.3j, 0.2), sigma)
             assert evaluate(f, 0.0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_mixed_measure_uses_reduced_part(self):
-        sigma = random_measure(3, 9)
-        params = ClassParams(1.2, 0.3)
-        mixed = sc.MixedMeasure(0.3, sigma)
-        assert construct(params, mixed) == construct(params, sigma)
-
 
 class TestEvalLog:
     def test_zero_at_origin(self):
@@ -270,28 +264,28 @@ class TestBoundaryExponent:
     def test_dirac_at_one(self):
         params = ClassParams(0.9 + 0.2j, 0.55)
         f = core_function(params)
-        assert boundary_exponent(f, params) == pytest.approx(params.mu * params.beta)
+        assert boundary_exponent(f) == pytest.approx(params.mu * params.beta)
 
     def test_no_atom_at_one(self):
         params = ClassParams(1.1, 0.3)
         f = construct(params, make_measure([(1.0j, 0.4), (-1.0, 0.6)]))
-        assert boundary_exponent(f, params) == pytest.approx(params.mu)
+        assert boundary_exponent(f) == pytest.approx(params.mu)
 
     def test_ratio_between_beta_and_one(self, population):
         for entry in population[:25]:
-            nu = boundary_exponent(entry.f, entry.params)
+            nu = boundary_exponent(entry.f)
             ratio = nu / entry.params.mu
             assert abs(ratio.imag) <= 1e-12
             assert entry.params.beta - 1e-12 <= ratio.real <= 1.0 + 1e-12
 
     def test_agrees_with_radial_estimate(self, population):
         for entry in population[:25]:
-            nu = boundary_exponent(entry.f, entry.params)
+            nu = boundary_exponent(entry.f)
             assert abs(nu - boundary_exponent_radial(entry.f)) <= 1e-3
 
     def test_interior_nodes_agree_with_radial(self, worked_example):
         f, params = worked_example
-        nu = boundary_exponent(f, params)
+        nu = boundary_exponent(f)
         assert nu == pytest.approx(1.0)
         assert abs(nu - boundary_exponent_radial(f)) <= 1e-3
 
@@ -299,39 +293,39 @@ class TestBoundaryExponent:
 class TestBoundaryRotation:
     def test_dirac_at_one_is_zero(self):
         params = ClassParams(1.0, 0.5)
-        assert boundary_rotation(core_function(params), params) == pytest.approx(0.0)
+        assert boundary_rotation(core_function(params)) == pytest.approx(0.0)
 
     def test_dirac_at_minus_one_is_zero(self):
         params = ClassParams(1.0, 0.0)
         f = construct(params, make_measure([(-1.0, 1.0)]))
         # arg(1 - (-1)) = arg(2) = 0
-        assert boundary_rotation(f, params) == pytest.approx(0.0)
+        assert boundary_rotation(f) == pytest.approx(0.0)
 
     def test_atom_at_i(self):
         # single atom at i: omega-map is the wedge with rotation -pi/4
         params = ClassParams(1.0, 0.0)
         f = construct(params, make_measure([(1.0j, 1.0)]))
-        assert boundary_rotation(f, params) == pytest.approx(-math.pi / 4)
+        assert boundary_rotation(f) == pytest.approx(-math.pi / 4)
 
     def test_bound_from_class(self, population):
         for entry in population[:25]:
-            nu = boundary_exponent(entry.f, entry.params)
-            a = boundary_rotation(entry.f, entry.params)
+            nu = boundary_exponent(entry.f)
+            a = boundary_rotation(entry.f)
             ratio = (entry.params.mu / nu).real
             assert abs(a) < (math.pi / 2) * ratio * (1.0 - entry.params.beta) + 1e-9
 
     def test_agrees_with_radial_estimate(self, population):
         for entry in population[:25]:
-            nu = boundary_exponent(entry.f, entry.params)
-            a = boundary_rotation(entry.f, entry.params)
+            nu = boundary_exponent(entry.f)
+            a = boundary_rotation(entry.f)
             assert abs(a - boundary_rotation_radial(entry.f, nu)) <= 1e-3
 
     def test_degenerate_exponent_rejected(self):
         params = ClassParams(1.0, 0.0)
         f = core_function(params)  # (1-z)**0, the constant 1
-        assert boundary_exponent(f, params) == pytest.approx(0.0)
+        assert boundary_exponent(f) == pytest.approx(0.0)
         with pytest.raises(DomainError):
-            boundary_rotation(f, params)
+            boundary_rotation(f)
 
 
 class TestDiracReweightConsistency:

@@ -283,6 +283,14 @@ class TestContainsPoint:
         edge_mid = (curve.points[0] + curve.points[1]) / 2.0
         assert contains_point(f, edge_mid, 0.9, curve=curve) is None
 
+    @pytest.mark.parametrize("re,im", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf), (1.0, math.nan)])
+    def test_non_finite_point_rejected(self, re, im):
+        bad = complex(re, im)
+        with pytest.raises(DomainError):
+            winding_numbers(regular_ngon(64), [0.1, bad])
+        with pytest.raises(DomainError):
+            contains_point(ProductForm(0.6), bad, 0.9)
+
 
 class TestCheckCovering:
     def test_core_covers_itself_on_nested_disks(self):

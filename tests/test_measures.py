@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from spiralcover import (
     AtomicCircleMeasure,
     DomainError,
-    MixedMeasure,
     dirac_reweight,
     make_measure,
     random_measure,
@@ -135,17 +134,3 @@ class TestRandomMeasure:
     def test_zero_atoms_rejected(self):
         with pytest.raises(ValueError):
             random_measure(0, 1)
-
-
-class TestMixedMeasure:
-    def test_effective_is_reduced(self):
-        sigma = random_measure(3, 5)
-        mixed = MixedMeasure(0.4, sigma)
-        assert mixed.effective() is sigma
-
-    def test_weight_validation(self):
-        sigma = random_measure(2, 5)
-        with pytest.raises(ValueError):
-            MixedMeasure(1.0, sigma)
-        with pytest.raises(ValueError):
-            MixedMeasure(-0.1, sigma)

@@ -255,6 +255,67 @@ class TestDerivativeBounds:
             derivative_bounds(params, 1.5)
 
 
+def scalar_value_bounds(params, z):
+    """Reference for modulus_arg_bounds at one point, in math/cmath scalars."""
+    az, one_m_b = abs(z), 1.0 - params.beta
+    out = [(1.0 - az) ** one_m_b, (1.0 + az) ** one_m_b, one_m_b * math.asin(az)]
+    if params.mu.imag == 0.0:
+        m = params.mu.real
+        base = abs(1.0 - z) ** m
+        out += [base / (1.0 + az) ** (m * one_m_b), base / (1.0 - az) ** (m * one_m_b)]
+    return out
+
+
+def scalar_derivative_bounds(params, z):
+    """Reference for derivative_bounds at one point: (lower, upper, simple_upper, raw_lower)."""
+    m, beta, az = params.mu.real, params.beta, abs(z)
+    base = m * abs(1.0 - z) ** m / (1.0 - az**2)
+    bracket = abs((1.0 - z.conjugate()) / (1.0 - z) + beta * z.conjugate())
+    raw_lower = base / (1.0 + az) ** (m * (1.0 - beta)) * (bracket - 1.0 + beta)
+    upper = base / (1.0 - az) ** (m * (1.0 - beta)) * (bracket + 1.0 - beta)
+    simple_upper = 2.0 * m * abs(1.0 - z) ** m / ((1.0 - az**2) * (1.0 - az) ** (m * (1.0 - beta)))
+    return [max(raw_lower, 0.0), upper, simple_upper, raw_lower]
+
+
+ENVELOPE_PARAMS = [(0.3, 0.0), (1.0, 0.6), (2.0, 0.25), (1.5 + 0.5j, 0.2), (0.4 - 0.3j, 0.8)]
+
+
+class TestArrayEnvelopes:
+    @pytest.mark.parametrize("mu,beta", ENVELOPE_PARAMS)
+    def test_value_bounds_match_scalar_reference(self, mu, beta, grid):
+        params, pts = ClassParams(mu, beta), grid.points()
+        arrays = modulus_arg_bounds(params, pts)
+        ref = np.array([scalar_value_bounds(params, complex(z)) for z in pts]).T
+        got = [a for a in arrays if a is not None]
+        assert len(got) == ref.shape[0] == (5 if params.mu.imag == 0.0 else 3)
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        assert modulus_arg_bounds(params, pts[5]) == modulus_arg_bounds(params, complex(pts[5]))
+
+    @pytest.mark.parametrize("mu,beta", [pb for pb in ENVELOPE_PARAMS if complex(pb[0]).imag == 0.0])
+    def test_derivative_bounds_match_scalar_reference(self, mu, beta, grid):
+        params, pts = ClassParams(mu, beta), grid.points()
+        arrays = np.array(derivative_bounds(params, pts))
+        ref = np.array([scalar_derivative_bounds(params, complex(z)) for z in pts]).T
+        # at beta = 0 the lower bracket is 0 in exact arithmetic and only its
+        # rounding is compared, so lower and raw_lower are held on the scale of upper
+        scale = np.maximum(np.abs(ref), np.abs(ref[1]) if beta == 0.0 else 0.0)
+        assert np.all(np.abs(arrays - ref) <= 1e-12 * scale)
+        assert isinstance(derivative_bounds(params, pts[7]).upper, float)
+
+    @pytest.mark.parametrize("bad", [1.0 + 0.0j, complex("nan"), complex(0.0, math.inf)])
+    def test_array_with_one_point_outside_rejected(self, bad):
+        pts = np.array([0.1, 0.5j, bad])
+        for z in (pts, bad):
+            with pytest.raises(DomainError):
+                modulus_arg_bounds(ClassParams(1.0, 0.0), z)
+            with pytest.raises(DomainError):
+                derivative_bounds(ClassParams(1.0, 0.0), z)
+
+    def test_complex_mu_array_rejected(self, grid):
+        with pytest.raises(DomainError):
+            derivative_bounds(ClassParams(1.0 + 0.2j, 0.3), grid.points())
+
+
 class TestSchwarz:
     def test_zero_at_origin(self):
         params = ClassParams(1.1, 0.4)
