@@ -63,9 +63,9 @@ CHECKS = {
     ),
     # exact algebra, held to its own 1e-12 tolerance
     "interior-identity": (lambda f, p, grid, tol: check_interior_identity(f, p, grid), _any_params),
-    "growth": (lambda f, p, grid, tol: check_growth(f, p, grid, tolerance=tol), _any_params),
+    "growth": (lambda f, p, grid, tol: check_growth(f, p, grid, tol), _any_params),
     # samples f on |z| = 0.999, not the grid
-    "wedge-containment": (lambda f, p, grid, tol: check_wedge_containment(f, p, tolerance=tol), _any_params),
+    "wedge-containment": (lambda f, p, grid, tol: check_wedge_containment(f, tolerance=tol), _any_params),
 }
 
 
@@ -191,43 +191,38 @@ def cmd_render(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="spiralcover", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, samples=None):
-        sp.add_argument("--input", "-i", help="input JSON path")
-        sp.add_argument("--output", "-o", help="output path ('-' for stdout)")
-        sp.add_argument("--grid-radii", help="comma-separated grid radii")
-        sp.add_argument("--grid-angles", type=int, help="angles per grid ring")
-        sp.add_argument("--rho", type=float, default=0.99, help="boundary curve radius")
-        sp.add_argument("--r-inner", type=float, default=0.9, help="inner sample radius")
-        sp.add_argument("--samples", type=int, default=samples, help="sample count (command-specific)")
-        sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--tolerance", type=float, default=1e-9, help="pass tolerance")
-
-    sp = sub.add_parser("construct", help="canonicalize a function spec or emit a random measure")
-    common(sp, samples=256)
-    sp.set_defaults(fn=cmd_construct)
-
-    sp = sub.add_parser("check", help="run verification checks on a function spec")
-    common(sp)
-    sp.add_argument("--checks", default="membership", help="comma list or 'all'")
-    sp.set_defaults(fn=cmd_check)
-
-    sp = sub.add_parser("distort", help="distortion-theorem suite: check --checks distortion,derivative-disk")
-    common(sp)
-    sp.set_defaults(fn=cmd_check, checks="distortion,derivative-disk")
-
-    sp = sub.add_parser("cover", help="covering check against the core map")
-    common(sp, samples=256)
-    sp.set_defaults(fn=cmd_cover)
-
-    sp = sub.add_parser("radius-table", help="covering radius table (CSV)")
-    common(sp, samples=64)
-    sp.set_defaults(fn=cmd_radius_table)
-
-    sp = sub.add_parser("render", help="render image boundary curves to SVG")
-    common(sp, samples=256)
-    sp.set_defaults(fn=cmd_render)
-
+    flags = {
+        "input": (("--input", "-i"), dict(help="input JSON path")),
+        "output": (("--output", "-o"), dict(help="output path ('-' for stdout)")),
+        "grid-radii": (("--grid-radii",), dict(help="comma-separated grid radii")),
+        "grid-angles": (("--grid-angles",), dict(type=int, help="angles per grid ring")),
+        "tolerance": (("--tolerance",), dict(type=float, default=1e-9, help="pass tolerance")),
+        "checks": (("--checks",), dict(default="membership", help="comma list or 'all'")),
+        "rho": (("--rho",), dict(type=float, default=0.99, help="boundary curve radius")),
+        "r-inner": (("--r-inner",), dict(type=float, default=0.9, help="inner sample radius")),
+        "samples": (("--samples",), dict(type=int, help="sample count (default %(default)s)")),
+        "seed": (("--seed",), dict(type=int, help="random seed")),
+    }
+    grid = ("grid-radii", "grid-angles", "tolerance")
+    # name -> (handler, help, the flags it reads, defaults); any other flag exits 2
+    commands = {
+        "construct": (cmd_construct, "canonicalize a function spec or emit a random measure",
+                      ("input", "output", "samples", "seed"), dict(samples=256)),
+        "check": (cmd_check, "run verification checks on a function spec",
+                  ("input", "output", *grid, "checks"), {}),
+        "distort": (cmd_check, "distortion-theorem suite: check --checks distortion,derivative-disk",
+                    ("input", "output", *grid), dict(checks="distortion,derivative-disk")),
+        "cover": (cmd_cover, "covering check against the core map",
+                  ("input", "output", "rho", "r-inner", "samples"), dict(samples=256)),
+        "radius-table": (cmd_radius_table, "covering radius table (CSV)", ("output", "samples"), dict(samples=64)),
+        "render": (cmd_render, "render image boundary curves to SVG",
+                   ("input", "output", "rho", "samples"), dict(samples=256)),
+    }
+    for name, (fn, summary, reads, defaults) in commands.items():
+        sp = sub.add_parser(name, help=summary)
+        for flag in reads:
+            sp.add_argument(*flags[flag][0], **flags[flag][1])
+        sp.set_defaults(fn=fn, **defaults)
     return p
 
 
@@ -239,7 +234,7 @@ def main(argv=None) -> int:
     try:
         if args.fn in (cmd_check, cmd_cover, cmd_render) and not args.input:
             raise ValueError("--input is required for this command")
-        if args.samples is not None and args.samples < 1:
+        if getattr(args, "samples", 1) < 1:
             raise ValueError("--samples must be at least 1")
         return args.fn(args)
     except (ValueError, DomainError, KeyError, TypeError, OSError) as exc:

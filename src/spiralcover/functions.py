@@ -116,8 +116,8 @@ class ProductForm:
     def exponents(self) -> np.ndarray:
         return np.asarray([e for _, e in self.factors], dtype=np.complex128)
 
-    def has_interior_nodes(self, tol: float = 1e-9) -> bool:
-        return any(abs(c) < 1.0 - tol for c, _ in self.factors)
+    def has_interior_nodes(self) -> bool:
+        return any(abs(c) < 1.0 - 1e-9 for c, _ in self.factors)
 
     def to_dict(self, params: "ClassParams | None" = None) -> dict:
         d: dict = {}
@@ -263,8 +263,8 @@ def boundary_rotation(f: ProductForm) -> float:
     return -total
 
 
-def richardson_limit(values, ratio: float = 10.0):
-    """Richardson table for samples at steps h, h/ratio, h/ratio**2, ...
+def richardson_limit(values):
+    """Richardson table for samples at steps h, h/10, h/100, ... (RADIAL_EXPONENTS).
 
     Assumes an expansion L + c1*h + c2*h**2 + ...; values must be
     ordered from the largest step to the smallest.
@@ -274,7 +274,7 @@ def richardson_limit(values, ratio: float = 10.0):
         raise ValueError("need at least two samples")
     n = len(table)
     for j in range(1, n):
-        fac = ratio ** j
+        fac = 10.0 ** j
         table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
     return table[0]
 

@@ -51,6 +51,7 @@ __all__ = [
 
 GUARD_FACTOR = 1e-12  # of the curve diameter; closer points are indeterminate
 MAX_TURN = 0.2        # radians of turning per segment before bisection
+REFINE_TOL = 0.05     # chord length, relative to the local modulus, before bisection
 DISTANCE_BLOCK = 16   # segments per bounding box in the curve-distance search
 PRUNE_SLACK = 1e-9    # relative slack on the distance upper bound, for rounding
 
@@ -110,7 +111,6 @@ def _adaptive_closed_curve(
     fn: Callable[[np.ndarray], np.ndarray],
     rho: float,
     n: int,
-    refine_tol: float,
 ) -> PolyLine:
     thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     values = np.asarray(fn(rho * np.exp(1j * thetas)), dtype=np.complex128)
@@ -122,7 +122,7 @@ def _adaptive_closed_curve(
         gaps[-1] += 2.0 * np.pi
         chords = np.abs(nxt - values)
         local = np.maximum(np.maximum(np.abs(values), np.abs(nxt)), 1e-12 * np.abs(values).max())
-        flags = chords > refine_tol * local
+        flags = chords > REFINE_TOL * local
 
         # turning angle at each vertex flags both adjacent segments;
         # curves of power-map type have high curvature near the image of z ~ 1
@@ -157,18 +157,18 @@ def _adaptive_closed_curve(
     return PolyLine(values[keep], closed=True)
 
 
-def boundary_curve(f: ProductForm, rho: float, n: int = 256, refine_tol: float = 0.05) -> PolyLine:
+def boundary_curve(f: ProductForm, rho: float, n: int = 256) -> PolyLine:
     """Adaptive closed sample of f(rho * e^{i*theta}).
 
-    Segments are bisected while their chord exceeds refine_tol times
-    the local modulus scale or the turning angle exceeds 0.2 rad, up to
+    Segments are bisected while their chord exceeds REFINE_TOL times
+    the local modulus scale or the turning angle exceeds MAX_TURN, up to
     16*n points.
     """
     if not 0.0 < rho < 1.0:
         raise DomainError("rho must lie in (0, 1)")
     if n < 64:
         raise ValueError("need at least 64 initial samples")
-    return _adaptive_closed_curve(lambda z: evaluate(f, z), rho, n, refine_tol)
+    return _adaptive_closed_curve(lambda z: evaluate(f, z), rho, n)
 
 
 def _crossing_windings(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -278,8 +278,6 @@ def contains_point(
     f: ProductForm,
     w: complex,
     rho: float,
-    n: int = 256,
-    refine_tol: float = 0.05,
     curve: Optional[PolyLine] = None,
 ) -> Optional[bool]:
     """Whether w lies in the image of the rho-disk; None when indeterminate.
@@ -288,7 +286,7 @@ def contains_point(
     the guard distance of the discretized curve.
     """
     if curve is None:
-        curve = boundary_curve(f, rho, n=n, refine_tol=refine_tol)
+        curve = boundary_curve(f, rho)
     wn, indet, _ = winding_numbers(curve, [w])
     if indet[0]:
         return None
@@ -296,7 +294,7 @@ def contains_point(
 
 
 def _winding_margins(curve: PolyLine, pts: np.ndarray):
-    """Winding test of pts against curve: (windings, indeterminate, distances, margins).
+    """Winding test of pts against curve: (indeterminate, margins).
 
     A sample passes when it winds once and is determinate; its margin is
     its distance to the curve.  Failing samples carry margin <= -guard,
@@ -305,18 +303,15 @@ def _winding_margins(curve: PolyLine, pts: np.ndarray):
     wn, indet, dists = winding_numbers(curve, pts)
     guard = GUARD_FACTOR * curve.diameter()
     margins = np.where((wn == 1) & ~indet, dists, -np.maximum(dists, guard))
-    return wn, indet, dists, margins
+    return indet, margins
 
 
 @dataclass(frozen=True)
 class CoveringResult:
-    """Report plus per-sample diagnostics of a covering check."""
+    """Report plus the per-sample indeterminate flags of a covering check."""
 
     report: VerificationReport
-    windings: np.ndarray
     indeterminate: np.ndarray
-    distances: np.ndarray
-    samples: np.ndarray
 
     @property
     def indeterminate_count(self) -> int:
@@ -330,7 +325,6 @@ def check_covering(
     rho_outer: float,
     m: int = 256,
     curve_n: int = 512,
-    refine_tol: float = 0.05,
 ) -> CoveringResult:
     """Certify the covering theorem on a compact exhaustion.
 
@@ -343,12 +337,12 @@ def check_covering(
         raise DomainError("need 0 < r_inner < rho_outer < 1")
     if m < 1:
         raise ValueError("need at least one sample")
-    curve = boundary_curve(f, rho_outer, n=curve_n, refine_tol=refine_tol)
+    curve = boundary_curve(f, rho_outer, n=curve_n)
     core = core_function(params)
     theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     ws = evaluate(core, r_inner * np.exp(1j * theta))
-    wn, indet, dists, margins = _winding_margins(curve, ws)
-    return CoveringResult(_report("covering", margins, ws, 0.0), wn, indet, dists, ws)
+    indet, margins = _winding_margins(curve, ws)
+    return CoveringResult(_report("covering", margins, ws, 0.0), indet)
 
 
 def covering_radius(s: float) -> float:
@@ -448,22 +442,16 @@ def wedge_margin(exponent: complex, rotation: float, log_w) -> np.ndarray | floa
     return float(out) if np.ndim(log_w) == 0 else out
 
 
-def check_wedge_containment(
-    f: ProductForm,
-    params: ClassParams,
-    rho: float = 0.999,
-    n: int = 512,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+def check_wedge_containment(f: ProductForm, tolerance: float = 1e-9) -> VerificationReport:
     """Image samples of f stay inside the wedge of its own boundary asymptotics.
 
-    Only containment is asserted; minimality of the wedge is not
-    grid-decidable and is out of scope.
+    f is sampled at 512 points of |z| = 0.999.  Only containment is
+    asserted; minimality of the wedge is not grid-decidable.
     """
     nu = boundary_exponent(f)
     rot = boundary_rotation(f)
-    theta = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    zz = rho * np.exp(1j * theta)
+    theta = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    zz = 0.999 * np.exp(1j * theta)
     return _report("wedge-containment", wedge_margin(nu, rot, eval_log(f, zz)), zz, tolerance)
 
 
@@ -507,15 +495,13 @@ def covering_composition(
     beta: float,
     rho: float = 0.999,
     samples: int = 256,
-    curve_n: int = 512,
-    max_sample_radius: float = 0.95,
 ) -> tuple[CoveringComposition, VerificationReport]:
     """Build the unit-disk covering composition and verify coverage by winding.
 
     Needs phi in (-pi/2, pi/2), alpha < cos(phi), beta in
     (0, alpha/cos(phi)], and an interior-spirallike s of matching angle
-    and order at least alpha.  Samples of the open unit disk (radii up
-    to max_sample_radius) must wind once inside g(|z| = rho).
+    and order at least alpha.  Samples of the open unit disk (radii 0.2
+    to 0.95) must wind once inside g(|z| = rho).
     """
     if not abs(phi) < math.pi / 2:
         raise DomainError("|phi| must be < pi/2")
@@ -532,11 +518,11 @@ def covering_composition(
     mu = cmath.exp(1j * phi) * 2.0 * (math.cos(phi) - alpha) / (1.0 - beta)
     g = CoveringComposition(s=s, phi=phi, alpha=alpha, beta=beta, mu=mu)
 
-    curve = _adaptive_closed_curve(g, rho, curve_n, refine_tol=0.05)
+    curve = _adaptive_closed_curve(g, rho, 512)
     n_r = 4
     n_ang = max(1, samples // n_r)
-    radii = np.linspace(0.2, max_sample_radius, n_r)
+    radii = np.linspace(0.2, 0.95, n_r)
     theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
     pts = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    margins = _winding_margins(curve, pts)[3]
+    margins = _winding_margins(curve, pts)[1]
     return g, _report("disk-coverage", margins, pts, 0.0)

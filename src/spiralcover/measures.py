@@ -27,6 +27,18 @@ SUM_EXACT_TOL = 1e-12   # weight sums within this of 1 are accepted as-is
 SUM_RESCALE_TOL = 1e-6  # deviations up to this are renormalized, beyond is an error
 
 
+def _angular_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angle order of the atoms and the chord from each sorted atom to the next.
+
+    The last chord wraps round from the largest angle to the smallest, so
+    atoms either side of angle pi are neighbours; a lone atom's chord is inf.
+    """
+    order = np.argsort(np.angle(pts))
+    s = pts[order]
+    gaps = np.abs(s[np.arange(1, s.size + 1) % s.size] - s)
+    return order, gaps if s.size > 1 else np.full(1, np.inf)
+
+
 @dataclass(frozen=True, eq=False)
 class AtomicCircleMeasure:
     """Nonnegative point masses on |zeta| = 1 with total mass 1.
@@ -43,15 +55,15 @@ class AtomicCircleMeasure:
         wts = np.asarray(self.weights, dtype=np.float64)
         if pts.ndim != 1 or wts.shape != pts.shape or pts.size == 0:
             raise ValueError("points and weights must be matching 1-d arrays")
-        if np.any(np.abs(np.abs(pts) - 1.0) > MERGE_TOL):
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+            raise ValueError("non-finite atom point or weight")
+        if (np.abs(np.abs(pts) - 1.0) > MERGE_TOL).any():
             raise ValueError("atom off the unit circle")
-        if np.any(wts < 0):
+        if (wts < 0).any():
             raise ValueError("negative atom weight")
         if abs(wts.sum() - 1.0) > MERGE_TOL:
             raise ValueError("weights do not sum to 1")
-        d = np.abs(pts[:, None] - pts[None, :])
-        np.fill_diagonal(d, np.inf)
-        if np.any(d <= MERGE_TOL):
+        if (_angular_neighbours(pts)[1] <= MERGE_TOL).any():
             raise ValueError("duplicate atoms not merged")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
@@ -65,9 +77,9 @@ class AtomicCircleMeasure:
     def atoms(self) -> list[Tuple[complex, float]]:
         return [(complex(p), float(w)) for p, w in zip(self.points, self.weights)]
 
-    def weight_near(self, point: complex, tol: float = MERGE_TOL) -> float:
-        """Total weight of atoms within tol of the given point."""
-        hit = np.abs(self.points - point) <= tol
+    def weight_near(self, point: complex) -> float:
+        """Total weight of atoms within MERGE_TOL of the given point."""
+        hit = np.abs(self.points - point) <= MERGE_TOL
         return float(self.weights[hit].sum())
 
     def to_dict(self) -> dict:
@@ -93,16 +105,21 @@ def make_measure(atoms: Iterable[Tuple[complex, float]]) -> AtomicCircleMeasure:
     Points may sit up to 1e-9 off the circle and are radially projected
     back.  Weight sums off 1 by more than 1e-12 but less than 1e-6 are
     rescaled; larger deviations are treated as caller bugs and rejected.
+    An atom within MERGE_TOL of its angular predecessor (wrapping at +-pi)
+    joins its cluster, which keeps its first atom's position and place in
+    the input order and the sum of its weights taken in input order.
     """
     items = list(atoms)
     if not items:
         raise ValueError("measure needs at least one atom")
     pts = np.asarray([complex(p) for p, _ in items], dtype=np.complex128)
     wts = np.asarray([float(w) for _, w in items], dtype=np.float64)
-    if np.any(wts < 0):
+    if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+        raise ValueError("non-finite atom point or weight")
+    if (wts < 0).any():
         raise ValueError("negative atom weight")
     mods = np.abs(pts)
-    if np.any(np.abs(mods - 1.0) > CIRCLE_TOL):
+    if (np.abs(mods - 1.0) > CIRCLE_TOL).any():
         raise ValueError("atom further than 1e-9 from the unit circle")
     pts = pts / mods
 
@@ -115,24 +132,25 @@ def make_measure(atoms: Iterable[Tuple[complex, float]]) -> AtomicCircleMeasure:
     if dev > SUM_EXACT_TOL:
         wts = wts / total
 
-    # merge clusters closer than MERGE_TOL; prevents catastrophic
-    # cancellation in downstream log sums without changing the measure
-    merged_pts: list[complex] = []
-    merged_wts: list[float] = []
-    for p, w in zip(pts, wts):
-        for i, q in enumerate(merged_pts):
-            if abs(p - q) <= MERGE_TOL:
-                merged_wts[i] += w
-                break
-        else:
-            merged_pts.append(complex(p))
-            merged_wts.append(float(w))
+    # merging prevents catastrophic cancellation in downstream log sums
+    order, gaps = _angular_neighbours(pts)
+    joins = gaps <= MERGE_TOL  # sorted atom k + 1 (cyclically) joins the cluster of atom k
+    if joins.any():
+        idx = np.arange(pts.size)
+        # cluster name: sorted position of its start; atoms ahead of the first start
+        # close the cluster that wraps round pi (with no start, all atoms are one)
+        head = np.maximum.accumulate(np.where(joins[idx - 1], -1, idx))
+        head[head < 0] = max(head[-1], 0)
+        first = np.full(pts.size, pts.size)
+        np.minimum.at(first, head, order)
+        root = first[head][np.argsort(order)]  # input index of the first atom of its cluster
+        keep = root == idx
+        pts, wts = pts[keep], np.bincount((np.cumsum(keep) - 1)[root], weights=wts)
 
-    warr = np.asarray(merged_wts)
-    s = warr.sum()
+    s = wts.sum()
     if abs(s - 1.0) > SUM_EXACT_TOL:
-        warr = warr / s
-    return AtomicCircleMeasure(np.asarray(merged_pts), warr)
+        wts = wts / s
+    return AtomicCircleMeasure(pts, wts)
 
 
 def dirac_reweight(sigma: AtomicCircleMeasure, r: float, beta1: float) -> AtomicCircleMeasure:

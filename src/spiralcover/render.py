@@ -8,6 +8,7 @@ versions.
 
 from __future__ import annotations
 
+from html import escape
 from typing import Sequence
 
 from . import __version__
@@ -88,7 +89,7 @@ def render_svg(
     for i, text in enumerate(labels):
         parts.append(
             f'<text x="12" y="{fmt(24.0 + 20.0 * i)}" font-family="monospace" '
-            f'font-size="16" fill="{PALETTE[i % len(PALETTE)]}">{text}</text>'
+            f'font-size="16" fill="{PALETTE[i % len(PALETTE)]}">{escape(text, quote=False)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -415,16 +415,15 @@ def check_growth(
     f: ProductForm,
     params: ClassParams,
     grid: GridSpec = DEFAULT_GRID,
-    t_samples: int = 32,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    """Scan the growth inequality on the grid times an open t-grid.
+    """Scan the growth inequality on the grid times a fixed open t-grid.
 
-    The claim quantifies over all t in (0, 2*cos(phi)); the sampling
-    density is explicit and reported via the sample count.
+    The claim quantifies over all t in (0, 2*cos(phi)); the scan takes the
+    32 values 2*cos(phi)*k/33, k = 1..32, and counts only the grid points.
     """
     pts = grid.points()
     cos2 = 2.0 * math.cos(params.phi)
-    ts = [cos2 * k / (t_samples + 1.0) for k in range(1, t_samples + 1)]
+    ts = [cos2 * k / 33.0 for k in range(1, 33)]
     margins = np.stack(_growth_margins(f, params, pts, ts))
     return _report("growth", margins.min(axis=0), pts, tolerance)

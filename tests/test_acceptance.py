@@ -6,6 +6,7 @@ lines; every tolerance is pinned here, nothing is deferred.
 
 import math
 import time
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -117,6 +118,7 @@ def test_criterion_04_figure_reproduction(worked_example, tmp_path):
     path.write_text(dumps(spec))
     out = tmp_path / "figure.svg"
     assert main(["render", "-i", str(path), "-o", str(out), "--rho", "0.999"]) == 0
+    ElementTree.parse(out)  # well-formed XML
     assert out.read_text().count("<path") == 2
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"figure reproduction took {elapsed:.1f}s"

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -23,6 +24,12 @@ def example_path(tmp_path):
     path = tmp_path / "example.json"
     path.write_text(dumps(EXAMPLE_SPEC))
     return str(path)
+
+
+def svg_text(path) -> str:
+    """The SVG at path, after checking that it parses as XML."""
+    ElementTree.parse(path)
+    return path.read_text()
 
 
 class TestLoadSpec:
@@ -244,8 +251,36 @@ class TestSamples:
     def test_nonpositive_rejected(self, command, samples, example_path, tmp_path):
         out = tmp_path / "out.csv"
         argv = [command, "--samples", samples, "-o", str(out)]
-        argv += ["--seed", "7"] if command == "construct" else ["-i", example_path]
+        if command == "construct":
+            argv += ["--seed", "7"]
+        elif command != "radius-table":
+            argv += ["-i", example_path]
         assert main(argv) == 2
+        assert not out.exists()
+
+
+class TestUnreadFlags:
+    # flags that the subcommand does not read
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cover", "--tolerance", "0.5"],
+            ["radius-table", "--input", "missing.json"],
+            ["check", "--rho", "0.5"],
+            ["check", "--seed", "3"],
+            ["check", "--samples", "9"],
+            ["render", "--grid-radii", "0.5"],
+            ["render", "--tolerance", "5"],
+        ],
+        ids=lambda argv: " ".join(argv[:2]),
+    )
+    def test_rejected_as_usage_error(self, argv, example_path, tmp_path):
+        out = tmp_path / "out.txt"
+        if argv[0] != "radius-table":
+            argv = [*argv, "-i", example_path]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "-o", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
 
 
@@ -279,7 +314,7 @@ class TestRender:
         path.write_text(dumps({"functions": [EXAMPLE_SPEC, CORE_SPEC], "labels": ["f", "core"]}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out), "--rho", "0.99"]) == 0
-        svg = out.read_text()
+        svg = svg_text(out)
         assert svg.count("<path") == 2
         assert svg.startswith("<?xml")
 
@@ -288,14 +323,14 @@ class TestRender:
         path.write_text(dumps({"functions": [CORE_SPEC], "covering_disk": True}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
-        assert "<circle" in out.read_text()
+        assert "<circle" in svg_text(out)
 
     def test_wedge_overlay(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text(dumps({"functions": [EXAMPLE_SPEC], "wedge": True}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
-        assert out.read_text().count("<path") == 3  # one curve + two spirals
+        assert svg_text(out).count("<path") == 3  # one curve + two spirals
 
     def test_empty_function_list(self, tmp_path):
         path = tmp_path / "empty.json"
@@ -308,7 +343,18 @@ class TestRender:
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         main(["render", "-i", str(path), "-o", str(a)])
         main(["render", "-i", str(path), "-o", str(b)])
+        svg_text(a)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_label_text_is_escaped(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(dumps({"functions": [EXAMPLE_SPEC], "labels": ["a<b & c", "plain"]}))
+        out = tmp_path / "fig.svg"
+        assert main(["render", "-i", str(path), "-o", str(out)]) == 0
+        svg = svg_text(out)
+        texts = [el.text for el in ElementTree.fromstring(svg.encode()).iter("{http://www.w3.org/2000/svg}text")]
+        assert texts == ["a<b & c", "plain"]
+        assert ">plain</text>" in svg
 
     def test_unwritable_output(self, tmp_path):
         path = tmp_path / "one.json"

@@ -415,11 +415,11 @@ class TestWedgeSpirals:
 
     def test_population_wedge_containment(self, population):
         for entry in population[:10]:
-            assert check_wedge_containment(entry.f, entry.params).passed
+            assert check_wedge_containment(entry.f).passed
 
     def test_worked_example_wedge(self, worked_example):
-        f, params = worked_example
-        assert check_wedge_containment(f, params).passed
+        f, _ = worked_example
+        assert check_wedge_containment(f).passed
 
 
 class TestCoveringComposition:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spiralcover import (
     AtomicCircleMeasure,
@@ -67,11 +67,93 @@ class TestMakeMeasure:
         assert len(sigma) == 1
         assert sigma.weights[0] == pytest.approx(1.0)
 
+    def test_pair_across_pi_merged(self):
+        # 2e-13 apart, at the two ends of the angle order
+        a, b = np.exp(1j * (np.pi - 1e-13)), np.exp(1j * (-np.pi + 1e-13))
+        sigma = make_measure([(a, 0.25), (b, 0.75)])
+        assert len(sigma) == 1
+        assert sigma.points[0] == a
+        assert sigma.weights[0] == 1.0
+
+    @pytest.mark.parametrize(
+        "atom",
+        [(np.nan, 1.0), (1.0, np.nan), (complex(1.0, np.nan), 1.0), (np.inf, 1.0), (1.0, np.inf)],
+    )
+    def test_non_finite_rejected(self, atom):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_measure([atom])
+
     def test_json_round_trip(self):
         sigma = random_measure(5, 3)
         back = AtomicCircleMeasure.from_dict(sigma.to_dict())
         assert np.allclose(np.sort(np.angle(back.points)), np.sort(np.angle(sigma.points)))
         assert back.weights.sum() == pytest.approx(1.0)
+
+
+def greedy_merge(atoms) -> tuple[np.ndarray, np.ndarray]:
+    """make_measure's former merge, kept as the reference: each atom joins
+    the first earlier cluster whose first atom lies within 1e-12."""
+    pts = np.asarray([complex(p) for p, _ in atoms])
+    wts = np.asarray([float(w) for _, w in atoms])
+    pts = pts / np.abs(pts)
+    if abs(wts.sum() - 1.0) > 1e-12:
+        wts = wts / wts.sum()
+    merged_pts: list[complex] = []
+    merged_wts: list[float] = []
+    for p, w in zip(pts, wts):
+        for i, q in enumerate(merged_pts):
+            if abs(p - q) <= 1e-12:
+                merged_wts[i] += w
+                break
+        else:
+            merged_pts.append(complex(p))
+            merged_wts.append(float(w))
+    warr = np.asarray(merged_wts)
+    if abs(warr.sum() - 1.0) > 1e-12:
+        warr = warr / warr.sum()
+    return np.asarray(merged_pts), warr
+
+
+class TestMergeAgainstGreedy:
+    @given(
+        st.integers(min_value=1, max_value=60),
+        st.integers(min_value=0, max_value=40),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal(self, n, duplicates, across_pi, seed):
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(-np.pi, np.pi, size=n)
+        # near-duplicates within 0.45e-12 of an atom are within 1e-12 of each other
+        near = angles[rng.integers(0, n, size=duplicates)] + rng.uniform(-4.5e-13, 4.5e-13, size=duplicates)
+        angles = np.concatenate([angles, near])
+        if across_pi:
+            angles = np.concatenate([angles, [np.pi, np.pi - 2e-13, -np.pi + 2e-13]])
+        rng.shuffle(angles)
+        weights = rng.uniform(0.0, 1.0, size=angles.size) + 1e-3
+        atoms = list(zip(np.exp(1j * angles), weights / weights.sum()))
+        sigma = make_measure(atoms)
+        points, weights = greedy_merge(atoms)
+        assert np.array_equal(sigma.points, points)
+        assert np.array_equal(sigma.weights, weights)
+        assert_valid(sigma)
+
+
+class TestAtomicCircleMeasure:
+    def test_duplicates_across_pi_rejected(self):
+        # adjacent only through the wrap-around from the largest angle to the smallest
+        pts = np.exp(1j * np.array([np.pi - 1e-13, 0.5, -np.pi + 1e-13]))
+        with pytest.raises(ValueError, match="duplicate"):
+            AtomicCircleMeasure(pts, np.array([0.25, 0.5, 0.25]))
+
+    @pytest.mark.parametrize(
+        "point, weight",
+        [(np.nan, 1.0), (1.0, np.nan), (complex(np.nan, 0.0), 1.0), (np.inf, 1.0), (1.0, np.inf)],
+    )
+    def test_non_finite_rejected(self, point, weight):
+        with pytest.raises(ValueError, match="non-finite"):
+            AtomicCircleMeasure(np.array([point], dtype=complex), np.array([weight]))
 
 
 class TestDiracReweight:
