@@ -86,9 +86,9 @@ def _load_json(path: str) -> dict:
 
 def _grid_from_args(args) -> GridSpec:
     radii = DEFAULT_GRID.radii
-    if args.grid_radii:
+    if args.grid_radii is not None:
         radii = tuple(float(r) for r in args.grid_radii.split(","))
-    angles = args.grid_angles if args.grid_angles else DEFAULT_GRID.angles_per_ring
+    angles = DEFAULT_GRID.angles_per_ring if args.grid_angles is None else args.grid_angles
     return GridSpec(radii=radii, angles_per_ring=angles)
 
 
@@ -180,7 +180,7 @@ def cmd_render(args) -> int:
         f0, _ = loaded[0]
         nu = boundary_exponent(f0)
         rot = boundary_rotation(f0)
-        up, down = wedge_spirals(nu, rot, (-1.0, 5.0), n=200)
+        up, down = wedge_spirals(nu, rot, (-1.0, 5.0))
         spirals = [up, down]
 
     labels = list(data.get("labels", [])) if isinstance(data, dict) else []
@@ -236,6 +236,8 @@ def main(argv=None) -> int:
             raise ValueError("--input is required for this command")
         if getattr(args, "samples", 1) < 1:
             raise ValueError("--samples must be at least 1")
+        if not math.isfinite(getattr(args, "tolerance", 0.0)):
+            raise ValueError("--tolerance must be finite")
         return args.fn(args)
     except (ValueError, DomainError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -116,9 +116,6 @@ class ProductForm:
     def exponents(self) -> np.ndarray:
         return np.asarray([e for _, e in self.factors], dtype=np.complex128)
 
-    def has_interior_nodes(self) -> bool:
-        return any(abs(c) < 1.0 - 1e-9 for c, _ in self.factors)
-
     def to_dict(self, params: "ClassParams | None" = None) -> dict:
         d: dict = {}
         if params is not None:

@@ -32,9 +32,7 @@ from .verification import InteriorSpirallikeMap, VerificationReport, _report
 __all__ = [
     "PolyLine",
     "Disk",
-    "IndeterminateWindingError",
     "boundary_curve",
-    "winding_number",
     "winding_numbers",
     "contains_point",
     "CoveringResult",
@@ -54,10 +52,6 @@ MAX_TURN = 0.2        # radians of turning per segment before bisection
 REFINE_TOL = 0.05     # chord length, relative to the local modulus, before bisection
 DISTANCE_BLOCK = 16   # segments per bounding box in the curve-distance search
 PRUNE_SLACK = 1e-9    # relative slack on the distance upper bound, for rounding
-
-
-class IndeterminateWindingError(ValueError):
-    """Query point within guard distance of the discretized curve."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,28 +260,13 @@ def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.
     return _crossing_windings(a, b, pts), dists < guard, dists
 
 
-def winding_number(poly: PolyLine, w: complex) -> int:
-    """Signed angle sum / 2*pi, rounded; raises when w sits on the curve."""
-    wn, indet, _ = winding_numbers(poly, [w])
-    if indet[0]:
-        raise IndeterminateWindingError(f"point {w} within guard distance of the curve")
-    return int(wn[0])
-
-
-def contains_point(
-    f: ProductForm,
-    w: complex,
-    rho: float,
-    curve: Optional[PolyLine] = None,
-) -> Optional[bool]:
+def contains_point(f: ProductForm, w: complex, rho: float) -> Optional[bool]:
     """Whether w lies in the image of the rho-disk; None when indeterminate.
 
     Univalence turns 'winding equals one' into exact membership, up to
-    the guard distance of the discretized curve.
+    the guard distance of boundary_curve(f, rho).
     """
-    if curve is None:
-        curve = boundary_curve(f, rho)
-    wn, indet, _ = winding_numbers(curve, [w])
+    wn, indet, _ = winding_numbers(boundary_curve(f, rho), [w])
     if indet[0]:
         return None
     return bool(wn[0] == 1)
@@ -324,12 +303,12 @@ def check_covering(
     r_inner: float,
     rho_outer: float,
     m: int = 256,
-    curve_n: int = 512,
 ) -> CoveringResult:
     """Certify the covering theorem on a compact exhaustion.
 
     Samples m points of the covered core map on |z| = r_inner and
-    requires each to wind once inside f(|z| = rho_outer).  The signed
+    requires each to wind once inside f(|z| = rho_outer), sampled by
+    boundary_curve from 512 initial points.  The signed
     distance to the curve is the reported margin; indeterminate samples
     fail the check rather than passing silently.
     """
@@ -337,7 +316,7 @@ def check_covering(
         raise DomainError("need 0 < r_inner < rho_outer < 1")
     if m < 1:
         raise ValueError("need at least one sample")
-    curve = boundary_curve(f, rho_outer, n=curve_n)
+    curve = boundary_curve(f, rho_outer, n=512)
     core = core_function(params)
     theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
     ws = evaluate(core, r_inner * np.exp(1j * theta))
@@ -409,9 +388,11 @@ def wedge_spirals(
     exponent: complex,
     rotation: float,
     t_range: tuple[float, float],
-    n: int = 200,
 ) -> tuple[PolyLine, PolyLine]:
-    """The two bounding spirals e^{-exponent*t} * e^{i*exponent*(rotation +- pi/2)}."""
+    """The two bounding spirals e^{-exponent*t} * e^{i*exponent*(rotation +- pi/2)}.
+
+    Each is sampled at 200 equally spaced t in t_range.
+    """
     exponent = complex(exponent)
     if not _in_admissible_region(exponent):
         raise DomainError("wedge exponent outside the admissible region")
@@ -420,9 +401,7 @@ def wedge_spirals(
     t0, t1 = t_range
     if not t1 > t0:
         raise DomainError("empty t range")
-    if n < 2:
-        raise ValueError("need at least 2 points per spiral")
-    ts = np.linspace(t0, t1, n)
+    ts = np.linspace(t0, t1, 200)
     curves = []
     for sign in (+1.0, -1.0):
         anchor = cmath.exp(1j * exponent * (rotation + sign * math.pi / 2.0))
@@ -493,15 +472,14 @@ def covering_composition(
     phi: float,
     alpha: float,
     beta: float,
-    rho: float = 0.999,
-    samples: int = 256,
 ) -> tuple[CoveringComposition, VerificationReport]:
     """Build the unit-disk covering composition and verify coverage by winding.
 
     Needs phi in (-pi/2, pi/2), alpha < cos(phi), beta in
     (0, alpha/cos(phi)], and an interior-spirallike s of matching angle
-    and order at least alpha.  Samples of the open unit disk (radii 0.2
-    to 0.95) must wind once inside g(|z| = rho).
+    and order at least alpha.  256 samples of the open unit disk (4 radii
+    from 0.2 to 0.95, 64 angles each) must wind once inside
+    g(|z| = 0.999).
     """
     if not abs(phi) < math.pi / 2:
         raise DomainError("|phi| must be < pi/2")
@@ -518,11 +496,9 @@ def covering_composition(
     mu = cmath.exp(1j * phi) * 2.0 * (math.cos(phi) - alpha) / (1.0 - beta)
     g = CoveringComposition(s=s, phi=phi, alpha=alpha, beta=beta, mu=mu)
 
-    curve = _adaptive_closed_curve(g, rho, 512)
-    n_r = 4
-    n_ang = max(1, samples // n_r)
-    radii = np.linspace(0.2, 0.95, n_r)
-    theta = np.linspace(0.0, 2.0 * np.pi, n_ang, endpoint=False)
+    curve = _adaptive_closed_curve(g, 0.999, 512)
+    radii = np.linspace(0.2, 0.95, 4)
+    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     pts = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
     margins = _winding_margins(curve, pts)[1]
     return g, _report("disk-coverage", margins, pts, 0.0)

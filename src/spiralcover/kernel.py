@@ -1,28 +1,22 @@
-"""Branch-safe complex logarithm and power on the right half-plane.
+"""Branch-safe complex logarithm on the right half-plane.
 
-Every multi-valued operation in the package funnels through these two
-functions.  All bases that arise downstream have the form 1 - c*z with
-|c| <= 1 and |z| < 1, so they lie inside the open disk of radius 1
-around 1 and in particular in the right half-plane, where the principal
-branch is continuous.  There is no branch tracking anywhere else.
+Every multi-valued operation in the package funnels through
+log_principal; powers are taken as exp(s * log).  All bases that arise
+downstream have the form 1 - c*z with |c| <= 1 and |z| < 1, so they lie
+inside the open disk of radius 1 around 1 and in particular in the
+right half-plane, where the principal branch is continuous.  There is
+no branch tracking anywhere else.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["DomainError", "log_principal", "pow_principal"]
+__all__ = ["DomainError", "log_principal"]
 
 
 class DomainError(ValueError):
     """Argument outside the domain the caller contract guarantees."""
-
-
-def _as_complex(w) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(w, dtype=np.complex128)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError("non-finite complex argument")
-    return arr, arr.ndim == 0
 
 
 def log_principal(w):
@@ -32,25 +26,12 @@ def log_principal(w):
     package always pass Re(w) > 0, where the branch is continuous and
     the imaginary part lies in (-pi/2, pi/2).
     """
-    arr, scalar = _as_complex(w)
+    arr = np.asarray(w, dtype=np.complex128)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError("non-finite complex argument")
     if np.any(arr == 0):
         raise DomainError("log of 0")
     # -0.0 imaginary parts would flip arg(-x) to -pi; normalize to +0.0
     out = np.log(arr + np.complex128(0))
-    return out.item() if scalar else out
+    return out.item() if arr.ndim == 0 else out
 
-
-def pow_principal(base, exponent):
-    """exp(exponent * log_principal(base)), restricted to Re(base) > 0.
-
-    A base off the right half-plane means an upstream bug (a node of
-    modulus > 1 or an evaluation point outside the unit disk), so it is
-    rejected loudly instead of silently picking a branch.  For real
-    base > 0 and real exponent this agrees with the real power.
-    """
-    b, scalar_b = _as_complex(base)
-    e, scalar_e = _as_complex(exponent)
-    if np.any(b == 0) or np.any(b.real <= 0):
-        raise DomainError("pow_principal requires Re(base) > 0")
-    out = np.exp(e * np.log(b))
-    return out.item() if (scalar_b and scalar_e) else out

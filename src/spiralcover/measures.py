@@ -7,6 +7,7 @@ general is represented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
@@ -25,6 +26,10 @@ CIRCLE_TOL = 1e-9       # admissible distance from the unit circle on input
 MERGE_TOL = 1e-12       # atoms closer than this are merged by weight addition
 SUM_EXACT_TOL = 1e-12   # weight sums within this of 1 are accepted as-is
 SUM_RESCALE_TOL = 1e-6  # deviations up to this are renormalized, beyond is an error
+# admissible ||p| - 1| of a stored atom.  make_measure's projection leaves at most
+# 2 eps and exp(1j*angle) 1 eps; a MERGE_TOL-sized offset would let an atom between
+# two near-duplicates hide them from the neighbour-gap check
+ON_CIRCLE_TOL = 4 * np.finfo(np.float64).eps
 
 
 def _angular_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +62,7 @@ class AtomicCircleMeasure:
             raise ValueError("points and weights must be matching 1-d arrays")
         if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
             raise ValueError("non-finite atom point or weight")
-        if (np.abs(np.abs(pts) - 1.0) > MERGE_TOL).any():
+        if (np.abs(np.abs(pts) - 1.0) > ON_CIRCLE_TOL).any():
             raise ValueError("atom off the unit circle")
         if (wts < 0).any():
             raise ValueError("negative atom weight")
@@ -93,10 +98,10 @@ class AtomicCircleMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicCircleMeasure":
-        atoms = data["atoms"]
-        return make_measure(
-            [(np.exp(1j * float(a["angle"])), float(a["weight"])) for a in atoms]
-        )
+        atoms = [(float(a["angle"]), float(a["weight"])) for a in data["atoms"]]
+        if not all(math.isfinite(angle) for angle, _ in atoms):
+            raise ValueError("non-finite atom angle")
+        return make_measure([(np.exp(1j * angle), w) for angle, w in atoms])
 
 
 def make_measure(atoms: Iterable[Tuple[complex, float]]) -> AtomicCircleMeasure:

@@ -47,7 +47,8 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(to_jsonable(obj), indent=2) + "\n"
+    """Indented JSON; NaN and infinities raise ValueError, as JSON has no form for them."""
+    return json.dumps(to_jsonable(obj), indent=2, allow_nan=False) + "\n"
 
 
 def _as_complex(v) -> complex:

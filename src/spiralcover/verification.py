@@ -51,15 +51,12 @@ PASS_TOL = 1e-9
 class GridSpec:
     """Sampling rings for disk-wide scans.
 
-    A neighborhood of z = 1 may be excluded: the class inequality
-    degenerates favorably there ((1+z)/(1-z) blows up), so exclusion
-    loses nothing while avoiding overflow on custom near-boundary
-    rings.
+    Radii are capped at 0.999, so every grid point lies at least 1e-3
+    from z = 1, where (1+z)/(1-z) blows up.
     """
 
     radii: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 0.995)
     angles_per_ring: int = 128
-    exclusion_radius: float = 1e-3
 
     def __post_init__(self):
         if not self.radii:
@@ -68,16 +65,11 @@ class GridSpec:
             raise ValueError("grid radii must lie in (0, 0.999]")
         if self.angles_per_ring < 1:
             raise ValueError("need at least one angle per ring")
-        if self.exclusion_radius < 0:
-            raise ValueError("exclusion radius must be nonnegative")
 
     def points(self) -> np.ndarray:
         theta = np.linspace(0.0, 2.0 * np.pi, self.angles_per_ring, endpoint=False)
         ring = np.exp(1j * theta)
-        pts = (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
-        if self.exclusion_radius > 0:
-            pts = pts[np.abs(pts - 1.0) >= self.exclusion_radius]
-        return pts
+        return (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
 
 
 DEFAULT_GRID = GridSpec()

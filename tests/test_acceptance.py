@@ -238,7 +238,7 @@ def test_criterion_10_covering_composition(population):
     f = sc.construct(params, population[0].measure)
     s = sc.to_interior_spirallike(f, params)
     assert s.order == pytest.approx(0.5)
-    g2, rep2 = sc.covering_composition(s, 0.0, 0.5, 0.5, rho=0.999, samples=256)
+    g2, rep2 = sc.covering_composition(s, 0.0, 0.5, 0.5)
     assert rep2.passed, rep2.worst_margin
     assert rep2.samples == 256
     report(

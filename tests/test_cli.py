@@ -53,6 +53,13 @@ class TestLoadSpec:
             load_function_spec({"mu": 1.0, "beta": 0.0})
 
 
+class TestDumps:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("inf"))])
+    def test_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            dumps({"worst_margin": value})
+
+
 class TestConstruct:
     def test_canonicalizes_measure_spec(self, tmp_path):
         src = tmp_path / "in.json"
@@ -78,6 +85,15 @@ class TestConstruct:
 
     def test_needs_input_or_seed(self, capsys):
         assert main(["construct"]) == 2
+
+    @pytest.mark.parametrize("angle", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_angle_rejected(self, angle, tmp_path, capsys):
+        src = tmp_path / "in.json"
+        out = tmp_path / "out.json"
+        src.write_text(f'{{"mu": 1.0, "beta": 0.5, "measure": {{"atoms": [{{"angle": {angle}, "weight": 1.0}}]}}}}')
+        assert main(["construct", "-i", str(src), "-o", str(out)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCheck:
@@ -115,6 +131,19 @@ class TestCheck:
     def test_empty_check_list(self, example_path, tmp_path, checks):
         out = tmp_path / "report.json"
         assert main(["check", "-i", example_path, "--checks", checks, "-o", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_rejected(self, example_path, tmp_path, tolerance):
+        out = tmp_path / "report.json"
+        argv = ["check", "-i", example_path, "--checks", "all", f"--tolerance={tolerance}", "-o", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--grid-angles=0", "--grid-radii="])
+    def test_zero_or_empty_grid_flag_rejected(self, example_path, tmp_path, flag):
+        out = tmp_path / "report.json"
+        assert main(["check", "-i", example_path, flag, "-o", str(out)]) == 2
         assert not out.exists()
 
     def test_derivative_bounds_on_complex_mu(self, population, tmp_path):

@@ -9,7 +9,6 @@ from spiralcover import (
     ClassParams,
     Disk,
     DomainError,
-    IndeterminateWindingError,
     PolyLine,
     ProductForm,
     boundary_curve,
@@ -31,7 +30,6 @@ from spiralcover import (
     to_interior_spirallike,
     wedge_margin,
     wedge_spirals,
-    winding_number,
     winding_numbers,
 )
 
@@ -66,10 +64,12 @@ class TestPolyLine:
 
 class TestWindingNumber:
     def test_unit_circle_contains_origin(self):
-        assert winding_number(regular_ngon(), 0.0) == 1
+        wn, indet, _ = winding_numbers(regular_ngon(), [0.0])
+        assert wn[0] == 1 and not indet[0]
 
     def test_unit_circle_excludes_two(self):
-        assert winding_number(regular_ngon(), 2.0) == 0
+        wn, indet, _ = winding_numbers(regular_ngon(), [2.0])
+        assert wn[0] == 0 and not indet[0]
 
     def test_figure_eight_lobes(self):
         # both lobes pass through 0: left traversed counterclockwise,
@@ -78,20 +78,19 @@ class TestWindingNumber:
         left = -1.0 + np.exp(1j * theta)
         right = 1.0 - np.exp(-1j * theta)
         eight = PolyLine(np.concatenate([left, right]), closed=True)
-        assert winding_number(eight, -1.0) == 1
-        assert winding_number(eight, 1.0) == -1
-        assert winding_number(eight, 3.0) == 0
+        wn, indet, _ = winding_numbers(eight, [-1.0, 1.0, 3.0])
+        assert list(wn) == [1, -1, 0]
+        assert not indet.any()
 
     def test_on_curve_indeterminate(self):
         poly = regular_ngon(64)
         edge_mid = (poly.points[0] + poly.points[1]) / 2.0
-        with pytest.raises(IndeterminateWindingError):
-            winding_number(poly, edge_mid)
+        assert winding_numbers(poly, [edge_mid])[1][0]
 
     def test_requires_closed(self):
         poly = PolyLine(np.linspace(0, 1, 8) + 0.0j, closed=False)
         with pytest.raises(ValueError):
-            winding_number(poly, 0.5 + 0.5j)
+            winding_numbers(poly, [0.5 + 0.5j])
 
     @given(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
@@ -103,19 +102,18 @@ class TestWindingNumber:
         poly = PolyLine(pts, closed=True)
         rolled = PolyLine(np.roll(pts, shift), closed=True)
         w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        try:
-            base = winding_number(poly, w)
-        except IndeterminateWindingError:
+        base, indet, _ = winding_numbers(poly, [w])
+        if indet[0]:
             return
-        assert winding_number(rolled, w) == base
-        assert winding_number(PolyLine(pts[::-1], closed=True), w) == -base
+        assert winding_numbers(rolled, [w])[0][0] == base[0]
+        assert winding_numbers(PolyLine(pts[::-1], closed=True), [w])[0][0] == -base[0]
 
     def test_vectorized_matches_scalar(self):
         poly = regular_ngon(128)
         ws = np.array([0.0, 0.5 + 0.2j, 2.0, -3.0j])
         wn, indet, dists = winding_numbers(poly, ws)
         assert not indet.any()
-        assert list(wn) == [winding_number(poly, w) for w in ws]
+        assert list(wn) == [winding_numbers(poly, [w])[0][0] for w in ws]
         assert np.all(dists > 0)
 
 
@@ -191,7 +189,7 @@ class TestWindingAgainstDense:
         t = np.linspace(0.0, 2.0 * np.pi, turns * per_turn, endpoint=False)
         poly = PolyLine(np.exp(1j * turns * t) * (1.0 + depth * np.cos(t)), closed=True)
         assert_matches_dense(poly, probe_points(poly, np.random.default_rng(seed), 100))
-        assert winding_number(poly, 0.0) == turns
+        assert winding_numbers(poly, [0.0])[0][0] == turns
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -279,9 +277,9 @@ class TestContainsPoint:
 
     def test_on_curve_returns_none(self):
         f = ProductForm(0.6)
-        curve = boundary_curve(f, 0.9)
+        curve = boundary_curve(f, 0.9)  # the curve contains_point builds
         edge_mid = (curve.points[0] + curve.points[1]) / 2.0
-        assert contains_point(f, edge_mid, 0.9, curve=curve) is None
+        assert contains_point(f, edge_mid, 0.9) is None
 
     @pytest.mark.parametrize("re,im", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf), (1.0, math.nan)])
     def test_non_finite_point_rejected(self, re, im):
@@ -306,7 +304,7 @@ class TestCheckCovering:
 
     def test_population_covering(self, population):
         for entry in population[:50]:
-            res = check_covering(entry.f, entry.params, 0.9, 0.99, m=64, curve_n=256)
+            res = check_covering(entry.f, entry.params, 0.9, 0.99, m=64)
             assert res.report.passed, entry.params
             assert res.indeterminate_count == 0
 
@@ -390,12 +388,12 @@ class TestMinimizeBoundaryGap:
 
 class TestWedgeSpirals:
     def test_axis_anchors(self):
-        up, down = wedge_spirals(1.0, 0.0, (0.0, 1.0), n=8)
+        up, down = wedge_spirals(1.0, 0.0, (0.0, 1.0))
         assert up.points[0] == pytest.approx(1.0j)
         assert down.points[0] == pytest.approx(-1.0j)
 
     def test_real_exponent_constant_argument(self):
-        up, _ = wedge_spirals(1.3, 0.2, (-1.0, 2.0), n=32)
+        up, _ = wedge_spirals(1.3, 0.2, (-1.0, 2.0))
         args = np.angle(up.points)
         assert np.max(np.abs(args - args[0])) <= 1e-12
 
@@ -438,13 +436,13 @@ class TestCoveringComposition:
 
     def test_zero_at_origin(self):
         s = self.collapse_witness()
-        g, _ = covering_composition(s, 0.0, 0.5, 0.5, samples=64)
+        g, _ = covering_composition(s, 0.0, 0.5, 0.5)
         assert g(0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_half_plane_companion(self):
         # for the collapse witness the companion is (1-z)/(1+z)
         s = self.collapse_witness()
-        g, _ = covering_composition(s, 0.0, 0.5, 0.5, samples=64)
+        g, _ = covering_composition(s, 0.0, 0.5, 0.5)
         for z in (0.3, -0.4 + 0.2j, 0.7j):
             assert g.half_plane_map(z) == pytest.approx((1 - z) / (1 + z), abs=1e-12)
             assert g.half_plane_map(z).real > 0
@@ -454,7 +452,7 @@ class TestCoveringComposition:
         f = construct(params, population[0].measure)
         s = to_interior_spirallike(f, params)
         assert s.order == pytest.approx(0.5)
-        g, report = covering_composition(s, 0.0, 0.5, 0.5, samples=256)
+        g, report = covering_composition(s, 0.0, 0.5, 0.5)
         assert report.passed
 
     def test_parameter_validation(self):

@@ -1,11 +1,10 @@
-import cmath
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spiralcover import DomainError, log_principal, pow_principal
+from spiralcover import DomainError, log_principal
 
 
 def right_half_plane():
@@ -13,14 +12,6 @@ def right_half_plane():
         complex,
         st.floats(min_value=0.01, max_value=10.0),
         st.floats(min_value=-10.0, max_value=10.0),
-    )
-
-
-def small_complex():
-    return st.builds(
-        complex,
-        st.floats(min_value=-3.0, max_value=3.0),
-        st.floats(min_value=-3.0, max_value=3.0),
     )
 
 
@@ -62,40 +53,3 @@ class TestLogPrincipal:
     def test_imag_part_bounded_on_right_half_plane(self, w):
         assert abs(log_principal(w).imag) < math.pi / 2
 
-
-class TestPowPrincipal:
-    def test_identity_base(self):
-        for mu in (0.3, 1.0 + 0.5j, 2.0, -1.0j):
-            assert pow_principal(1.0, mu) == 1.0
-
-    def test_real_power(self):
-        assert pow_principal(2.0, 0.6) == pytest.approx(math.exp(0.6 * math.log(2.0)))
-
-    def test_integer_power(self):
-        assert pow_principal(0.5, 2.0) == pytest.approx(0.25)
-
-    def test_zero_base_rejected(self):
-        with pytest.raises(DomainError):
-            pow_principal(0.0, 1.0)
-
-    def test_left_half_plane_rejected(self):
-        with pytest.raises(DomainError):
-            pow_principal(-1.0, 0.5)
-        with pytest.raises(DomainError):
-            pow_principal(1.0j, 0.5)
-
-    @given(right_half_plane(), small_complex(), small_complex())
-    def test_single_branch_additivity(self, b, e1, e2):
-        lhs = pow_principal(b, e1 + e2)
-        rhs = pow_principal(b, e1) * pow_principal(b, e2)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(lhs), abs(rhs), 1.0)
-
-    @given(right_half_plane(), st.floats(min_value=0.0, max_value=1.0))
-    def test_log_of_power_scales(self, b, t):
-        lhs = log_principal(pow_principal(b, t))
-        rhs = t * log_principal(b)
-        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
-
-    def test_matches_cmath_on_samples(self):
-        for b, e in [(2.0 + 1.0j, 0.3 - 0.2j), (0.1, 1.7), (1.0 + 0.001j, 2.5)]:
-            assert pow_principal(b, e) == pytest.approx(cmath.exp(e * cmath.log(b)))

@@ -147,6 +147,12 @@ class TestAtomicCircleMeasure:
         with pytest.raises(ValueError, match="duplicate"):
             AtomicCircleMeasure(pts, np.array([0.25, 0.5, 0.25]))
 
+    def test_near_duplicates_hidden_by_off_circle_atom_rejected(self):
+        # the middle atom, 0.99e-12 off the circle, sits between two atoms 6e-13 apart
+        pts = np.array([1.0, np.exp(0.6e-12j), (1.0 + 0.99e-12) * np.exp(0.3e-12j), -1.0])
+        with pytest.raises(ValueError, match="off the unit circle"):
+            AtomicCircleMeasure(pts, np.full(4, 0.25))
+
     @pytest.mark.parametrize(
         "point, weight",
         [(np.nan, 1.0), (1.0, np.nan), (complex(np.nan, 0.0), 1.0), (np.inf, 1.0), (1.0, np.inf)],
