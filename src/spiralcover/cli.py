@@ -41,7 +41,7 @@ from .geometry import (
     wedge_spirals,
 )
 from .render import render_svg
-from .serialize import dumps, fmt, load_function_spec
+from .serialize import dumps, dumps_spec, fmt, load_function_spec
 
 
 def _any_params(params) -> bool:
@@ -97,10 +97,10 @@ def cmd_construct(args) -> int:
         if args.seed is None:
             raise ValueError("construct needs --input, or --seed to generate a random measure")
         sigma = random_measure(args.samples, args.seed)
-        _write(args.output, dumps(sigma.to_dict()))
+        _write(args.output, dumps_spec(sigma.to_dict()))
         return 0
     f, params = load_function_spec(_load_json(args.input))
-    _write(args.output, dumps(f.to_dict(params)))
+    _write(args.output, dumps_spec(f.to_dict(params)))
     return 0
 
 
@@ -236,8 +236,8 @@ def main(argv=None) -> int:
             raise ValueError("--input is required for this command")
         if getattr(args, "samples", 1) < 1:
             raise ValueError("--samples must be at least 1")
-        if not math.isfinite(getattr(args, "tolerance", 0.0)):
-            raise ValueError("--tolerance must be finite")
+        if not 0.0 <= getattr(args, "tolerance", 0.0) < math.inf:
+            raise ValueError("--tolerance must be finite and at least 0")
         return args.fn(args)
     except (ValueError, DomainError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import DomainError
+from .kernel import DomainError, log_principal
 from .functions import (
     ClassParams,
     ProductForm,
@@ -450,8 +450,6 @@ class CoveringComposition:
     mu: complex
 
     def _log_core(self, zz: np.ndarray) -> np.ndarray:
-        from .kernel import log_principal
-
         return log_principal(1.0 - zz) / self.beta + self.s.log_ratio(zz) / (self.mu * self.beta)
 
     def __call__(self, z):

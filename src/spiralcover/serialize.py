@@ -1,8 +1,9 @@
 """JSON and CSV interchange with deterministic float formatting.
 
-All floating-point output is serialized at 12 significant digits so
-report diffs stay stable across platforms at the verification
-tolerance.
+Reports serialize every float at 12 significant digits, so report diffs
+stay stable at the verification tolerance.  Function specs and measures
+written by `construct` are inputs, not reports: they serialize at
+round-trip precision, so loading them gives back the same floats.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ __all__ = [
     "round12",
     "to_jsonable",
     "dumps",
+    "dumps_spec",
     "load_function_spec",
 ]
 
@@ -47,8 +49,13 @@ def to_jsonable(obj: Any) -> Any:
 
 
 def dumps(obj: Any) -> str:
-    """Indented JSON; NaN and infinities raise ValueError, as JSON has no form for them."""
-    return json.dumps(to_jsonable(obj), indent=2, allow_nan=False) + "\n"
+    """Indented JSON of a report, at 12 significant digits."""
+    return dumps_spec(to_jsonable(obj))
+
+
+def dumps_spec(obj: Any) -> str:
+    """Indented JSON at round-trip precision; NaN and infinities raise ValueError, as JSON has no form for them."""
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _as_complex(v) -> complex:

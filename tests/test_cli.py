@@ -4,8 +4,9 @@ from xml.etree import ElementTree
 
 import pytest
 
+from spiralcover import DEFAULT_GRID, check_derivative_disk, random_measure
 from spiralcover.cli import main
-from spiralcover.serialize import dumps, load_function_spec
+from spiralcover.serialize import dumps, dumps_spec, load_function_spec
 
 EXAMPLE_SPEC = {
     "mu": 1.0,
@@ -59,6 +60,15 @@ class TestDumps:
         with pytest.raises(ValueError):
             dumps({"worst_margin": value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_spec_rejects_non_finite(self, value):
+        with pytest.raises(ValueError):
+            dumps_spec({"beta": value})
+
+    def test_spec_round_trips(self):
+        values = [0.1 + 0.2, 1.0 - 2.0**-52, 5e-324, -1.2345678901234567e-300]
+        assert json.loads(dumps_spec({"v": values}))["v"] == values
+
 
 class TestConstruct:
     def test_canonicalizes_measure_spec(self, tmp_path):
@@ -82,6 +92,26 @@ class TestConstruct:
         out = tmp_path / "m.json"
         assert main(["construct", "--seed", "7", "-o", str(out)]) == 0
         assert len(json.loads(out.read_text())["atoms"]) == 256
+
+    def test_population_specs_pass_their_class(self, population, tmp_path):
+        # the written spec is an input: loading it gives back the constructed floats,
+        # and single-atom maps stay inside the class (12 digits moved them out)
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        for e in population:
+            for params in (e.params, e.real_params):
+                spec = {"mu": [params.mu.real, params.mu.imag], "beta": params.beta,
+                        "measure": e.measure.to_dict()}
+                src.write_text(json.dumps(spec))
+                assert main(["construct", "-i", str(src), "-o", str(out)]) == 0
+                built, _ = load_function_spec(spec)
+                f, loaded = load_function_spec(json.loads(out.read_text()))
+                assert (f.prefactor, f.factors, loaded) == (built.prefactor, built.factors, params)
+                assert check_derivative_disk(f, loaded, DEFAULT_GRID).passed
+
+    def test_random_measure_round_trips(self, tmp_path):
+        out = tmp_path / "m.json"
+        assert main(["construct", "--seed", "7", "--samples", "16", "-o", str(out)]) == 0
+        assert json.loads(out.read_text()) == random_measure(16, 7).to_dict()
 
     def test_needs_input_or_seed(self, capsys):
         assert main(["construct"]) == 2
@@ -140,6 +170,21 @@ class TestCheck:
         assert main(argv) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("tolerance", ["-100", "-1e-12"])
+    def test_negative_tolerance_rejected(self, example_path, tmp_path, tolerance):
+        # a tolerance below 0 would fail checks whose margins are positive
+        out = tmp_path / "report.json"
+        argv = ["check", "-i", example_path, "--checks", "all", f"--tolerance={tolerance}", "-o", str(out)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    def test_zero_tolerance_accepted(self, example_path, tmp_path):
+        out = tmp_path / "report.json"
+        assert main(["check", "-i", example_path, "--checks", "all", "--tolerance=0", "-o", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        # interior-identity is exact algebra, held to its own 1e-12
+        assert all(c["tolerance"] == 0.0 for c in checks if c["check"] != "interior-identity")
+
     @pytest.mark.parametrize("flag", ["--grid-angles=0", "--grid-radii="])
     def test_zero_or_empty_grid_flag_rejected(self, example_path, tmp_path, flag):
         out = tmp_path / "report.json"
@@ -171,14 +216,22 @@ class TestCheck:
         assert first.read_bytes() == last.read_bytes()
 
     # sha256 over the concatenated reports, recorded before the check table and
-    # the array envelopes replaced the per-name dispatch and the per-point loop
-    # (numpy 2.4, x86_64).  real-population-20 was re-recorded once: numpy's
-    # complex abs, division and power round differently from Python scalars in
-    # the last bit, which moves two derivative-bounds margins in the 12th digit.
+    # the array envelopes replaced the per-name dispatch and the per-point loop.
+    # real-population-20 was re-recorded once: numpy's complex abs, division and
+    # power round differently from Python scalars in the last bit, which moves
+    # two derivative-bounds margins in the 12th digit.  population-20 and
+    # real-population-20 were re-recorded once more when the kernel moved from
+    # numpy's complex log to 0.5*log(x*x + y*y) and arctan2: three growth
+    # margins and one value-bounds margin move in the 12th digit.
+    # Recorded on numpy 2.4.6, Python 3.11.7, x86_64 Linux with numpy's SIMD
+    # dispatch finding X86_V3, X86_V4, AVX512_ICL and AVX512_SPR.  The bytes
+    # hold for that numpy build and dispatch; with the AVX512 paths disabled
+    # (NPY_DISABLE_CPU_FEATURES) six growth margins of population-20 and
+    # real-population-20 differ in the 12th digit.
     CHECK_DIGESTS = {
         "readme-example": "1002f5d999d8ec6f82df35c1af1a37f98febda02e0a1a0d2879c85c83cc74bee",
-        "population-20": "81b591b133d1cb98f20f6d30435cda136b19046783d8f2092453d604e89554e0",
-        "real-population-20": "e037d6f294ca0a4bc39597bb7b55d7029db9affd53d7f53769ef555d484c12a3",
+        "population-20": "2349802fde6d4b23fd9e080e8ea8aa05bf6070f393889fa7ab234fb1ee177104",
+        "real-population-20": "e77a6c549b4d44365833aedaeb24f81d18e7167b4f5ecb13c2ec497de12d7468",
         "distort-readme-example": "da3bc43b04818d05c9538e7b7b4452c11b21b712b6f72baca983c7355cb8ef41",
     }
 

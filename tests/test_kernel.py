@@ -1,10 +1,24 @@
+import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from spiralcover import DomainError, log_principal
+
+
+EPS = sys.float_info.epsilon
+
+
+def right_half_plane_in_domain():
+    """w = r*e^{it} with 1e-150 <= r <= 1e150 and |t| <= pi/2."""
+    return st.builds(
+        lambda e, t: cmath.rect(10.0**e, t),
+        st.floats(min_value=-149.99, max_value=149.99),
+        st.floats(min_value=-math.pi / 2, max_value=math.pi / 2),
+    )
 
 
 def right_half_plane():
@@ -53,3 +67,53 @@ class TestLogPrincipal:
     def test_imag_part_bounded_on_right_half_plane(self, w):
         assert abs(log_principal(w).imag) < math.pi / 2
 
+
+    @given(right_half_plane_in_domain())
+    def test_matches_cmath_log(self, w):
+        # each part within 8 eps * max(1, |Log w|) of the correctly rounded reference
+        got, ref = log_principal(w), cmath.log(w)
+        bound = 8 * EPS * max(1.0, abs(ref))
+        assert abs(got.real - ref.real) <= bound
+        assert abs(got.imag - ref.imag) <= bound
+
+    @given(st.lists(right_half_plane_in_domain(), min_size=1, max_size=8))
+    def test_array_matches_scalar(self, ws):
+        out = log_principal(np.array(ws))
+        assert out.dtype == np.complex128
+        assert list(out) == [log_principal(w) for w in ws]
+
+    @pytest.mark.parametrize("w, expected", [(complex(-1.0, -0.0), math.pi), (complex(1.0, -0.0), 0.0)])
+    def test_negative_zero_imaginary_part_normalized(self, w, expected):
+        for out in (log_principal(w), log_principal(np.array([w]))[0]):
+            assert out.imag == expected
+            assert math.copysign(1.0, out.imag) == 1.0
+
+    @pytest.mark.parametrize("w", [1e200, 1e-200, complex(0.0, 1e200), complex(1e-200, -1e-200)])
+    def test_modulus_outside_domain_rejected(self, w):
+        for arg in (w, np.array([1.0, w])):
+            with pytest.raises(DomainError, match="modulus outside"):
+                log_principal(arg)
+
+    @pytest.mark.parametrize(
+        "w, message",
+        [
+            (complex(float("nan"), 0.0), "non-finite complex argument"),
+            (complex(0.0, float("inf")), "non-finite complex argument"),
+            (float("-inf"), "non-finite complex argument"),
+            (0.0, "log of 0"),
+            (complex(-0.0, -0.0), "log of 0"),
+        ],
+    )
+    def test_domain_messages(self, w, message):
+        for arg in (w, np.array([2.0, w, 0.5j])):
+            with pytest.raises(DomainError, match=message):
+                log_principal(arg)
+
+    def test_empty_array(self):
+        out = log_principal(np.array([], dtype=np.complex128))
+        assert out.shape == (0,)
+        assert out.dtype == np.complex128
+
+    def test_scalar_returns_python_complex(self):
+        assert type(log_principal(np.float64(2.0))) is complex
+        assert type(log_principal(np.array(1.0 + 1.0j))) is complex
