@@ -20,6 +20,7 @@ from .functions import boundary_exponent, boundary_rotation
 from .measures import random_measure
 from .verification import (
     DEFAULT_GRID,
+    GridEvaluation,
     GridSpec,
     _derivative_bounds_apply,
     check_derivative_disk,
@@ -48,24 +49,25 @@ def _any_params(params) -> bool:
     return True
 
 
-# CLI name -> (runner (f, params, grid, tol) -> report, applies(params)), in `--checks all`
-# order.  The runners look their check up by name when called, so wrappers installed on
-# the module names (spiralbench's tracer) see every call.
+# CLI name -> (runner (ev, params, tol) -> report, applies(params)), in `--checks all`
+# order; ev is the one GridEvaluation of the invocation.  The runners look their check
+# up by name when called, so wrappers installed on the module names (spiralbench's
+# tracer) see every call.
 CHECKS = {
-    "membership": (lambda f, p, grid, tol: check_membership(f, p, grid, tol), _any_params),
-    "distortion": (lambda f, p, grid, tol: check_distortion(f, p, grid, tol), _any_params),
-    "derivative-disk": (lambda f, p, grid, tol: check_derivative_disk(f, p, grid, tol), _any_params),
-    "schwarz": (lambda f, p, grid, tol: check_schwarz(f, p, grid, tol), _any_params),
-    "value-bounds": (lambda f, p, grid, tol: check_value_bounds(f, p, grid, tol), _any_params),
+    "membership": (lambda ev, p, tol: check_membership(ev, p, tol), _any_params),
+    "distortion": (lambda ev, p, tol: check_distortion(ev, p, tol), _any_params),
+    "derivative-disk": (lambda ev, p, tol: check_derivative_disk(ev, p, tol), _any_params),
+    "schwarz": (lambda ev, p, tol: check_schwarz(ev, p, tol), _any_params),
+    "value-bounds": (lambda ev, p, tol: check_value_bounds(ev, p, tol), _any_params),
     "derivative-bounds": (
-        lambda f, p, grid, tol: check_derivative_value_bounds(f, p, grid, tol),
+        lambda ev, p, tol: check_derivative_value_bounds(ev, p, tol),
         _derivative_bounds_apply,
     ),
     # exact algebra, held to its own 1e-12 tolerance
-    "interior-identity": (lambda f, p, grid, tol: check_interior_identity(f, p, grid), _any_params),
-    "growth": (lambda f, p, grid, tol: check_growth(f, p, grid, tol), _any_params),
+    "interior-identity": (lambda ev, p, tol: check_interior_identity(ev, p), _any_params),
+    "growth": (lambda ev, p, tol: check_growth(ev, p, tol), _any_params),
     # samples f on |z| = 0.999, not the grid
-    "wedge-containment": (lambda f, p, grid, tol: check_wedge_containment(f, tolerance=tol), _any_params),
+    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), _any_params),
 }
 
 
@@ -115,8 +117,8 @@ def cmd_check(args) -> int:
         for name in names:
             if name not in CHECKS:
                 raise ValueError(f"unknown check {name!r}")
-    grid = _grid_from_args(args)
-    reports = [CHECKS[name][0](f, params, grid, args.tolerance) for name in names]
+    ev = GridEvaluation(f, _grid_from_args(args))
+    reports = [CHECKS[name][0](ev, params, args.tolerance) for name in names]
     passed = all(r.passed for r in reports)
     _write(args.output, dumps({"checks": [r.to_dict() for r in reports], "passed": passed}))
     return 0 if passed else 1

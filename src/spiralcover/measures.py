@@ -82,11 +82,6 @@ class AtomicCircleMeasure:
     def atoms(self) -> list[Tuple[complex, float]]:
         return [(complex(p), float(w)) for p, w in zip(self.points, self.weights)]
 
-    def weight_near(self, point: complex) -> float:
-        """Total weight of atoms within MERGE_TOL of the given point."""
-        hit = np.abs(self.points - point) <= MERGE_TOL
-        return float(self.weights[hit].sum())
-
     def to_dict(self) -> dict:
         """Angle-based JSON form; angles keep the atoms exactly on the circle."""
         return {

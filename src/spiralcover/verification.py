@@ -5,6 +5,10 @@ corresponding inequality holds; a grid scan reports the worst margin,
 its location, and passes when the worst margin clears -tolerance.
 Margins are O(1)-O(100) on the default grid, so the default tolerance
 1e-9 sits orders of magnitude above double-precision round-off.
+
+Every margin is built from three quantities of the map on the grid:
+log f, f'/f and Log(1-z).  A GridEvaluation computes each of them at
+most once, when a check first reads it, and every check takes one.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -22,6 +27,7 @@ from .functions import ClassParams, ProductForm, eval_log, log_derivative
 __all__ = [
     "GridSpec",
     "DEFAULT_GRID",
+    "GridEvaluation",
     "VerificationReport",
     "class_margin",
     "check_membership",
@@ -45,6 +51,9 @@ __all__ = [
 ]
 
 PASS_TOL = 1e-9
+# shifts of the growth scan per eval_log call: 4 blocks of 8 beat both 32 calls over
+# one grid each and one call over all 32 grids, which is slower and needs more memory
+GROWTH_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -73,6 +82,38 @@ class GridSpec:
 
 
 DEFAULT_GRID = GridSpec()
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class GridEvaluation:
+    """A map on a grid: points, log f, f'/f and Log(1-z), each computed on first read.
+
+    The arrays are read-only, because every check reads the same ones.
+    """
+
+    f: ProductForm
+    grid: GridSpec = DEFAULT_GRID
+
+    @cached_property
+    def points(self) -> np.ndarray:
+        return _read_only(self.grid.points())
+
+    @cached_property
+    def log_f(self) -> np.ndarray:
+        return _read_only(eval_log(self.f, self.points))
+
+    @cached_property
+    def dlog_f(self) -> np.ndarray:
+        return _read_only(log_derivative(self.f, self.points))
+
+    @cached_property
+    def log_1mz(self) -> np.ndarray:
+        return _read_only(log_principal(1.0 - self.points))
 
 
 @dataclass(frozen=True)
@@ -113,23 +154,25 @@ def _report(check: str, margins: np.ndarray, locations: np.ndarray, tol: float) 
     )
 
 
+def _class_margin(params: ClassParams, z, dlog):
+    expr = (2.0 / params.mu) * z * dlog + (1.0 + z) / (1.0 - z)
+    return expr.real - params.beta
+
+
 def class_margin(f: ProductForm, params: ClassParams, z):
     """Re((2/mu)*z*f'/f + (1+z)/(1-z)) - beta; positive where the class inequality holds."""
     zz = np.asarray(z, dtype=np.complex128)
-    expr = (2.0 / params.mu) * zz * log_derivative(f, zz) + (1.0 + zz) / (1.0 - zz)
-    out = expr.real - params.beta
+    out = _class_margin(params, zz, log_derivative(f, zz))
     return float(out) if np.ndim(z) == 0 else out
 
 
 def check_membership(
-    f: ProductForm,
+    ev: GridEvaluation,
     params: ClassParams,
-    grid: GridSpec = DEFAULT_GRID,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
     """Minimum class margin over the grid, excluding the z = 1 neighborhood."""
-    pts = grid.points()
-    return _report("membership", class_margin(f, params, pts), pts, tolerance)
+    return _report("membership", _class_margin(params, ev.points, ev.dlog_f), ev.points, tolerance)
 
 
 def distortion_coefficient(f: ProductForm, params: ClassParams, z):
@@ -142,21 +185,27 @@ def distortion_coefficient(f: ProductForm, params: ClassParams, z):
     zz = np.asarray(z, dtype=np.complex128)
     if np.any(zz == 0):
         raise DomainError("lambda is undefined at z = 0")
-    q = log_principal(1.0 - zz) - eval_log(f, zz) / params.mu
-    out = (np.exp(q / (1.0 - params.beta)) - 1.0) / zz
+    out = _distortion_coefficient(params, zz, eval_log(f, zz), log_principal(1.0 - zz))
     return complex(out) if np.ndim(z) == 0 else out
 
 
+def _ratio_log(params: ClassParams, log_f, log_1mz):
+    """q = Log(1-z) - log f/mu, the canonical log of (1-z)/f**(1/mu)."""
+    return log_1mz - log_f / params.mu
+
+
+def _distortion_coefficient(params: ClassParams, z, log_f, log_1mz):
+    return (np.exp(_ratio_log(params, log_f, log_1mz) / (1.0 - params.beta)) - 1.0) / z
+
+
 def check_distortion(
-    f: ProductForm,
+    ev: GridEvaluation,
     params: ClassParams,
-    grid: GridSpec = DEFAULT_GRID,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
     """Worst margin of 1 - |lambda(z)| over the grid."""
-    pts = grid.points()
-    lam = distortion_coefficient(f, params, pts)
-    return _report("distortion-coefficient", 1.0 - np.abs(lam), pts, tolerance)
+    lam = _distortion_coefficient(params, ev.points, ev.log_f, ev.log_1mz)
+    return _report("distortion-coefficient", 1.0 - np.abs(lam), ev.points, tolerance)
 
 
 def derivative_functional(f: ProductForm, params: ClassParams, z):
@@ -166,24 +215,27 @@ def derivative_functional(f: ProductForm, params: ClassParams, z):
     with center (1-beta)*conj(z)/(1-|z|^2), radius (1-beta)/(1-|z|^2).
     """
     zz = np.asarray(z, dtype=np.complex128)
-    value = log_derivative(f, zz) / params.mu + 1.0 / (1.0 - zz)
-    denom = 1.0 - np.abs(zz) ** 2
-    center = (1.0 - params.beta) * np.conj(zz) / denom
-    radius = (1.0 - params.beta) / denom
+    value, center, radius = _derivative_functional(params, zz, log_derivative(f, zz))
     if np.ndim(z) == 0:
         return complex(value), complex(center), float(radius)
     return value, center, radius
 
 
+def _derivative_functional(params: ClassParams, z, dlog):
+    value = dlog / params.mu + 1.0 / (1.0 - z)
+    denom = 1.0 - np.abs(z) ** 2
+    center = (1.0 - params.beta) * np.conj(z) / denom
+    radius = (1.0 - params.beta) / denom
+    return value, center, radius
+
+
 def check_derivative_disk(
-    f: ProductForm,
+    ev: GridEvaluation,
     params: ClassParams,
-    grid: GridSpec = DEFAULT_GRID,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    pts = grid.points()
-    value, center, radius = derivative_functional(f, params, pts)
-    return _report("derivative-disk", radius - np.abs(value - center), pts, tolerance)
+    value, center, radius = _derivative_functional(params, ev.points, ev.dlog_f)
+    return _report("derivative-disk", radius - np.abs(value - center), ev.points, tolerance)
 
 
 class ValueBounds(NamedTuple):
@@ -258,36 +310,31 @@ def derivative_bounds(params: ClassParams, z):
 
 
 def check_value_bounds(
-    f: ProductForm,
+    ev: GridEvaluation,
     params: ClassParams,
-    grid: GridSpec = DEFAULT_GRID,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
     """Worst margin over all applicable modulus/argument envelopes."""
-    pts = grid.points()
-    log_f = eval_log(f, pts)
-    q = log_principal(1.0 - pts) - log_f / params.mu
+    q = _ratio_log(params, ev.log_f, ev.log_1mz)
     ratio_mod = np.exp(q.real)
-    b = modulus_arg_bounds(params, pts)
+    b = modulus_arg_bounds(params, ev.points)
     margins = [ratio_mod - b.mod_lo, b.mod_hi - ratio_mod, b.arg_cap - np.abs(q.imag)]
     if b.f_lo is not None:
-        fmod = np.exp(log_f.real)
+        fmod = np.exp(ev.log_f.real)
         margins += [fmod - b.f_lo, b.f_hi - fmod]
-    return _report("value-bounds", np.min(margins, axis=0), pts, tolerance)
+    return _report("value-bounds", np.min(margins, axis=0), ev.points, tolerance)
 
 
 def check_derivative_value_bounds(
-    f: ProductForm,
+    ev: GridEvaluation,
     params: ClassParams,
-    grid: GridSpec = DEFAULT_GRID,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
     """Worst margin of lower <= |f'| <= upper <= simple_upper over the grid."""
-    pts = grid.points()
-    fd = np.exp(eval_log(f, pts).real) * np.abs(log_derivative(f, pts))
-    b = derivative_bounds(params, pts)
+    fd = np.exp(ev.log_f.real) * np.abs(ev.dlog_f)
+    b = derivative_bounds(params, ev.points)
     margins = np.min([fd - b.lower, b.upper - fd, b.simple_upper - b.upper], axis=0)
-    return _report("derivative-bounds", margins, pts, tolerance)
+    return _report("derivative-bounds", margins, ev.points, tolerance)
 
 
 def schwarz_function(f: ProductForm, params: ClassParams, z):
@@ -298,20 +345,22 @@ def schwarz_function(f: ProductForm, params: ClassParams, z):
     |omega| = |z| exactly for single-atom members.
     """
     zz = np.asarray(z, dtype=np.complex128)
-    inner = (eval_log(f, zz) - params.mu * log_principal(1.0 - zz)) / (params.mu * (1.0 - params.beta))
-    out = 1.0 - np.exp(-inner)
+    out = _schwarz_function(params, eval_log(f, zz), log_principal(1.0 - zz))
     return complex(out) if np.ndim(z) == 0 else out
 
 
+def _schwarz_function(params: ClassParams, log_f, log_1mz):
+    inner = (log_f - params.mu * log_1mz) / (params.mu * (1.0 - params.beta))
+    return 1.0 - np.exp(-inner)
+
+
 def check_schwarz(
-    f: ProductForm,
+    ev: GridEvaluation,
     params: ClassParams,
-    grid: GridSpec = DEFAULT_GRID,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    pts = grid.points()
-    omega = schwarz_function(f, params, pts)
-    return _report("schwarz", np.abs(pts) - np.abs(omega), pts, tolerance)
+    omega = _schwarz_function(params, ev.log_f, ev.log_1mz)
+    return _report("schwarz", np.abs(ev.points) - np.abs(omega), ev.points, tolerance)
 
 
 @dataclass(frozen=True)
@@ -343,9 +392,12 @@ class InteriorSpirallikeMap:
     def spiral_margin(self, z):
         """Re(exp(-i*phi)*z*s'/s) - order via z*s'/s = 1 + z*f'/f + mu*z/(1-z)."""
         zz = np.asarray(z, dtype=np.complex128)
-        zs = 1.0 + zz * log_derivative(self.source, zz) + self.params.mu * zz / (1.0 - zz)
-        out = (cmath.exp(-1j * self.phi) * zs).real - self.order
+        out = self._spiral_margin(zz, log_derivative(self.source, zz))
         return float(out) if np.ndim(z) == 0 else out
+
+    def _spiral_margin(self, z, dlog):
+        zs = 1.0 + z * dlog + self.params.mu * z / (1.0 - z)
+        return (cmath.exp(-1j * self.phi) * zs).real - self.order
 
 
 def to_interior_spirallike(f: ProductForm, params: ClassParams) -> InteriorSpirallikeMap:
@@ -359,36 +411,40 @@ def to_interior_spirallike(f: ProductForm, params: ClassParams) -> InteriorSpira
 
 
 def check_interior_identity(
-    f: ProductForm,
+    ev: GridEvaluation,
     params: ClassParams,
-    grid: GridSpec = DEFAULT_GRID,
     tolerance: float = 1e-12,
 ) -> VerificationReport:
     """Exact algebra: spiral margin == (r/2) * class margin, no inequality slack."""
-    s = to_interior_spirallike(f, params)
-    pts = grid.points()
-    dev = np.abs(s.spiral_margin(pts) - 0.5 * params.radius * class_margin(f, params, pts))
+    s = to_interior_spirallike(ev.f, params)
+    pts, dlog = ev.points, ev.dlog_f
+    dev = np.abs(s._spiral_margin(pts, dlog) - 0.5 * params.radius * _class_margin(params, pts, dlog))
     return _report("interior-identity", -dev, pts, tolerance)
 
 
-def _growth_margins(f: ProductForm, params: ClassParams, zz: np.ndarray, ts) -> list:
-    """growth_margin at each shift t of ts; the logs at zz are computed once."""
+def _growth_margins(f: ProductForm, params: ClassParams, zz: np.ndarray, ts, log_f, log_1mz) -> np.ndarray:
+    """growth_margin at each shift t of ts (one row each) over the 1-d points zz.
+
+    log_f and log_1mz are log f and Log(1-z) at zz; the shifted points are
+    evaluated GROWTH_BLOCK shifts per eval_log call.
+    """
     phi = params.phi
     cos2 = 2.0 * math.cos(phi)
     if not all(0.0 < t < cos2 for t in ts):
         raise DomainError("t outside (0, 2*cos(arg mu))")
-    log_f = eval_log(f, zz)
-    log_1mz = log_principal(1.0 - zz)
-    margins = []
-    for t in ts:
-        shifted = zz * (1.0 - cmath.exp(-1j * phi) * t)
+    rot = cmath.exp(-1j * phi)
+    power = -params.mu.real * (1.0 - params.beta)
+    rows = []
+    for i in range(0, len(ts), GROWTH_BLOCK):
+        block = ts[i : i + GROWTH_BLOCK]
+        shifted = zz * np.array([[1.0 - rot * t] for t in block])
         if np.any(np.abs(shifted) >= 1.0):
             raise DomainError("shifted point outside the disk")
         lhs = np.exp((eval_log(f, shifted) - log_f).real)
         log_ratio = params.mu * (log_principal(1.0 - shifted) - log_1mz)
-        rhs = np.exp(log_ratio.real) * (1.0 - t / cos2) ** (-params.mu.real * (1.0 - params.beta))
-        margins.append(rhs - lhs)
-    return margins
+        rhs = np.exp(log_ratio.real) * np.array([[(1.0 - t / cos2) ** power] for t in block])
+        rows.append(rhs - lhs)
+    return np.concatenate(rows)
 
 
 def growth_margin(f: ProductForm, params: ClassParams, z, t: float):
@@ -399,14 +455,14 @@ def growth_margin(f: ProductForm, params: ClassParams, z, t: float):
     (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  Moduli are taken branch
     safely through exp(Re(eval_log)).
     """
-    out = _growth_margins(f, params, np.asarray(z, dtype=np.complex128), [t])[0]
-    return float(out) if np.ndim(z) == 0 else out
+    zz = np.asarray(z, dtype=np.complex128).ravel()
+    out = _growth_margins(f, params, zz, [t], eval_log(f, zz), log_principal(1.0 - zz))[0]
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def check_growth(
-    f: ProductForm,
+    ev: GridEvaluation,
     params: ClassParams,
-    grid: GridSpec = DEFAULT_GRID,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
     """Scan the growth inequality on the grid times a fixed open t-grid.
@@ -414,8 +470,7 @@ def check_growth(
     The claim quantifies over all t in (0, 2*cos(phi)); the scan takes the
     32 values 2*cos(phi)*k/33, k = 1..32, and counts only the grid points.
     """
-    pts = grid.points()
     cos2 = 2.0 * math.cos(params.phi)
     ts = [cos2 * k / 33.0 for k in range(1, 33)]
-    margins = np.stack(_growth_margins(f, params, pts, ts))
-    return _report("growth", margins.min(axis=0), pts, tolerance)
+    margins = _growth_margins(ev.f, params, ev.points, ts, ev.log_f, ev.log_1mz)
+    return _report("growth", margins.min(axis=0), ev.points, tolerance)

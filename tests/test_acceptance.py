@@ -28,7 +28,7 @@ def test_criterion_01_membership_suite(population):
     t0 = time.perf_counter()
     worst = math.inf
     for entry in population:
-        rep = sc.check_membership(entry.f, entry.params)
+        rep = sc.check_membership(sc.GridEvaluation(entry.f), entry.params)
         assert rep.passed, (entry.params, rep.worst_margin)
         worst = min(worst, rep.worst_margin)
     elapsed = time.perf_counter() - t0
@@ -71,10 +71,10 @@ def test_criterion_03_bound_suite(population):
     modulus equalities."""
     worst = math.inf
     for entry in population:
-        rep = sc.check_value_bounds(entry.real_f, entry.real_params)
+        rep = sc.check_value_bounds(sc.GridEvaluation(entry.real_f), entry.real_params)
         assert rep.passed, (entry.real_params, rep.worst_margin)
         worst = min(worst, rep.worst_margin)
-        repd = sc.check_derivative_value_bounds(entry.real_f, entry.real_params)
+        repd = sc.check_derivative_value_bounds(sc.GridEvaluation(entry.real_f), entry.real_params)
         assert repd.passed, (entry.real_params, repd.worst_margin)
         worst = min(worst, repd.worst_margin)
 
@@ -196,7 +196,7 @@ def test_criterion_08_interior_identity(population):
     times the class margin to 1e-12 on the whole grid."""
     worst = math.inf
     for entry in population[:20]:
-        rep = sc.check_interior_identity(entry.f, entry.params)
+        rep = sc.check_interior_identity(sc.GridEvaluation(entry.f), entry.params)
         assert rep.passed, (entry.params, rep.worst_margin)
         worst = min(worst, rep.worst_margin)
     report("criterion 8 (interior identity)", f"worst deviation {-worst:.2e}")
@@ -216,7 +216,7 @@ def test_criterion_09_inclusion_suite():
         beta1 = rng.uniform(0.0, 0.95)
         sigma = sc.random_measure(int(rng.integers(1, 9)), MASTER_SEED + 5000 + j)
         f = sc.construct(sc.ClassParams(r * mu2, beta1), sigma)
-        rep = sc.check_membership(f, sc.ClassParams(mu2, r * beta1))
+        rep = sc.check_membership(sc.GridEvaluation(f), sc.ClassParams(mu2, r * beta1))
         assert rep.passed, (r, mu2, beta1, rep.worst_margin)
         checked += 1
     assert checked >= 20

@@ -1,11 +1,12 @@
+import collections
 import hashlib
 import json
 from xml.etree import ElementTree
 
 import pytest
 
-from spiralcover import DEFAULT_GRID, check_derivative_disk, random_measure
-from spiralcover.cli import main
+from spiralcover import GridEvaluation, check_derivative_disk, random_measure, verification
+from spiralcover.cli import CHECKS, main
 from spiralcover.serialize import dumps, dumps_spec, load_function_spec
 
 EXAMPLE_SPEC = {
@@ -18,6 +19,18 @@ EXAMPLE_SPEC = {
 }
 
 CORE_SPEC = {"mu": 1.0, "beta": 0.6, "prefactor": [0.6, 0.0], "factors": []}
+
+# the six grid checks of spiralbench's wide-measure workload
+WIDE_CHECKS = "membership,distortion,derivative-disk,schwarz,value-bounds,interior-identity"
+
+
+def wide_specs() -> list[dict]:
+    """Three seeded measure-form class members with 64, 512 and 2048 atoms."""
+    params = ((64, [1.0, 0.3], 0.4), (512, [0.8, -0.4], 0.2), (2048, [1.5, 0.2], 0.7))
+    return [
+        {"mu": mu, "beta": beta, "measure": random_measure(n, 100 + n).to_dict()}
+        for n, mu, beta in params
+    ]
 
 
 @pytest.fixture()
@@ -106,7 +119,7 @@ class TestConstruct:
                 built, _ = load_function_spec(spec)
                 f, loaded = load_function_spec(json.loads(out.read_text()))
                 assert (f.prefactor, f.factors, loaded) == (built.prefactor, built.factors, params)
-                assert check_derivative_disk(f, loaded, DEFAULT_GRID).passed
+                assert check_derivative_disk(GridEvaluation(f), loaded).passed
 
     def test_random_measure_round_trips(self, tmp_path):
         out = tmp_path / "m.json"
@@ -227,25 +240,37 @@ class TestCheck:
     # dispatch finding X86_V3, X86_V4, AVX512_ICL and AVX512_SPR.  The bytes
     # hold for that numpy build and dispatch; with the AVX512 paths disabled
     # (NPY_DISABLE_CPU_FEATURES) six growth margins of population-20 and
-    # real-population-20 differ in the 12th digit.
+    # real-population-20 differ in the 12th digit.  wide-3 and
+    # custom-grid-population-20 were recorded on the same build before the
+    # checks came to share one evaluation of log f, f'/f and Log(1-z).
     CHECK_DIGESTS = {
         "readme-example": "1002f5d999d8ec6f82df35c1af1a37f98febda02e0a1a0d2879c85c83cc74bee",
         "population-20": "2349802fde6d4b23fd9e080e8ea8aa05bf6070f393889fa7ab234fb1ee177104",
         "real-population-20": "e77a6c549b4d44365833aedaeb24f81d18e7167b4f5ecb13c2ec497de12d7468",
         "distort-readme-example": "da3bc43b04818d05c9538e7b7b4452c11b21b712b6f72baca983c7355cb8ef41",
+        "wide-3": "3c799146ccd3e20f621bcabf4b85093299d307fc3cba4b7172b6ced7083b493a",
+        "custom-grid-population-20": "43783728dc846298e3df0828b0b1e1fc149a8dd895eacab2a56e657ed326c3b5",
     }
+
+    @staticmethod
+    def check_runs(kind, population):
+        """(argv, specs) of one kind of `check` input; every run exits 0."""
+        if kind == "distort-readme-example":
+            return ["distort"], [EXAMPLE_SPEC]
+        if kind == "readme-example":
+            return ["check", "--checks", "all"], [EXAMPLE_SPEC]
+        if kind == "population-20":
+            return ["check", "--checks", "all"], [e.f.to_dict(e.params) for e in population[:20]]
+        if kind == "real-population-20":
+            return ["check", "--checks", "all"], [e.real_f.to_dict(e.real_params) for e in population[:20]]
+        if kind == "wide-3":
+            return ["check", "--checks", WIDE_CHECKS], wide_specs()
+        grid = ["--grid-radii", "0.2,0.9", "--grid-angles", "33"]
+        return ["check", *grid, "--checks", "growth,schwarz,membership"], [e.f.to_dict(e.params) for e in population[:20]]
 
     @pytest.mark.parametrize("kind", sorted(CHECK_DIGESTS))
     def test_report_bytes_match_recorded_digest(self, kind, population, tmp_path):
-        argv = ["check", "--checks", "all"]
-        if kind == "distort-readme-example":
-            argv, specs = ["distort"], [EXAMPLE_SPEC]
-        elif kind == "readme-example":
-            specs = [EXAMPLE_SPEC]
-        elif kind == "population-20":
-            specs = [e.f.to_dict(e.params) for e in population[:20]]
-        else:
-            specs = [e.real_f.to_dict(e.real_params) for e in population[:20]]
+        argv, specs = self.check_runs(kind, population)
         digest = hashlib.sha256()
         for k, spec in enumerate(specs):
             src, out = tmp_path / f"in{k}.json", tmp_path / f"out{k}.json"
@@ -253,6 +278,46 @@ class TestCheck:
             assert main([*argv, "-i", str(src), "-o", str(out)]) == 0
             digest.update(out.read_bytes())
         assert digest.hexdigest() == self.CHECK_DIGESTS[kind]
+
+
+class TestSharedEvaluation:
+    """`check` computes log f and f'/f at most once per invocation, and only if a check reads them."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        counts = collections.Counter()
+        for name in ("eval_log", "log_derivative"):
+            def counted(*args, _fn=getattr(verification, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(verification, name, counted)
+        return counts
+
+    @pytest.mark.parametrize(
+        "kind, checks, eval_log, log_derivative",
+        [
+            ("wide-64", WIDE_CHECKS, 1, 1),
+            ("readme-example", "membership", 0, 1),
+            # the base grid and the 4 blocks of 8 shifted grids of growth
+            ("readme-example", "all", 5, 1),
+        ],
+        ids=["wide-measure-checks", "membership", "all"],
+    )
+    def test_kernel_call_counts(self, calls, tmp_path, kind, checks, eval_log, log_derivative):
+        src = tmp_path / "in.json"
+        src.write_text(dumps(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
+        assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
+        assert (calls["eval_log"], calls["log_derivative"]) == (eval_log, log_derivative)
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_check_in_all_matches_check_alone(self, name, example_path, tmp_path):
+        every, alone = tmp_path / "all.json", tmp_path / "alone.json"
+        assert main(["check", "-i", example_path, "--checks", "all", "-o", str(every)]) == 0
+        assert main(["check", "-i", example_path, "--checks", name, "-o", str(alone)]) == 0
+        # every check applies to the README example, so the reports come in table order
+        entry = json.loads(every.read_text())["checks"][list(CHECKS).index(name)]
+        assert alone.read_text() == dumps({"checks": [entry], "passed": entry["passed"]})
 
 
 class TestDistort:

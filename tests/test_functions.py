@@ -205,7 +205,7 @@ class TestTransformClass:
         a = ClassParams(1.3 + 0.2j, 0.7)
         b = ClassParams(0.4 - 0.3j, 0.15)
         g = transform_class(construct(a, sigma), a, b)
-        assert sc.check_membership(g, b).passed
+        assert sc.check_membership(sc.GridEvaluation(g), b).passed
 
 
 class TestExtremal:

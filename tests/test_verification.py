@@ -8,6 +8,7 @@ import spiralcover as sc
 from spiralcover import (
     ClassParams,
     DomainError,
+    GridEvaluation,
     GridSpec,
     ProductForm,
     VerificationReport,
@@ -84,18 +85,38 @@ class TestClassMargin:
                 assert class_margin(f, params, r) == pytest.approx(expected)
 
 
+class TestGridEvaluation:
+    def test_arrays_are_computed_once_and_read_only(self, worked_example):
+        ev = GridEvaluation(worked_example[0])
+        for name in ("points", "log_f", "dlog_f", "log_1mz"):
+            arr = getattr(ev, name)
+            assert getattr(ev, name) is arr
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_matches_direct_evaluation(self, worked_example, grid):
+        f = worked_example[0]
+        ev = GridEvaluation(f, grid)
+        pts = grid.points()
+        assert np.array_equal(ev.points, pts)
+        assert np.array_equal(ev.log_f, eval_log(f, pts))
+        assert np.array_equal(ev.dlog_f, sc.log_derivative(f, pts))
+        assert np.array_equal(ev.log_1mz, sc.log_principal(1.0 - pts))
+
+
 class TestMembership:
     def test_measure_built_maps_pass(self, population):
         for entry in population[:10]:
-            assert check_membership(entry.f, entry.params).passed
+            assert check_membership(GridEvaluation(entry.f), entry.params).passed
 
     def test_worked_example_passes(self, worked_example):
-        assert check_membership(*worked_example).passed
+        f, params = worked_example
+        assert check_membership(GridEvaluation(f), params).passed
 
     def test_cube_fails_unit_class(self):
         # (1-z)**3 is not in the beta = 0 class: the margin equals
         # Re(5 - 4/(1-z)), negative once Re(1/(1-z)) > 5/4
-        rep = check_membership(ProductForm(3.0), ClassParams(1.0, 0.0))
+        rep = check_membership(GridEvaluation(ProductForm(3.0)), ClassParams(1.0, 0.0))
         assert not rep.passed
         assert rep.worst_margin < -1.0
 
@@ -121,7 +142,7 @@ class TestDistortion:
         # designated witness: well-separated atoms with weight >= 0.05
         params = ClassParams(1.0, 0.0)
         f = construct(params, make_measure([(1.0, 0.5), (1.0j, 0.3), (-1.0, 0.2)]))
-        rep = check_distortion(f, params)
+        rep = check_distortion(GridEvaluation(f), params)
         assert rep.passed
         assert rep.worst_margin >= 1e-6
 
@@ -161,7 +182,7 @@ class TestDerivativeFunctional:
 
     def test_population_disk_membership(self, population):
         for entry in population[:10]:
-            assert check_derivative_disk(entry.f, entry.params).passed
+            assert check_derivative_disk(GridEvaluation(entry.f), entry.params).passed
 
 
 class TestModulusArgBounds:
@@ -199,7 +220,7 @@ class TestModulusArgBounds:
 
     def test_population_envelopes(self, population):
         for entry in population[:10]:
-            assert check_value_bounds(entry.f, entry.params).passed
+            assert check_value_bounds(GridEvaluation(entry.f), entry.params).passed
 
     def test_rejects_outside_disk(self):
         with pytest.raises(DomainError):
@@ -240,7 +261,7 @@ class TestDerivativeBounds:
     def test_extremal_within_bounds(self):
         params = ClassParams(1.3, 0.5)
         f = extremal(params, cmath.exp(2.0j))
-        assert check_derivative_value_bounds(f, params).passed
+        assert check_derivative_value_bounds(GridEvaluation(f), params).passed
 
     def test_complex_mu_rejected(self):
         with pytest.raises(DomainError):
@@ -338,7 +359,7 @@ class TestSchwarz:
 
     def test_population_contraction(self, population):
         for entry in population[:10]:
-            assert check_schwarz(entry.f, entry.params).passed
+            assert check_schwarz(GridEvaluation(entry.f), entry.params).passed
 
 
 class TestInteriorSpirallike:
@@ -376,11 +397,11 @@ class TestInteriorSpirallike:
         # two-line algebra in the interior correspondence: the spiral
         # margin is exactly (r/2) times the class margin
         for entry in population[:5]:
-            assert check_interior_identity(entry.f, entry.params).passed
+            assert check_interior_identity(GridEvaluation(entry.f), entry.params).passed
 
     def test_identity_on_worked_example(self, worked_example):
         f, params = worked_example
-        rep = check_interior_identity(f, params)
+        rep = check_interior_identity(GridEvaluation(f), params)
         assert rep.passed and rep.worst_margin >= -1e-12
 
 
@@ -409,7 +430,7 @@ class TestGrowth:
 
     def test_population_scan(self, population):
         for entry in population[:5]:
-            assert check_growth(entry.f, entry.params).passed
+            assert check_growth(GridEvaluation(entry.f), entry.params).passed
 
     def test_t_out_of_range(self):
         params = ClassParams(1.0, 0.0)
