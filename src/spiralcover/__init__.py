@@ -4,131 +4,19 @@ The package builds disk maps from atomic probability measures on the
 unit circle, evaluates them through a single branch-safe log kernel,
 and numerically verifies the distortion, subordination, and covering
 statements that characterize the class, at explicit tolerances.
+
+The public names are those in the `__all__` of the five library
+modules below; this file re-exports them and lists none itself.
 """
 
+# a plain literal: pyproject.toml reads it without importing the package
 __version__ = "0.1.0"
 
-from .kernel import DomainError, log_principal
-from .measures import (
-    AtomicCircleMeasure,
-    dirac_reweight,
-    make_measure,
-    random_measure,
-)
-from .functions import (
-    ClassParams,
-    ProductForm,
-    boundary_exponent,
-    boundary_exponent_radial,
-    boundary_rotation,
-    boundary_rotation_radial,
-    canonical_wedge,
-    construct,
-    core_function,
-    eval_log,
-    evaluate,
-    extremal,
-    log_derivative,
-    richardson_limit,
-    transform_class,
-)
-from .verification import (
-    DEFAULT_GRID,
-    GridEvaluation,
-    GridSpec,
-    InteriorSpirallikeMap,
-    VerificationReport,
-    check_derivative_disk,
-    check_derivative_value_bounds,
-    check_distortion,
-    check_growth,
-    check_interior_identity,
-    check_membership,
-    check_schwarz,
-    check_value_bounds,
-    class_margin,
-    derivative_bounds,
-    derivative_functional,
-    distortion_coefficient,
-    growth_margin,
-    modulus_arg_bounds,
-    schwarz_function,
-    to_interior_spirallike,
-)
-from .geometry import (
-    CoveringComposition,
-    CoveringResult,
-    Disk,
-    PolyLine,
-    boundary_curve,
-    boundary_gap_profile,
-    check_covering,
-    check_wedge_containment,
-    contains_point,
-    covering_composition,
-    covering_radius,
-    minimize_boundary_gap,
-    wedge_margin,
-    wedge_spirals,
-    winding_numbers,
-)
+from . import kernel, measures, functions, verification, geometry
+from .kernel import *
+from .measures import *
+from .functions import *
+from .verification import *
+from .geometry import *
 
-__all__ = [
-    "DomainError",
-    "log_principal",
-    "AtomicCircleMeasure",
-    "make_measure",
-    "dirac_reweight",
-    "random_measure",
-    "ClassParams",
-    "ProductForm",
-    "construct",
-    "core_function",
-    "extremal",
-    "canonical_wedge",
-    "eval_log",
-    "evaluate",
-    "log_derivative",
-    "transform_class",
-    "boundary_exponent",
-    "boundary_rotation",
-    "boundary_exponent_radial",
-    "boundary_rotation_radial",
-    "richardson_limit",
-    "GridSpec",
-    "DEFAULT_GRID",
-    "GridEvaluation",
-    "VerificationReport",
-    "class_margin",
-    "check_membership",
-    "distortion_coefficient",
-    "check_distortion",
-    "derivative_functional",
-    "check_derivative_disk",
-    "modulus_arg_bounds",
-    "derivative_bounds",
-    "check_value_bounds",
-    "check_derivative_value_bounds",
-    "schwarz_function",
-    "check_schwarz",
-    "InteriorSpirallikeMap",
-    "to_interior_spirallike",
-    "check_interior_identity",
-    "growth_margin",
-    "check_growth",
-    "PolyLine",
-    "Disk",
-    "boundary_curve",
-    "winding_numbers",
-    "contains_point",
-    "CoveringResult",
-    "check_covering",
-    "covering_radius",
-    "boundary_gap_profile",
-    "minimize_boundary_gap",
-    "wedge_spirals",
-    "wedge_margin",
-    "check_wedge_containment",
-    "CoveringComposition",
-    "covering_composition",
-]
+__all__ = [*kernel.__all__, *measures.__all__, *functions.__all__, *verification.__all__, *geometry.__all__]

@@ -20,6 +20,7 @@ from .functions import boundary_exponent, boundary_rotation
 from .measures import random_measure
 from .verification import (
     DEFAULT_GRID,
+    PASS_TOL,
     GridEvaluation,
     GridSpec,
     _derivative_bounds_apply,
@@ -98,9 +99,11 @@ def cmd_construct(args) -> int:
     if args.input is None:
         if args.seed is None:
             raise ValueError("construct needs --input, or --seed to generate a random measure")
-        sigma = random_measure(args.samples, args.seed)
+        sigma = random_measure(256 if args.samples is None else args.samples, args.seed)
         _write(args.output, dumps_spec(sigma.to_dict()))
         return 0
+    if args.seed is not None or args.samples is not None:
+        raise ValueError("construct --input reads neither --seed nor --samples")
     f, params = load_function_spec(_load_json(args.input))
     _write(args.output, dumps_spec(f.to_dict(params)))
     return 0
@@ -198,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         "output": (("--output", "-o"), dict(help="output path ('-' for stdout)")),
         "grid-radii": (("--grid-radii",), dict(help="comma-separated grid radii")),
         "grid-angles": (("--grid-angles",), dict(type=int, help="angles per grid ring")),
-        "tolerance": (("--tolerance",), dict(type=float, default=1e-9, help="pass tolerance")),
+        "tolerance": (("--tolerance",), dict(type=float, default=PASS_TOL, help="pass tolerance")),
         "checks": (("--checks",), dict(default="membership", help="comma list or 'all'")),
         "rho": (("--rho",), dict(type=float, default=0.99, help="boundary curve radius")),
         "r-inner": (("--r-inner",), dict(type=float, default=0.9, help="inner sample radius")),
@@ -208,8 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
     grid = ("grid-radii", "grid-angles", "tolerance")
     # name -> (handler, help, the flags it reads, defaults); any other flag exits 2
     commands = {
-        "construct": (cmd_construct, "canonicalize a function spec or emit a random measure",
-                      ("input", "output", "samples", "seed"), dict(samples=256)),
+        "construct": (cmd_construct, "canonicalize a function spec, or emit a random measure of --samples atoms "
+                      "(256 if not given) for --seed",
+                      ("input", "output", "samples", "seed"), {}),
         "check": (cmd_check, "run verification checks on a function spec",
                   ("input", "output", *grid, "checks"), {}),
         "distort": (cmd_check, "distortion-theorem suite: check --checks distortion,derivative-disk",
@@ -236,7 +240,7 @@ def main(argv=None) -> int:
     try:
         if args.fn in (cmd_check, cmd_cover, cmd_render) and not args.input:
             raise ValueError("--input is required for this command")
-        if getattr(args, "samples", 1) < 1:
+        if getattr(args, "samples", None) is not None and args.samples < 1:
             raise ValueError("--samples must be at least 1")
         if not 0.0 <= getattr(args, "tolerance", 0.0) < math.inf:
             raise ValueError("--tolerance must be finite and at least 0")

@@ -46,8 +46,8 @@ NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
 RADIAL_EXPONENTS = (3, 4, 5, 6)  # radii 1 - 10**-k used for radial limits
 
 
-def _in_admissible_region(mu: complex, tol: float = OMEGA_TOL) -> bool:
-    return abs(mu - 1.0) <= 1.0 + tol and abs(mu) > NODE_TOL
+def _in_admissible_region(mu: complex) -> bool:
+    return abs(mu - 1.0) <= 1.0 + OMEGA_TOL and abs(mu) > NODE_TOL
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,8 @@ Factor = Tuple[complex, complex]
 class ProductForm:
     """Exponent data (prefactor p, factors (c_j, e_j)) of a disk map.
 
-    Immutable; all evaluations are pure, so instances are safe to share
-    across threads and grids may be evaluated in any order.
+    Immutable, and every evaluation is a pure function of it, so grids
+    may be evaluated in any order with the same results.
     """
 
     prefactor: complex
@@ -116,12 +116,10 @@ class ProductForm:
     def exponents(self) -> np.ndarray:
         return np.asarray([e for _, e in self.factors], dtype=np.complex128)
 
-    def to_dict(self, params: "ClassParams | None" = None) -> dict:
-        d: dict = {}
-        if params is not None:
-            d["mu"] = [params.mu.real, params.mu.imag]
-            d["beta"] = params.beta
-        if params is None or self.prefactor != params.mu:
+    def to_dict(self, params: ClassParams) -> dict:
+        """Spec form under params; the prefactor is written only when it is not mu."""
+        d: dict = {"mu": [params.mu.real, params.mu.imag], "beta": params.beta}
+        if self.prefactor != params.mu:
             d["prefactor"] = [self.prefactor.real, self.prefactor.imag]
         d["factors"] = [
             {"node": [c.real, c.imag], "exponent": [e.real, e.imag]}

@@ -27,7 +27,7 @@ from .functions import (
     evaluate,
     _in_admissible_region,
 )
-from .verification import InteriorSpirallikeMap, VerificationReport, _report
+from .verification import PASS_TOL, InteriorSpirallikeMap, VerificationReport, _report
 
 __all__ = [
     "PolyLine",
@@ -421,7 +421,7 @@ def wedge_margin(exponent: complex, rotation: float, log_w) -> np.ndarray | floa
     return float(out) if np.ndim(log_w) == 0 else out
 
 
-def check_wedge_containment(f: ProductForm, tolerance: float = 1e-9) -> VerificationReport:
+def check_wedge_containment(f: ProductForm, tolerance: float = PASS_TOL) -> VerificationReport:
     """Image samples of f stay inside the wedge of its own boundary asymptotics.
 
     f is sampled at 512 points of |z| = 0.999.  Only containment is

@@ -32,6 +32,18 @@ SUM_RESCALE_TOL = 1e-6  # deviations up to this are renormalized, beyond is an e
 ON_CIRCLE_TOL = 4 * np.finfo(np.float64).eps
 
 
+def _as_float(v) -> float:
+    """A JSON number as a float; booleans, strings and integers beyond float range raise ValueError."""
+    if isinstance(v, float):  # first: nearly every value read is one, and this test is the cheapest
+        return float(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            raise ValueError("integer too large for a float") from None
+    raise ValueError(f"expected a number, got {v!r}")
+
+
 def _angular_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Angle order of the atoms and the chord from each sorted atom to the next.
 
@@ -48,8 +60,8 @@ def _angular_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class AtomicCircleMeasure:
     """Nonnegative point masses on |zeta| = 1 with total mass 1.
 
-    Instances are produced by :func:`make_measure` and are immutable;
-    the arrays are safe to share across threads.
+    Instances are produced by :func:`make_measure` and are immutable:
+    the arrays are read-only.
     """
 
     points: np.ndarray = field(repr=False)
@@ -93,7 +105,7 @@ class AtomicCircleMeasure:
 
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicCircleMeasure":
-        atoms = [(float(a["angle"]), float(a["weight"])) for a in data["atoms"]]
+        atoms = [(_as_float(a["angle"]), _as_float(a["weight"])) for a in data["atoms"]]
         if not all(math.isfinite(angle) for angle, _ in atoms):
             raise ValueError("non-finite atom angle")
         return make_measure([(np.exp(1j * angle), w) for angle, w in atoms])

@@ -12,7 +12,7 @@ import json
 from typing import Any
 
 from .functions import ClassParams, ProductForm, construct
-from .measures import AtomicCircleMeasure
+from .measures import AtomicCircleMeasure, _as_float
 
 __all__ = [
     "fmt",
@@ -59,11 +59,9 @@ def dumps_spec(obj: Any) -> str:
 
 
 def _as_complex(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(float(v), 0.0)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"expected a number or [re, im] pair, got {v!r}")
+        return complex(_as_float(v[0]), _as_float(v[1]))
+    return complex(_as_float(v), 0.0)
 
 
 def load_function_spec(data: dict) -> tuple[ProductForm, ClassParams]:
@@ -76,7 +74,7 @@ def load_function_spec(data: dict) -> tuple[ProductForm, ClassParams]:
         raise ValueError("function spec must be a JSON object")
     try:
         mu = _as_complex(data["mu"])
-        beta = float(data["beta"])
+        beta = _as_float(data["beta"])
     except KeyError as exc:
         raise ValueError(f"function spec missing key {exc}") from exc
     params = ClassParams(mu, beta)

@@ -4,7 +4,7 @@ Each check reduces to a margin that is nonnegative exactly when the
 corresponding inequality holds; a grid scan reports the worst margin,
 its location, and passes when the worst margin clears -tolerance.
 Margins are O(1)-O(100) on the default grid, so the default tolerance
-1e-9 sits orders of magnitude above double-precision round-off.
+PASS_TOL sits orders of magnitude above double-precision round-off.
 
 Every margin is built from three quantities of the map on the grid:
 log f, f'/f and Log(1-z).  A GridEvaluation computes each of them at
@@ -35,9 +35,7 @@ __all__ = [
     "check_distortion",
     "derivative_functional",
     "check_derivative_disk",
-    "ValueBounds",
     "modulus_arg_bounds",
-    "DerivativeBounds",
     "derivative_bounds",
     "check_value_bounds",
     "check_derivative_value_bounds",

@@ -66,6 +66,34 @@ class TestLoadSpec:
         with pytest.raises(ValueError):
             load_function_spec({"mu": 1.0, "beta": 0.0})
 
+    # a boolean or a string where a number belongs, in each numeric field
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {**EXAMPLE_SPEC, "mu": True},
+            {**EXAMPLE_SPEC, "mu": ["1", "0"]},
+            {**EXAMPLE_SPEC, "beta": "0.5"},
+            {**EXAMPLE_SPEC, "beta": False},
+            {**EXAMPLE_SPEC, "factors": [{"node": [True, False], "exponent": [0.2, 0.0]}]},
+            {**EXAMPLE_SPEC, "factors": [{"node": [0.9, 0.4], "exponent": ["0.2", 0]}]},
+            {"mu": 1.0, "beta": 0.5, "measure": {"atoms": [{"angle": "0", "weight": "1"}]}},
+        ],
+        ids=["mu-bool", "mu-strings", "beta-string", "beta-bool", "node-bools", "exponent-string", "atom-strings"],
+    )
+    def test_non_number_rejected(self, spec, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(spec))
+        assert main(["check", "-i", str(src), "-o", str(out)]) == 2
+        assert "expected a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text('{"mu": 1, "beta": 0, "factors": [{"node": [0, 0], "exponent": [1' + "0" * 400 + ', 0]}]}')
+        assert main(["check", "-i", str(src), "-o", str(out)]) == 2
+        assert "too large" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDumps:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("inf"))])
@@ -128,6 +156,13 @@ class TestConstruct:
 
     def test_needs_input_or_seed(self, capsys):
         assert main(["construct"]) == 2
+
+    # --input reads neither flag, so giving one with it is a usage error
+    @pytest.mark.parametrize("flags", [["--seed", "5"], ["--samples", "3"], ["--seed", "5", "--samples", "3"]])
+    def test_input_rejects_seed_and_samples(self, flags, example_path, tmp_path):
+        out = tmp_path / "out.json"
+        assert main(["construct", "-i", example_path, *flags, "-o", str(out)]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("angle", ["Infinity", "-Infinity", "NaN"])
     def test_non_finite_angle_rejected(self, angle, tmp_path, capsys):
