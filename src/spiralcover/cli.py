@@ -120,7 +120,7 @@ def cmd_check(args) -> int:
         for name in names:
             if name not in CHECKS:
                 raise ValueError(f"unknown check {name!r}")
-    ev = GridEvaluation(f, _grid_from_args(args))
+    ev = GridEvaluation(f, _grid_from_args(args).points())
     reports = [CHECKS[name][0](ev, params, args.tolerance) for name in names]
     passed = all(r.passed for r in reports)
     _write(args.output, dumps({"checks": [r.to_dict() for r in reports], "passed": passed}))

@@ -197,9 +197,8 @@ def eval_log(f: ProductForm, z):
 
 def evaluate(f: ProductForm, z):
     """f(z) = exp(eval_log(f, z))."""
-    zz, scalar = _as_points(z)
-    out = np.exp(eval_log(f, zz))
-    return complex(out[0]) if scalar else out
+    out = np.exp(eval_log(f, z))
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 def log_derivative(f: ProductForm, z):

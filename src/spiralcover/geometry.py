@@ -101,13 +101,22 @@ class Disk:
             raise ValueError("disk radius must be nonnegative")
 
 
+def _curve_values(fn: Callable[[np.ndarray], np.ndarray], rho: float, thetas: np.ndarray) -> np.ndarray:
+    """fn at rho*e^{i*theta}; DomainError when a value overflows, with or without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(fn(rho * np.exp(1j * thetas)), dtype=np.complex128)
+    if not np.all(np.isfinite(values)):
+        raise DomainError("boundary curve overflows: the map is not finite on |z| = rho")
+    return values
+
+
 def _adaptive_closed_curve(
     fn: Callable[[np.ndarray], np.ndarray],
     rho: float,
     n: int,
 ) -> PolyLine:
     thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
-    values = np.asarray(fn(rho * np.exp(1j * thetas)), dtype=np.complex128)
+    values = _curve_values(fn, rho, thetas)
     budget = 16 * n
 
     for _ in range(64):
@@ -136,7 +145,7 @@ def _adaptive_closed_curve(
             order = np.argsort(-(chords[idx] / local[idx]))
             idx = idx[order[:room]]
         new_thetas = thetas[idx] + gaps[idx] / 2.0
-        new_values = np.asarray(fn(rho * np.exp(1j * new_thetas)), dtype=np.complex128)
+        new_values = _curve_values(fn, rho, new_thetas)
         thetas = np.concatenate([thetas, new_thetas])
         values = np.concatenate([values, new_values])
         order = np.argsort(thetas)
@@ -156,7 +165,7 @@ def boundary_curve(f: ProductForm, rho: float, n: int = 256) -> PolyLine:
 
     Segments are bisected while their chord exceeds REFINE_TOL times
     the local modulus scale or the turning angle exceeds MAX_TURN, up to
-    16*n points.
+    16*n points.  A map that overflows on the circle raises DomainError.
     """
     if not 0.0 < rho < 1.0:
         raise DomainError("rho must lie in (0, 1)")

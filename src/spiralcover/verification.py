@@ -1,21 +1,23 @@
-"""Numerical verification of the class inequalities on sampling grids.
+"""Numerical verification of the class inequalities at sets of points.
 
 Each check reduces to a margin that is nonnegative exactly when the
-corresponding inequality holds; a grid scan reports the worst margin,
-its location, and passes when the worst margin clears -tolerance.
-Margins are O(1)-O(100) on the default grid, so the default tolerance
-PASS_TOL sits orders of magnitude above double-precision round-off.
+corresponding inequality holds; a scan reports the worst margin over
+the points, its location, and passes when the worst margin clears
+-tolerance.  Margins are O(1)-O(100) on the default grid, so the
+default tolerance PASS_TOL sits orders of magnitude above
+double-precision round-off.
 
-Every margin is built from three quantities of the map on the grid:
+Every margin is built from three quantities of the map at the points:
 log f, f'/f and Log(1-z).  A GridEvaluation computes each of them at
-most once, when a check first reads it, and every check takes one.
+most once, when a margin first reads it.  Each margin is one function
+of a GridEvaluation, which the matching check scans.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -49,8 +51,8 @@ __all__ = [
 ]
 
 PASS_TOL = 1e-9
-# shifts of the growth scan per eval_log call: 4 blocks of 8 beat both 32 calls over
-# one grid each and one call over all 32 grids, which is slower and needs more memory
+# shifts of the growth scan per eval_log call: 4 blocks of 8 beat both 32 calls of one
+# shift each and one call over all 32 shifts, which is slower and needs more memory
 GROWTH_BLOCK = 8
 
 
@@ -89,17 +91,18 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridEvaluation:
-    """A map on a grid: points, log f, f'/f and Log(1-z), each computed on first read.
+    """One map at a set of points: log f, f'/f and Log(1-z), each computed on first read.
 
-    The arrays are read-only, because every check reads the same ones.
+    The points (the default grid unless given; a scalar is one point) are
+    kept as a 1-d complex copy.  The arrays are read-only, because every
+    margin reads the same ones.
     """
 
     f: ProductForm
-    grid: GridSpec = DEFAULT_GRID
+    points: np.ndarray = field(default_factory=DEFAULT_GRID.points)
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        return _read_only(self.grid.points())
+    def __post_init__(self):
+        object.__setattr__(self, "points", _read_only(np.array(self.points, dtype=np.complex128).ravel()))
 
     @cached_property
     def log_f(self) -> np.ndarray:
@@ -152,16 +155,11 @@ def _report(check: str, margins: np.ndarray, locations: np.ndarray, tol: float) 
     )
 
 
-def _class_margin(params: ClassParams, z, dlog):
-    expr = (2.0 / params.mu) * z * dlog + (1.0 + z) / (1.0 - z)
-    return expr.real - params.beta
-
-
-def class_margin(f: ProductForm, params: ClassParams, z):
+def class_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     """Re((2/mu)*z*f'/f + (1+z)/(1-z)) - beta; positive where the class inequality holds."""
-    zz = np.asarray(z, dtype=np.complex128)
-    out = _class_margin(params, zz, log_derivative(f, zz))
-    return float(out) if np.ndim(z) == 0 else out
+    z = ev.points
+    expr = (2.0 / params.mu) * z * ev.dlog_f + (1.0 + z) / (1.0 - z)
+    return expr.real - params.beta
 
 
 def check_membership(
@@ -169,31 +167,25 @@ def check_membership(
     params: ClassParams,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    """Minimum class margin over the grid, excluding the z = 1 neighborhood."""
-    return _report("membership", _class_margin(params, ev.points, ev.dlog_f), ev.points, tolerance)
+    """Minimum class margin over the points."""
+    return _report("membership", class_margin(ev, params), ev.points, tolerance)
 
 
-def distortion_coefficient(f: ProductForm, params: ClassParams, z):
+def _ratio_log(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
+    """q = Log(1-z) - log f/mu, the canonical log of (1-z)/f**(1/mu)."""
+    return ev.log_1mz - ev.log_f / params.mu
+
+
+def distortion_coefficient(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     """The coefficient lambda(z) with (1-z)/f(z)**(1/mu) = (1 + lambda*z)**(1-beta).
 
     Computed from the canonical log q = Log(1-z) - eval_log(f,z)/mu as
     (exp(q/(1-beta)) - 1)/z.  Class members satisfy |lambda| <= 1, with
     equality exactly for the single-atom extremals.
     """
-    zz = np.asarray(z, dtype=np.complex128)
-    if np.any(zz == 0):
+    if np.any(ev.points == 0):
         raise DomainError("lambda is undefined at z = 0")
-    out = _distortion_coefficient(params, zz, eval_log(f, zz), log_principal(1.0 - zz))
-    return complex(out) if np.ndim(z) == 0 else out
-
-
-def _ratio_log(params: ClassParams, log_f, log_1mz):
-    """q = Log(1-z) - log f/mu, the canonical log of (1-z)/f**(1/mu)."""
-    return log_1mz - log_f / params.mu
-
-
-def _distortion_coefficient(params: ClassParams, z, log_f, log_1mz):
-    return (np.exp(_ratio_log(params, log_f, log_1mz) / (1.0 - params.beta)) - 1.0) / z
+    return (np.exp(_ratio_log(ev, params) / (1.0 - params.beta)) - 1.0) / ev.points
 
 
 def check_distortion(
@@ -201,26 +193,18 @@ def check_distortion(
     params: ClassParams,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    """Worst margin of 1 - |lambda(z)| over the grid."""
-    lam = _distortion_coefficient(params, ev.points, ev.log_f, ev.log_1mz)
-    return _report("distortion-coefficient", 1.0 - np.abs(lam), ev.points, tolerance)
+    """Worst margin of 1 - |lambda(z)| over the points."""
+    return _report("distortion-coefficient", 1.0 - np.abs(distortion_coefficient(ev, params)), ev.points, tolerance)
 
 
-def derivative_functional(f: ProductForm, params: ClassParams, z):
-    """Value, center, radius of the derivative-functional disk.
+def derivative_functional(ev: GridEvaluation, params: ClassParams):
+    """Value, center, radius of the derivative-functional disk, as arrays over the points.
 
     value = f'/(mu*f) + 1/(1-z) must satisfy |value - center| <= radius
     with center (1-beta)*conj(z)/(1-|z|^2), radius (1-beta)/(1-|z|^2).
     """
-    zz = np.asarray(z, dtype=np.complex128)
-    value, center, radius = _derivative_functional(params, zz, log_derivative(f, zz))
-    if np.ndim(z) == 0:
-        return complex(value), complex(center), float(radius)
-    return value, center, radius
-
-
-def _derivative_functional(params: ClassParams, z, dlog):
-    value = dlog / params.mu + 1.0 / (1.0 - z)
+    z = ev.points
+    value = ev.dlog_f / params.mu + 1.0 / (1.0 - z)
     denom = 1.0 - np.abs(z) ** 2
     center = (1.0 - params.beta) * np.conj(z) / denom
     radius = (1.0 - params.beta) / denom
@@ -232,7 +216,8 @@ def check_derivative_disk(
     params: ClassParams,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    value, center, radius = _derivative_functional(params, ev.points, ev.dlog_f)
+    """Worst margin of radius - |value - center| over the points."""
+    value, center, radius = derivative_functional(ev, params)
     return _report("derivative-disk", radius - np.abs(value - center), ev.points, tolerance)
 
 
@@ -312,8 +297,8 @@ def check_value_bounds(
     params: ClassParams,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    """Worst margin over all applicable modulus/argument envelopes."""
-    q = _ratio_log(params, ev.log_f, ev.log_1mz)
+    """Worst margin over all applicable modulus/argument envelopes at the points."""
+    q = _ratio_log(ev, params)
     ratio_mod = np.exp(q.real)
     b = modulus_arg_bounds(params, ev.points)
     margins = [ratio_mod - b.mod_lo, b.mod_hi - ratio_mod, b.arg_cap - np.abs(q.imag)]
@@ -328,27 +313,21 @@ def check_derivative_value_bounds(
     params: ClassParams,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    """Worst margin of lower <= |f'| <= upper <= simple_upper over the grid."""
+    """Worst margin of lower <= |f'| <= upper <= simple_upper over the points."""
     fd = np.exp(ev.log_f.real) * np.abs(ev.dlog_f)
     b = derivative_bounds(params, ev.points)
     margins = np.min([fd - b.lower, b.upper - fd, b.simple_upper - b.upper], axis=0)
     return _report("derivative-bounds", margins, ev.points, tolerance)
 
 
-def schwarz_function(f: ProductForm, params: ClassParams, z):
+def schwarz_function(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     """The Schwarz function of the subordination f/(1-z)**mu < (1-z)**(-mu*(1-beta)).
 
     omega(z) = 1 - exp(-(eval_log(f,z) - mu*Log(1-z))/(mu*(1-beta)));
     |omega(z)| <= |z| and omega(0) = 0 certify the subordination, with
     |omega| = |z| exactly for single-atom members.
     """
-    zz = np.asarray(z, dtype=np.complex128)
-    out = _schwarz_function(params, eval_log(f, zz), log_principal(1.0 - zz))
-    return complex(out) if np.ndim(z) == 0 else out
-
-
-def _schwarz_function(params: ClassParams, log_f, log_1mz):
-    inner = (log_f - params.mu * log_1mz) / (params.mu * (1.0 - params.beta))
+    inner = (ev.log_f - params.mu * ev.log_1mz) / (params.mu * (1.0 - params.beta))
     return 1.0 - np.exp(-inner)
 
 
@@ -357,8 +336,8 @@ def check_schwarz(
     params: ClassParams,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    omega = _schwarz_function(params, ev.log_f, ev.log_1mz)
-    return _report("schwarz", np.abs(ev.points) - np.abs(omega), ev.points, tolerance)
+    """Worst margin of |z| - |omega(z)| over the points."""
+    return _report("schwarz", np.abs(ev.points) - np.abs(schwarz_function(ev, params)), ev.points, tolerance)
 
 
 @dataclass(frozen=True)
@@ -387,14 +366,15 @@ class InteriorSpirallikeMap:
         out = eval_log(self.source, zz) - self.params.mu * log_principal(1.0 - zz)
         return complex(out) if np.ndim(z) == 0 else out
 
-    def spiral_margin(self, z):
-        """Re(exp(-i*phi)*z*s'/s) - order via z*s'/s = 1 + z*f'/f + mu*z/(1-z)."""
-        zz = np.asarray(z, dtype=np.complex128)
-        out = self._spiral_margin(zz, log_derivative(self.source, zz))
-        return float(out) if np.ndim(z) == 0 else out
+    def spiral_margin(self, ev: GridEvaluation) -> np.ndarray:
+        """Re(exp(-i*phi)*z*s'/s) - order via z*s'/s = 1 + z*f'/f + mu*z/(1-z).
 
-    def _spiral_margin(self, z, dlog):
-        zs = 1.0 + z * dlog + self.params.mu * z / (1.0 - z)
+        ev must evaluate the source map f.
+        """
+        if ev.f != self.source:
+            raise ValueError("the evaluation is not of this map's source")
+        z = ev.points
+        zs = 1.0 + z * ev.dlog_f + self.params.mu * z / (1.0 - z)
         return (cmath.exp(-1j * self.phi) * zs).real - self.order
 
 
@@ -415,16 +395,18 @@ def check_interior_identity(
 ) -> VerificationReport:
     """Exact algebra: spiral margin == (r/2) * class margin, no inequality slack."""
     s = to_interior_spirallike(ev.f, params)
-    pts, dlog = ev.points, ev.dlog_f
-    dev = np.abs(s._spiral_margin(pts, dlog) - 0.5 * params.radius * _class_margin(params, pts, dlog))
-    return _report("interior-identity", -dev, pts, tolerance)
+    dev = np.abs(s.spiral_margin(ev) - 0.5 * params.radius * class_margin(ev, params))
+    return _report("interior-identity", -dev, ev.points, tolerance)
 
 
-def _growth_margins(f: ProductForm, params: ClassParams, zz: np.ndarray, ts, log_f, log_1mz) -> np.ndarray:
-    """growth_margin at each shift t of ts (one row each) over the 1-d points zz.
+def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
+    """RHS - LHS of the spiral growth inequality, one row per shift t of ts.
 
-    log_f and log_1mz are log f and Log(1-z) at zz; the shifted points are
-    evaluated GROWTH_BLOCK shifts per eval_log call.
+    For 0 < t < 2*cos(arg mu) the point z*(1 - exp(-i*phi)*t) stays in
+    the disk and |f| there is controlled by |((1-z')/(1-z))**mu| times
+    (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  Moduli are taken branch
+    safely through exp(Re(eval_log)); the shifted points are evaluated
+    GROWTH_BLOCK shifts per eval_log call.
     """
     phi = params.phi
     cos2 = 2.0 * math.cos(phi)
@@ -435,27 +417,14 @@ def _growth_margins(f: ProductForm, params: ClassParams, zz: np.ndarray, ts, log
     rows = []
     for i in range(0, len(ts), GROWTH_BLOCK):
         block = ts[i : i + GROWTH_BLOCK]
-        shifted = zz * np.array([[1.0 - rot * t] for t in block])
+        shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
         if np.any(np.abs(shifted) >= 1.0):
             raise DomainError("shifted point outside the disk")
-        lhs = np.exp((eval_log(f, shifted) - log_f).real)
-        log_ratio = params.mu * (log_principal(1.0 - shifted) - log_1mz)
+        lhs = np.exp((eval_log(ev.f, shifted) - ev.log_f).real)
+        log_ratio = params.mu * (log_principal(1.0 - shifted) - ev.log_1mz)
         rhs = np.exp(log_ratio.real) * np.array([[(1.0 - t / cos2) ** power] for t in block])
         rows.append(rhs - lhs)
     return np.concatenate(rows)
-
-
-def growth_margin(f: ProductForm, params: ClassParams, z, t: float):
-    """RHS - LHS of the spiral growth inequality at shift parameter t.
-
-    For 0 < t < 2*cos(arg mu) the point z*(1 - exp(-i*phi)*t) stays in
-    the disk and |f| there is controlled by |((1-z')/(1-z))**mu| times
-    (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  Moduli are taken branch
-    safely through exp(Re(eval_log)).
-    """
-    zz = np.asarray(z, dtype=np.complex128).ravel()
-    out = _growth_margins(f, params, zz, [t], eval_log(f, zz), log_principal(1.0 - zz))[0]
-    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def check_growth(
@@ -463,12 +432,11 @@ def check_growth(
     params: ClassParams,
     tolerance: float = PASS_TOL,
 ) -> VerificationReport:
-    """Scan the growth inequality on the grid times a fixed open t-grid.
+    """Scan the growth inequality at the points times a fixed open t-grid.
 
     The claim quantifies over all t in (0, 2*cos(phi)); the scan takes the
-    32 values 2*cos(phi)*k/33, k = 1..32, and counts only the grid points.
+    32 values 2*cos(phi)*k/33, k = 1..32, and counts only the points.
     """
     cos2 = 2.0 * math.cos(params.phi)
     ts = [cos2 * k / 33.0 for k in range(1, 33)]
-    margins = _growth_margins(ev.f, params, ev.points, ts, ev.log_f, ev.log_1mz)
-    return _report("growth", margins.min(axis=0), ev.points, tolerance)
+    return _report("growth", growth_margin(ev, params, ts).min(axis=0), ev.points, tolerance)

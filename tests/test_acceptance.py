@@ -43,9 +43,9 @@ def test_criterion_02_distortion_suite(population):
     pts = sc.DEFAULT_GRID.points()
     worst_lam, worst_disk = math.inf, math.inf
     for entry in population:
-        lam = sc.distortion_coefficient(entry.f, entry.params, pts)
+        lam = sc.distortion_coefficient(sc.GridEvaluation(entry.f, pts), entry.params)
         worst_lam = min(worst_lam, float(np.min(1.0 - np.abs(lam))))
-        value, center, radius = sc.derivative_functional(entry.f, entry.params, pts)
+        value, center, radius = sc.derivative_functional(sc.GridEvaluation(entry.f, pts), entry.params)
         worst_disk = min(worst_disk, float(np.min(radius - np.abs(value - center))))
     assert worst_lam >= -1e-9
     assert worst_disk >= -1e-9
@@ -55,9 +55,9 @@ def test_criterion_02_distortion_suite(population):
         params = draw_params(rng)
         xi = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         f = sc.extremal(params, xi)
-        lam = sc.distortion_coefficient(f, params, pts)
+        lam = sc.distortion_coefficient(sc.GridEvaluation(f, pts), params)
         assert np.max(np.abs(np.abs(lam) - 1.0)) <= 1e-9
-        value, center, radius = sc.derivative_functional(f, params, 0.0)
+        value, center, radius = sc.derivative_functional(sc.GridEvaluation(f, 0.0), params)
         assert abs(abs(value - center) - radius) <= 1e-9
     report(
         "criterion 2 (distortion suite)",
@@ -150,7 +150,7 @@ def test_criterion_06_schwarz_suite(population):
     pts = sc.DEFAULT_GRID.points()
     worst = math.inf
     for entry in population:
-        omega = sc.schwarz_function(entry.f, entry.params, pts)
+        omega = sc.schwarz_function(sc.GridEvaluation(entry.f, pts), entry.params)
         worst = min(worst, float(np.min(np.abs(pts) - np.abs(omega))))
     assert worst >= -1e-9
 
@@ -159,7 +159,7 @@ def test_criterion_06_schwarz_suite(population):
         params = draw_params(rng)
         zeta = complex(np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
         f = sc.construct(params, sc.make_measure([(zeta, 1.0)]))
-        omega = sc.schwarz_function(f, params, pts)
+        omega = sc.schwarz_function(sc.GridEvaluation(f, pts), params)
         assert np.max(np.abs(np.abs(omega) - np.abs(pts))) <= 1e-12
     report("criterion 6 (schwarz suite)", f"worst contraction margin {worst:.3e}")
 

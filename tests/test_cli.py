@@ -1,6 +1,10 @@
 import collections
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from xml.etree import ElementTree
 
 import pytest
@@ -8,6 +12,8 @@ import pytest
 from spiralcover import GridEvaluation, check_derivative_disk, random_measure, verification
 from spiralcover.cli import CHECKS, main
 from spiralcover.serialize import dumps, dumps_spec, load_function_spec
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXAMPLE_SPEC = {
     "mu": 1.0,
@@ -19,6 +25,9 @@ EXAMPLE_SPEC = {
 }
 
 CORE_SPEC = {"mu": 1.0, "beta": 0.6, "prefactor": [0.6, 0.0], "factors": []}
+
+# f = (1-z)/(1-z/2)**1e300: finite exponent data whose values overflow on every curve
+OVERFLOW_SPEC = {"mu": 1, "beta": 0.5, "factors": [{"node": [0.5, 0], "exponent": [1e300, 0]}]}
 
 # the six grid checks of spiralbench's wide-measure workload
 WIDE_CHECKS = "membership,distortion,derivative-disk,schwarz,value-bounds,interior-identity"
@@ -414,17 +423,45 @@ class TestCover:
             digest.update(out.read_bytes())
         assert digest.hexdigest() == self.COVER_DIGESTS[kind]
 
-    def test_report_ignores_thread_variable(self, population, tmp_path, monkeypatch):
-        # a failing input: its worst margin is that of a failing sample
-        specs, _ = self.cover_specs("bare-power-5", population)
+    def test_overflowing_curve_rejected(self, tmp_path):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps(OVERFLOW_SPEC))
+        assert main(["cover", "-i", str(src), "-o", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestEnvironment:
+    # NPY_DISABLE_CPU_FEATURES is left out: it changes numpy's SIMD dispatch,
+    # which moves some margins in the 12th digit (see the CHECK_DIGESTS note)
+    ENVIRONMENTS = (
+        {"PYTHONHASHSEED": "0", "LC_ALL": "C", "OMP_NUM_THREADS": "1", "SPIRALCOVER_THREADS": "1"},
+        {"PYTHONHASHSEED": "4099", "LC_ALL": "C.UTF-8", "OMP_NUM_THREADS": "2", "SPIRALCOVER_THREADS": "2"},
+    )
+
+    def test_report_bytes_do_not_depend_on_environment(self, population, tmp_path):
+        """`check --checks all` and a failing `cover` write the same bytes under each environment."""
         src = tmp_path / "in.json"
-        src.write_text(dumps(specs[0]))
-        outs = []
-        for threads in ("1", "2"):
-            monkeypatch.setenv("SPIRALCOVER_THREADS", threads)
-            outs.append(tmp_path / f"out{threads}.json")
-            assert main(["cover", "-i", str(src), "--samples", "64", "-o", str(outs[-1])]) == 1
-        assert outs[0].read_bytes() == outs[1].read_bytes()
+        src.write_text(dumps(population[0].f.to_dict(population[0].params)))
+        # (1-z)**(mu*b) declared with a larger beta: a failing cover, whose worst margin is a failing sample
+        failing = TestCover.cover_specs("bare-power-5", population)[0][0]
+        (tmp_path / "fail.json").write_text(dumps(failing))
+        runs = {
+            "check": (["check", "-i", str(src), "--checks", "all"], 0),
+            "cover": (["cover", "-i", str(tmp_path / "fail.json"), "--samples", "64"], 1),
+        }
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        for name, (argv, code) in runs.items():
+            outs = []
+            for k, extra in enumerate(self.ENVIRONMENTS):
+                out = tmp_path / f"{name}{k}.json"
+                proc = subprocess.run(
+                    [sys.executable, "-m", "spiralcover.cli", *argv, "-o", str(out)],
+                    env={**env, **extra},
+                    capture_output=True,
+                )
+                assert proc.returncode == code, proc.stderr
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], name
 
 
 class TestSamples:
@@ -551,6 +588,14 @@ class TestRender:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "re,im"
         assert len(lines) >= 257
+
+    @pytest.mark.parametrize("suffix", ["svg", "csv"])
+    def test_overflowing_curve_rejected(self, suffix, tmp_path):
+        # exp(log f) overflows on |z| = rho: exit 2 before any file is written
+        src, out = tmp_path / "in.json", tmp_path / f"out.{suffix}"
+        src.write_text(dumps(OVERFLOW_SPEC))
+        assert main(["render", "-i", str(src), "-o", str(out)]) == 2
+        assert not out.exists()
 
     def test_curve_csv_rejects_multiple(self, tmp_path):
         path = tmp_path / "two.json"

@@ -69,11 +69,11 @@ class TestClassMargin:
         params = ClassParams(1.2 + 0.3j, 0.35)
         f = construct(params, random_measure(3, 1))
         # z = 0 kills the derivative term: margin is 1 - beta for any map
-        assert class_margin(f, params, 0.0) == pytest.approx(1.0 - params.beta)
+        assert class_margin(GridEvaluation(f, 0.0), params) == pytest.approx(1.0 - params.beta)
 
     def test_worked_example_origin(self, worked_example):
         f, params = worked_example
-        assert class_margin(f, params, 0.0) == pytest.approx(0.4)
+        assert class_margin(GridEvaluation(f, 0.0), params) == pytest.approx(0.4)
 
     def test_core_real_axis_formula(self):
         # direct substitution gives (1 + r - 2*beta*r)/(1 - r) - beta
@@ -82,7 +82,7 @@ class TestClassMargin:
             f = core_function(params)
             for r in (0.1, 0.5, 0.9):
                 expected = (1 + r - 2 * beta * r) / (1 - r) - beta
-                assert class_margin(f, params, r) == pytest.approx(expected)
+                assert class_margin(GridEvaluation(f, r), params) == pytest.approx(expected)
 
 
 class TestGridEvaluation:
@@ -94,10 +94,20 @@ class TestGridEvaluation:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.0
 
+    def test_points_are_a_flat_read_only_copy(self):
+        f = ProductForm(1.0)
+        pts = np.array([[0.1, 0.2j], [0.3, -0.4]])
+        ev = GridEvaluation(f, pts)
+        assert ev.points.shape == (4,) and ev.points.dtype == np.complex128
+        assert np.array_equal(ev.points, pts.ravel())
+        assert pts.flags.writeable
+        assert GridEvaluation(f, 0.5).points.tolist() == [0.5]
+        assert np.array_equal(GridEvaluation(f).points, sc.DEFAULT_GRID.points())
+
     def test_matches_direct_evaluation(self, worked_example, grid):
         f = worked_example[0]
-        ev = GridEvaluation(f, grid)
         pts = grid.points()
+        ev = GridEvaluation(f, pts)
         assert np.array_equal(ev.points, pts)
         assert np.array_equal(ev.log_f, eval_log(f, pts))
         assert np.array_equal(ev.dlog_f, sc.log_derivative(f, pts))
@@ -127,7 +137,7 @@ class TestDistortion:
         xi = cmath.exp(1.1j)
         f = extremal(params, xi)
         pts = sc.DEFAULT_GRID.points()
-        lam = distortion_coefficient(f, params, pts)
+        lam = distortion_coefficient(GridEvaluation(f, pts), params)
         assert np.max(np.abs(np.abs(lam) - 1.0)) <= 1e-9
         # oracle: (1-z)/f**(1/mu) = (1 - z*conj(xi))**(1-beta), so the
         # coefficient is -conj(xi) for every z
@@ -135,7 +145,7 @@ class TestDistortion:
 
     def test_core_constant_minus_one(self):
         params = ClassParams(1.0, 0.6)
-        lam = distortion_coefficient(core_function(params), params, 0.3 + 0.4j)
+        lam = distortion_coefficient(GridEvaluation(core_function(params), 0.3 + 0.4j), params)
         assert lam == pytest.approx(-1.0)
 
     def test_two_atoms_strictly_interior(self):
@@ -150,34 +160,34 @@ class TestDistortion:
         # |exp(q/(1-beta)) - 1| = |lambda*z| <= 1 everywhere
         for entry in population[:10]:
             pts = sc.DEFAULT_GRID.points()
-            lam = distortion_coefficient(entry.f, entry.params, pts)
+            lam = distortion_coefficient(GridEvaluation(entry.f, pts), entry.params)
             assert np.max(np.abs(lam * pts)) <= 1.0 + 1e-9
 
     def test_rejected_at_origin(self):
         params = ClassParams(1.0, 0.0)
         with pytest.raises(DomainError):
-            distortion_coefficient(core_function(params), params, 0.0)
+            distortion_coefficient(GridEvaluation(core_function(params), 0.0), params)
 
 
 class TestDerivativeFunctional:
     def test_origin_disk(self):
         params = ClassParams(1.0 + 0.7j, 0.3)
         f = construct(params, random_measure(4, 6))
-        value, center, radius = derivative_functional(f, params, 0.0)
+        value, center, radius = derivative_functional(GridEvaluation(f, 0.0), params)
         assert center == 0.0
         assert radius == pytest.approx(1.0 - params.beta)
         assert abs(value) <= radius + 1e-12
 
     def test_core_sits_on_boundary_at_origin(self):
         params = ClassParams(1.4, 0.45)
-        value, center, radius = derivative_functional(core_function(params), params, 0.0)
+        value, center, radius = derivative_functional(GridEvaluation(core_function(params), 0.0), params)
         assert value == pytest.approx(1.0 - params.beta)
         assert abs(value - center) == pytest.approx(radius)
 
     def test_two_atom_strict_interior(self):
         params = ClassParams(1.0, 0.2)
         f = construct(params, make_measure([(1.0j, 0.5), (-1.0j, 0.5)]))
-        value, center, radius = derivative_functional(f, params, 0.5)
+        value, center, radius = derivative_functional(GridEvaluation(f, 0.5), params)
         assert abs(value - center) < radius - 1e-6
 
     def test_population_disk_membership(self, population):
@@ -340,20 +350,20 @@ class TestSchwarz:
     def test_zero_at_origin(self):
         params = ClassParams(1.1, 0.4)
         f = construct(params, random_measure(4, 12))
-        assert schwarz_function(f, params, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert schwarz_function(GridEvaluation(f, 0.0), params) == pytest.approx(0.0, abs=1e-15)
 
     def test_single_atom_rotation(self):
         params = ClassParams(1.0 - 0.4j, 0.3)
         zeta = cmath.exp(0.6j)
         f = construct(params, make_measure([(zeta, 1.0)]))
         for z in (0.5, -0.2 + 0.6j, 0.85j):
-            omega = schwarz_function(f, params, z)
+            omega = schwarz_function(GridEvaluation(f, z), params)
             assert omega == pytest.approx(z * zeta.conjugate(), abs=1e-13)
             assert abs(abs(omega) - abs(z)) <= 1e-12
 
     def test_conjugate_pair_value(self):
         f = construct(ClassParams(1.0, 0.0), make_measure([(1.0j, 0.5), (-1.0j, 0.5)]))
-        omega = schwarz_function(f, ClassParams(1.0, 0.0), 0.5)
+        omega = schwarz_function(GridEvaluation(f, 0.5), ClassParams(1.0, 0.0))
         assert omega == pytest.approx(1.0 - math.sqrt(1.25))
         assert abs(omega) <= 0.5
 
@@ -377,13 +387,21 @@ class TestInteriorSpirallike:
         f = construct(params, random_measure(3, 14))
         s = to_interior_spirallike(f, params)
         expected = params.radius * (1.0 - params.beta) / 2.0
-        assert s.spiral_margin(0.0) == pytest.approx(expected)
-        assert s.spiral_margin(0.0) > 0.0
+        margin = s.spiral_margin(GridEvaluation(f, 0.0))
+        assert margin == pytest.approx(expected)
+        assert margin > 0.0
 
     def test_origin_margin_real_mu(self):
         params = ClassParams(1.2, 0.4)
+        f = core_function(params)
+        s = to_interior_spirallike(f, params)
+        assert s.spiral_margin(GridEvaluation(f, 0.0)) == pytest.approx(1.0 - s.order)
+
+    def test_margin_needs_evaluation_of_source(self):
+        params = ClassParams(1.2, 0.4)
         s = to_interior_spirallike(core_function(params), params)
-        assert s.spiral_margin(0.0) == pytest.approx(1.0 - s.order)
+        with pytest.raises(ValueError):
+            s.spiral_margin(GridEvaluation(extremal(params, 1j), 0.5))
 
     def test_order_formula(self):
         params = ClassParams(1.0 + 1.0j, 0.5)
@@ -409,7 +427,7 @@ class TestGrowth:
     def test_margin_vanishes_as_t_to_zero(self):
         params = ClassParams(1.0, 0.5)
         f = core_function(params)
-        assert abs(growth_margin(f, params, 0.5, 1e-9)) < 1e-6
+        assert abs(growth_margin(GridEvaluation(f, 0.5), params, [1e-9])) < 1e-6
 
     def test_origin_closed_form(self):
         params = ClassParams(0.9 + 0.3j, 0.25)
@@ -417,7 +435,7 @@ class TestGrowth:
         t = 0.7
         cos2 = 2 * math.cos(params.phi)
         expected = (1 - t / cos2) ** (-params.mu.real * (1 - params.beta)) - 1.0
-        assert growth_margin(f, params, 0.0, t) == pytest.approx(expected)
+        assert growth_margin(GridEvaluation(f, 0.0), params, [t]) == pytest.approx(expected)
         assert expected >= 0.0
 
     def test_core_sample_value(self):
@@ -425,7 +443,7 @@ class TestGrowth:
         params = ClassParams(1.0, 0.5)
         f = core_function(params)
         expected = 1.5 * 0.75 ** (-0.5) - math.sqrt(1.5)
-        assert growth_margin(f, params, 0.5, 0.5) == pytest.approx(expected)
+        assert growth_margin(GridEvaluation(f, 0.5), params, [0.5]) == pytest.approx(expected)
         assert expected > 0
 
     def test_population_scan(self, population):
@@ -436,6 +454,6 @@ class TestGrowth:
         params = ClassParams(1.0, 0.0)
         f = core_function(params)
         with pytest.raises(DomainError):
-            growth_margin(f, params, 0.1, 2.5)
+            growth_margin(GridEvaluation(f, 0.1), params, [2.5])
         with pytest.raises(DomainError):
-            growth_margin(f, params, 0.1, 0.0)
+            growth_margin(GridEvaluation(f, 0.1), params, [0.0])
