@@ -44,6 +44,9 @@ __all__ = [
 OMEGA_TOL = 1e-12       # slack on |mu - 1| <= 1
 NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
 RADIAL_EXPONENTS = (3, 4, 5, 6)  # radii 1 - 10**-k used for radial limits
+# factors x points per kernel call of eval_log and log_derivative; 8192 keeps each of
+# the growth scan's 8 x 896 blocks (verification.GROWTH_BLOCK) at one factor per call
+BLOCK_ELEMENTS = 8192
 
 
 def _in_admissible_region(mu: complex) -> bool:
@@ -182,6 +185,26 @@ def _as_points(z) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
+def _factor_sum(zz, total, nodes, coeffs, terms):
+    """total - t_1 - t_2 - ..., left to right, with t_j = terms(c_j, coeff_j) at the points zz.
+
+    One terms call covers a block of max(1, BLOCK_ELEMENTS // zz.size)
+    factors: nodes and coefficients come as (rows, 1, ...) against the
+    points.  The running total is folded into the block's first row, and
+    np.subtract.reduce along axis 0 goes row by row (np.add.reduce would
+    sum a one-point block pairwise), so the bytes equal those of one
+    factor at a time.
+    """
+    rows = max(1, BLOCK_ELEMENTS // zz.size)
+    nodes = nodes.reshape((-1,) + (1,) * zz.ndim)
+    coeffs = coeffs.reshape(nodes.shape)
+    for i in range(0, len(nodes), rows):
+        block = terms(nodes[i : i + rows], coeffs[i : i + rows])
+        np.subtract(total, block[0], out=block[0])
+        total = np.subtract.reduce(block, axis=0)
+    return total
+
+
 def eval_log(f: ProductForm, z):
     """Canonical branch of log f on the disk; the source of every power of f.
 
@@ -189,9 +212,9 @@ def eval_log(f: ProductForm, z):
     naive Log(evaluate(f, z)) can jump by 2*pi*i between nearby points.
     """
     zz, scalar = _as_points(z)
-    out = f.prefactor * log_principal(1.0 - zz)
-    for c, e in f.factors:
-        out = out - e * log_principal(1.0 - c * zz)
+    # e * logs, exponent first: under FMA the other operand order rounds differently
+    out = _factor_sum(zz, f.prefactor * log_principal(1.0 - zz), f.nodes, f.exponents,
+                      lambda c, e: e * log_principal(1.0 - c * zz))
     return complex(out[0]) if scalar else out
 
 
@@ -204,9 +227,10 @@ def evaluate(f: ProductForm, z):
 def log_derivative(f: ProductForm, z):
     """Exact f'(z)/f(z) = -p/(1-z) + sum_j e_j*c_j/(1-c_j*z); no differencing."""
     zz, scalar = _as_points(z)
-    out = -f.prefactor / (1.0 - zz)
-    for c, e in f.factors:
-        out = out + e * c / (1.0 - c * zz)
+    # numerators -(e_j*c_j) as Python complex products, as the per-factor sum forms them;
+    # subtracting -(e_j*c_j)/(1-c_j*z) rounds as adding e_j*c_j/(1-c_j*z) does
+    neg_ec = np.array([-(e * c) for c, e in f.factors], dtype=np.complex128)
+    out = _factor_sum(zz, -f.prefactor / (1.0 - zz), f.nodes, neg_ec, lambda c, nec: nec / (1.0 - c * zz))
     return complex(out[0]) if scalar else out
 
 

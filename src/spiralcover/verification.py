@@ -143,6 +143,9 @@ class VerificationReport:
 
 def _report(check: str, margins: np.ndarray, locations: np.ndarray, tol: float) -> VerificationReport:
     margins = np.asarray(margins, dtype=np.float64)
+    bad = int(np.count_nonzero(~np.isfinite(margins)))
+    if bad:
+        raise DomainError(f"{check}: margin not finite at {bad} of {margins.size} points (the map overflows)")
     i = int(np.argmin(margins))
     worst = float(margins[i])
     return VerificationReport(
@@ -417,9 +420,8 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     rows = []
     for i in range(0, len(ts), GROWTH_BLOCK):
         block = ts[i : i + GROWTH_BLOCK]
+        # |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 for these t, so shifted stays in the disk
         shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
-        if np.any(np.abs(shifted) >= 1.0):
-            raise DomainError("shifted point outside the disk")
         lhs = np.exp((eval_log(ev.f, shifted) - ev.log_f).real)
         log_ratio = params.mu * (log_principal(1.0 - shifted) - ev.log_1mz)
         rhs = np.exp(log_ratio.real) * np.array([[(1.0 - t / cos2) ** power] for t in block])

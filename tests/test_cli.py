@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -258,6 +259,44 @@ class TestCheck:
         assert main(["check", "-i", str(path), "--checks", "all", "-o", str(out)]) == 0
         names = [c["check"] for c in json.loads(out.read_text())["checks"]]
         assert "derivative-bounds" not in names
+
+    # the checks whose margins overflow on the grid for OVERFLOW_SPEC, and their report names
+    OVERFLOWING = {
+        "all": "distortion-coefficient",
+        "distortion": "distortion-coefficient",
+        "schwarz": "schwarz",
+        "value-bounds": "value-bounds",
+        "derivative-bounds": "derivative-bounds",
+        "growth": "growth",
+    }
+
+    @pytest.mark.parametrize("warning_action", ["default", "error"])
+    @pytest.mark.parametrize("checks", list(OVERFLOWING))
+    def test_overflowing_margins_rejected(self, tmp_path, capsys, checks, warning_action):
+        # f = (1-z)/(1-z/2)**1e300 overflows on the grid: exit 2 naming the check, no file,
+        # and no RuntimeWarning, so the same holds when warnings are errors
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps(OVERFLOW_SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action, RuntimeWarning)
+            assert main(["check", "-i", str(src), "--checks", checks, "-o", str(out)]) == 2
+        assert not out.exists()
+        assert f"error: {self.OVERFLOWING[checks]}: margin not finite" in capsys.readouterr().err
+
+    def test_overflowing_margins_rejected_with_warnings_as_errors(self, tmp_path):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps(OVERFLOW_SPEC))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "spiralcover.cli",
+             "check", "-i", str(src), "--checks", "all", "-o", str(out)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: distortion-coefficient: margin not finite")
+        assert not out.exists()
 
     def test_byte_identical_reports(self, example_path, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 import spiralcover as sc
+from spiralcover import functions, kernel, verification
 from spiralcover import (
+    DEFAULT_GRID,
     ClassParams,
     DomainError,
+    GridEvaluation,
     ProductForm,
     boundary_exponent,
     boundary_exponent_radial,
@@ -20,6 +23,7 @@ from spiralcover import (
     eval_log,
     evaluate,
     extremal,
+    growth_margin,
     log_derivative,
     make_measure,
     random_measure,
@@ -157,6 +161,82 @@ class TestLogDerivative:
                 z = r * np.exp(1j * theta)
                 fd = (eval_log(f, z + h) - eval_log(f, z - h)) / (2 * h)
                 assert abs(log_derivative(f, z) - fd) <= 1e-7
+
+
+def per_factor_log(f, z):
+    """eval_log one factor at a time, in the operation order of the sum before blocking."""
+    zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    out = f.prefactor * kernel.log_principal(1.0 - zz)
+    for c, e in f.factors:
+        out = out - e * kernel.log_principal(1.0 - c * zz)
+    return complex(out[0]) if np.ndim(z) == 0 else out
+
+
+def per_factor_log_derivative(f, z):
+    """log_derivative one factor at a time, in the operation order of the sum before blocking."""
+    zz = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    out = -f.prefactor / (1.0 - zz)
+    for c, e in f.factors:
+        out = out + e * c / (1.0 - c * zz)
+    return complex(out[0]) if np.ndim(z) == 0 else out
+
+
+def many_factor_map(n: int) -> ProductForm:
+    """A member with n circle atoms; the bare power (1-z)**p when n = 0."""
+    params = ClassParams(0.9 + 0.4j, 0.35)
+    return construct(params, random_measure(n, 7)) if n else ProductForm(params.mu)
+
+
+class TestBlockedEvaluation:
+    """Blocks of factors give the bytes of the per-factor sum."""
+
+    GRID = DEFAULT_GRID.points()
+    ROWS = functions.BLOCK_ELEMENTS // GRID.size  # factors per block on the default grid
+
+    @pytest.mark.parametrize("n", [0, 1, ROWS - 1, ROWS, ROWS + 1, 2048])
+    def test_default_grid(self, n):
+        f = many_factor_map(n)
+        assert np.array_equal(eval_log(f, self.GRID), per_factor_log(f, self.GRID))
+        assert np.array_equal(log_derivative(f, self.GRID), per_factor_log_derivative(f, self.GRID))
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 2048])
+    def test_scalar_points(self, n):
+        # one point puts up to BLOCK_ELEMENTS factors in a block, a sum down a single column
+        f = many_factor_map(n)
+        for z in [0.0, 0.5, -0.3 + 0.4j, 0.999]:
+            assert eval_log(f, z) == per_factor_log(f, z)
+            assert log_derivative(f, z) == per_factor_log_derivative(f, z)
+
+    def test_growth_shaped_block(self):
+        f = many_factor_map(40)
+        block = self.GRID * np.linspace(0.9, 0.2, 8)[:, None]
+        assert np.array_equal(eval_log(f, block), per_factor_log(f, block))
+        assert np.array_equal(log_derivative(f, block), per_factor_log_derivative(f, block))
+
+    def test_kernel_calls_per_block(self, monkeypatch):
+        calls = []
+
+        def counted(w):
+            calls.append(np.shape(w))
+            return kernel.log_principal(w)
+
+        monkeypatch.setattr(functions, "log_principal", counted)
+        eval_log(many_factor_map(2048), self.GRID)
+        # the prefactor term, then ceil(2048/9) blocks of 9 factors x 896 points
+        assert self.ROWS == 9
+        assert len(calls) == 1 + math.ceil(2048 / self.ROWS)
+        assert calls[1] == (self.ROWS, self.GRID.size)
+
+    @pytest.mark.parametrize("points", [GRID, GRID[::9]], ids=["default-grid", "100-points"])
+    def test_growth_scan_over_blocks(self, monkeypatch, points):
+        # growth's (8, n) shifted points take (rows, 1, 1) nodes: 1 factor per block on the
+        # default grid, 10 on 100 points, so 25 factors span several blocks either way
+        params = ClassParams(0.9 + 0.4j, 0.35)
+        f = many_factor_map(25)
+        ts = [2.0 * math.cos(params.phi) * k / 33.0 for k in range(1, 33)]
+        blocked = growth_margin(GridEvaluation(f, points), params, ts)
+        monkeypatch.setattr(verification, "eval_log", per_factor_log)
+        assert np.array_equal(blocked, growth_margin(GridEvaluation(f, points), params, ts))
 
 
 class TestTransformClass:

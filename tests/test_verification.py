@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import spiralcover as sc
+from spiralcover import verification
 from spiralcover import (
     ClassParams,
     DomainError,
@@ -56,6 +57,11 @@ class TestReport:
     def test_inconsistent_flag_rejected(self):
         with pytest.raises(ValueError):
             VerificationReport("x", True, -1.0, 0.0, 1e-9, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_margin_rejected(self, bad):
+        with pytest.raises(DomainError, match="schwarz: margin not finite at 1 of 3 points"):
+            verification._report("schwarz", np.array([0.5, bad, 1.0]), np.zeros(3), 1e-9)
 
     def test_json_schema(self):
         rep = VerificationReport("x", True, 0.5, 0.1 + 0.2j, 1e-9, 3)
