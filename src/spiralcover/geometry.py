@@ -35,7 +35,6 @@ __all__ = [
     "boundary_curve",
     "winding_numbers",
     "contains_point",
-    "CoveringResult",
     "check_covering",
     "covering_radius",
     "boundary_gap_profile",
@@ -281,29 +280,18 @@ def contains_point(f: ProductForm, w: complex, rho: float) -> Optional[bool]:
     return bool(wn[0] == 1)
 
 
-def _winding_margins(curve: PolyLine, pts: np.ndarray):
-    """Winding test of pts against curve: (indeterminate, margins).
+def _winding_report(check: str, curve: PolyLine, pts: np.ndarray) -> VerificationReport:
+    """Winding test of pts against curve, reported at tolerance 0.
 
     A sample passes when it winds once and is determinate; its margin is
     its distance to the curve.  Failing samples carry margin <= -guard,
-    so pass/fail follows the sign of the worst margin.
+    so pass/fail follows the sign of the worst margin.  The report counts
+    the indeterminate samples.
     """
     wn, indet, dists = winding_numbers(curve, pts)
     guard = GUARD_FACTOR * curve.diameter()
     margins = np.where((wn == 1) & ~indet, dists, -np.maximum(dists, guard))
-    return indet, margins
-
-
-@dataclass(frozen=True)
-class CoveringResult:
-    """Report plus the per-sample indeterminate flags of a covering check."""
-
-    report: VerificationReport
-    indeterminate: np.ndarray
-
-    @property
-    def indeterminate_count(self) -> int:
-        return int(self.indeterminate.sum())
+    return _report(check, margins, pts, 0.0, int(np.count_nonzero(indet)))
 
 
 def check_covering(
@@ -312,7 +300,7 @@ def check_covering(
     r_inner: float,
     rho_outer: float,
     m: int = 256,
-) -> CoveringResult:
+) -> VerificationReport:
     """Certify the covering theorem on a compact exhaustion.
 
     Samples m points of the covered core map on |z| = r_inner and
@@ -326,11 +314,9 @@ def check_covering(
     if m < 1:
         raise ValueError("need at least one sample")
     curve = boundary_curve(f, rho_outer, n=512)
-    core = core_function(params)
     theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    ws = evaluate(core, r_inner * np.exp(1j * theta))
-    indet, margins = _winding_margins(curve, ws)
-    return CoveringResult(_report("covering", margins, ws, 0.0), indet)
+    ws = evaluate(core_function(params), r_inner * np.exp(1j * theta))
+    return _winding_report("covering", curve, ws)
 
 
 def covering_radius(s: float) -> float:
@@ -498,8 +484,6 @@ def covering_composition(
         raise DomainError("s has a different spiral angle than phi")
     if s.order < alpha - 1e-12:
         raise DomainError("s is not spirallike of order alpha")
-    if abs(s(0.0)) > 1e-12:
-        raise DomainError("s(0) must be 0")
     mu = cmath.exp(1j * phi) * 2.0 * (math.cos(phi) - alpha) / (1.0 - beta)
     g = CoveringComposition(s=s, phi=phi, alpha=alpha, beta=beta, mu=mu)
 
@@ -507,5 +491,4 @@ def covering_composition(
     radii = np.linspace(0.2, 0.95, 4)
     theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
     pts = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    margins = _winding_margins(curve, pts)[1]
-    return g, _report("disk-coverage", margins, pts, 0.0)
+    return g, _winding_report("disk-coverage", curve, pts)

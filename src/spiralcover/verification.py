@@ -10,7 +10,9 @@ double-precision round-off.
 Every margin is built from three quantities of the map at the points:
 log f, f'/f and Log(1-z).  A GridEvaluation computes each of them at
 most once, when a margin first reads it.  Each margin is one function
-of a GridEvaluation, which the matching check scans.
+of a GridEvaluation, which the matching check scans with numpy's
+floating-point warnings off: a map that overflows leaves a non-finite
+margin, which raises DomainError whatever the warning filters.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ PASS_TOL = 1e-9
 # shifts of the growth scan per eval_log call: 4 blocks of 8 beat both 32 calls of one
 # shift each and one call over all 32 shifts, which is slower and needs more memory
 GROWTH_BLOCK = 8
+# the floating-point policy of every check_*; one instance serves them all because no
+# check calls another (numpy 1.x cannot nest an errstate instance)
+_QUIET = np.errstate(all="ignore")
 
 
 @dataclass(frozen=True)
@@ -119,21 +124,23 @@ class GridEvaluation:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """Worst margin of one check; indeterminate counts undecided samples, which to_dict omits."""
+
     check: str
-    passed: bool
     worst_margin: float
     worst_location: complex
     tolerance: float
     samples: int
+    indeterminate: int = 0
 
-    def __post_init__(self):
-        if self.passed != (self.worst_margin >= -self.tolerance):
-            raise ValueError("passed flag inconsistent with worst margin")
+    @property
+    def passed(self) -> bool:
+        return bool(self.worst_margin >= -self.tolerance)
 
     def to_dict(self) -> dict:
         return {
             "check": self.check,
-            "passed": bool(self.passed),
+            "passed": self.passed,
             "worst_margin": float(self.worst_margin),
             "worst_z": [self.worst_location.real, self.worst_location.imag],
             "tolerance": float(self.tolerance),
@@ -141,7 +148,9 @@ class VerificationReport:
         }
 
 
-def _report(check: str, margins: np.ndarray, locations: np.ndarray, tol: float) -> VerificationReport:
+def _report(
+    check: str, margins: np.ndarray, locations: np.ndarray, tol: float, indeterminate: int = 0
+) -> VerificationReport:
     margins = np.asarray(margins, dtype=np.float64)
     bad = int(np.count_nonzero(~np.isfinite(margins)))
     if bad:
@@ -150,11 +159,11 @@ def _report(check: str, margins: np.ndarray, locations: np.ndarray, tol: float) 
     worst = float(margins[i])
     return VerificationReport(
         check=check,
-        passed=worst >= -tol,
         worst_margin=worst,
         worst_location=complex(np.asarray(locations).ravel()[i]),
         tolerance=tol,
         samples=int(margins.size),
+        indeterminate=indeterminate,
     )
 
 
@@ -165,6 +174,7 @@ def class_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     return expr.real - params.beta
 
 
+@_QUIET
 def check_membership(
     ev: GridEvaluation,
     params: ClassParams,
@@ -191,6 +201,7 @@ def distortion_coefficient(ev: GridEvaluation, params: ClassParams) -> np.ndarra
     return (np.exp(_ratio_log(ev, params) / (1.0 - params.beta)) - 1.0) / ev.points
 
 
+@_QUIET
 def check_distortion(
     ev: GridEvaluation,
     params: ClassParams,
@@ -214,6 +225,7 @@ def derivative_functional(ev: GridEvaluation, params: ClassParams):
     return value, center, radius
 
 
+@_QUIET
 def check_derivative_disk(
     ev: GridEvaluation,
     params: ClassParams,
@@ -295,6 +307,7 @@ def derivative_bounds(params: ClassParams, z):
     return DerivativeBounds(*map(float, out)) if np.ndim(z) == 0 else out
 
 
+@_QUIET
 def check_value_bounds(
     ev: GridEvaluation,
     params: ClassParams,
@@ -311,6 +324,7 @@ def check_value_bounds(
     return _report("value-bounds", np.min(margins, axis=0), ev.points, tolerance)
 
 
+@_QUIET
 def check_derivative_value_bounds(
     ev: GridEvaluation,
     params: ClassParams,
@@ -334,6 +348,7 @@ def schwarz_function(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     return 1.0 - np.exp(-inner)
 
 
+@_QUIET
 def check_schwarz(
     ev: GridEvaluation,
     params: ClassParams,
@@ -391,6 +406,7 @@ def to_interior_spirallike(f: ProductForm, params: ClassParams) -> InteriorSpira
     return InteriorSpirallikeMap(source=f, params=params, phi=phi, order=order)
 
 
+@_QUIET
 def check_interior_identity(
     ev: GridEvaluation,
     params: ClassParams,
@@ -429,6 +445,7 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     return np.concatenate(rows)
 
 
+@_QUIET
 def check_growth(
     ev: GridEvaluation,
     params: ClassParams,

@@ -98,8 +98,8 @@ def test_criterion_04_figure_reproduction(worked_example, tmp_path):
     t0 = time.perf_counter()
     f, params = worked_example
     res = sc.check_covering(f, params, r_inner=0.95, rho_outer=0.999, m=512)
-    assert res.report.passed
-    assert res.indeterminate_count == 0
+    assert res.passed
+    assert res.indeterminate == 0
 
     spec = {
         "functions": [

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,7 +11,7 @@ from xml.etree import ElementTree
 
 import pytest
 
-from spiralcover import GridEvaluation, check_derivative_disk, random_measure, verification
+from spiralcover import GridEvaluation, check_derivative_disk, cli, random_measure, verification
 from spiralcover.cli import CHECKS, main
 from spiralcover.serialize import dumps, dumps_spec, load_function_spec
 
@@ -467,6 +468,18 @@ class TestCover:
         src.write_text(dumps(OVERFLOW_SPEC))
         assert main(["cover", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
+
+    def test_indeterminate_count_warned_not_written(self, example_path, tmp_path, capsys, monkeypatch):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        assert main(["cover", "-i", example_path, "-o", str(plain)]) == 0
+        assert capsys.readouterr().err == ""
+        covering = cli.check_covering
+        monkeypatch.setattr(
+            cli, "check_covering", lambda *a, **k: dataclasses.replace(covering(*a, **k), indeterminate=3)
+        )
+        assert main(["cover", "-i", example_path, "-o", str(marked)]) == 0
+        assert capsys.readouterr().err == "warning: 3 indeterminate winding sample(s)\n"
+        assert marked.read_bytes() == plain.read_bytes()
 
 
 class TestEnvironment:

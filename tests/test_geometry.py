@@ -294,19 +294,19 @@ class TestCheckCovering:
     def test_core_covers_itself_on_nested_disks(self):
         params = ClassParams(1.0, 0.6)
         res = check_covering(core_function(params), params, 0.9, 0.99)
-        assert res.report.passed
-        assert res.indeterminate_count == 0
+        assert res.passed
+        assert res.indeterminate == 0
 
     def test_extremal_covers_core(self):
         params = ClassParams(1.0, 0.5)
         res = check_covering(extremal(params, -1.0), params, 0.9, 0.99)
-        assert res.report.passed
+        assert res.passed
 
     def test_population_covering(self, population):
         for entry in population[:50]:
             res = check_covering(entry.f, entry.params, 0.9, 0.99, m=64)
-            assert res.report.passed, entry.params
-            assert res.indeterminate_count == 0
+            assert res.passed, entry.params
+            assert res.indeterminate == 0
 
     def test_radius_ordering_enforced(self):
         params = ClassParams(1.0, 0.5)

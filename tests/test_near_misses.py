@@ -1,0 +1,59 @@
+"""Near-misses whose true verdict is fixed by construction, not by running the checks.
+
+Each wrong answer of today's code is an xfail(strict=True) test, so the fix
+that mends it must flip the test.  Beside each stands a passing test of the
+construction itself.
+"""
+
+import math
+
+import pytest
+
+import spiralcover as sc
+from spiralcover.cli import main
+from spiralcover.serialize import dumps
+
+# the extremal of G(1, 0.5) with its atom at angle pi + pi/128, declared with a beta above
+# 0.5: the class margin's minimum on |z| = 0.995 lies halfway between two default grid angles
+BETWEEN_ANGLES_SPEC = {
+    "mu": [1.0, 0.0],
+    "beta": 0.501253227200744,
+    "factors": [{"node": [-0.9996988186962042, 0.02454122852291208], "exponent": [0.5, 0.0]}],
+}
+
+
+def run_membership(tmp_path, *grid) -> int:
+    src = tmp_path / "in.json"
+    src.write_text(dumps(BETWEEN_ANGLES_SPEC))
+    return main(["check", "-i", str(src), "--checks", "membership", *grid, "-o", str(tmp_path / "out.json")])
+
+
+class TestBetweenGridAngles:
+    def test_fine_ring_finds_the_map_outside_its_class(self, tmp_path):
+        assert run_membership(tmp_path, "--grid-radii", "0.995", "--grid-angles", "4096") == 1
+
+    @pytest.mark.xfail(strict=True, reason="the default grid passes a map whose margin dips between its angles")
+    def test_default_grid_does_not_pass(self, tmp_path):
+        assert run_membership(tmp_path) != 0
+
+
+class TestPointOnTheTrueCurve:
+    # the README worked example on |z| = 0.999: of 200,000 equally spaced angles this one
+    # maps farthest from the polygon that boundary_curve samples.  A point on the true
+    # curve cannot be placed by a polygon whose gap to the curve exceeds the guard.
+    F = sc.ProductForm(1.0, ((0.9 + 0.4j, 0.2), (0.9 - 0.4j, 0.2)))
+    RHO = 0.999
+    THETA = 2.0 * math.pi * 186476 / 200000
+
+    def on_curve_point(self) -> complex:
+        return sc.evaluate(self.F, self.RHO * complex(math.cos(self.THETA), math.sin(self.THETA)))
+
+    def test_point_lies_far_outside_the_guard(self):
+        poly = sc.boundary_curve(self.F, self.RHO)
+        _, indeterminate, dists = sc.winding_numbers(poly, [self.on_curve_point()])
+        assert not indeterminate[0]
+        assert dists[0] > 7e-4
+
+    @pytest.mark.xfail(strict=True, reason="the winding test treats the polygon as the curve")
+    def test_contains_point_is_indeterminate(self):
+        assert sc.contains_point(self.F, self.on_curve_point(), self.RHO) is None

@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from spiralcover import (
     schwarz_function,
     to_interior_spirallike,
 )
+from spiralcover.serialize import load_function_spec
 
 
 class TestGrid:
@@ -54,9 +56,13 @@ class TestGrid:
 
 
 class TestReport:
-    def test_inconsistent_flag_rejected(self):
-        with pytest.raises(ValueError):
-            VerificationReport("x", True, -1.0, 0.0, 1e-9, 1)
+    @pytest.mark.parametrize(
+        "margin,tol,passed",
+        [(-1e-9, 1e-9, True), (np.nextafter(-1e-9, -1.0), 1e-9, False), (-0.0, 0.0, True), (-1.0, 1e-9, False)],
+    )
+    def test_passed_follows_the_margin(self, margin, tol, passed):
+        assert VerificationReport("x", margin, 0.0, tol, 1).passed is passed
+        assert verification._report("x", np.array([1.0, margin]), np.zeros(2), tol).passed is passed
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_margin_rejected(self, bad):
@@ -64,10 +70,39 @@ class TestReport:
             verification._report("schwarz", np.array([0.5, bad, 1.0]), np.zeros(3), 1e-9)
 
     def test_json_schema(self):
-        rep = VerificationReport("x", True, 0.5, 0.1 + 0.2j, 1e-9, 3)
+        rep = VerificationReport("x", 0.5, 0.1 + 0.2j, 1e-9, 3)
         d = rep.to_dict()
         assert set(d) == {"check", "passed", "worst_margin", "worst_z", "tolerance", "samples"}
         assert d["worst_z"] == [0.1, 0.2]
+
+    def test_indeterminate_count_is_not_serialized(self):
+        rep = VerificationReport("x", 0.5, 0.1 + 0.2j, 1e-9, 3, indeterminate=2)
+        assert rep.indeterminate == 2
+        assert rep.to_dict() == VerificationReport("x", 0.5, 0.1 + 0.2j, 1e-9, 3).to_dict()
+        assert len(rep.to_dict()) == 6
+
+
+class TestOverflow:
+    # f = (1-z)/(1-z/2)**1e300 overflows on the default grid
+    SPEC = {"mu": 1, "beta": 0.5, "factors": [{"node": [0.5, 0], "exponent": [1e300, 0]}]}
+    OVERFLOWING = {
+        check_distortion: "distortion-coefficient",
+        check_schwarz: "schwarz",
+        check_value_bounds: "value-bounds",
+        check_derivative_value_bounds: "derivative-bounds",
+        check_growth: "growth",
+    }
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    @pytest.mark.parametrize("check", list(OVERFLOWING), ids=list(OVERFLOWING.values()))
+    def test_library_check_raises_domain_error(self, check, action):
+        # the same error under either warning filter, and no numpy warning on the way
+        f, params = load_function_spec(self.SPEC)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(action, RuntimeWarning)
+            with pytest.raises(DomainError, match=f"^{self.OVERFLOWING[check]}: margin not finite"):
+                check(GridEvaluation(f), params)
+        assert seen == []
 
 
 class TestClassMargin:
