@@ -56,8 +56,10 @@ PASS_TOL = 1e-9
 # shifts of the growth scan per eval_log call: 4 blocks of 8 beat both 32 calls of one
 # shift each and one call over all 32 shifts, which is slower and needs more memory
 GROWTH_BLOCK = 8
-# the floating-point policy of every check_*; one instance serves them all because no
-# check calls another (numpy 1.x cannot nest an errstate instance)
+# the floating-point policy of every check_* and of the curve values in geometry; one
+# instance decorates them all because no guarded call runs inside another (numpy 1.x
+# cannot nest an errstate instance) and none uses it as a with-block (numpy 2 enters
+# one instance as a context manager at most once)
 _QUIET = np.errstate(all="ignore")
 
 

@@ -469,6 +469,15 @@ class TestCover:
         assert main(["cover", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
 
+    def test_overflowing_curve_rejected_with_warnings_as_errors(self, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps(OVERFLOW_SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["cover", "-i", str(src), "-o", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: boundary curve overflows")
+
     def test_indeterminate_count_warned_not_written(self, example_path, tmp_path, capsys, monkeypatch):
         plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
         assert main(["cover", "-i", example_path, "-o", str(plain)]) == 0
@@ -648,6 +657,16 @@ class TestRender:
         src.write_text(dumps(OVERFLOW_SPEC))
         assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("suffix", ["svg", "csv"])
+    def test_overflowing_curve_rejected_with_warnings_as_errors(self, suffix, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / f"out.{suffix}"
+        src.write_text(dumps(OVERFLOW_SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["render", "-i", str(src), "-o", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: boundary curve overflows")
 
     def test_curve_csv_rejects_multiple(self, tmp_path):
         path = tmp_path / "two.json"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import spiralcover as sc
 from spiralcover import functions, kernel, verification
@@ -92,6 +93,32 @@ class TestConstruct:
             sigma = random_measure(1 + seed, seed)
             f = construct(ClassParams(1.0 + 0.3j, 0.2), sigma)
             assert evaluate(f, 0.0) == pytest.approx(1.0, abs=1e-15)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(min_value=-math.pi, max_value=math.pi), st.floats(min_value=1e-3, max_value=1.0)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=-math.pi, max_value=math.pi),
+        st.floats(min_value=0.0, max_value=0.99),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_independent_sum(self, atoms, mu_radius, mu_angle, beta):
+        # log f = mu*Log(1-z) - mu*(1-beta)*sum_j w_j*Log(1 - conj(zeta_j)*z), point by point
+        mu = 1.0 + mu_radius * cmath.exp(1j * mu_angle)
+        assume(abs(mu) >= 0.05)
+        total = sum(w for _, w in atoms)
+        sigma = make_measure([(cmath.exp(1j * angle), w / total) for angle, w in atoms])
+        zs = DEFAULT_GRID.points()[::7]
+        got = eval_log(construct(ClassParams(mu, beta), sigma), zs)
+        for z, value in zip(zs, got):
+            core = mu * cmath.log(1.0 - z)
+            terms = [w * cmath.log(1.0 - zeta.conjugate() * z) for zeta, w in sigma.atoms]
+            expected = core - mu * (1.0 - beta) * sum(terms)
+            size = abs(core) + abs(mu) * (1.0 - beta) * sum(abs(t) for t in terms)
+            assert abs(value - expected) <= 1e-12 * size
 
 
 class TestEvalLog:

@@ -232,6 +232,137 @@ class TestWindingAgainstDense:
         assert (wn.dtype, indet.dtype, dists.dtype) == (np.int64, np.bool_, np.float64)
 
 
+def reference_winding_report(curve, pts):
+    """The covering report with exact distances at every sample: the oracle for _winding_report."""
+    wn, indet, dists = winding_numbers(curve, pts)
+    guard = sc.geometry.GUARD_FACTOR * curve.diameter()
+    margins = np.where((wn == 1) & ~indet, dists, -np.maximum(dists, guard))
+    return sc.verification._report("winding", margins, pts, 0.0, int(np.count_nonzero(indet)))
+
+
+def assert_same_report(got, ref):
+    assert np.float64(got.worst_margin).tobytes() == np.float64(ref.worst_margin).tobytes()
+    assert got.worst_location == ref.worst_location
+    assert (got.indeterminate, got.samples) == (ref.indeterminate, ref.samples)
+
+
+def assert_report_matches_reference(curve, pts):
+    assert_same_report(sc.geometry._winding_report("winding", curve, pts), reference_winding_report(curve, pts))
+
+
+def edge_samples(n, seed, scale, layout):
+    """A regular n-gon and samples about its edges whose bounds are tight to rounding.
+
+    The polygon is moved so that a point of its first edge is the origin,
+    where sample coordinates can step by far less than an ulp of the edge.
+    "parallel": 128 samples inside, in a row along that edge at one offset
+    of 1 to 1000 guards; their distances differ by rounding only.
+    "normal": on the outward normals of 8 random edges, a sample 1e4 to
+    1e7 diameters out (4 times farther on each normal) and 15 samples
+    within one guard of the curve, then one sample farther than all.
+    Each far sample lies on the line from the near samples to their
+    nearest point, so its exact distance minus the reach is their
+    distance up to rounding of the far distance.
+    """
+    rng = np.random.default_rng(seed)
+    verts = scale * np.exp(1j * (rng.uniform(0.0, 2.0 * np.pi) + np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)))
+    poly = PolyLine(verts - (verts[0] + rng.uniform(0.1, 0.9) * (verts[1] - verts[0])), closed=True)
+    a = poly.points
+    b = np.roll(a, -1)
+    along = (b - a) / np.abs(b - a)
+    guard = sc.geometry.GUARD_FACTOR * poly.diameter()
+    if layout == "parallel":
+        step = np.spacing(scale) * 10.0 ** rng.uniform(-3.0, -2.0)
+        return poly, 1j * along[0] * guard * 10.0 ** rng.uniform(0.0, 3.0) + along[0] * step * np.arange(128)
+    far = poly.diameter() * 10.0 ** rng.uniform(4.0, 7.0)
+    rows = []
+    for k, e in enumerate(rng.integers(n, size=8)):
+        foot = a[e] + rng.uniform(0.1, 0.9) * (b[e] - a[e])
+        offsets = np.concatenate([[far * 4.0**k], guard * rng.uniform(0.1, 1.0, size=15)])
+        rows.append(foot - 1j * along[e] * offsets)
+    return poly, np.concatenate(rows + [[far * 4.0**8]])
+
+
+class TestWindingReportAgainstReference:
+    @given(
+        st.integers(min_value=16, max_value=120),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.sampled_from([0.0, 3.0, 1e4, 1e8]),
+        st.sampled_from(["ring", "probe"]),
+        st.sampled_from(["given", "shuffled", "repeated", "one", "few"]),
+        st.integers(min_value=1, max_value=400),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_star_polygons(self, n, seed, scale, shift, layout, order, count):
+        rng = np.random.default_rng(seed)
+        theta = (np.arange(n) + rng.uniform(0.0, 0.5, size=n)) * (2.0 * np.pi / n)
+        center = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        poly = PolyLine(shift + scale * (center + rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta)), closed=True)
+        if layout == "ring":
+            # a covering sample: one ring in angle order, inside the curve or crossing it
+            radius = scale * rng.choice([0.15, rng.uniform(0.1, 2.5)])
+            pts = shift + scale * center + radius * np.exp(2j * np.pi * np.arange(count) / count)
+        else:
+            pts = probe_points(poly, rng, count)
+        if order == "shuffled":
+            pts = rng.permutation(pts)
+        elif order == "repeated":
+            pts = np.repeat(pts, 3)
+        elif order == "one":
+            pts = pts[rng.integers(pts.size, size=1)]
+        elif order == "few":
+            pts = pts[: sc.geometry.ANCHOR_EVERY - 1]
+        assert_report_matches_reference(poly, pts)
+
+    @given(
+        st.integers(min_value=16, max_value=120),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from([1e-3, 1.0, 1e3]),
+        st.sampled_from(["parallel", "normal"]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_bounds_tight_to_rounding(self, n, seed, scale, layout):
+        # without the guard the parallel rows, and without the relative slack the
+        # normal rows, prune the sample that decides the report
+        assert_report_matches_reference(*edge_samples(n, seed, scale, layout))
+
+    def test_population_covering_at_2048_samples(self, population):
+        # members pass; the bare power (1-z)**(0.3*mu) declared with beta = 0.6 misses
+        # part of the declared core and fails
+        members = [(e.f, e.params, True) for e in population]
+        bare = [(ProductForm(0.3 * e.params.mu), ClassParams(e.params.mu, 0.6), False) for e in population[:10]]
+        theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
+        for f, params, passed in members + bare:
+            ws = evaluate(core_function(params), 0.95 * np.exp(1j * theta))
+            ref = reference_winding_report(boundary_curve(f, 0.999, n=512), ws)
+            report = check_covering(f, params, 0.95, 0.999, m=2048)
+            assert_same_report(report, ref)
+            assert report.passed is passed
+
+    def test_covering_composition(self, population):
+        params = ClassParams(2.0, 0.5)
+        s = to_interior_spirallike(construct(params, population[0].measure), params)
+        g, report = covering_composition(s, 0.0, 0.5, 0.5)
+        curve = sc.geometry._adaptive_closed_curve(g, 0.999, 512)
+        pts = (np.linspace(0.2, 0.95, 4)[:, None] * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))).ravel()
+        assert_same_report(report, reference_winding_report(curve, pts))
+
+    def test_exact_distances_only_where_they_decide(self, worked_example, monkeypatch):
+        f, params = worked_example
+        counted = []
+        winding = sc.geometry.winding_numbers
+
+        def counting(poly, points):
+            counted.append(np.size(points))
+            return winding(poly, points)
+
+        monkeypatch.setattr(sc.geometry, "winding_numbers", counting)
+        report = check_covering(f, params, 0.95, 0.999, m=2048)
+        assert report.passed and report.samples == 2048
+        assert 2048 // sc.geometry.ANCHOR_EVERY <= sum(counted) < 2048
+
+
 class TestBoundaryCurve:
     def test_core_modulus_range(self):
         f = ProductForm(0.6)  # (1-z)**0.6
