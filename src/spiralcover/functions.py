@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .kernel import DomainError, log_principal
+from .kernel import DomainError, _log_modulus, log_principal
 from .measures import AtomicCircleMeasure, make_measure
 
 __all__ = [
@@ -44,8 +44,8 @@ __all__ = [
 OMEGA_TOL = 1e-12       # slack on |mu - 1| <= 1
 NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
 RADIAL_EXPONENTS = (3, 4, 5, 6)  # radii 1 - 10**-k used for radial limits
-# factors x points per kernel call of eval_log and log_derivative; 8192 keeps each of
-# the growth scan's 8 x 896 blocks (verification.GROWTH_BLOCK) at one factor per call
+# factors x points per kernel call of eval_log, _eval_log_real and log_derivative;
+# 8192 keeps each of the growth scan's 8 x 896 shifted points at one factor per call
 BLOCK_ELEMENTS = 8192
 
 
@@ -193,7 +193,7 @@ def _factor_sum(zz, total, nodes, coeffs, terms):
     points.  The running total is folded into the block's first row, and
     np.subtract.reduce along axis 0 goes row by row (np.add.reduce would
     sum a one-point block pairwise), so the bytes equal those of one
-    factor at a time.
+    factor at a time.  A one-row block is that row, with no reduce.
     """
     rows = max(1, BLOCK_ELEMENTS // zz.size)
     nodes = nodes.reshape((-1,) + (1,) * zz.ndim)
@@ -201,7 +201,7 @@ def _factor_sum(zz, total, nodes, coeffs, terms):
     for i in range(0, len(nodes), rows):
         block = terms(nodes[i : i + rows], coeffs[i : i + rows])
         np.subtract(total, block[0], out=block[0])
-        total = np.subtract.reduce(block, axis=0)
+        total = block[0] if len(block) == 1 else np.subtract.reduce(block, axis=0)
     return total
 
 
@@ -216,6 +216,34 @@ def eval_log(f: ProductForm, z):
     out = _factor_sum(zz, f.prefactor * log_principal(1.0 - zz), f.nodes, f.exponents,
                       lambda c, e: e * log_principal(1.0 - c * zz))
     return complex(out[0]) if scalar else out
+
+
+def _eval_log_real(f: ProductForm, z, log_1mz):
+    """Re(eval_log(f, z)), bit for bit, given Log(1 - z) at the points.
+
+    Re(e*L) rounds to e.real*Re(L) when e.imag == 0 (numpy forms it as
+    fma(e.real, L.real, -(e.imag*L.imag))), so a real exponent needs only
+    ln|1 - c*z|: arctan2 is taken only for blocks of factors with a
+    complex exponent, and log_1mz may be the real ln|1 - z| alone when
+    the prefactor is real.
+    """
+    zz, scalar = _as_points(z)
+    log_1mz = np.reshape(log_1mz, zz.shape)
+    p = f.prefactor
+    if p.imag == 0.0:
+        pre = p.real * log_1mz.real
+    elif np.iscomplexobj(log_1mz):
+        pre = (p * log_1mz).real
+    else:
+        raise ValueError("a complex prefactor needs the complex Log(1 - z)")
+
+    def terms(c, e):
+        if e.imag.any():
+            return (e * log_principal(1.0 - c * zz)).real
+        return e.real * _log_modulus(1.0 - c * zz)
+
+    out = _factor_sum(zz, pre, f.nodes, f.exponents, terms)
+    return float(out[0]) if scalar else out
 
 
 def evaluate(f: ProductForm, z):

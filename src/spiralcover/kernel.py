@@ -7,13 +7,15 @@ inside the open disk of radius 1 around 1 and in particular in the
 right half-plane, where the principal branch is continuous.  There is
 no branch tracking anywhere else.
 
-The kernel takes one real log and one arctan2 per element,
+log_principal takes one real log and one arctan2 per element,
 
     Log w = 0.5*ln(x*x + y*y) + i*arctan2(y + 0.0, x),   w = x + iy,
 
 on the domain 1e-150 <= |w| <= 1e150, where x*x + y*y neither
 overflows nor underflows.  Against cmath.log each part is within
 8*eps*max(1, |Log w|) on the right half-plane of that domain.
+_log_modulus is its real part alone, ln|w| with no arctan2, for callers
+that read no imaginary part; both share one domain check.
 """
 
 from __future__ import annotations
@@ -31,16 +33,8 @@ class DomainError(ValueError):
     """Argument outside the domain the caller contract guarantees."""
 
 
-def log_principal(w):
-    """Principal logarithm ln|w| + i*arg(w) with arg(w) in (-pi, pi].
-
-    Accepts scalars or arrays.  NaN, infinities, w = 0 and any modulus
-    outside [1e-150, 1e150] raise DomainError.  Callers in this package
-    always pass Re(w) > 0 and |w| < 2 + 1e-12 (bases 1 - c*z with
-    |c| <= 1 + 1e-12 and |z| <= 1), where the branch is continuous and
-    the imaginary part lies in (-pi/2, pi/2).
-    """
-    arr = np.asarray(w, dtype=np.complex128)
+def _square_modulus(arr: np.ndarray):
+    """x*x + y*y of a complex array; DomainError unless 1e-150 <= |w| <= 1e150 everywhere."""
     x, y = arr.real, arr.imag
     with np.errstate(over="ignore"):
         sq = x * x + y * y
@@ -52,8 +46,29 @@ def log_principal(w):
         if np.any(arr == 0):
             raise DomainError("log of 0")
         raise DomainError("modulus outside [1e-150, 1e150]")
+    return sq
+
+
+def log_principal(w):
+    """Principal logarithm ln|w| + i*arg(w) with arg(w) in (-pi, pi].
+
+    Accepts scalars or arrays.  NaN, infinities, w = 0 and any modulus
+    outside [1e-150, 1e150] raise DomainError.  Callers in this package
+    always pass Re(w) > 0 and |w| < 2 + 1e-12 (bases 1 - c*z with
+    |c| <= 1 + 1e-12 and |z| <= 1), where the branch is continuous and
+    the imaginary part lies in (-pi/2, pi/2).
+    """
+    arr = np.asarray(w, dtype=np.complex128)
+    sq = _square_modulus(arr)
     out = np.empty(arr.shape, dtype=np.complex128)
     np.multiply(np.log(sq), 0.5, out=out.real)
     # -0.0 imaginary parts would flip arg(-x) to -pi; + 0.0 normalizes them to +0.0
-    np.arctan2(y + 0.0, x, out=out.imag)
+    np.arctan2(arr.imag + 0.0, arr.real, out=out.imag)
+    return out.item() if arr.ndim == 0 else out
+
+
+def _log_modulus(w):
+    """ln|w|: bit for bit log_principal(w).real, with the same DomainErrors and no arctan2."""
+    arr = np.asarray(w, dtype=np.complex128)
+    out = 0.5 * np.log(_square_modulus(arr))
     return out.item() if arr.ndim == 0 else out

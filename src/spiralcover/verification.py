@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import DomainError, log_principal
-from .functions import ClassParams, ProductForm, eval_log, log_derivative
+from .kernel import DomainError, _log_modulus, log_principal
+from .functions import ClassParams, ProductForm, _eval_log_real, eval_log, log_derivative
 
 __all__ = [
     "GridSpec",
@@ -53,8 +53,8 @@ __all__ = [
 ]
 
 PASS_TOL = 1e-9
-# shifts of the growth scan per eval_log call: 4 blocks of 8 beat both 32 calls of one
-# shift each and one call over all 32 shifts, which is slower and needs more memory
+# shifts of the growth scan evaluated together: 4 blocks of 8 beat both 32 blocks of one
+# shift each and one block of all 32 shifts, which is slower and needs more memory
 GROWTH_BLOCK = 8
 # the floating-point policy of every check_* and of the curve values in geometry; one
 # instance decorates them all because no guarded call runs inside another (numpy 1.x
@@ -423,26 +423,35 @@ def check_interior_identity(
 def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     """RHS - LHS of the spiral growth inequality, one row per shift t of ts.
 
-    For 0 < t < 2*cos(arg mu) the point z*(1 - exp(-i*phi)*t) stays in
-    the disk and |f| there is controlled by |((1-z')/(1-z))**mu| times
+    For 0 < t < 2*cos(arg mu) the point z' = z*(1 - exp(-i*phi)*t) stays
+    in the disk and |f| there is controlled by |((1-z')/(1-z))**mu| times
     (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  Moduli are taken branch
-    safely through exp(Re(eval_log)); the shifted points are evaluated
-    GROWTH_BLOCK shifts per eval_log call.
+    safely through exp(Re(log)), and only real parts are computed: per
+    block of GROWTH_BLOCK shifts, Log(1 - z') is taken once for both
+    log f(z') and the right-hand side, as ln|1 - z'| alone when mu and
+    the prefactor are real.  The bytes equal those of Re(eval_log(f, z'))
+    and Re(mu*(Log(1 - z') - Log(1 - z))).
     """
     phi = params.phi
     cos2 = 2.0 * math.cos(phi)
     if not all(0.0 < t < cos2 for t in ts):
         raise DomainError("t outside (0, 2*cos(arg mu))")
     rot = cmath.exp(-1j * phi)
-    power = -params.mu.real * (1.0 - params.beta)
+    mu = params.mu
+    power = -mu.real * (1.0 - params.beta)
+    log_1m = _log_modulus if mu.imag == 0.0 and ev.f.prefactor.imag == 0.0 else log_principal
     rows = []
     for i in range(0, len(ts), GROWTH_BLOCK):
         block = ts[i : i + GROWTH_BLOCK]
         # |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 for these t, so shifted stays in the disk
         shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
-        lhs = np.exp((eval_log(ev.f, shifted) - ev.log_f).real)
-        log_ratio = params.mu * (log_principal(1.0 - shifted) - ev.log_1mz)
-        rhs = np.exp(log_ratio.real) * np.array([[(1.0 - t / cos2) ** power] for t in block])
+        log_1m_shifted = log_1m(1.0 - shifted)
+        lhs = np.exp(_eval_log_real(ev.f, shifted, log_1m_shifted) - ev.log_f.real)
+        if mu.imag == 0.0:
+            log_ratio = mu.real * (log_1m_shifted.real - ev.log_1mz.real)
+        else:
+            log_ratio = (mu * (log_1m_shifted - ev.log_1mz)).real
+        rhs = np.exp(log_ratio) * np.array([[(1.0 - t / cos2) ** power] for t in block])
         rows.append(rhs - lhs)
     return np.concatenate(rows)
 

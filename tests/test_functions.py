@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spiralcover as sc
-from spiralcover import functions, kernel, verification
+from spiralcover import functions, kernel
 from spiralcover import (
     DEFAULT_GRID,
     ClassParams,
@@ -31,6 +31,8 @@ from spiralcover import (
     richardson_limit,
     transform_class,
 )
+
+from conftest import bit_equal, reference_growth_margin
 
 SAMPLE_Z = [0.0, 0.5, -0.3 + 0.4j, 0.1 - 0.7j, -0.85, 0.6 + 0.35j]
 
@@ -255,15 +257,65 @@ class TestBlockedEvaluation:
         assert calls[1] == (self.ROWS, self.GRID.size)
 
     @pytest.mark.parametrize("points", [GRID, GRID[::9]], ids=["default-grid", "100-points"])
-    def test_growth_scan_over_blocks(self, monkeypatch, points):
+    def test_growth_scan_over_blocks(self, points):
         # growth's (8, n) shifted points take (rows, 1, 1) nodes: 1 factor per block on the
         # default grid, 10 on 100 points, so 25 factors span several blocks either way
         params = ClassParams(0.9 + 0.4j, 0.35)
         f = many_factor_map(25)
         ts = [2.0 * math.cos(params.phi) * k / 33.0 for k in range(1, 33)]
-        blocked = growth_margin(GridEvaluation(f, points), params, ts)
-        monkeypatch.setattr(verification, "eval_log", per_factor_log)
-        assert np.array_equal(blocked, growth_margin(GridEvaluation(f, points), params, ts))
+        ev = GridEvaluation(f, points)
+        assert bit_equal(growth_margin(ev, params, ts), reference_growth_margin(ev, params, ts, per_factor_log))
+
+
+class TestEvalLogReal:
+    """functions._eval_log_real is Re(eval_log) bit for bit, with arctan2 only for complex exponents."""
+
+    GRID = DEFAULT_GRID.points()
+    MAPS = {
+        "real": ProductForm(1.3, ((0.6 + 0.7j, 0.25), (-0.9, 0.4), (0.3j, -0.1))),
+        "complex": many_factor_map(12),
+        # a real prefactor with one real and one complex exponent
+        "mixed": ProductForm(0.8, ((0.5 - 0.8j, 0.3), (-0.2 + 0.9j, 0.2 - 0.35j))),
+        "complex-prefactor": ProductForm(0.7 - 0.4j, ((0.9, 0.5),)),
+        "bare-power": ProductForm(1.1),
+    }
+    POINTS = {
+        "scalar": -0.3 + 0.4j,
+        "default-grid": GRID,
+        "growth-block": GRID * np.linspace(0.95, 0.1, 8)[:, None],
+    }
+
+    @pytest.mark.parametrize("points", list(POINTS))
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_equals_real_part_of_eval_log(self, name, points):
+        f, z = self.MAPS[name], self.POINTS[points]
+        ref = np.real(eval_log(f, z))
+        logs = [kernel.log_principal(1.0 - np.asarray(z))]
+        if f.prefactor.imag == 0.0:
+            logs.append(kernel._log_modulus(1.0 - np.asarray(z)))
+        for log_1mz in logs:
+            got = functions._eval_log_real(f, z, log_1mz)
+            assert bit_equal(got, ref)
+            assert type(got) is float if points == "scalar" else got.shape == np.shape(z)
+
+    @pytest.mark.parametrize("name, kernel_calls", [("real", 0), ("mixed", 1), ("complex", 12)])
+    def test_arctan2_only_for_complex_exponents(self, monkeypatch, name, kernel_calls):
+        f, z = self.MAPS[name], self.POINTS["growth-block"]
+        log_1mz = (kernel._log_modulus if f.prefactor.imag == 0.0 else kernel.log_principal)(1.0 - z)
+        calls = []
+        monkeypatch.setattr(functions, "log_principal", lambda w: calls.append(w) or kernel.log_principal(w))
+        functions._eval_log_real(f, z, log_1mz)
+        # one factor per block at 8 x 896 points: one log_principal per complex exponent
+        assert len(calls) == kernel_calls
+
+    def test_complex_prefactor_needs_complex_log(self):
+        z = self.POINTS["default-grid"]
+        with pytest.raises(ValueError, match="complex prefactor"):
+            functions._eval_log_real(self.MAPS["complex-prefactor"], z, kernel._log_modulus(1.0 - z))
+
+    def test_points_outside_disk_rejected(self):
+        with pytest.raises(DomainError):
+            functions._eval_log_real(self.MAPS["real"], 1.0, 0.0)
 
 
 class TestTransformClass:

@@ -40,6 +40,8 @@ from spiralcover import (
 )
 from spiralcover.serialize import load_function_spec
 
+from conftest import bit_equal, reference_growth_margin
+
 
 class TestGrid:
     def test_default_size(self):
@@ -498,3 +500,36 @@ class TestGrowth:
             growth_margin(GridEvaluation(f, 0.1), params, [2.5])
         with pytest.raises(DomainError):
             growth_margin(GridEvaluation(f, 0.1), params, [0.0])
+
+    @staticmethod
+    def t_grid(params):
+        return [2.0 * math.cos(params.phi) * k / 33.0 for k in range(1, 33)]
+
+    @pytest.mark.parametrize("mu", ["real", "complex"])
+    def test_population_matches_reference(self, population, mu):
+        # the scan computes real parts only; its bytes are those of the complex formula
+        for entry in population:
+            f, params = (entry.real_f, entry.real_params) if mu == "real" else (entry.f, entry.params)
+            ev, ts = GridEvaluation(f), self.t_grid(params)
+            assert bit_equal(growth_margin(ev, params, ts), reference_growth_margin(ev, params, ts))
+
+    @pytest.mark.parametrize("mu", [1.2, 0.8 - 0.5j], ids=["real-mu", "complex-mu"])
+    @pytest.mark.parametrize("prefactor", [0.6, 0.6 + 0.3j], ids=["real-prefactor", "complex-prefactor"])
+    def test_prefactor_and_mu_combinations_match_reference(self, mu, prefactor):
+        # ln|1 - z'| alone serves only when both mu and the prefactor are real
+        params = ClassParams(mu, 0.3)
+        f = ProductForm(prefactor, ((0.7 - 0.6j, 0.3), (-0.5 + 0.1j, 0.25 + 0.2j)))
+        ev, ts = GridEvaluation(f), self.t_grid(params)
+        assert bit_equal(growth_margin(ev, params, ts), reference_growth_margin(ev, params, ts))
+
+    def test_real_map_takes_no_arctan2(self, monkeypatch, population):
+        entry = population[0]
+        ev = GridEvaluation(entry.real_f)
+        ev.log_f, ev.log_1mz  # the base grid's logs are shared with the other checks
+
+        def refuse(w):
+            raise AssertionError("log_principal called for a real map")
+
+        monkeypatch.setattr(verification, "log_principal", refuse)
+        monkeypatch.setattr(sc.functions, "log_principal", refuse)
+        growth_margin(ev, entry.real_params, self.t_grid(entry.real_params))
