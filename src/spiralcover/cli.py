@@ -158,7 +158,14 @@ def cmd_radius_table(args) -> int:
 
 def cmd_render(args) -> int:
     data = _load_json(args.input)
-    specs = data["functions"] if isinstance(data, dict) and "functions" in data else [data]
+    opts = data if isinstance(data, dict) else {}
+    covering_disk, wedge = opts.get("covering_disk", False), opts.get("wedge", False)
+    labels = opts.get("labels", [])
+    if not (isinstance(covering_disk, bool) and isinstance(wedge, bool)):
+        raise ValueError("'covering_disk' and 'wedge' must be true or false")
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise ValueError("'labels' must be a list of strings")
+    specs = data["functions"] if "functions" in opts else [data]
     if not specs:
         raise ValueError("no function specs to render")
     if len(specs) > 4:
@@ -173,7 +180,7 @@ def cmd_render(args) -> int:
         return 0
 
     disks: list[Disk] = []
-    if isinstance(data, dict) and data.get("covering_disk"):
+    if covering_disk:
         _, params = loaded[0]
         s = params.mu * params.beta
         if s.imag != 0.0:
@@ -181,14 +188,13 @@ def cmd_render(args) -> int:
         disks.append(Disk(1.0 + 0.0j, covering_radius(s.real)))
 
     spirals = []
-    if isinstance(data, dict) and data.get("wedge"):
+    if wedge:
         f0, _ = loaded[0]
         nu = boundary_exponent(f0)
         rot = boundary_rotation(f0)
         up, down = wedge_spirals(nu, rot, (-1.0, 5.0))
         spirals = [up, down]
 
-    labels = list(data.get("labels", [])) if isinstance(data, dict) else []
     _write(args.output, render_svg(curves, disks, spirals, labels))
     return 0
 

@@ -44,8 +44,8 @@ __all__ = [
 OMEGA_TOL = 1e-12       # slack on |mu - 1| <= 1
 NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
 RADIAL_EXPONENTS = (3, 4, 5, 6)  # radii 1 - 10**-k used for radial limits
-# factors x points per kernel call of eval_log, _eval_log_real and log_derivative;
-# 8192 keeps each of the growth scan's 8 x 896 shifted points at one factor per call
+# elements per kernel call: factors x points in eval_log, _eval_log_real and
+# log_derivative, and shifts x points per block of the growth scan
 BLOCK_ELEMENTS = 8192
 
 
@@ -218,32 +218,22 @@ def eval_log(f: ProductForm, z):
     return complex(out[0]) if scalar else out
 
 
-def _eval_log_real(f: ProductForm, z, log_1mz):
-    """Re(eval_log(f, z)), bit for bit, given Log(1 - z) at the points.
+def _eval_log_real(f: ProductForm, zz: np.ndarray, pre: np.ndarray) -> np.ndarray:
+    """Re(eval_log(f, zz)) bit for bit, given its prefactor term pre = Re(p*Log(1 - zz)).
 
-    Re(e*L) rounds to e.real*Re(L) when e.imag == 0 (numpy forms it as
+    zz is an array of points inside the disk.  Re(e*L) rounds to
+    e.real*Re(L) when e.imag == 0 (numpy forms it as
     fma(e.real, L.real, -(e.imag*L.imag))), so a real exponent needs only
-    ln|1 - c*z|: arctan2 is taken only for blocks of factors with a
-    complex exponent, and log_1mz may be the real ln|1 - z| alone when
-    the prefactor is real.
+    ln|1 - c*zz|: arctan2 is taken only for blocks of factors with a
+    complex exponent.
     """
-    zz, scalar = _as_points(z)
-    log_1mz = np.reshape(log_1mz, zz.shape)
-    p = f.prefactor
-    if p.imag == 0.0:
-        pre = p.real * log_1mz.real
-    elif np.iscomplexobj(log_1mz):
-        pre = (p * log_1mz).real
-    else:
-        raise ValueError("a complex prefactor needs the complex Log(1 - z)")
 
     def terms(c, e):
         if e.imag.any():
             return (e * log_principal(1.0 - c * zz)).real
         return e.real * _log_modulus(1.0 - c * zz)
 
-    out = _factor_sum(zz, pre, f.nodes, f.exponents, terms)
-    return float(out[0]) if scalar else out
+    return _factor_sum(zz, pre, f.nodes, f.exponents, terms)
 
 
 def evaluate(f: ProductForm, z):

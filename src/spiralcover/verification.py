@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import DomainError, _log_modulus, log_principal
-from .functions import ClassParams, ProductForm, _eval_log_real, eval_log, log_derivative
+from .functions import BLOCK_ELEMENTS, ClassParams, ProductForm, _eval_log_real, eval_log, log_derivative
 
 __all__ = [
     "GridSpec",
@@ -53,9 +53,6 @@ __all__ = [
 ]
 
 PASS_TOL = 1e-9
-# shifts of the growth scan evaluated together: 4 blocks of 8 beat both 32 blocks of one
-# shift each and one block of all 32 shifts, which is slower and needs more memory
-GROWTH_BLOCK = 8
 # the floating-point policy of every check_* and of the curve values in geometry; one
 # instance decorates them all because no guarded call runs inside another (numpy 1.x
 # cannot nest an errstate instance) and none uses it as a with-block (numpy 2 enters
@@ -426,34 +423,37 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     For 0 < t < 2*cos(arg mu) the point z' = z*(1 - exp(-i*phi)*t) stays
     in the disk and |f| there is controlled by |((1-z')/(1-z))**mu| times
     (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  Moduli are taken branch
-    safely through exp(Re(log)), and only real parts are computed: per
-    block of GROWTH_BLOCK shifts, Log(1 - z') is taken once for both
-    log f(z') and the right-hand side, as ln|1 - z'| alone when mu and
-    the prefactor are real.  The bytes equal those of Re(eval_log(f, z'))
-    and Re(mu*(Log(1 - z') - Log(1 - z))).
+    safely through exp(Re(log)), and only real parts are computed.  The
+    shifts go in blocks of max(1, BLOCK_ELEMENTS // points) at a time, and
+    each block takes Log(1 - z') once, for both log f(z') and the
+    right-hand side: as ln|1 - z'| alone when mu and the prefactor are
+    real.  The bytes equal those of Re(eval_log(f, z')) and
+    Re(mu*(Log(1 - z') - Log(1 - z))).
     """
     phi = params.phi
     cos2 = 2.0 * math.cos(phi)
     if not all(0.0 < t < cos2 for t in ts):
         raise DomainError("t outside (0, 2*cos(arg mu))")
     rot = cmath.exp(-1j * phi)
-    mu = params.mu
+    mu, p = params.mu, ev.f.prefactor
     power = -mu.real * (1.0 - params.beta)
-    log_1m = _log_modulus if mu.imag == 0.0 and ev.f.prefactor.imag == 0.0 else log_principal
-    rows = []
-    for i in range(0, len(ts), GROWTH_BLOCK):
-        block = ts[i : i + GROWTH_BLOCK]
-        # |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 for these t, so shifted stays in the disk
+    # validates the points; |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 then keeps z' in the disk
+    log_f = ev.log_f.real
+    rows = max(1, BLOCK_ELEMENTS // ev.points.size)
+    out = []
+    for i in range(0, len(ts), rows):
+        block = ts[i : i + rows]
         shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
-        log_1m_shifted = log_1m(1.0 - shifted)
-        lhs = np.exp(_eval_log_real(ev.f, shifted, log_1m_shifted) - ev.log_f.real)
-        if mu.imag == 0.0:
-            log_ratio = mu.real * (log_1m_shifted.real - ev.log_1mz.real)
+        if mu.imag == 0.0 and p.imag == 0.0:
+            log_mod = _log_modulus(1.0 - shifted)
+            pre, log_ratio = p.real * log_mod, mu.real * (log_mod - ev.log_1mz.real)
         else:
-            log_ratio = (mu * (log_1m_shifted - ev.log_1mz)).real
+            log_1m = log_principal(1.0 - shifted)
+            pre, log_ratio = (p * log_1m).real, (mu * (log_1m - ev.log_1mz)).real
+        lhs = np.exp(_eval_log_real(ev.f, shifted, pre) - log_f)
         rhs = np.exp(log_ratio) * np.array([[(1.0 - t / cos2) ** power] for t in block])
-        rows.append(rhs - lhs)
-    return np.concatenate(rows)
+        out.append(rhs - lhs)
+    return np.concatenate(out)
 
 
 @_QUIET

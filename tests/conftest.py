@@ -64,22 +64,17 @@ def build_population(count: int = POPULATION_SIZE, seed: int = MASTER_SEED) -> l
 def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
     """growth_margin from complex logs: Re(log f(z') - log f(z)) and Re(mu*(Log(1-z') - Log(1-z))).
 
-    The formula whose bytes the real-part scan must reproduce: shifted points z' in
-    blocks of verification.GROWTH_BLOCK shifts, through eval_log (or the given
-    stand-in) and log_principal.
+    The formula whose bytes the real-part scan must reproduce, with no blocks of its
+    own: all shifted points z' in one eval_log (or stand-in) call and one log_principal.
     """
     rot = cmath.exp(-1j * params.phi)
     cos2 = 2.0 * math.cos(params.phi)
     power = -params.mu.real * (1.0 - params.beta)
-    rows = []
-    for i in range(0, len(ts), sc.verification.GROWTH_BLOCK):
-        block = ts[i : i + sc.verification.GROWTH_BLOCK]
-        shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
-        lhs = np.exp((eval_log(ev.f, shifted) - ev.log_f).real)
-        log_ratio = params.mu * (sc.log_principal(1.0 - shifted) - ev.log_1mz)
-        rhs = np.exp(log_ratio.real) * np.array([[(1.0 - t / cos2) ** power] for t in block])
-        rows.append(rhs - lhs)
-    return np.concatenate(rows)
+    shifted = ev.points * np.array([[1.0 - rot * t] for t in ts])
+    lhs = np.exp((eval_log(ev.f, shifted) - ev.log_f).real)
+    log_ratio = params.mu * (sc.log_principal(1.0 - shifted) - ev.log_1mz)
+    rhs = np.exp(log_ratio.real) * np.array([[(1.0 - t / cos2) ** power] for t in ts])
+    return rhs - lhs
 
 
 def bit_equal(a, b) -> bool:

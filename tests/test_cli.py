@@ -612,6 +612,34 @@ class TestRender:
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
         assert svg_text(out).count("<path") == 3  # one curve + two spirals
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"labels": [5]}, "'labels' must be a list of strings"),
+            ({"labels": [None]}, "'labels' must be a list of strings"),
+            ({"labels": "abc"}, "'labels' must be a list of strings"),
+            ({"wedge": "no"}, "must be true or false"),
+            ({"covering_disk": 1}, "must be true or false"),
+        ],
+        ids=["number-label", "null-label", "string-labels", "string-wedge", "number-covering-disk"],
+    )
+    @pytest.mark.parametrize("suffix", ["svg", "csv"])
+    def test_bad_options_rejected(self, options, message, suffix, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / f"out.{suffix}"
+        src.write_text(dumps({"functions": [EXAMPLE_SPEC], **options}))
+        assert main(["render", "-i", str(src), "-o", str(out)]) == 2
+        assert not out.exists()
+        assert message in capsys.readouterr().err
+
+    def test_false_options_draw_nothing_extra(self, tmp_path):
+        path = tmp_path / "one.json"
+        path.write_text(dumps({"functions": [EXAMPLE_SPEC], "covering_disk": False, "wedge": False, "labels": []}))
+        out = tmp_path / "fig.svg"
+        assert main(["render", "-i", str(path), "-o", str(out)]) == 0
+        svg = svg_text(out)
+        assert svg.count("<path") == 1
+        assert "<circle" not in svg and "<text" not in svg
+
     def test_empty_function_list(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text(dumps({"functions": []}))

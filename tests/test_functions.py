@@ -238,7 +238,7 @@ class TestBlockedEvaluation:
 
     def test_growth_shaped_block(self):
         f = many_factor_map(40)
-        block = self.GRID * np.linspace(0.9, 0.2, 8)[:, None]
+        block = self.GRID * np.linspace(0.9, 0.2, 9)[:, None]
         assert np.array_equal(eval_log(f, block), per_factor_log(f, block))
         assert np.array_equal(log_derivative(f, block), per_factor_log_derivative(f, block))
 
@@ -258,8 +258,8 @@ class TestBlockedEvaluation:
 
     @pytest.mark.parametrize("points", [GRID, GRID[::9]], ids=["default-grid", "100-points"])
     def test_growth_scan_over_blocks(self, points):
-        # growth's (8, n) shifted points take (rows, 1, 1) nodes: 1 factor per block on the
-        # default grid, 10 on 100 points, so 25 factors span several blocks either way
+        # growth's shifted points take (rows, 1, 1) nodes: 1 factor per block at 9 x 896 on
+        # the default grid, 2 at 32 x 100 on 100 points, so 25 factors span several blocks
         params = ClassParams(0.9 + 0.4j, 0.35)
         f = many_factor_map(25)
         ts = [2.0 * math.cos(params.phi) * k / 33.0 for k in range(1, 33)]
@@ -280,42 +280,38 @@ class TestEvalLogReal:
         "bare-power": ProductForm(1.1),
     }
     POINTS = {
-        "scalar": -0.3 + 0.4j,
+        # one point, as a 1-element array: every factor in one block, a sum down a single column
+        "scalar": np.array([-0.3 + 0.4j]),
         "default-grid": GRID,
-        "growth-block": GRID * np.linspace(0.95, 0.1, 8)[:, None],
+        # the growth scan's block on the default grid: 9 shifts x 896 points
+        "growth-block": GRID * np.linspace(0.95, 0.1, 9)[:, None],
     }
+
+    @staticmethod
+    def prefactor_terms(f, z):
+        """Re(p*Log(1 - z)) from the complex log, and from ln|1 - z| alone when p is real."""
+        terms = [(f.prefactor * kernel.log_principal(1.0 - z)).real]
+        if f.prefactor.imag == 0.0:
+            terms.append(f.prefactor.real * kernel._log_modulus(1.0 - z))
+        return terms
 
     @pytest.mark.parametrize("points", list(POINTS))
     @pytest.mark.parametrize("name", list(MAPS))
     def test_equals_real_part_of_eval_log(self, name, points):
         f, z = self.MAPS[name], self.POINTS[points]
-        ref = np.real(eval_log(f, z))
-        logs = [kernel.log_principal(1.0 - np.asarray(z))]
-        if f.prefactor.imag == 0.0:
-            logs.append(kernel._log_modulus(1.0 - np.asarray(z)))
-        for log_1mz in logs:
-            got = functions._eval_log_real(f, z, log_1mz)
-            assert bit_equal(got, ref)
-            assert type(got) is float if points == "scalar" else got.shape == np.shape(z)
+        ref = eval_log(f, z).real
+        for pre in self.prefactor_terms(f, z):
+            assert bit_equal(functions._eval_log_real(f, z, pre), ref)
 
     @pytest.mark.parametrize("name, kernel_calls", [("real", 0), ("mixed", 1), ("complex", 12)])
     def test_arctan2_only_for_complex_exponents(self, monkeypatch, name, kernel_calls):
         f, z = self.MAPS[name], self.POINTS["growth-block"]
-        log_1mz = (kernel._log_modulus if f.prefactor.imag == 0.0 else kernel.log_principal)(1.0 - z)
+        pre = self.prefactor_terms(f, z)[-1]
         calls = []
         monkeypatch.setattr(functions, "log_principal", lambda w: calls.append(w) or kernel.log_principal(w))
-        functions._eval_log_real(f, z, log_1mz)
-        # one factor per block at 8 x 896 points: one log_principal per complex exponent
+        functions._eval_log_real(f, z, pre)
+        # one factor per block at 9 x 896 points: one log_principal per complex exponent
         assert len(calls) == kernel_calls
-
-    def test_complex_prefactor_needs_complex_log(self):
-        z = self.POINTS["default-grid"]
-        with pytest.raises(ValueError, match="complex prefactor"):
-            functions._eval_log_real(self.MAPS["complex-prefactor"], z, kernel._log_modulus(1.0 - z))
-
-    def test_points_outside_disk_rejected(self):
-        with pytest.raises(DomainError):
-            functions._eval_log_real(self.MAPS["real"], 1.0, 0.0)
 
 
 class TestTransformClass:

@@ -11,7 +11,7 @@ import pytest
 
 import spiralcover as sc
 from spiralcover.cli import main
-from spiralcover.serialize import dumps
+from spiralcover.serialize import dumps, load_function_spec
 
 # the extremal of G(1, 0.5) with its atom at angle pi + pi/128, declared with a beta above
 # 0.5: the class margin's minimum on |z| = 0.995 lies halfway between two default grid angles
@@ -57,3 +57,29 @@ class TestPointOnTheTrueCurve:
     @pytest.mark.xfail(strict=True, reason="the winding test treats the polygon as the curve")
     def test_contains_point_is_indeterminate(self):
         assert sc.contains_point(self.F, self.on_curve_point(), self.RHO) is None
+
+
+# the extremal of G(1 + 0.5i, 0) with its atom at -1, declared with beta = 0.003: near
+# t = 0 the growth margin falls like t*(|mu|/2)*class margin, which is negative at
+# z = 0.995, but it turns positive again before the first sampled t = 2*cos(phi)/33
+BETWEEN_T_SPEC = {"mu": [1.0, 0.5], "beta": 0.003, "factors": [{"node": [-1.0, 0.0], "exponent": [1.0, 0.5]}]}
+
+
+class TestBetweenTSamples:
+    F, PARAMS = load_function_spec(BETWEEN_T_SPEC)
+    COS2 = 2.0 * math.cos(PARAMS.phi)
+
+    def test_margin_dips_below_the_first_sampled_t(self):
+        margin = sc.growth_margin(sc.GridEvaluation(self.F, 0.995), self.PARAMS, [0.1 * self.COS2 / 33.0])
+        assert -1.4e-6 < margin.item() < -1.2e-6
+
+    @pytest.mark.parametrize("grid", [sc.DEFAULT_GRID, sc.GridSpec((0.995,), 4096)], ids=["default-grid", "ring"])
+    def test_sampled_t_pass(self, grid):
+        ts = [self.COS2 * k / 33.0 for k in range(1, 33)]
+        assert sc.growth_margin(sc.GridEvaluation(self.F, grid.points()), self.PARAMS, ts).min() > 2e-6
+
+    @pytest.mark.xfail(strict=True, reason="the growth scan samples 32 values of t and misses the dip below the first")
+    def test_growth_check_does_not_pass(self, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_text(dumps(BETWEEN_T_SPEC))
+        assert main(["check", "-i", str(src), "--checks", "growth", "-o", str(tmp_path / "out.json")]) != 0

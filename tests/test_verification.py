@@ -533,3 +533,41 @@ class TestGrowth:
         monkeypatch.setattr(verification, "log_principal", refuse)
         monkeypatch.setattr(sc.functions, "log_principal", refuse)
         growth_margin(ev, entry.real_params, self.t_grid(entry.real_params))
+
+    # shifts per block, max(1, 8192 // points): 1 at 8,194 points, all 32 at 3 points
+    GRIDS = {
+        "one-shift-per-block": GridSpec((0.5, 0.995), 4097),
+        "one-block": GridSpec((0.5,), 3),
+    }
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("mu", [1.2, 0.8 - 0.5j], ids=["real-mu", "complex-mu"])
+    def test_block_sizes_match_reference(self, grid, mu):
+        params = ClassParams(mu, 0.3)
+        f = construct(params, random_measure(5, 41))
+        ev, ts = GridEvaluation(f, self.GRIDS[grid].points()), self.t_grid(params)
+        assert bit_equal(growth_margin(ev, params, ts), reference_growth_margin(ev, params, ts))
+
+    @pytest.mark.parametrize(
+        "grid, rows",
+        [(sc.DEFAULT_GRID, [9, 9, 9, 5]), (GRIDS["one-shift-per-block"], [1] * 32), (GRIDS["one-block"], [32])],
+        ids=["default-grid", "one-shift-per-block", "one-block"],
+    )
+    def test_blocks_follow_block_elements(self, monkeypatch, grid, rows):
+        params = ClassParams(1.2, 0.3)
+        ev = GridEvaluation(construct(params, random_measure(3, 42)), grid.points())
+        shapes = []
+        monkeypatch.setattr(
+            verification, "_log_modulus", lambda w: shapes.append(w.shape) or sc.kernel._log_modulus(w)
+        )
+        growth_margin(ev, params, self.t_grid(params))
+        assert shapes == [(k, ev.points.size) for k in rows]
+
+    @pytest.mark.parametrize("bad", [1.0, -0.6 + 0.8j, 1.5, complex("nan")], ids=["one", "unit-circle", "outside", "nan"])
+    def test_points_outside_disk_rejected(self, bad):
+        # reading log f at the points validates them before any shift is taken
+        params = ClassParams(0.8 - 0.5j, 0.3)
+        ev = GridEvaluation(construct(params, random_measure(2, 43)), [0.5, bad])
+        match = "non-finite" if cmath.isnan(bad) else "evaluation point outside the open unit disk"
+        with pytest.raises(DomainError, match=match):
+            check_growth(ev, params)
