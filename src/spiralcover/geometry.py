@@ -110,6 +110,11 @@ def _curve_values(fn: Callable[[np.ndarray], np.ndarray], rho: float, thetas: np
     return values
 
 
+def _next(x: np.ndarray) -> np.ndarray:
+    """x[k + 1] at index k, cyclically: np.roll(x, -1) by slicing."""
+    return np.concatenate([x[1:], x[:1]])
+
+
 def _adaptive_closed_curve(
     fn: Callable[[np.ndarray], np.ndarray],
     rho: float,
@@ -117,25 +122,25 @@ def _adaptive_closed_curve(
 ) -> PolyLine:
     thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     values = _curve_values(fn, rho, thetas)
+    mods = np.abs(values)
     budget = 16 * n
 
     for _ in range(64):
-        nxt = np.roll(values, -1)
-        gaps = np.roll(thetas, -1) - thetas
-        gaps[-1] += 2.0 * np.pi
-        chords = np.abs(nxt - values)
-        local = np.maximum(np.maximum(np.abs(values), np.abs(nxt)), 1e-12 * np.abs(values).max())
+        # segment k runs from vertex k to vertex k + 1
+        seg = _next(values) - values
+        chords = np.abs(seg)
+        local = np.maximum(np.maximum(mods, _next(mods)), 1e-12 * mods.max())
         flags = chords > REFINE_TOL * local
 
         # turning angle at each vertex flags both adjacent segments;
         # curves of power-map type have high curvature near the image of z ~ 1
-        seg = nxt - values
-        prev = np.roll(seg, 1)
-        nz = (np.abs(seg) > 0) & (np.abs(prev) > 0)
-        turn = np.zeros_like(chords)
-        turn[nz] = np.abs(np.angle(seg[nz] / prev[nz]))
+        prev = np.concatenate([seg[-1:], seg[:-1]])
+        nz = chords > 0
+        nz &= np.concatenate([nz[-1:], nz[:-1]])
+        # a vertex next to a zero-length segment does not turn: its ratio stays 1
+        turn = np.abs(np.angle(np.divide(seg, prev, out=np.ones_like(seg), where=nz)))
         vert_flags = turn > MAX_TURN
-        flags |= vert_flags | np.roll(vert_flags, -1)
+        flags |= vert_flags | _next(vert_flags)
 
         room = budget - thetas.size
         if not flags.any() or room <= 0:
@@ -144,19 +149,24 @@ def _adaptive_closed_curve(
         if idx.size > room:
             order = np.argsort(-(chords[idx] / local[idx]))
             idx = idx[order[:room]]
+        gaps = _next(thetas) - thetas
+        gaps[-1] += 2.0 * np.pi
         new_thetas = thetas[idx] + gaps[idx] / 2.0
         new_values = _curve_values(fn, rho, new_thetas)
         thetas = np.concatenate([thetas, new_thetas])
-        values = np.concatenate([values, new_values])
         order = np.argsort(thetas)
-        thetas, values = thetas[order], values[order]
+        thetas = thetas[order]
+        values = np.concatenate([values, new_values])[order]
+        mods = np.concatenate([mods, np.abs(new_values)])[order]
+    else:
+        # the 64th pass inserted vertices: chords of the final polygon
+        chords = np.abs(_next(values) - values)
 
-    scale = np.abs(values).max()
-    if scale == 0 or np.all(np.abs(np.roll(values, -1) - values) <= 1e-15 * scale):
+    scale = mods.max()
+    if scale == 0 or np.all(chords <= 1e-15 * scale):
         raise DomainError("degenerate boundary curve (constant map?)")
     # drop exact duplicates so the polyline invariant holds
-    keep = np.abs(values - np.roll(values, 1)) > 0
-    keep[0] = True
+    keep = np.concatenate([[True], chords[:-1] > 0])
     return PolyLine(values[keep], closed=True)
 
 
@@ -196,20 +206,23 @@ def _crossing_windings(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndar
     va, vb = tail - w, head - w
     # (a-w) x (b-w) > 0 when w is left of a -> b: the cross product of the
     # dense angle sum, whose rounding error shrinks as w nears either vertex
-    side = np.sign(va.real * vb.imag - va.imag * vb.real)
+    cross = va.real * vb.imag - va.imag * vb.real
+    _require_finite(cross)
+    side = np.sign(cross)
     signs = np.where(head.imag > tail.imag, np.maximum(side, 0.0), np.minimum(side, 0.0))
     return np.bincount(pt_idx, weights=signs, minlength=pts.size).astype(np.int64)
 
 
-def _curve_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray, guard: float) -> np.ndarray:
-    """Distance from each of pts to the polyline with segments a[k] -> b[k].
+def _require_finite(values: np.ndarray) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DomainError("winding test overflows: the curve is too large for float arithmetic")
 
-    Segments are grouped DISTANCE_BLOCK at a time.  A (point, block)
-    pair is searched only when the block's bounding box is no farther
-    than the point's distance to the nearest block start vertex, a point
-    on the curve; the relative slack and the guard absorb rounding in
-    the bounds and in the segment formula.  Searched pairs get the same
-    per-segment formula as a dense scan, so the minimum is the same float.
+
+def _distance_index(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Segment blocks of the polyline a[k] -> b[k], built once per curve for _index_distances.
+
+    Segments are grouped DISTANCE_BLOCK at a time, each block with its
+    bounding box and its start vertex, a point on the curve.
     """
     n_blocks = -(-a.size // DISTANCE_BLOCK)
     # the last block repeats the final segment; a repeat leaves the minimum unchanged
@@ -217,20 +230,36 @@ def _curve_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray, guard: float
     start, end = a[seg], b[seg]
     edge = end - start
     edge_sq = np.abs(edge) ** 2
+    _require_finite(edge_sq)
     edge_sq = np.where(edge_sq > 0, edge_sq, 1.0)
     x_lo = np.minimum(start.real, end.real).min(axis=1)
     x_hi = np.maximum(start.real, end.real).max(axis=1)
     y_lo = np.minimum(start.imag, end.imag).min(axis=1)
     y_hi = np.maximum(start.imag, end.imag).max(axis=1)
+    return start, edge, edge_sq, x_lo, x_hi, y_lo, y_hi
 
+
+@_QUIET
+def _index_distances(blocks: tuple[np.ndarray, ...], pts: np.ndarray, guard: float) -> np.ndarray:
+    """Distance from each of pts to the polyline of a _distance_index.
+
+    A (point, block) pair is searched only when the block's bounding box
+    is no farther than the point's distance to the nearest block start
+    vertex; the relative slack and the guard absorb rounding in the
+    bounds and in the segment formula.  Searched pairs get the same
+    per-segment formula as a dense scan, so the minimum is the same float.
+    A distance that overflows raises DomainError.
+    """
+    start, edge, edge_sq, x_lo, x_hi, y_lo, y_hi = blocks
     dists = np.empty(pts.size, dtype=np.float64)
     # bounds the (point, segment) pairs of one pass even when nothing is pruned
-    chunk = max(1, 2_000_000 // seg.size)
+    chunk = max(1, 2_000_000 // start.size)
     for lo in range(0, pts.size, chunk):
         w = pts[lo : lo + chunk]
         px, py = w.real[:, None], w.imag[:, None]
-        dx = np.clip(px, x_lo, x_hi) - px
-        dy = np.clip(py, y_lo, y_hi) - py
+        # np.minimum(np.maximum(...)) is np.clip without its wrapper's cost
+        dx = np.minimum(np.maximum(px, x_lo), x_hi) - px
+        dy = np.minimum(np.maximum(py, y_lo), y_hi) - py
         box_sq = dx * dx + dy * dy
         ux, uy = start[:, 0].real - px, start[:, 0].imag - py
         vertex_sq = ux * ux + uy * uy
@@ -242,10 +271,27 @@ def _curve_distances(a: np.ndarray, b: np.ndarray, pts: np.ndarray, guard: float
         va = start[blk_k] - w[pt_k, None]
         e = edge[blk_k]
         t = -(va.real * e.real + va.imag * e.imag) / edge_sq[blk_k]
-        t = np.clip(t, 0.0, 1.0)
+        t = np.minimum(np.maximum(t, 0.0), 1.0)
         near = np.abs(va + t * e).min(axis=1)
         dists[lo : lo + chunk] = np.minimum.reduceat(near, np.searchsorted(pt_k, np.arange(w.size)))
+    _require_finite(dists)
     return dists
+
+
+@_QUIET
+def _windings(curve: PolyLine, points) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], float]:
+    """Checked samples, their winding numbers around curve, its distance index and guard.
+
+    The one entry of winding_numbers and _winding_report: a non-finite
+    sample, or a curve whose cross products or segment lengths overflow,
+    raises DomainError, with or without a warning.
+    """
+    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    if not np.all(np.isfinite(pts)):
+        raise DomainError("non-finite point")
+    a = curve.points
+    b = _next(a)
+    return pts, _crossing_windings(a, b, pts), _distance_index(a, b), GUARD_FACTOR * curve.diameter()
 
 
 def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,18 +301,14 @@ def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.
     curve than the guard distance cannot be classified at the curve's
     own resolution and is marked indeterminate instead.  The cost is the
     crossing (edge, point) pairs plus the segments of the pruned distance
-    blocks, not points x vertices.
+    blocks, not points x vertices.  A curve too large for float
+    arithmetic raises DomainError.
     """
     if not poly.closed:
         raise ValueError("winding numbers need a closed polyline")
-    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("non-finite point")
-    a = poly.points
-    b = np.roll(a, -1)
-    guard = GUARD_FACTOR * poly.diameter()
-    dists = _curve_distances(a, b, pts, guard)
-    return _crossing_windings(a, b, pts), dists < guard, dists
+    pts, wn, blocks, guard = _windings(poly, points)
+    dists = _index_distances(blocks, pts, guard)
+    return wn, dists < guard, dists
 
 
 def contains_point(f: ProductForm, w: complex, rho: float) -> Optional[bool]:
@@ -292,24 +334,20 @@ def _winding_report(check: str, curve: PolyLine, pts: np.ndarray) -> Verificatio
     Exact distances are taken every ANCHOR_EVERY-th sample and where
     they can decide the report.  The distance is 1-Lipschitz, so the
     anchors on either side bound each sample between them, widened for
-    rounding as in _curve_distances.  Samples that may be indeterminate
+    rounding as in _index_distances.  Samples that may be indeterminate
     or may hold the worst margin get exact distances; every other sample
     keeps a lower bound on its margin strictly above the worst, so the
-    report equals the one with exact distances everywhere.
+    report equals the one with exact distances everywhere.  Every round
+    queries the one distance index built with the windings.
     """
-    pts = np.atleast_1d(np.asarray(pts, dtype=np.complex128))
-    if not np.all(np.isfinite(pts)):
-        raise DomainError("non-finite point")
-    a = curve.points
-    wn = _crossing_windings(a, np.roll(a, -1), pts)
-    guard = GUARD_FACTOR * curve.diameter()
+    pts, wn, blocks, guard = _windings(curve, pts)
     lo, hi = np.full(pts.size, -np.inf), np.full(pts.size, np.inf)
     exact = np.zeros(pts.size, dtype=bool)
 
     def settle(mask):
         idx = np.flatnonzero(mask & ~exact)
         if idx.size:
-            lo[idx] = hi[idx] = winding_numbers(curve, pts[idx])[2]
+            lo[idx] = hi[idx] = _index_distances(blocks, pts[idx], guard)
             exact[idx] = True
 
     index = np.arange(pts.size)

@@ -31,6 +31,9 @@ CORE_SPEC = {"mu": 1.0, "beta": 0.6, "prefactor": [0.6, 0.0], "factors": []}
 # f = (1-z)/(1-z/2)**1e300: finite exponent data whose values overflow on every curve
 OVERFLOW_SPEC = {"mu": 1, "beta": 0.5, "factors": [{"node": [0.5, 0], "exponent": [1e300, 0]}]}
 
+# f = (1-z)**-60: finite on |z| = 0.999, up to 1e180, too large for the winding test's products
+WINDING_OVERFLOW_SPEC = {"mu": [1, 0], "beta": 0.5, "prefactor": [-60, 0], "factors": []}
+
 # the six grid checks of spiralbench's wide-measure workload
 WIDE_CHECKS = "membership,distortion,derivative-disk,schwarz,value-bounds,interior-identity"
 
@@ -477,6 +480,17 @@ class TestCover:
             assert main(["cover", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: boundary curve overflows")
+
+    @pytest.mark.parametrize("warning_action", ["default", "error"])
+    def test_overflowing_winding_rejected(self, tmp_path, capsys, warning_action):
+        # the curve is finite, its cross products are not: exit 2, no file, no RuntimeWarning
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps(WINDING_OVERFLOW_SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action, RuntimeWarning)
+            assert main(["cover", "-i", str(src), "-o", str(out), "--rho", "0.999", "--r-inner", "0.95"]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: winding test overflows")
 
     def test_indeterminate_count_warned_not_written(self, example_path, tmp_path, capsys, monkeypatch):
         plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -349,18 +350,121 @@ class TestWindingReportAgainstReference:
         assert_same_report(report, reference_winding_report(curve, pts))
 
     def test_exact_distances_only_where_they_decide(self, worked_example, monkeypatch):
+        # one distance index and one crossing pass per report; every exact distance is
+        # a query of that index, and only a subset of the samples gets one
         f, params = worked_example
+        geometry = sc.geometry
+        calls = {"_distance_index": 0, "_crossing_windings": 0}
         counted = []
-        winding = sc.geometry.winding_numbers
 
-        def counting(poly, points):
-            counted.append(np.size(points))
-            return winding(poly, points)
+        def counting(name):
+            inner = getattr(geometry, name)
 
-        monkeypatch.setattr(sc.geometry, "winding_numbers", counting)
+            def wrapped(*args):
+                calls[name] += 1
+                return inner(*args)
+
+            return wrapped
+
+        for name in calls:
+            monkeypatch.setattr(geometry, name, counting(name))
+        query = geometry._index_distances
+
+        def counting_query(blocks, pts, guard):
+            counted.append(pts.size)
+            return query(blocks, pts, guard)
+
+        monkeypatch.setattr(geometry, "_index_distances", counting_query)
         report = check_covering(f, params, 0.95, 0.999, m=2048)
         assert report.passed and report.samples == 2048
-        assert 2048 // sc.geometry.ANCHOR_EVERY <= sum(counted) < 2048
+        assert calls == {"_distance_index": 1, "_crossing_windings": 1}
+        assert 2048 // geometry.ANCHOR_EVERY <= sum(counted) < 2048
+
+
+def reference_adaptive_curve(fn, rho, n):
+    """The refinement loop with np.roll neighbours and per-pass moduli: the oracle for _adaptive_closed_curve."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+    values = sc.geometry._curve_values(fn, rho, thetas)
+    budget = 16 * n
+    for _ in range(64):
+        nxt = np.roll(values, -1)
+        gaps = np.roll(thetas, -1) - thetas
+        gaps[-1] += 2.0 * np.pi
+        chords = np.abs(nxt - values)
+        local = np.maximum(np.maximum(np.abs(values), np.abs(nxt)), 1e-12 * np.abs(values).max())
+        flags = chords > sc.geometry.REFINE_TOL * local
+        seg = nxt - values
+        prev = np.roll(seg, 1)
+        nz = (np.abs(seg) > 0) & (np.abs(prev) > 0)
+        turn = np.zeros_like(chords)
+        turn[nz] = np.abs(np.angle(seg[nz] / prev[nz]))
+        vert_flags = turn > sc.geometry.MAX_TURN
+        flags |= vert_flags | np.roll(vert_flags, -1)
+        room = budget - thetas.size
+        if not flags.any() or room <= 0:
+            break
+        idx = np.nonzero(flags)[0]
+        if idx.size > room:
+            order = np.argsort(-(chords[idx] / local[idx]))
+            idx = idx[order[:room]]
+        new_thetas = thetas[idx] + gaps[idx] / 2.0
+        new_values = sc.geometry._curve_values(fn, rho, new_thetas)
+        thetas = np.concatenate([thetas, new_thetas])
+        values = np.concatenate([values, new_values])
+        order = np.argsort(thetas)
+        thetas, values = thetas[order], values[order]
+    keep = np.abs(values - np.roll(values, 1)) > 0
+    keep[0] = True
+    return values[keep]
+
+
+def assert_curve_matches_reference(fn, rho, n):
+    got = sc.geometry._adaptive_closed_curve(fn, rho, n).points
+    ref = reference_adaptive_curve(fn, rho, n)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))  # signed zeros too
+
+
+class TestAdaptiveCurveAgainstReference:
+    @pytest.mark.parametrize("rho,n", [(0.999, 512), (0.99, 256), (0.999, 64)])
+    def test_population(self, population, rho, n):
+        for e in population:
+            assert_curve_matches_reference(lambda z, f=e.f: evaluate(f, z), rho, n)
+
+    def test_worked_example(self, worked_example):
+        f, _ = worked_example
+        assert_curve_matches_reference(lambda z: evaluate(f, z), 0.999, 512)
+
+    def test_point_budget_map(self):
+        # test_point_budget's map converges within its 16 * n budget
+        f = construct(ClassParams(1.0, 0.1), random_measure(4, 3))
+        assert_curve_matches_reference(lambda z: evaluate(f, z), 0.995, 64)
+
+    def test_budget_exhausted(self, population):
+        # at n = 64 the budget runs out and the largest relative chords are bisected first
+        f = population[0].f
+        assert reference_adaptive_curve(lambda z: evaluate(f, z), 0.999, 64).size == 16 * 64
+        assert_curve_matches_reference(lambda z: evaluate(f, z), 0.999, 64)
+
+    def test_all_passes_and_duplicates(self):
+        # within 2**-53 of the circle the bisections near z = 1 run all 64 passes and
+        # produce coinciding values, which are dropped
+        calls = []
+
+        def fn(z):
+            calls.append(z.size)
+            return (1.0 - z) ** 0.05
+
+        rho = float(np.nextafter(1.0, 0.0))
+        points = sc.geometry._adaptive_closed_curve(fn, rho, 4096).points
+        assert len(calls) == 65 and points.size < sum(calls)
+        assert_curve_matches_reference(fn, rho, 4096)
+
+    def test_covering_composition(self, population):
+        params = ClassParams(2.0, 0.5)
+        s = to_interior_spirallike(construct(params, population[0].measure), params)
+        g, _ = covering_composition(s, 0.0, 0.5, 0.5)
+        assert_curve_matches_reference(g, 0.999, 512)
 
 
 class TestBoundaryCurve:
@@ -419,6 +523,25 @@ class TestContainsPoint:
             winding_numbers(regular_ngon(64), [0.1, bad])
         with pytest.raises(DomainError):
             contains_point(ProductForm(0.6), bad, 0.9)
+
+
+class TestWindingOverflow:
+    # f = (1-z)**-60 is finite on |z| = 0.999 (up to 1e180), but its cross products and
+    # segment lengths overflow float arithmetic; f(0) = 1 must not be reported outside
+    F, PARAMS = ProductForm(-60.0), ClassParams(1.0, 0.5)
+
+    @pytest.mark.parametrize("warning_action", ["default", "error"])
+    def test_library_calls_raise(self, warning_action):
+        curve = boundary_curve(self.F, 0.999)
+        assert np.all(np.isfinite(curve.points))
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action, RuntimeWarning)
+            with pytest.raises(DomainError, match="winding test overflows"):
+                winding_numbers(curve, [1.0, 2.0, 0.5])
+            with pytest.raises(DomainError, match="winding test overflows"):
+                contains_point(self.F, 1.0, 0.999)
+            with pytest.raises(DomainError, match="winding test overflows"):
+                check_covering(self.F, self.PARAMS, 0.95, 0.999)
 
 
 class TestCheckCovering:
