@@ -2,9 +2,9 @@
 
 Subcommands: construct, check, distort, cover, radius-table, render.
 Exit status 0 means every requested check passed, 1 means a check
-failed, 2 means the input was malformed or inapplicable.  Identical
-inputs produce byte-identical JSON/CSV output; SVG output is identical
-up to its version comment line.
+failed, 2 means the input was malformed, inapplicable or too large to
+allocate.  Identical inputs produce byte-identical JSON/CSV output; SVG
+output is identical up to its version comment line.
 """
 
 from __future__ import annotations
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         if not 0.0 <= getattr(args, "tolerance", 0.0) < math.inf:
             raise ValueError("--tolerance must be finite and at least 0")
         return args.fn(args)
-    except (ValueError, DomainError, KeyError, TypeError, OSError) as exc:
+    except (ValueError, DomainError, KeyError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -90,7 +90,10 @@ class ProductForm:
     """Exponent data (prefactor p, factors (c_j, e_j)) of a disk map.
 
     Immutable, and every evaluation is a pure function of it, so grids
-    may be evaluated in any order with the same results.
+    may be evaluated in any order with the same results.  The factors
+    may be given as a sequence of pairs or as an (n, 2) array; they are
+    kept as a tuple of complex pairs and, built once, as read-only node,
+    exponent and -(e_j*c_j) numerator arrays for the evaluations.
     """
 
     prefactor: complex
@@ -100,24 +103,35 @@ class ProductForm:
         p = complex(self.prefactor)
         if not (math.isfinite(p.real) and math.isfinite(p.imag)):
             raise DomainError("non-finite prefactor")
-        facs = []
-        for c, e in self.factors:
-            c, e = complex(c), complex(e)
-            if not all(map(math.isfinite, (c.real, c.imag, e.real, e.imag))):
+        pairs = np.array(self.factors, dtype=np.complex128).reshape(-1, 2)
+        if len(pairs) != len(self.factors):
+            raise ValueError("factors must be (node, exponent) pairs")
+        nodes, exponents = np.ascontiguousarray(pairs.T)
+        finite = np.isfinite(pairs).all(axis=1)
+        bad = ~finite | (np.abs(nodes) > 1.0 + NODE_TOL)
+        if bad.any():  # the first bad factor, with the message the per-factor checks give it
+            i = int(np.argmax(bad))
+            if not finite[i]:
                 raise DomainError("non-finite factor")
-            if abs(c) > 1.0 + NODE_TOL:
-                raise DomainError(f"node {c} outside the closed unit disk")
-            facs.append((c, e))
+            raise DomainError(f"node {complex(nodes[i])} outside the closed unit disk")
+        facs = tuple(zip(nodes.tolist(), exponents.tolist()))
+        # Python complex products, as a per-factor sum forms them
+        numerators = np.array([-(e * c) for c, e in facs], dtype=np.complex128)
+        for arr in (nodes, exponents, numerators):
+            arr.flags.writeable = False
         object.__setattr__(self, "prefactor", p)
-        object.__setattr__(self, "factors", tuple(facs))
+        object.__setattr__(self, "factors", facs)
+        object.__setattr__(self, "_nodes", nodes)
+        object.__setattr__(self, "_exponents", exponents)
+        object.__setattr__(self, "_numerators", numerators)
 
     @property
     def nodes(self) -> np.ndarray:
-        return np.asarray([c for c, _ in self.factors], dtype=np.complex128)
+        return self._nodes
 
     @property
     def exponents(self) -> np.ndarray:
-        return np.asarray([e for _, e in self.factors], dtype=np.complex128)
+        return self._exponents
 
     def to_dict(self, params: ClassParams) -> dict:
         """Spec form under params; the prefactor is written only when it is not mu."""
@@ -137,14 +151,21 @@ def construct(params: ClassParams, sigma: AtomicCircleMeasure) -> ProductForm:
     The result is guaranteed to satisfy the defining class inequality;
     the verification module can re-check that on a grid.
     """
-    mu, beta = params.mu, params.beta
-    facs = tuple((complex(np.conj(p)), mu * (1.0 - beta) * w) for p, w in sigma.atoms)
-    return ProductForm(mu, facs)
+    k, w = params.mu * (1.0 - params.beta), sigma.weights
+    pairs = np.empty((len(sigma), 2), dtype=np.complex128)
+    pairs[:, 0] = np.conj(sigma.points)
+    # the parts of the Python product k*w, which takes w as w + 0j, with their signed zeros
+    pairs[:, 1].real = k.real * w - k.imag * 0.0
+    pairs[:, 1].imag = k.imag * w + k.real * 0.0
+    return ProductForm(params.mu, pairs)
+
+
+_DIRAC_AT_ONE = make_measure([(1.0 + 0.0j, 1.0)])
 
 
 def core_function(params: ClassParams) -> ProductForm:
     """(1-z)**(mu*beta): the member whose image every class member covers."""
-    return construct(params, make_measure([(1.0 + 0.0j, 1.0)]))
+    return construct(params, _DIRAC_AT_ONE)
 
 
 def extremal(params: ClassParams, xi: complex) -> ProductForm:
@@ -245,10 +266,9 @@ def evaluate(f: ProductForm, z):
 def log_derivative(f: ProductForm, z):
     """Exact f'(z)/f(z) = -p/(1-z) + sum_j e_j*c_j/(1-c_j*z); no differencing."""
     zz, scalar = _as_points(z)
-    # numerators -(e_j*c_j) as Python complex products, as the per-factor sum forms them;
     # subtracting -(e_j*c_j)/(1-c_j*z) rounds as adding e_j*c_j/(1-c_j*z) does
-    neg_ec = np.array([-(e * c) for c, e in f.factors], dtype=np.complex128)
-    out = _factor_sum(zz, -f.prefactor / (1.0 - zz), f.nodes, neg_ec, lambda c, nec: nec / (1.0 - c * zz))
+    out = _factor_sum(zz, -f.prefactor / (1.0 - zz), f.nodes, f._numerators,
+                      lambda c, nec: nec / (1.0 - c * zz))
     return complex(out[0]) if scalar else out
 
 

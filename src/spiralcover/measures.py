@@ -7,7 +7,6 @@ general is represented.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Tuple
 
@@ -60,8 +59,9 @@ def _angular_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class AtomicCircleMeasure:
     """Nonnegative point masses on |zeta| = 1 with total mass 1.
 
-    Instances are produced by :func:`make_measure` and are immutable:
-    the arrays are read-only.
+    Instances are produced by :func:`make_measure`, or by its checks on
+    arrays (from_dict, random_measure), and are immutable: the arrays
+    are read-only.
     """
 
     points: np.ndarray = field(repr=False)
@@ -106,9 +106,10 @@ class AtomicCircleMeasure:
     @classmethod
     def from_dict(cls, data: dict) -> "AtomicCircleMeasure":
         atoms = [(_as_float(a["angle"]), _as_float(a["weight"])) for a in data["atoms"]]
-        if not all(math.isfinite(angle) for angle, _ in atoms):
+        angles, weights = np.array(atoms, dtype=np.float64).reshape(-1, 2).T.copy()
+        if not np.isfinite(angles).all():
             raise ValueError("non-finite atom angle")
-        return make_measure([(np.exp(1j * angle), w) for angle, w in atoms])
+        return _measure(np.exp(1j * angles), weights)
 
 
 def make_measure(atoms: Iterable[Tuple[complex, float]]) -> AtomicCircleMeasure:
@@ -122,10 +123,15 @@ def make_measure(atoms: Iterable[Tuple[complex, float]]) -> AtomicCircleMeasure:
     the input order and the sum of its weights taken in input order.
     """
     items = list(atoms)
-    if not items:
-        raise ValueError("measure needs at least one atom")
     pts = np.asarray([complex(p) for p, _ in items], dtype=np.complex128)
     wts = np.asarray([float(w) for _, w in items], dtype=np.float64)
+    return _measure(pts, wts)
+
+
+def _measure(pts: np.ndarray, wts: np.ndarray) -> AtomicCircleMeasure:
+    """make_measure on the atoms' points and weights as matching 1-d arrays."""
+    if pts.size == 0:
+        raise ValueError("measure needs at least one atom")
     if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
         raise ValueError("non-finite atom point or weight")
     if (wts < 0).any():
@@ -196,5 +202,5 @@ def random_measure(n: int, seed: int) -> AtomicCircleMeasure:
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     weights = rng.uniform(size=n)
     weights = weights / weights.sum()
-    return make_measure(list(zip(np.exp(1j * angles), weights)))
+    return _measure(np.exp(1j * angles), weights)
 

@@ -552,6 +552,27 @@ class TestSamples:
         assert main(argv) == 2
         assert not out.exists()
 
+    # 1e15 elements fail at allocation, whatever the machine: 8 PiB and more.  radius-table
+    # is left out: it loops over its samples in Python and allocates nothing that size.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--grid-angles", "1000000000000000"],
+            ["cover", "--samples", "1000000000000000"],
+            ["construct", "--seed", "1", "--samples", "1000000000000000"],
+            ["render", "--samples", "1000000000000000"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_too_large_to_allocate_rejected(self, argv, example_path, tmp_path, capsys):
+        out = tmp_path / "out.json"
+        if argv[0] != "construct":
+            argv = [*argv, "-i", example_path]
+        assert main([*argv, "-o", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestUnreadFlags:
     # flags that the subcommand does not read

@@ -31,6 +31,7 @@ from spiralcover import (
     richardson_limit,
     transform_class,
 )
+from spiralcover.serialize import load_function_spec
 
 from conftest import bit_equal, reference_growth_margin
 
@@ -66,6 +67,12 @@ class TestClassParams:
         assert p.radius == pytest.approx(math.sqrt(2))
 
 
+def same_bits(a, b) -> bool:
+    """Same complex128 shape and bits, so -0.0 differs from 0.0."""
+    a, b = np.atleast_1d(np.asarray(a, dtype=np.complex128)), np.atleast_1d(np.asarray(b, dtype=np.complex128))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 class TestProductForm:
     def test_rejects_node_outside_disk(self):
         with pytest.raises(DomainError):
@@ -74,6 +81,54 @@ class TestProductForm:
     def test_rejects_non_finite(self):
         with pytest.raises(DomainError):
             ProductForm(complex("inf"))
+
+    @pytest.mark.parametrize(
+        "factors, message",
+        [
+            (((0.5, 1.0), (1.1 + 0.2j, 1.0), (2.0, 1.0)), "node (1.1+0.2j) outside the closed unit disk"),
+            (((0.5, 1.0), (complex("nan"), 1.0), (2.0, 1.0)), "non-finite factor"),
+            (((0.5, complex(0.2, math.inf)), (2.0, 1.0)), "non-finite factor"),
+            (((2.0, 1.0), (complex("nan"), 1.0)), "node (2+0j) outside the closed unit disk"),
+            (((1.0 + 2e-12, 0.5),), "node (1.000000000002+0j) outside the closed unit disk"),
+        ],
+    )
+    def test_first_bad_factor_named(self, factors, message):
+        with pytest.raises(DomainError) as exc:
+            ProductForm(1.0, factors)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("factors", [[0.5, 0.2], [(0.5,), (0.2,)], [(0.5, 0.2, 0.1, 0.3)]])
+    def test_rejects_factors_that_are_not_pairs(self, factors):
+        with pytest.raises(ValueError):
+            ProductForm(1.0, factors)
+
+    def test_node_on_the_circle_within_tolerance(self):
+        f = ProductForm(1.0, ((1.0 + 1e-12, 0.5), (-1.0j, 0.25)))
+        assert f.factors == ((1.0 + 1e-12 + 0j, 0.5 + 0j), (-1.0j, 0.25 + 0j))
+
+    def test_stored_arrays(self, population, worked_example):
+        forms = [worked_example[0], ProductForm(0.6), ProductForm(0.8, ((0.5 - 0.8j, 0.3), (-1, 2)))]
+        forms += [e.f for e in population[:20]] + [e.real_f for e in population[:20]]
+        for f in forms:
+            assert all(type(x) is complex for pair in f.factors for x in pair)
+            expected = (
+                [c for c, _ in f.factors],
+                [e for _, e in f.factors],
+                [-(e * c) for c, e in f.factors],
+            )
+            for arr, values in zip((f.nodes, f.exponents, f._numerators), expected):
+                assert same_bits(arr, np.array(values, dtype=np.complex128))
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[...] = 0.0
+            assert f.nodes is f.nodes  # stored, not rebuilt on each read
+
+    def test_array_factors_equal_tuple_factors(self, population):
+        for e in population[:20]:
+            pairs = np.array(e.f.factors, dtype=np.complex128)
+            g = ProductForm(e.f.prefactor, pairs)
+            pairs[:] = 0.0  # the form keeps its own copy
+            assert g == e.f and same_bits(g.nodes, e.f.nodes) and same_bits(g.exponents, e.f.exponents)
 
 
 class TestConstruct:
@@ -89,6 +144,12 @@ class TestConstruct:
         f = construct(ClassParams(1.0, 0.0), make_measure([(-1.0, 1.0)]))
         for z in SAMPLE_Z:
             assert evaluate(f, z) == pytest.approx((1.0 - z) / (1.0 + z))
+
+    def test_core_function_builds_no_measure(self, monkeypatch):
+        params = ClassParams(0.8 + 0.5j, 0.4)
+        expected = construct(params, make_measure([(1.0, 1.0)]))
+        monkeypatch.setattr(functions, "make_measure", None)  # the point mass at 1 is built once, on import
+        assert core_function(params) == expected
 
     def test_value_one_at_origin(self):
         for seed in range(5):
@@ -121,6 +182,86 @@ class TestConstruct:
             expected = core - mu * (1.0 - beta) * sum(terms)
             size = abs(core) + abs(mu) * (1.0 - beta) * sum(abs(t) for t in terms)
             assert abs(value - expected) <= 1e-12 * size
+
+
+def per_atom_measure_form(spec: dict) -> tuple[list, list, complex]:
+    """Nodes, exponents and prefactor of a measure spec, atom by atom.
+
+    from_dict's np.exp(1j * angle) per atom, make_measure's list
+    comprehensions over the (point, weight) pairs, and construct's
+    generator of Python products mu*(1-beta)*w: the path the array
+    parse and construct must reproduce bit for bit.
+    """
+    params = ClassParams(complex(*spec["mu"]), spec["beta"])
+    atoms = [(float(a["angle"]), float(a["weight"])) for a in spec["measure"]["atoms"]]
+    sigma = make_measure([(np.exp(1j * angle), w) for angle, w in atoms])
+    mu, beta = params.mu, params.beta
+    facs = [(complex(np.conj(p)), mu * (1.0 - beta) * w) for p, w in sigma.atoms]
+    return [c for c, _ in facs], [e for _, e in facs], mu
+
+
+def edge_measure_specs(count: int, seed: int) -> list[dict]:
+    """Measure specs with negative, wrapped and coinciding angles and zero weights.
+
+    The mu values include real ones written with imaginary part -0.0 and ones with
+    real part -0.0 or just below 0, whose products k*w with k = mu*(1-beta) have
+    signed-zero parts; every other spec writes its zero weights as -0.0.
+    """
+    rng = np.random.default_rng(seed)
+    mus = ([0.7, -0.0], [1.9, -0.0], [-0.0, 1e-6], [-0.0, -1e-6], [-5e-13, 5e-7], [-5e-13, -5e-7],
+           [1.2, 0.4], [0.5, -0.6])
+    specs = []
+    for i in range(count):
+        n = int(rng.integers(1, 40))
+        angles = rng.uniform(-7.0, 7.0, n)
+        angles[rng.integers(0, n, n // 3)] = angles[0]  # coinciding atoms, merged
+        if n > 2:
+            angles[1] = angles[2] + 1e-13  # within the merge tolerance
+        weights = rng.uniform(size=n) * (rng.uniform(size=n) < 0.6)
+        weights[0] += weights.sum() == 0
+        weights = (weights / weights.sum()).tolist()
+        if i % 2:
+            weights = [-0.0 if w == 0 else w for w in weights]
+        specs.append({
+            "mu": mus[i % len(mus)],
+            "beta": float(rng.uniform(0.0, 0.95)),
+            "measure": {"atoms": [{"angle": a, "weight": w} for a, w in zip(angles.tolist(), weights)]},
+        })
+    return specs
+
+
+class TestMeasureSpecAgainstPerAtomPath:
+    def check(self, spec):
+        f, params = load_function_spec(spec)
+        nodes, exponents, prefactor = per_atom_measure_form(spec)
+        assert same_bits(f.nodes, np.array(nodes, dtype=np.complex128))
+        assert same_bits(f.exponents, np.array(exponents, dtype=np.complex128))
+        assert same_bits(f.prefactor, prefactor)
+        assert repr(f.factors) == repr(tuple(zip(nodes, exponents)))
+
+    def test_population(self, population):
+        for e in population:
+            for params in (e.params, e.real_params):
+                mu = [params.mu.real, params.mu.imag]
+                self.check({"mu": mu, "beta": params.beta, "measure": e.measure.to_dict()})
+
+    def test_edge_specs(self):
+        specs = edge_measure_specs(400, 20261018)
+        zero_weights = sum(any(a["weight"] == 0 for a in s["measure"]["atoms"]) for s in specs)
+        merged = sum(len(load_function_spec(s)[0].factors) < len(s["measure"]["atoms"]) for s in specs)
+        assert zero_weights > 100 and merged > 100
+        for spec in specs:
+            self.check(spec)
+
+    @pytest.mark.parametrize("n", [1, 7, 300])
+    def test_random_measure(self, n):
+        rng = np.random.default_rng(n)
+        angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+        weights = rng.uniform(size=n)
+        expected = make_measure(list(zip(np.exp(1j * angles), weights / weights.sum())))
+        got = random_measure(n, n)
+        assert same_bits(got.points, expected.points)
+        assert bit_equal(got.weights, expected.weights)
 
 
 class TestEvalLog:
