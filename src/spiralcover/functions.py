@@ -20,7 +20,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .kernel import DomainError, _log_modulus, log_principal
+from .kernel import DomainError, _log_into, log_principal
 from .measures import AtomicCircleMeasure, make_measure
 
 __all__ = [
@@ -47,6 +47,11 @@ RADIAL_EXPONENTS = (3, 4, 5, 6)  # radii 1 - 10**-k used for radial limits
 # elements per kernel call: factors x points in eval_log, _eval_log_real and
 # log_derivative, and shifts x points per block of the growth scan
 BLOCK_ELEMENTS = 8192
+
+
+def _block_rows(size: int) -> int:
+    """Rows of size elements per kernel call: max(1, BLOCK_ELEMENTS // size), an empty row counting as one element."""
+    return max(1, BLOCK_ELEMENTS // max(1, size))
 
 
 def _in_admissible_region(mu: complex) -> bool:
@@ -209,14 +214,14 @@ def _as_points(z) -> tuple[np.ndarray, bool]:
 def _factor_sum(zz, total, nodes, coeffs, terms):
     """total - t_1 - t_2 - ..., left to right, with t_j = terms(c_j, coeff_j) at the points zz.
 
-    One terms call covers a block of max(1, BLOCK_ELEMENTS // zz.size)
-    factors: nodes and coefficients come as (rows, 1, ...) against the
-    points.  The running total is folded into the block's first row, and
+    One terms call covers a block of _block_rows(zz.size) factors: nodes
+    and coefficients come as (rows, 1, ...) against the points.  The
+    running total is folded into the block's first row, and
     np.subtract.reduce along axis 0 goes row by row (np.add.reduce would
     sum a one-point block pairwise), so the bytes equal those of one
     factor at a time.  A one-row block is that row, with no reduce.
     """
-    rows = max(1, BLOCK_ELEMENTS // zz.size)
+    rows = _block_rows(zz.size)
     nodes = nodes.reshape((-1,) + (1,) * zz.ndim)
     coeffs = coeffs.reshape(nodes.shape)
     for i in range(0, len(nodes), rows):
@@ -239,22 +244,43 @@ def eval_log(f: ProductForm, z):
     return complex(out[0]) if scalar else out
 
 
-def _eval_log_real(f: ProductForm, zz: np.ndarray, pre: np.ndarray) -> np.ndarray:
-    """Re(eval_log(f, zz)) bit for bit, given its prefactor term pre = Re(p*Log(1 - zz)).
+def _eval_log_real(f: ProductForm, zz: np.ndarray, acc: np.ndarray, work: tuple) -> None:
+    """Subtract Re(e_j*Log(1 - c_j*zz)), j = 1, 2, ..., from acc in place.
 
-    zz is an array of points inside the disk.  Re(e*L) rounds to
+    With acc = Re(p*Log(1 - zz)) on entry, acc ends as Re(eval_log(f, zz))
+    bit for bit.  zz is an array of points inside the disk and acc a
+    float64 array of its shape.  work holds the caller's flat bases
+    (complex128), Log (complex128) and ln|w| (float64) arrays, each of at
+    least max(BLOCK_ELEMENTS, zz.size) elements; factors go in blocks of
+    _block_rows(zz.size), as in eval_log.  Re(e*L) rounds to
     e.real*Re(L) when e.imag == 0 (numpy forms it as
-    fma(e.real, L.real, -(e.imag*L.imag))), so a real exponent needs only
-    ln|1 - c*zz|: arctan2 is taken only for blocks of factors with a
-    complex exponent.
+    fma(e.real, L.real, -(e.imag*L.imag))), so a block of real exponents
+    needs only ln|1 - c*zz|: arctan2 is taken only for blocks of factors
+    with a complex exponent.
     """
-
-    def terms(c, e):
-        if e.imag.any():
-            return (e * log_principal(1.0 - c * zz)).real
-        return e.real * _log_modulus(1.0 - c * zz)
-
-    return _factor_sum(zz, pre, f.nodes, f.exponents, terms)
+    rows = _block_rows(zz.size)
+    nodes = f.nodes.reshape((-1,) + (1,) * zz.ndim)
+    exponents = f.exponents.reshape(nodes.shape)
+    complex_exponents = (f.exponents.imag != 0.0).tolist()
+    views = {}  # work array views, made once per block length: a reshape costs as much as a small ufunc
+    for i in range(0, len(nodes), rows):
+        c, e = nodes[i : i + rows], exponents[i : i + rows]
+        if len(c) not in views:
+            views[len(c)] = [a[: c.size * zz.size].reshape(c.shape[:1] + zz.shape) for a in work]
+        bases, logs, log_mod = views[len(c)]
+        np.multiply(c, zz, out=bases)
+        np.subtract(1.0, bases, out=bases)
+        if any(complex_exponents[i : i + rows]):
+            _log_into(bases, logs, log_mod, angles=True)
+            terms = np.multiply(e, logs, out=logs).real
+        else:
+            _log_into(bases, logs, log_mod)
+            terms = np.multiply(e.real, log_mod, out=log_mod)
+        if len(terms) == 1:
+            np.subtract(acc, terms[0], out=acc)
+        else:  # the running total goes into the first row, then row by row down the block
+            np.subtract(acc, terms[0], out=terms[0])
+            np.subtract.reduce(terms, axis=0, out=acc)
 
 
 def evaluate(f: ProductForm, z):

@@ -15,7 +15,9 @@ on the domain 1e-150 <= |w| <= 1e150, where x*x + y*y neither
 overflows nor underflows.  Against cmath.log each part is within
 8*eps*max(1, |Log w|) on the right half-plane of that domain.
 _log_modulus is its real part alone, ln|w| with no arctan2, for callers
-that read no imaginary part; both share one domain check.
+that read no imaginary part.  Both write through _log_into, which
+callers with work arrays of their own also use, so each quantity has
+one code path and one domain check.
 """
 
 from __future__ import annotations
@@ -33,20 +35,32 @@ class DomainError(ValueError):
     """Argument outside the domain the caller contract guarantees."""
 
 
-def _square_modulus(arr: np.ndarray):
-    """x*x + y*y of a complex array; DomainError unless 1e-150 <= |w| <= 1e150 everywhere."""
-    x, y = arr.real, arr.imag
+def _log_into(w: np.ndarray, work: np.ndarray, log_mod: np.ndarray, angles: bool = False) -> None:
+    """ln|w| into log_mod, or Log w into work when angles is true; DomainError unless 1e-150 <= |w| <= 1e150.
+
+    w and work are C-contiguous complex128 arrays of one shape, log_mod a
+    float64 array of that shape; work must not share memory with w.  work
+    first takes the squares of w's float64 view, whose pairs add to
+    x*x + y*y bit for bit.  With angles true, log_mod is left holding
+    w.imag + 0.0.
+    """
     with np.errstate(over="ignore"):
-        sq = x * x + y * y
+        squares = np.square(w.view(np.float64), out=work.view(np.float64))
+        np.add(squares[..., ::2], squares[..., 1::2], out=log_mod)
     # one min and one max decide the domain (NaN fails both comparisons);
     # which message applies is worked out only once it has failed
-    if sq.size and not (_MIN_SQ <= sq.min() and sq.max() <= _MAX_SQ):
-        if not np.all(np.isfinite(arr)):
+    if log_mod.size and not (_MIN_SQ <= log_mod.min() and log_mod.max() <= _MAX_SQ):
+        if not np.all(np.isfinite(w)):
             raise DomainError("non-finite complex argument")
-        if np.any(arr == 0):
+        if np.any(w == 0):
             raise DomainError("log of 0")
         raise DomainError("modulus outside [1e-150, 1e150]")
-    return sq
+    np.log(log_mod, out=log_mod)
+    np.multiply(log_mod, 0.5, out=work.real if angles else log_mod)
+    if angles:
+        # -0.0 imaginary parts would flip arg(-x) to -pi; + 0.0 normalizes them to +0.0
+        np.add(w.imag, 0.0, out=log_mod)
+        np.arctan2(log_mod, w.real, out=work.imag)
 
 
 def log_principal(w):
@@ -59,16 +73,16 @@ def log_principal(w):
     the imaginary part lies in (-pi/2, pi/2).
     """
     arr = np.asarray(w, dtype=np.complex128)
-    sq = _square_modulus(arr)
-    out = np.empty(arr.shape, dtype=np.complex128)
-    np.multiply(np.log(sq), 0.5, out=out.real)
-    # -0.0 imaginary parts would flip arg(-x) to -pi; + 0.0 normalizes them to +0.0
-    np.arctan2(arr.imag + 0.0, arr.real, out=out.imag)
+    flat = np.ascontiguousarray(arr)  # at least 1-d, as the float64 view needs
+    out = np.empty(flat.shape, dtype=np.complex128)
+    _log_into(flat, out, np.empty(flat.shape), angles=True)
     return out.item() if arr.ndim == 0 else out
 
 
 def _log_modulus(w):
     """ln|w|: bit for bit log_principal(w).real, with the same DomainErrors and no arctan2."""
     arr = np.asarray(w, dtype=np.complex128)
-    out = 0.5 * np.log(_square_modulus(arr))
+    flat = np.ascontiguousarray(arr)
+    out = np.empty(flat.shape)
+    _log_into(flat, np.empty(flat.shape, dtype=np.complex128), out)
     return out.item() if arr.ndim == 0 else out

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import DomainError, _log_modulus, log_principal
-from .functions import BLOCK_ELEMENTS, ClassParams, ProductForm, _eval_log_real, eval_log, log_derivative
+from .kernel import DomainError, _log_into, log_principal
+from .functions import BLOCK_ELEMENTS, ClassParams, ProductForm, _block_rows, _eval_log_real, eval_log, log_derivative
 
 __all__ = [
     "GridSpec",
@@ -98,15 +98,19 @@ class GridEvaluation:
     """One map at a set of points: log f, f'/f and Log(1-z), each computed on first read.
 
     The points (the default grid unless given; a scalar is one point) are
-    kept as a 1-d complex copy.  The arrays are read-only, because every
-    margin reads the same ones.
+    kept as a 1-d complex copy, and there must be at least one: a scan of
+    no points has no worst margin.  The arrays are read-only, because
+    every margin reads the same ones.
     """
 
     f: ProductForm
     points: np.ndarray = field(default_factory=DEFAULT_GRID.points)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", _read_only(np.array(self.points, dtype=np.complex128).ravel()))
+        points = np.array(self.points, dtype=np.complex128).ravel()
+        if not points.size:
+            raise ValueError("need at least one point")
+        object.__setattr__(self, "points", _read_only(points))
 
     @cached_property
     def log_f(self) -> np.ndarray:
@@ -424,11 +428,12 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     in the disk and |f| there is controlled by |((1-z')/(1-z))**mu| times
     (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  Moduli are taken branch
     safely through exp(Re(log)), and only real parts are computed.  The
-    shifts go in blocks of max(1, BLOCK_ELEMENTS // points) at a time, and
-    each block takes Log(1 - z') once, for both log f(z') and the
-    right-hand side: as ln|1 - z'| alone when mu and the prefactor are
-    real.  The bytes equal those of Re(eval_log(f, z')) and
-    Re(mu*(Log(1 - z') - Log(1 - z))).
+    shifts go in blocks of _block_rows(points) at a time, and each block
+    takes Log(1 - z') once, for both log f(z') and the right-hand side:
+    as ln|1 - z'| alone when mu and the prefactor are real.  Each call
+    allocates its work arrays once and writes every block into them, and
+    into its own rows of the result, in place.  The bytes equal those of
+    Re(eval_log(f, z')) and Re(mu*(Log(1 - z') - Log(1 - z))).
     """
     phi = params.phi
     cos2 = 2.0 * math.cos(phi)
@@ -437,23 +442,40 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     rot = cmath.exp(-1j * phi)
     mu, p = params.mu, ev.f.prefactor
     power = -mu.real * (1.0 - params.beta)
+    real = mu.imag == 0.0 and p.imag == 0.0
     # validates the points; |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 then keeps z' in the disk
-    log_f = ev.log_f.real
-    rows = max(1, BLOCK_ELEMENTS // ev.points.size)
-    out = []
+    log_f = np.ascontiguousarray(ev.log_f.real)
+    log_1mz = np.ascontiguousarray(ev.log_1mz.real) if real else ev.log_1mz
+    rows = _block_rows(ev.points.size)
+    shape = (min(rows, len(ts)), ev.points.size)
+    shifted, log_fz = np.empty(shape, dtype=np.complex128), np.empty(shape)
+    size = max(BLOCK_ELEMENTS, log_fz.size)
+    work = (np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128), np.empty(size))
+    out = np.empty((len(ts), ev.points.size))
     for i in range(0, len(ts), rows):
         block = ts[i : i + rows]
-        shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
-        if mu.imag == 0.0 and p.imag == 0.0:
-            log_mod = _log_modulus(1.0 - shifted)
-            pre, log_ratio = p.real * log_mod, mu.real * (log_mod - ev.log_1mz.real)
+        z, acc, margin = shifted[: len(block)], log_fz[: len(block)], out[i : i + rows]
+        bases, logs, log_mod = (a[: z.size].reshape(z.shape) for a in work)
+        np.multiply(ev.points, np.array([[1.0 - rot * t] for t in block]), out=z)
+        np.subtract(1.0, z, out=bases)
+        # the prefactor term into acc and log_ratio into margin
+        if real:
+            _log_into(bases, logs, log_mod)
+            np.multiply(p.real, log_mod, out=acc)
+            np.subtract(log_mod, log_1mz, out=margin)
+            np.multiply(mu.real, margin, out=margin)
         else:
-            log_1m = log_principal(1.0 - shifted)
-            pre, log_ratio = (p * log_1m).real, (mu * (log_1m - ev.log_1mz)).real
-        lhs = np.exp(_eval_log_real(ev.f, shifted, pre) - log_f)
-        rhs = np.exp(log_ratio) * np.array([[(1.0 - t / cos2) ** power] for t in block])
-        out.append(rhs - lhs)
-    return np.concatenate(out)
+            _log_into(bases, logs, log_mod, angles=True)
+            np.copyto(acc, np.multiply(p, logs, out=bases).real)
+            np.subtract(logs, log_1mz, out=bases)
+            np.copyto(margin, np.multiply(mu, bases, out=bases).real)
+        _eval_log_real(ev.f, z, acc, work)
+        np.subtract(acc, log_f, out=acc)
+        np.exp(acc, out=acc)
+        np.exp(margin, out=margin)
+        np.multiply(margin, np.array([[(1.0 - t / cos2) ** power] for t in block]), out=margin)
+        np.subtract(margin, acc, out=margin)
+    return out
 
 
 @_QUIET

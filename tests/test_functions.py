@@ -292,6 +292,14 @@ class TestEvalLog:
             evaluate(f, np.array([0.5, 1.2j]))
 
 
+@pytest.mark.parametrize("evaluation", [eval_log, log_derivative, evaluate])
+@pytest.mark.parametrize("n", [0, 3, 9000], ids=["bare-power", "3-factors", "9000-factors"])
+def test_empty_point_set_gives_empty_array(evaluation, n):
+    # no points: an empty result, with the factors still walked in blocks
+    out = evaluation(many_factor_map(n), np.array([], dtype=np.complex128))
+    assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == np.complex128
+
+
 class TestEvaluate:
     def test_worked_example_at_origin(self, worked_example):
         f, _ = worked_example
@@ -436,23 +444,37 @@ class TestEvalLogReal:
             terms.append(f.prefactor.real * kernel._log_modulus(1.0 - z))
         return terms
 
+    @staticmethod
+    def eval_log_real(f, z, pre):
+        """functions._eval_log_real from pre, with NaN-filled work arrays of the size it asks for."""
+        acc = np.array(pre, dtype=np.float64)
+        size = max(functions.BLOCK_ELEMENTS, z.size)
+        work = (np.full(size, np.nan, dtype=np.complex128), np.full(size, np.nan, dtype=np.complex128), np.full(size, np.nan))
+        functions._eval_log_real(f, z, acc, work)
+        return acc
+
     @pytest.mark.parametrize("points", list(POINTS))
     @pytest.mark.parametrize("name", list(MAPS))
     def test_equals_real_part_of_eval_log(self, name, points):
         f, z = self.MAPS[name], self.POINTS[points]
         ref = eval_log(f, z).real
         for pre in self.prefactor_terms(f, z):
-            assert bit_equal(functions._eval_log_real(f, z, pre), ref)
+            assert bit_equal(self.eval_log_real(f, z, pre), ref)
 
     @pytest.mark.parametrize("name, kernel_calls", [("real", 0), ("mixed", 1), ("complex", 12)])
     def test_arctan2_only_for_complex_exponents(self, monkeypatch, name, kernel_calls):
         f, z = self.MAPS[name], self.POINTS["growth-block"]
         pre = self.prefactor_terms(f, z)[-1]
         calls = []
-        monkeypatch.setattr(functions, "log_principal", lambda w: calls.append(w) or kernel.log_principal(w))
-        functions._eval_log_real(f, z, pre)
-        # one factor per block at 9 x 896 points: one log_principal per complex exponent
-        assert len(calls) == kernel_calls
+
+        def spy(w, work, log_mod, angles=False):
+            calls.append(angles)
+            kernel._log_into(w, work, log_mod, angles)
+
+        monkeypatch.setattr(functions, "_log_into", spy)
+        self.eval_log_real(f, z, pre)
+        # one factor per block at 9 x 896 points: Log with arctan2 once per complex exponent
+        assert len(calls) == len(f.factors) and sum(calls) == kernel_calls
 
 
 class TestTransformClass:

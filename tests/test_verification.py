@@ -147,6 +147,12 @@ class TestGridEvaluation:
         assert GridEvaluation(f, 0.5).points.tolist() == [0.5]
         assert np.array_equal(GridEvaluation(f).points, sc.DEFAULT_GRID.points())
 
+    @pytest.mark.parametrize("points", [[], np.empty((3, 0))], ids=["empty-list", "empty-2d"])
+    def test_rejects_no_points(self, points):
+        # a scan of no points has no worst margin
+        with pytest.raises(ValueError, match="at least one point"):
+            GridEvaluation(ProductForm(1.0), points)
+
     def test_matches_direct_evaluation(self, worked_example, grid):
         f = worked_example[0]
         pts = grid.points()
@@ -526,13 +532,35 @@ class TestGrowth:
         entry = population[0]
         ev = GridEvaluation(entry.real_f)
         ev.log_f, ev.log_1mz  # the base grid's logs are shared with the other checks
+        calls = []
+
+        def spy(w, work, log_mod, angles=False):
+            calls.append(angles)
+            sc.kernel._log_into(w, work, log_mod, angles)
 
         def refuse(w):
             raise AssertionError("log_principal called for a real map")
 
-        monkeypatch.setattr(verification, "log_principal", refuse)
-        monkeypatch.setattr(sc.functions, "log_principal", refuse)
+        for module in (verification, sc.functions):
+            monkeypatch.setattr(module, "_log_into", spy)
+            monkeypatch.setattr(module, "log_principal", refuse)
         growth_margin(ev, entry.real_params, self.t_grid(entry.real_params))
+        # 4 blocks of shifts, each with the prefactor's and every factor's ln|1 - c*z'|
+        assert calls == [False] * 4 * (1 + len(entry.real_f.factors))
+
+    def test_returns_a_fresh_writable_array(self, population):
+        # the work arrays live for one call: a second call, on another map and the same
+        # grid, leaves the first result as it was
+        first, second = population[0], population[1]
+        ts = self.t_grid(first.params)
+        margins = growth_margin(GridEvaluation(first.f), first.params, ts)
+        assert margins.flags.writeable and margins.flags.owndata
+        kept = margins.copy()
+        other = growth_margin(GridEvaluation(second.f), second.params, self.t_grid(second.params))
+        assert other.shape == margins.shape and not np.shares_memory(other, margins)
+        assert bit_equal(margins, kept)
+        margins[:] = 0.0  # writable, and writing it changes no later call
+        assert bit_equal(growth_margin(GridEvaluation(first.f), first.params, ts), kept)
 
     # shifts per block, max(1, 8192 // points): 1 at 8,194 points, all 32 at 3 points
     GRIDS = {
@@ -557,9 +585,13 @@ class TestGrowth:
         params = ClassParams(1.2, 0.3)
         ev = GridEvaluation(construct(params, random_measure(3, 42)), grid.points())
         shapes = []
-        monkeypatch.setattr(
-            verification, "_log_modulus", lambda w: shapes.append(w.shape) or sc.kernel._log_modulus(w)
-        )
+
+        def spy(w, work, log_mod, angles=False):
+            shapes.append(w.shape)
+            sc.kernel._log_into(w, work, log_mod, angles)
+
+        # the prefactor's ln|1 - z'|, once per block of shifts
+        monkeypatch.setattr(verification, "_log_into", spy)
         growth_margin(ev, params, self.t_grid(params))
         assert shapes == [(k, ev.points.size) for k in rows]
 
