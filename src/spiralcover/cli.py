@@ -50,25 +50,30 @@ def _any_params(params) -> bool:
     return True
 
 
-# CLI name -> (runner (ev, params, tol) -> report, applies(params)), in `--checks all`
-# order; ev is the one GridEvaluation of the invocation.  The runners look their check
-# up by name when called, so wrappers installed on the module names (spiralbench's
-# tracer) see every call.
+# the GridEvaluation arrays a check reads: log f comes with Log(1-z), its prefactor term
+_DLOG = ("dlog_f",)
+_LOG = ("log_f", "log_1mz")
+
+# CLI name -> (runner (ev, params, tol) -> report, applies(params), the arrays of ev it
+# reads), in `--checks all` order; ev is the one GridEvaluation of the invocation.  The
+# runners look their check up by name when called, so wrappers installed on the module
+# names (spiralbench's tracer) see every call.
 CHECKS = {
-    "membership": (lambda ev, p, tol: check_membership(ev, p, tol), _any_params),
-    "distortion": (lambda ev, p, tol: check_distortion(ev, p, tol), _any_params),
-    "derivative-disk": (lambda ev, p, tol: check_derivative_disk(ev, p, tol), _any_params),
-    "schwarz": (lambda ev, p, tol: check_schwarz(ev, p, tol), _any_params),
-    "value-bounds": (lambda ev, p, tol: check_value_bounds(ev, p, tol), _any_params),
+    "membership": (lambda ev, p, tol: check_membership(ev, p, tol), _any_params, _DLOG),
+    "distortion": (lambda ev, p, tol: check_distortion(ev, p, tol), _any_params, _LOG),
+    "derivative-disk": (lambda ev, p, tol: check_derivative_disk(ev, p, tol), _any_params, _DLOG),
+    "schwarz": (lambda ev, p, tol: check_schwarz(ev, p, tol), _any_params, _LOG),
+    "value-bounds": (lambda ev, p, tol: check_value_bounds(ev, p, tol), _any_params, _LOG),
     "derivative-bounds": (
         lambda ev, p, tol: check_derivative_value_bounds(ev, p, tol),
         _derivative_bounds_apply,
+        ("log_f", "dlog_f"),
     ),
     # exact algebra, held to its own 1e-12 tolerance
-    "interior-identity": (lambda ev, p, tol: check_interior_identity(ev, p), _any_params),
-    "growth": (lambda ev, p, tol: check_growth(ev, p, tol), _any_params),
+    "interior-identity": (lambda ev, p, tol: check_interior_identity(ev, p), _any_params, _DLOG),
+    "growth": (lambda ev, p, tol: check_growth(ev, p, tol), _any_params, _LOG),
     # samples f on |z| = 0.999, not the grid
-    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), _any_params),
+    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), _any_params, ()),
 }
 
 
@@ -112,7 +117,7 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     f, params = load_function_spec(_load_json(args.input))
     if args.checks == "all":
-        names = [name for name, (_, applies) in CHECKS.items() if applies(params)]
+        names = [name for name, (_, applies, _) in CHECKS.items() if applies(params)]
     else:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
         if not names:
@@ -121,6 +126,8 @@ def cmd_check(args) -> int:
             if name not in CHECKS:
                 raise ValueError(f"unknown check {name!r}")
     ev = GridEvaluation(f, _grid_from_args(args).points())
+    # what the checks read, before the first runs: log f and f'/f from one pass over the factors
+    ev.compute(*(read for name in names for read in CHECKS[name][2]))
     reports = [CHECKS[name][0](ev, params, args.tolerance) for name in names]
     passed = all(r.passed for r in reports)
     _write(args.output, dumps({"checks": [r.to_dict() for r in reports], "passed": passed}))

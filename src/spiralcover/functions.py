@@ -44,8 +44,8 @@ __all__ = [
 OMEGA_TOL = 1e-12       # slack on |mu - 1| <= 1
 NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
 RADIAL_EXPONENTS = (3, 4, 5, 6)  # radii 1 - 10**-k used for radial limits
-# elements per kernel call: factors x points in eval_log, _eval_log_real and
-# log_derivative, and shifts x points per block of the growth scan
+# elements per kernel call: factors x points in _factor_sums and _eval_log_real,
+# and shifts x points per block of the growth scan
 BLOCK_ELEMENTS = 8192
 
 
@@ -211,24 +211,65 @@ def _as_points(z) -> tuple[np.ndarray, bool]:
     return arr, scalar
 
 
-def _factor_sum(zz, total, nodes, coeffs, terms):
-    """total - t_1 - t_2 - ..., left to right, with t_j = terms(c_j, coeff_j) at the points zz.
+def _fold(total: np.ndarray, terms: np.ndarray) -> None:
+    """total - terms[0] - terms[1] - ... into total, row by row.
 
-    One terms call covers a block of _block_rows(zz.size) factors: nodes
-    and coefficients come as (rows, 1, ...) against the points.  The
-    running total is folded into the block's first row, and
-    np.subtract.reduce along axis 0 goes row by row (np.add.reduce would
-    sum a one-point block pairwise), so the bytes equal those of one
-    factor at a time.  A one-row block is that row, with no reduce.
+    The running total goes into the first row, and np.subtract.reduce
+    along axis 0 goes row by row down the block (np.add.reduce would sum
+    a one-point block pairwise), so the bytes equal those of one term at
+    a time.  A one-row block is that row, with no reduce.
     """
+    if len(terms) == 1:
+        np.subtract(total, terms[0], out=total)
+    else:
+        np.subtract(total, terms[0], out=terms[0])
+        np.subtract.reduce(terms, axis=0, out=total)
+
+
+def _factor_sums(f: ProductForm, zz: np.ndarray, log: bool, dlog: bool):
+    """(Log(1 - zz), log f, f'/f) at the points zz, from one pass over the factors.
+
+    log asks for log f and dlog for f'/f; what is not asked comes back as
+    None, and Log(1 - zz), the prefactor's log, comes with log f.  zz is
+    an array of points inside the disk.  Each block of _block_rows(zz.size)
+    factors forms its bases 1 - c_j*zz once and takes e_j*Log(base)
+    through _log_into, -(e_j*c_j)/base, or both.  The work arrays are
+    allocated once per call, in the shape of a block (the last, shorter
+    block writes into their leading rows): the bases, and the Log and
+    ln|w| arrays only when log f is asked.  The terms of f'/f go into a
+    work array that is no longer read, the Log array or else the bases.
+    Each total is p*Log(1 - zz) or -p/(1 - zz) minus the terms, left to
+    right, as one factor at a time forms it.
+    """
+    one_m_z = 1.0 - zz
+    log_1mz = log_f = dlog_f = None
     rows = _block_rows(zz.size)
-    nodes = nodes.reshape((-1,) + (1,) * zz.ndim)
-    coeffs = coeffs.reshape(nodes.shape)
+    shape = (min(rows, len(f.nodes)),) + zz.shape
+    nodes = f.nodes.reshape((-1,) + (1,) * zz.ndim)
+    bases = np.empty(shape, dtype=np.complex128)
+    if log:
+        log_1mz = np.empty_like(one_m_z)
+        _log_into(one_m_z, log_1mz, np.empty(zz.shape), angles=True)
+        log_f = f.prefactor * log_1mz
+        exponents = f.exponents.reshape(nodes.shape)
+        logs, log_mod = np.empty(shape, dtype=np.complex128), np.empty(shape)
+    if dlog:
+        dlog_f = -f.prefactor / one_m_z
+        numerators = f._numerators.reshape(nodes.shape)
     for i in range(0, len(nodes), rows):
-        block = terms(nodes[i : i + rows], coeffs[i : i + rows])
-        np.subtract(total, block[0], out=block[0])
-        total = block[0] if len(block) == 1 else np.subtract.reduce(block, axis=0)
-    return total
+        c = nodes[i : i + rows]
+        w = bases[: len(c)]
+        np.multiply(c, zz, out=w)
+        np.subtract(1.0, w, out=w)
+        if log:
+            block = logs[: len(c)]
+            _log_into(w, block, log_mod[: len(c)], angles=True)
+            # e * logs, exponent first: under FMA the other operand order rounds differently
+            _fold(log_f, np.multiply(exponents[i : i + rows], block, out=block))
+        if dlog:
+            # subtracting -(e_j*c_j)/(1-c_j*z) rounds as adding e_j*c_j/(1-c_j*z) does
+            _fold(dlog_f, np.divide(numerators[i : i + rows], w, out=block if log else w))
+    return log_1mz, log_f, dlog_f
 
 
 def eval_log(f: ProductForm, z):
@@ -238,9 +279,7 @@ def eval_log(f: ProductForm, z):
     naive Log(evaluate(f, z)) can jump by 2*pi*i between nearby points.
     """
     zz, scalar = _as_points(z)
-    # e * logs, exponent first: under FMA the other operand order rounds differently
-    out = _factor_sum(zz, f.prefactor * log_principal(1.0 - zz), f.nodes, f.exponents,
-                      lambda c, e: e * log_principal(1.0 - c * zz))
+    out = _factor_sums(f, zz, log=True, dlog=False)[1]
     return complex(out[0]) if scalar else out
 
 
@@ -292,9 +331,7 @@ def evaluate(f: ProductForm, z):
 def log_derivative(f: ProductForm, z):
     """Exact f'(z)/f(z) = -p/(1-z) + sum_j e_j*c_j/(1-c_j*z); no differencing."""
     zz, scalar = _as_points(z)
-    # subtracting -(e_j*c_j)/(1-c_j*z) rounds as adding e_j*c_j/(1-c_j*z) does
-    out = _factor_sum(zz, -f.prefactor / (1.0 - zz), f.nodes, f._numerators,
-                      lambda c, nec: nec / (1.0 - c * zz))
+    out = _factor_sums(f, zz, log=False, dlog=True)[2]
     return complex(out[0]) if scalar else out
 
 
@@ -337,11 +374,12 @@ def boundary_rotation(f: ProductForm) -> float:
     nu = boundary_exponent(f)
     if abs(nu) <= NODE_TOL:
         raise DomainError("boundary exponent is 0; rotation undefined")
+    kept = [(c, e) for c, e in f.factors if abs(c - 1.0) > NODE_TOL]
+    # every log in one call; the sum stays in Python, in factor order
+    logs = log_principal(np.array([1.0 - c for c, _ in kept], dtype=np.complex128)).tolist()
     total = 0.0
-    for c, e in f.factors:
-        if abs(c - 1.0) <= NODE_TOL:
-            continue
-        total += ((e / nu) * log_principal(1.0 - c)).imag
+    for (_, e), log in zip(kept, logs):
+        total += ((e / nu) * log).imag
     return -total
 
 

@@ -13,11 +13,11 @@ log_principal takes one real log and one arctan2 per element,
 
 on the domain 1e-150 <= |w| <= 1e150, where x*x + y*y neither
 overflows nor underflows.  Against cmath.log each part is within
-8*eps*max(1, |Log w|) on the right half-plane of that domain.
-_log_modulus is its real part alone, ln|w| with no arctan2, for callers
-that read no imaginary part.  Both write through _log_into, which
-callers with work arrays of their own also use, so each quantity has
-one code path and one domain check.
+8*eps*max(1, |Log w|) on the right half-plane of that domain.  It
+writes through _log_into, which callers with work arrays of their own
+also use, and which takes the real part alone, ln|w| with no arctan2,
+for callers that read no imaginary part; so each quantity has one code
+path and one domain check.
 """
 
 from __future__ import annotations
@@ -78,11 +78,3 @@ def log_principal(w):
     _log_into(flat, out, np.empty(flat.shape), angles=True)
     return out.item() if arr.ndim == 0 else out
 
-
-def _log_modulus(w):
-    """ln|w|: bit for bit log_principal(w).real, with the same DomainErrors and no arctan2."""
-    arr = np.asarray(w, dtype=np.complex128)
-    flat = np.ascontiguousarray(arr)
-    out = np.empty(flat.shape)
-    _log_into(flat, np.empty(flat.shape, dtype=np.complex128), out)
-    return out.item() if arr.ndim == 0 else out

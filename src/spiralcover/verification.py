@@ -9,10 +9,12 @@ double-precision round-off.
 
 Every margin is built from three quantities of the map at the points:
 log f, f'/f and Log(1-z).  A GridEvaluation computes each of them at
-most once, when a margin first reads it.  Each margin is one function
-of a GridEvaluation, which the matching check scans with numpy's
-floating-point warnings off: a map that overflows leaves a non-finite
-margin, which raises DomainError whatever the warning filters.
+most once, when a margin first reads it or when its compute asks for
+it, and takes log f and f'/f asked for together from one pass over the
+factors.  Each margin is one function of a GridEvaluation, which the
+matching check scans with numpy's floating-point warnings off: a map
+that overflows leaves a non-finite margin, which raises DomainError
+whatever the warning filters.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .kernel import DomainError, _log_into, log_principal
-from .functions import BLOCK_ELEMENTS, ClassParams, ProductForm, _block_rows, _eval_log_real, eval_log, log_derivative
+from .functions import (
+    BLOCK_ELEMENTS, ClassParams, ProductForm, _as_points, _block_rows, _eval_log_real, _factor_sums, eval_log,
+)
 
 __all__ = [
     "GridSpec",
@@ -100,7 +104,10 @@ class GridEvaluation:
     The points (the default grid unless given; a scalar is one point) are
     kept as a 1-d complex copy, and there must be at least one: a scan of
     no points has no worst margin.  The arrays are read-only, because
-    every margin reads the same ones.
+    every margin reads the same ones.  A caller that will read both log f
+    and f'/f asks for them with compute, which takes both from one pass
+    over the factors; Log(1-z) is the prefactor term of log f and always
+    comes with it.
     """
 
     f: ProductForm
@@ -112,17 +119,43 @@ class GridEvaluation:
             raise ValueError("need at least one point")
         object.__setattr__(self, "points", _read_only(points))
 
+    def compute(self, *names: str) -> None:
+        """Compute those of log_f, dlog_f and log_1mz not computed yet, in one pass over the factors.
+
+        The pass runs with numpy's floating-point warnings off, as the
+        checks do, also when it runs before one: a value that overflows
+        is left non-finite, for the margin that reads it to report.  Each
+        array is stored on the instance, so a later read is a plain
+        attribute hit.
+        """
+        unknown = set(names) - {"log_f", "dlog_f", "log_1mz"}
+        if unknown:
+            raise ValueError(f"no array named {', '.join(sorted(unknown))}")
+        todo = set(names) - vars(self).keys()
+        log, dlog = bool(todo & {"log_f", "log_1mz"}), "dlog_f" in todo
+        if log or dlog:
+            # a fresh errstate, as compute also runs inside the checks' _QUIET
+            with np.errstate(all="ignore"):
+                values = _factor_sums(self.f, _as_points(self.points)[0], log, dlog)
+            for name, value in zip(("log_1mz", "log_f", "dlog_f"), values):
+                if value is not None:
+                    vars(self)[name] = _read_only(value)
+
+    # cached_property, not property, so the arrays compute stores take precedence
     @cached_property
     def log_f(self) -> np.ndarray:
-        return _read_only(eval_log(self.f, self.points))
+        self.compute("log_f")
+        return vars(self)["log_f"]
 
     @cached_property
     def dlog_f(self) -> np.ndarray:
-        return _read_only(log_derivative(self.f, self.points))
+        self.compute("dlog_f")
+        return vars(self)["dlog_f"]
 
     @cached_property
     def log_1mz(self) -> np.ndarray:
-        return _read_only(log_principal(1.0 - self.points))
+        self.compute("log_1mz")
+        return vars(self)["log_1mz"]
 
 
 @dataclass(frozen=True)

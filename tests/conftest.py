@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import spiralcover as sc
+from spiralcover.kernel import _log_into
 
 MASTER_SEED = 20260809
 POPULATION_SIZE = 100
@@ -77,10 +78,21 @@ def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
     return rhs - lhs
 
 
+def log_modulus(w):
+    """ln|w| through _log_into with angles off, as the growth scan takes it, into fresh arrays."""
+    arr = np.asarray(w, dtype=np.complex128)
+    flat = np.ascontiguousarray(arr)
+    out = np.empty(flat.shape)
+    _log_into(flat, np.empty(flat.shape, dtype=np.complex128), out)
+    return out.item() if arr.ndim == 0 else out
+
+
 def bit_equal(a, b) -> bool:
-    """Same shape and the same float64 bits, so -0.0 differs from 0.0."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    """Same shape and the same float64 bits, complex values part by part, so -0.0 differs from 0.0."""
+    dtype = np.complex128 if np.iscomplexobj(a) or np.iscomplexobj(b) else np.float64
+    a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
+    # ascontiguousarray is at least 1-d, as the int64 view of a complex value needs
+    return a.shape == b.shape and np.array_equal(*(np.ascontiguousarray(x).view(np.int64) for x in (a, b)))
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,3 @@
-import collections
 import dataclasses
 import hashlib
 import json
@@ -287,6 +286,23 @@ class TestCheck:
         assert not out.exists()
         assert f"error: {self.OVERFLOWING[checks]}: margin not finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("warning_action", ["default", "error"])
+    @pytest.mark.parametrize("checks", ["membership", "distortion", "all"])
+    def test_overflowing_factor_sums_rejected(self, tmp_path, capsys, checks, warning_action):
+        # f = (1-z)**(1 - 1e308): e*Log(1 - z) and -(e*c)/(1 - z) overflow near z = 1 in the
+        # pass that runs before the first check; that pass is quiet too, so the check names
+        # the overflow and exits 2
+        spec = {"mu": 1, "beta": 0.5, "factors": [{"node": [1, 0], "exponent": [1e308, 0]}]}
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps(spec))
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(warning_action, RuntimeWarning)
+            assert main(["check", "-i", str(src), "--checks", checks, "-o", str(out)]) == 2
+        assert seen == []
+        assert not out.exists()
+        name = "distortion-coefficient" if checks == "distortion" else "membership"
+        assert f"error: {name}: margin not finite" in capsys.readouterr().err
+
     def test_overflowing_margins_rejected_with_warnings_as_errors(self, tmp_path):
         src, out = tmp_path / "in.json", tmp_path / "out.json"
         src.write_text(dumps(OVERFLOW_SPEC))
@@ -368,34 +384,52 @@ class TestCheck:
 
 
 class TestSharedEvaluation:
-    """`check` computes log f and f'/f at most once per invocation, and only if a check reads them."""
+    """`check` computes log f and f'/f at most once per invocation, only if a check reads them, in one pass."""
 
     @pytest.fixture()
-    def calls(self, monkeypatch):
-        counts = collections.Counter()
-        for name in ("eval_log", "log_derivative"):
-            def counted(*args, _fn=getattr(verification, name), _name=name, **kwargs):
-                counts[_name] += 1
-                return _fn(*args, **kwargs)
+    def passes(self, monkeypatch):
+        seen = []
 
-            monkeypatch.setattr(verification, name, counted)
-        return counts
+        def spy(f, zz, log, dlog, _fn=verification._factor_sums):
+            seen.append((log, dlog))
+            return _fn(f, zz, log, dlog)
+
+        monkeypatch.setattr(verification, "_factor_sums", spy)
+        return seen
 
     @pytest.mark.parametrize(
-        "kind, checks, eval_log, log_derivative",
+        "kind, checks, log, dlog",
         [
-            ("wide-64", WIDE_CHECKS, 1, 1),
-            ("readme-example", "membership", 0, 1),
-            # the base grid only: growth reads Re log f at its shifted points without eval_log
-            ("readme-example", "all", 1, 1),
+            ("wide-64", WIDE_CHECKS, True, True),
+            ("readme-example", "membership", False, True),
+            # the base grid only: growth reads Re log f at its shifted points through its own scan
+            ("readme-example", "all", True, True),
+            ("readme-example", "distortion", True, False),
         ],
-        ids=["wide-measure-checks", "membership", "all"],
+        ids=["wide-measure-checks", "membership", "all", "distortion"],
     )
-    def test_kernel_call_counts(self, calls, tmp_path, kind, checks, eval_log, log_derivative):
+    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, log, dlog):
         src = tmp_path / "in.json"
         src.write_text(dumps(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
         assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
-        assert (calls["eval_log"], calls["log_derivative"]) == (eval_log, log_derivative)
+        # one pass over the factors, for what the checks read
+        assert passes == [(log, dlog)]
+
+    @pytest.mark.parametrize("name", list(CHECKS))
+    def test_declared_reads(self, name, worked_example):
+        # each CHECKS entry declares the arrays its runner reads on a fresh GridEvaluation
+        reads = set()
+
+        class Recording(GridEvaluation):
+            def __getattribute__(self, attr):
+                if attr in ("log_f", "dlog_f", "log_1mz"):
+                    reads.add(attr)
+                return super().__getattribute__(attr)
+
+        f, params = worked_example
+        runner, _, declared = CHECKS[name]
+        runner(Recording(f), params, 1e-9)
+        assert reads == set(declared)
 
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_check_in_all_matches_check_alone(self, name, example_path, tmp_path):

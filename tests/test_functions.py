@@ -33,7 +33,7 @@ from spiralcover import (
 )
 from spiralcover.serialize import load_function_spec
 
-from conftest import bit_equal, reference_growth_margin
+from conftest import bit_equal, log_modulus, reference_growth_margin
 
 SAMPLE_Z = [0.0, 0.5, -0.3 + 0.4j, 0.1 - 0.7j, -0.85, 0.6 + 0.35j]
 
@@ -394,16 +394,41 @@ class TestBlockedEvaluation:
     def test_kernel_calls_per_block(self, monkeypatch):
         calls = []
 
-        def counted(w):
+        def spy(w, work, log_mod, angles=False):
             calls.append(np.shape(w))
-            return kernel.log_principal(w)
+            kernel._log_into(w, work, log_mod, angles)
 
-        monkeypatch.setattr(functions, "log_principal", counted)
+        monkeypatch.setattr(functions, "_log_into", spy)
         eval_log(many_factor_map(2048), self.GRID)
         # the prefactor term, then ceil(2048/9) blocks of 9 factors x 896 points
         assert self.ROWS == 9
         assert len(calls) == 1 + math.ceil(2048 / self.ROWS)
         assert calls[1] == (self.ROWS, self.GRID.size)
+
+    POINT_SETS = {
+        "scalar": np.array([-0.3 + 0.4j]),
+        "empty": np.array([], dtype=np.complex128),
+        "default-grid": GRID,
+        # growth's shape: 9 shifts x 896 points
+        "growth-shaped": GRID * np.linspace(0.9, 0.2, 9)[:, None],
+    }
+
+    @pytest.mark.parametrize("points", list(POINT_SETS))
+    @pytest.mark.parametrize("n", [0, ROWS - 1, ROWS, ROWS + 1, 2048])
+    def test_one_pass_for_both(self, n, points):
+        # the pass that takes log f and f'/f together gives the bytes of each taken alone
+        f, z = many_factor_map(n), self.POINT_SETS[points]
+        log_1mz, log_f, dlog_f = functions._factor_sums(f, z, log=True, dlog=True)
+        assert bit_equal(log_1mz, kernel.log_principal(1.0 - z))
+        assert bit_equal(log_f, per_factor_log(f, z))
+        assert bit_equal(dlog_f, per_factor_log_derivative(f, z))
+        assert bit_equal(functions._factor_sums(f, z, log=True, dlog=False)[1], log_f)
+        assert bit_equal(functions._factor_sums(f, z, log=False, dlog=True)[2], dlog_f)
+
+    @pytest.mark.parametrize("log, dlog", [(True, False), (False, True)])
+    def test_one_quantity_computes_only_that(self, log, dlog):
+        log_1mz, log_f, dlog_f = functions._factor_sums(many_factor_map(20), self.GRID, log, dlog)
+        assert (log_1mz is not None, log_f is not None, dlog_f is not None) == (log, log, dlog)
 
     @pytest.mark.parametrize("points", [GRID, GRID[::9]], ids=["default-grid", "100-points"])
     def test_growth_scan_over_blocks(self, points):
@@ -441,7 +466,7 @@ class TestEvalLogReal:
         """Re(p*Log(1 - z)) from the complex log, and from ln|1 - z| alone when p is real."""
         terms = [(f.prefactor * kernel.log_principal(1.0 - z)).real]
         if f.prefactor.imag == 0.0:
-            terms.append(f.prefactor.real * kernel._log_modulus(1.0 - z))
+            terms.append(f.prefactor.real * log_modulus(1.0 - z))
         return terms
 
     @staticmethod
@@ -632,6 +657,34 @@ class TestBoundaryRotation:
             nu = boundary_exponent(entry.f)
             a = boundary_rotation(entry.f)
             assert abs(a - boundary_rotation_radial(entry.f, nu)) <= 1e-3
+
+    @staticmethod
+    def per_factor_rotation(f):
+        """boundary_rotation with one log_principal call per factor, summed in factor order."""
+        nu = boundary_exponent(f)
+        total = 0.0
+        for c, e in f.factors:
+            if abs(c - 1.0) <= functions.NODE_TOL:
+                continue
+            total += ((e / nu) * kernel.log_principal(1.0 - c)).imag
+        return -total
+
+    def test_equals_per_factor_loop(self, population):
+        maps = [m for entry in population for m in (entry.f, entry.real_f)]
+        maps += [
+            # a node at 1, skipped, between complex exponents
+            ProductForm(1.2 + 0.3j, ((0.6 + 0.7j, 0.2 - 0.1j), (1.0, 0.3 + 0.2j), (-0.9j, 0.25 + 0.4j))),
+            # a node within NODE_TOL of 1
+            ProductForm(1.1, ((1.0 + 1e-13j, 0.4), (-0.5, 0.3))),
+            many_factor_map(2048),
+            canonical_wedge(0.9 + 0.3j, 0.7),
+        ]
+        for f in maps:
+            assert bit_equal(boundary_rotation(f), self.per_factor_rotation(f))
+
+    def test_every_node_at_one(self):
+        f = ProductForm(1.5, ((1.0, 0.2), (1.0, 0.3j)))
+        assert bit_equal(boundary_rotation(f), self.per_factor_rotation(f))
 
     def test_degenerate_exponent_rejected(self):
         params = ClassParams(1.0, 0.0)

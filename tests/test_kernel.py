@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spiralcover import DomainError, log_principal
-from spiralcover.kernel import _log_modulus
+
+from conftest import log_modulus
 
 
 EPS = sys.float_info.epsilon
@@ -128,7 +129,7 @@ def random_domain_points(shape, seed):
 
 
 class TestLogModulus:
-    """_log_modulus is log_principal's real part, bit for bit, with its domain check."""
+    """_log_into's ln|w| alone is log_principal's real part, bit for bit, with its domain check."""
 
     @pytest.mark.parametrize("shape", [(1,), (896,), (8, 896), (3, 1, 5)])
     def test_bit_equal_to_real_part(self, shape):
@@ -137,13 +138,13 @@ class TestLogModulus:
             # the bases 1 - c*z the package evaluates: |c*z| < 1
             bases = 1.0 - np.exp(-np.abs(np.log(np.abs(w)) / 10.0)) * w / np.abs(w)
             for arr in (w, -w, bases):
-                got = _log_modulus(arr)
+                got = log_modulus(arr)
                 assert got.dtype == np.float64 and got.shape == arr.shape
                 assert np.array_equal(got.view(np.int64), log_principal(arr).real.view(np.int64))
 
     @given(right_half_plane_in_domain())
     def test_scalar_bit_equal(self, w):
-        got = _log_modulus(w)
+        got = log_modulus(w)
         assert type(got) is float
         assert math.copysign(1.0, got) == math.copysign(1.0, log_principal(w).real)
         assert got == log_principal(w).real
@@ -167,12 +168,12 @@ class TestLogModulus:
     def test_same_domain_errors(self, w, message):
         for arg in (w, np.array([2.0, w, 0.5j])):
             with pytest.raises(DomainError, match=message) as got:
-                _log_modulus(arg)
+                log_modulus(arg)
             with pytest.raises(DomainError) as ref:
                 log_principal(arg)
             assert str(got.value) == str(ref.value)
 
     def test_empty_array(self):
-        out = _log_modulus(np.array([], dtype=np.complex128))
+        out = log_modulus(np.array([], dtype=np.complex128))
         assert out.shape == (0,)
         assert out.dtype == np.float64

@@ -163,6 +163,41 @@ class TestGridEvaluation:
         assert np.array_equal(ev.log_1mz, sc.log_principal(1.0 - pts))
 
 
+    @pytest.mark.parametrize("n", [0, 2, 2048])
+    def test_reads_one_at_a_time_equal_one_pass(self, n):
+        f = construct(ClassParams(0.9 + 0.4j, 0.35), random_measure(n, 7)) if n else ProductForm(1.3 - 0.2j)
+        apart, together = GridEvaluation(f), GridEvaluation(f)
+        together.compute("log_f", "dlog_f")
+        for name in ("log_f", "dlog_f", "log_1mz"):
+            assert bit_equal(getattr(apart, name), getattr(together, name))
+
+    def test_compute_takes_only_what_is_missing(self, worked_example, monkeypatch):
+        passes = []
+
+        def spy(f, zz, log, dlog, _fn=verification._factor_sums):
+            passes.append((log, dlog))
+            return _fn(f, zz, log, dlog)
+
+        monkeypatch.setattr(verification, "_factor_sums", spy)
+        ev = GridEvaluation(worked_example[0])
+        ev.compute("dlog_f")
+        dlog_f = ev.dlog_f
+        # log_1mz comes with log f; dlog_f is already there and is not taken again
+        ev.compute("log_1mz", "dlog_f")
+        assert {"log_f", "log_1mz", "dlog_f"} <= vars(ev).keys()
+        ev.compute("log_f", "dlog_f", "log_1mz")
+        assert passes == [(False, True), (True, False)]
+        assert ev.dlog_f is dlog_f
+        with pytest.raises(ValueError, match="read-only"):
+            ev.log_1mz[0] = 0.0
+
+    def test_compute_checks_the_points_and_names(self):
+        with pytest.raises(DomainError, match="outside the open unit disk"):
+            GridEvaluation(ProductForm(1.0), [0.5, 1.0]).compute("dlog_f")
+        with pytest.raises(ValueError, match="no array named logf"):
+            GridEvaluation(ProductForm(1.0)).compute("log_f", "logf")
+
+
 class TestMembership:
     def test_measure_built_maps_pass(self, population):
         for entry in population[:10]:
