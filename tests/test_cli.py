@@ -346,6 +346,9 @@ class TestCheck:
     # real-population-20 differ in the 12th digit.  wide-3 and
     # custom-grid-population-20 were recorded on the same build before the
     # checks came to share one evaluation of log f, f'/f and Log(1-z).
+    # fine-grid-population-5 (8,194 points, above the 8,192-element block bound, so
+    # growth takes one shift per block and every kernel call one factor) was recorded
+    # on the same build before growth took its shifted logs from the one factor pass.
     CHECK_DIGESTS = {
         "readme-example": "1002f5d999d8ec6f82df35c1af1a37f98febda02e0a1a0d2879c85c83cc74bee",
         "population-20": "2349802fde6d4b23fd9e080e8ea8aa05bf6070f393889fa7ab234fb1ee177104",
@@ -353,6 +356,7 @@ class TestCheck:
         "distort-readme-example": "da3bc43b04818d05c9538e7b7b4452c11b21b712b6f72baca983c7355cb8ef41",
         "wide-3": "3c799146ccd3e20f621bcabf4b85093299d307fc3cba4b7172b6ced7083b493a",
         "custom-grid-population-20": "43783728dc846298e3df0828b0b1e1fc149a8dd895eacab2a56e657ed326c3b5",
+        "fine-grid-population-5": "e514ced8cfd44276df7c206f9cf86f0a78d70cf344df7b2d6a1a51733317476f",
     }
 
     @staticmethod
@@ -368,6 +372,10 @@ class TestCheck:
             return ["check", "--checks", "all"], [e.real_f.to_dict(e.real_params) for e in population[:20]]
         if kind == "wide-3":
             return ["check", "--checks", WIDE_CHECKS], wide_specs()
+        if kind == "fine-grid-population-5":
+            fine = ["--grid-radii", "0.5,0.995", "--grid-angles", "4097"]
+            specs = [s for e in population[:5] for s in (e.f.to_dict(e.params), e.real_f.to_dict(e.real_params))]
+            return ["check", "--checks", "all", *fine], specs
         grid = ["--grid-radii", "0.2,0.9", "--grid-angles", "33"]
         return ["check", *grid, "--checks", "growth,schwarz,membership"], [e.f.to_dict(e.params) for e in population[:20]]
 
