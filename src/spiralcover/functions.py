@@ -44,8 +44,8 @@ __all__ = [
 OMEGA_TOL = 1e-12       # slack on |mu - 1| <= 1
 NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
 RADIAL_EXPONENTS = (3, 4, 5, 6)  # radii 1 - 10**-k used for radial limits
-# elements per kernel call: factors x points in _factor_sums and _eval_log_real,
-# and shifts x points per block of the growth scan
+# elements per kernel call: factors x points in _factor_sums, and shifts x points
+# per block of the growth scan
 BLOCK_ELEMENTS = 8192
 
 
@@ -226,20 +226,26 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> None:
         np.subtract.reduce(terms, axis=0, out=total)
 
 
-def _factor_sums(f: ProductForm, zz: np.ndarray, log: bool, dlog: bool):
+def _factor_sums(f: ProductForm, zz: np.ndarray, log: bool, dlog: bool, real: bool = False):
     """(Log(1 - zz), log f, f'/f) at the points zz, from one pass over the factors.
 
     log asks for log f and dlog for f'/f; what is not asked comes back as
-    None, and Log(1 - zz), the prefactor's log, comes with log f.  zz is
+    None, and Log(1 - zz), the prefactor's log, comes with log f.  With
+    real, only the real parts of Log(1 - zz) and log f come back.  zz is
     an array of points inside the disk.  Each block of _block_rows(zz.size)
     factors forms its bases 1 - c_j*zz once and takes e_j*Log(base)
-    through _log_into, -(e_j*c_j)/base, or both.  The work arrays are
-    allocated once per call, in the shape of a block (the last, shorter
-    block writes into their leading rows): the bases, and the Log and
-    ln|w| arrays only when log f is asked.  The terms of f'/f go into a
-    work array that is no longer read, the Log array or else the bases.
-    Each total is p*Log(1 - zz) or -p/(1 - zz) minus the terms, left to
-    right, as one factor at a time forms it.
+    through _log_into, -(e_j*c_j)/base, or both.  With real, the
+    prefactor and each block whose coefficients are all real take
+    ln|base| alone, with no arctan2: numpy forms Re(e*L) as
+    fma(e.real, L.real, -(e.imag*L.imag)), which rounds to e.real*Re(L)
+    when e.imag == 0.  The work arrays are allocated once per call, in
+    the shape of a block (the last, shorter block writes into their
+    leading rows): the bases, and the Log and ln|w| arrays only when log
+    f is asked.  The terms of f'/f go into a work array that is no longer
+    read, the Log array or else the bases.  Each total is p*Log(1 - zz)
+    or -p/(1 - zz) minus the terms, left to right, as one factor at a
+    time forms it; subtraction acts on each part alone, so a total of
+    real parts has the bits of the complex total's real part.
     """
     one_m_z = 1.0 - zz
     log_1mz = log_f = dlog_f = None
@@ -248,10 +254,17 @@ def _factor_sums(f: ProductForm, zz: np.ndarray, log: bool, dlog: bool):
     nodes = f.nodes.reshape((-1,) + (1,) * zz.ndim)
     bases = np.empty(shape, dtype=np.complex128)
     if log:
-        log_1mz = np.empty_like(one_m_z)
-        _log_into(one_m_z, log_1mz, np.empty(zz.shape), angles=True)
-        log_f = f.prefactor * log_1mz
+        p, log_1mz, log_mod = f.prefactor, np.empty_like(one_m_z), np.empty(zz.shape)
+        if real and p.imag == 0.0:
+            _log_into(one_m_z, log_1mz, log_mod)
+            log_1mz, log_f = log_mod, p.real * log_mod
+        else:
+            _log_into(one_m_z, log_1mz, log_mod, angles=True)
+            log_f = p * log_1mz
+            if real:
+                log_1mz, log_f = log_1mz.real, log_f.real
         exponents = f.exponents.reshape(nodes.shape)
+        complex_exponents = (f.exponents.imag != 0.0).tolist()
         logs, log_mod = np.empty(shape, dtype=np.complex128), np.empty(shape)
     if dlog:
         dlog_f = -f.prefactor / one_m_z
@@ -262,10 +275,15 @@ def _factor_sums(f: ProductForm, zz: np.ndarray, log: bool, dlog: bool):
         np.multiply(c, zz, out=w)
         np.subtract(1.0, w, out=w)
         if log:
-            block = logs[: len(c)]
-            _log_into(w, block, log_mod[: len(c)], angles=True)
-            # e * logs, exponent first: under FMA the other operand order rounds differently
-            _fold(log_f, np.multiply(exponents[i : i + rows], block, out=block))
+            e, block, mod = exponents[i : i + rows], logs[: len(c)], log_mod[: len(c)]
+            if real and not any(complex_exponents[i : i + rows]):
+                _log_into(w, block, mod)
+                terms = np.multiply(e.real, mod, out=mod)
+            else:
+                _log_into(w, block, mod, angles=True)
+                # e * logs, exponent first: under FMA the other operand order rounds differently
+                terms = np.multiply(e, block, out=block)
+            _fold(log_f, terms.real if real else terms)
         if dlog:
             # subtracting -(e_j*c_j)/(1-c_j*z) rounds as adding e_j*c_j/(1-c_j*z) does
             _fold(dlog_f, np.divide(numerators[i : i + rows], w, out=block if log else w))
@@ -281,45 +299,6 @@ def eval_log(f: ProductForm, z):
     zz, scalar = _as_points(z)
     out = _factor_sums(f, zz, log=True, dlog=False)[1]
     return complex(out[0]) if scalar else out
-
-
-def _eval_log_real(f: ProductForm, zz: np.ndarray, acc: np.ndarray, work: tuple) -> None:
-    """Subtract Re(e_j*Log(1 - c_j*zz)), j = 1, 2, ..., from acc in place.
-
-    With acc = Re(p*Log(1 - zz)) on entry, acc ends as Re(eval_log(f, zz))
-    bit for bit.  zz is an array of points inside the disk and acc a
-    float64 array of its shape.  work holds the caller's flat bases
-    (complex128), Log (complex128) and ln|w| (float64) arrays, each of at
-    least max(BLOCK_ELEMENTS, zz.size) elements; factors go in blocks of
-    _block_rows(zz.size), as in eval_log.  Re(e*L) rounds to
-    e.real*Re(L) when e.imag == 0 (numpy forms it as
-    fma(e.real, L.real, -(e.imag*L.imag))), so a block of real exponents
-    needs only ln|1 - c*zz|: arctan2 is taken only for blocks of factors
-    with a complex exponent.
-    """
-    rows = _block_rows(zz.size)
-    nodes = f.nodes.reshape((-1,) + (1,) * zz.ndim)
-    exponents = f.exponents.reshape(nodes.shape)
-    complex_exponents = (f.exponents.imag != 0.0).tolist()
-    views = {}  # work array views, made once per block length: a reshape costs as much as a small ufunc
-    for i in range(0, len(nodes), rows):
-        c, e = nodes[i : i + rows], exponents[i : i + rows]
-        if len(c) not in views:
-            views[len(c)] = [a[: c.size * zz.size].reshape(c.shape[:1] + zz.shape) for a in work]
-        bases, logs, log_mod = views[len(c)]
-        np.multiply(c, zz, out=bases)
-        np.subtract(1.0, bases, out=bases)
-        if any(complex_exponents[i : i + rows]):
-            _log_into(bases, logs, log_mod, angles=True)
-            terms = np.multiply(e, logs, out=logs).real
-        else:
-            _log_into(bases, logs, log_mod)
-            terms = np.multiply(e.real, log_mod, out=log_mod)
-        if len(terms) == 1:
-            np.subtract(acc, terms[0], out=acc)
-        else:  # the running total goes into the first row, then row by row down the block
-            np.subtract(acc, terms[0], out=terms[0])
-            np.subtract.reduce(terms, axis=0, out=acc)
 
 
 def evaluate(f: ProductForm, z):

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .kernel import DomainError, log_principal
+from .kernel import DomainError
 from .functions import (
     ClassParams,
     ProductForm,
@@ -25,6 +25,8 @@ from .functions import (
     core_function,
     eval_log,
     evaluate,
+    _as_points,
+    _factor_sums,
     _in_admissible_region,
 )
 from .verification import _QUIET, PASS_TOL, InteriorSpirallikeMap, VerificationReport, _report
@@ -524,20 +526,23 @@ class CoveringComposition:
     beta: float
     mu: complex
 
-    def _log_core(self, zz: np.ndarray) -> np.ndarray:
-        return log_principal(1.0 - zz) / self.beta + self.s.log_ratio(zz) / (self.mu * self.beta)
+    def _core(self, z) -> tuple[np.ndarray, bool]:
+        """(1 - g at the points, whether z is a scalar); log f and Log(1-z) from one pass."""
+        zz, scalar = _as_points(z)
+        log_1mz, log_f, _ = _factor_sums(self.s.source, zz, log=True, dlog=False)
+        log_ratio = log_f - self.s.params.mu * log_1mz
+        return np.exp(log_1mz / self.beta + log_ratio / (self.mu * self.beta)), scalar
 
     def __call__(self, z):
-        zz = np.asarray(z, dtype=np.complex128)
-        out = 1.0 - np.exp(self._log_core(zz))
-        return complex(out) if np.ndim(z) == 0 else out
+        core, scalar = self._core(z)
+        out = 1.0 - core
+        return complex(out[0]) if scalar else out
 
     def half_plane_map(self, z):
         """(1-g)/(1+g); covers the right half-plane when g covers the disk."""
-        zz = np.asarray(z, dtype=np.complex128)
-        core = np.exp(self._log_core(zz))
+        core, scalar = self._core(z)
         out = core / (2.0 - core)
-        return complex(out) if np.ndim(z) == 0 else out
+        return complex(out[0]) if scalar else out
 
 
 def covering_composition(

@@ -27,10 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .kernel import DomainError, _log_into, log_principal
-from .functions import (
-    BLOCK_ELEMENTS, ClassParams, ProductForm, _as_points, _block_rows, _eval_log_real, _factor_sums, eval_log,
-)
+from .kernel import DomainError
+from .functions import ClassParams, ProductForm, _as_points, _block_rows, _factor_sums
 
 __all__ = [
     "GridSpec",
@@ -415,10 +413,11 @@ class InteriorSpirallikeMap:
         return complex(out) if np.ndim(z) == 0 else out
 
     def log_ratio(self, z):
-        """Canonical log of s(z)/z = f(z)/(1-z)**mu."""
-        zz = np.asarray(z, dtype=np.complex128)
-        out = eval_log(self.source, zz) - self.params.mu * log_principal(1.0 - zz)
-        return complex(out) if np.ndim(z) == 0 else out
+        """Canonical log of s(z)/z = f(z)/(1-z)**mu; log f and Log(1-z) from one pass over the factors."""
+        zz, scalar = _as_points(z)
+        log_1mz, log_f, _ = _factor_sums(self.source, zz, log=True, dlog=False)
+        out = log_f - self.params.mu * log_1mz
+        return complex(out[0]) if scalar else out
 
     def spiral_margin(self, ev: GridEvaluation) -> np.ndarray:
         """Re(exp(-i*phi)*z*s'/s) - order via z*s'/s = 1 + z*f'/f + mu*z/(1-z).
@@ -460,12 +459,10 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     For 0 < t < 2*cos(arg mu) the point z' = z*(1 - exp(-i*phi)*t) stays
     in the disk and |f| there is controlled by |((1-z')/(1-z))**mu| times
     (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  Moduli are taken branch
-    safely through exp(Re(log)), and only real parts are computed.  The
-    shifts go in blocks of _block_rows(points) at a time, and each block
-    takes Log(1 - z') once, for both log f(z') and the right-hand side:
-    as ln|1 - z'| alone when mu and the prefactor are real.  Each call
-    allocates its work arrays once and writes every block into them, and
-    into its own rows of the result, in place.  The bytes equal those of
+    safely through exp(Re(log)).  The shifts go in blocks of
+    _block_rows(points) at a time, and each block takes log f(z') and
+    Log(1 - z') from one pass over the factors, for both sides: real
+    parts alone when mu is real.  The bytes equal those of
     Re(eval_log(f, z')) and Re(mu*(Log(1 - z') - Log(1 - z))).
     """
     phi = params.phi
@@ -473,41 +470,27 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     if not all(0.0 < t < cos2 for t in ts):
         raise DomainError("t outside (0, 2*cos(arg mu))")
     rot = cmath.exp(-1j * phi)
-    mu, p = params.mu, ev.f.prefactor
+    mu = params.mu
     power = -mu.real * (1.0 - params.beta)
-    real = mu.imag == 0.0 and p.imag == 0.0
+    real = mu.imag == 0.0
     # validates the points; |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 then keeps z' in the disk
     log_f = np.ascontiguousarray(ev.log_f.real)
     log_1mz = np.ascontiguousarray(ev.log_1mz.real) if real else ev.log_1mz
     rows = _block_rows(ev.points.size)
-    shape = (min(rows, len(ts)), ev.points.size)
-    shifted, log_fz = np.empty(shape, dtype=np.complex128), np.empty(shape)
-    size = max(BLOCK_ELEMENTS, log_fz.size)
-    work = (np.empty(size, dtype=np.complex128), np.empty(size, dtype=np.complex128), np.empty(size))
     out = np.empty((len(ts), ev.points.size))
     for i in range(0, len(ts), rows):
         block = ts[i : i + rows]
-        z, acc, margin = shifted[: len(block)], log_fz[: len(block)], out[i : i + rows]
-        bases, logs, log_mod = (a[: z.size].reshape(z.shape) for a in work)
-        np.multiply(ev.points, np.array([[1.0 - rot * t] for t in block]), out=z)
-        np.subtract(1.0, z, out=bases)
-        # the prefactor term into acc and log_ratio into margin
-        if real:
-            _log_into(bases, logs, log_mod)
-            np.multiply(p.real, log_mod, out=acc)
-            np.subtract(log_mod, log_1mz, out=margin)
-            np.multiply(mu.real, margin, out=margin)
-        else:
-            _log_into(bases, logs, log_mod, angles=True)
-            np.copyto(acc, np.multiply(p, logs, out=bases).real)
-            np.subtract(logs, log_1mz, out=bases)
-            np.copyto(margin, np.multiply(mu, bases, out=bases).real)
-        _eval_log_real(ev.f, z, acc, work)
-        np.subtract(acc, log_f, out=acc)
-        np.exp(acc, out=acc)
+        shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
+        log_1mz_s, log_f_s, _ = _factor_sums(ev.f, shifted, log=True, dlog=False, real=real)
+        # real parts of complex arrays are strided views: each exp reads a contiguous array,
+        # lhs a new one and the right-hand side the block's rows of out
+        lhs, margin = np.subtract(log_f_s.real, log_f), out[i : i + rows]
+        ratio = np.subtract(log_1mz_s, log_1mz, out=log_1mz_s)
+        np.copyto(margin, np.multiply(mu.real if real else mu, ratio, out=ratio).real)
+        np.exp(lhs, out=lhs)
         np.exp(margin, out=margin)
         np.multiply(margin, np.array([[(1.0 - t / cos2) ** power] for t in block]), out=margin)
-        np.subtract(margin, acc, out=margin)
+        np.subtract(margin, lhs, out=margin)
     return out
 
 

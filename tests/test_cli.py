@@ -398,30 +398,33 @@ class TestSharedEvaluation:
     def passes(self, monkeypatch):
         seen = []
 
-        def spy(f, zz, log, dlog, _fn=verification._factor_sums):
-            seen.append((log, dlog))
-            return _fn(f, zz, log, dlog)
+        def spy(f, zz, log, dlog, real=False, _fn=verification._factor_sums):
+            seen.append((zz.shape, log, dlog, real))
+            return _fn(f, zz, log, dlog, real)
 
         monkeypatch.setattr(verification, "_factor_sums", spy)
         return seen
 
     @pytest.mark.parametrize(
-        "kind, checks, log, dlog",
+        "kind, checks, log, dlog, shifted",
         [
-            ("wide-64", WIDE_CHECKS, True, True),
-            ("readme-example", "membership", False, True),
-            # the base grid only: growth reads Re log f at its shifted points through its own scan
-            ("readme-example", "all", True, True),
-            ("readme-example", "distortion", True, False),
+            ("wide-64", WIDE_CHECKS, True, True, []),
+            ("readme-example", "membership", False, True, []),
+            # growth takes Re log f at its shifted points in one pass per block of 9, 9, 9
+            # and 5 shifts of the 896 points, real parts alone as mu = 1 is real
+            ("readme-example", "all", True, True, [9, 9, 9, 5]),
+            ("readme-example", "distortion", True, False, []),
+            ("readme-example", "growth", True, False, [9, 9, 9, 5]),
         ],
-        ids=["wide-measure-checks", "membership", "all", "distortion"],
+        ids=["wide-measure-checks", "membership", "all", "distortion", "growth"],
     )
-    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, log, dlog):
+    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, log, dlog, shifted):
         src = tmp_path / "in.json"
         src.write_text(dumps(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
         assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
-        # one pass over the factors, for what the checks read
-        assert passes == [(log, dlog)]
+        # one pass over the base grid's factors, for what the checks read
+        assert [p[1:] for p in passes if len(p[0]) == 1] == [(log, dlog, False)]
+        assert [p for p in passes if len(p[0]) == 2] == [((k, 896), True, False, True) for k in shifted]
 
     @pytest.mark.parametrize("name", list(CHECKS))
     def test_declared_reads(self, name, worked_example):

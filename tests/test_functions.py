@@ -33,7 +33,7 @@ from spiralcover import (
 )
 from spiralcover.serialize import load_function_spec
 
-from conftest import bit_equal, log_modulus, reference_growth_margin
+from conftest import bit_equal, reference_growth_margin
 
 SAMPLE_Z = [0.0, 0.5, -0.3 + 0.4j, 0.1 - 0.7j, -0.85, 0.6 + 0.35j]
 
@@ -442,7 +442,7 @@ class TestBlockedEvaluation:
 
 
 class TestEvalLogReal:
-    """functions._eval_log_real is Re(eval_log) bit for bit, with arctan2 only for complex exponents."""
+    """_factor_sums with real is Re(eval_log) bit for bit, with arctan2 only for complex coefficients."""
 
     GRID = DEFAULT_GRID.points()
     MAPS = {
@@ -456,40 +456,24 @@ class TestEvalLogReal:
     POINTS = {
         # one point, as a 1-element array: every factor in one block, a sum down a single column
         "scalar": np.array([-0.3 + 0.4j]),
+        "empty": np.array([], dtype=np.complex128),
         "default-grid": GRID,
         # the growth scan's block on the default grid: 9 shifts x 896 points
         "growth-block": GRID * np.linspace(0.95, 0.1, 9)[:, None],
     }
 
-    @staticmethod
-    def prefactor_terms(f, z):
-        """Re(p*Log(1 - z)) from the complex log, and from ln|1 - z| alone when p is real."""
-        terms = [(f.prefactor * kernel.log_principal(1.0 - z)).real]
-        if f.prefactor.imag == 0.0:
-            terms.append(f.prefactor.real * log_modulus(1.0 - z))
-        return terms
-
-    @staticmethod
-    def eval_log_real(f, z, pre):
-        """functions._eval_log_real from pre, with NaN-filled work arrays of the size it asks for."""
-        acc = np.array(pre, dtype=np.float64)
-        size = max(functions.BLOCK_ELEMENTS, z.size)
-        work = (np.full(size, np.nan, dtype=np.complex128), np.full(size, np.nan, dtype=np.complex128), np.full(size, np.nan))
-        functions._eval_log_real(f, z, acc, work)
-        return acc
-
     @pytest.mark.parametrize("points", list(POINTS))
     @pytest.mark.parametrize("name", list(MAPS))
     def test_equals_real_part_of_eval_log(self, name, points):
         f, z = self.MAPS[name], self.POINTS[points]
-        ref = eval_log(f, z).real
-        for pre in self.prefactor_terms(f, z):
-            assert bit_equal(self.eval_log_real(f, z, pre), ref)
+        log_1mz, log_f, dlog_f = functions._factor_sums(f, z, log=True, dlog=False, real=True)
+        assert bit_equal(log_f, eval_log(f, z).real)
+        assert bit_equal(log_1mz, kernel.log_principal(1.0 - z).real)
+        assert dlog_f is None
 
     @pytest.mark.parametrize("name, kernel_calls", [("real", 0), ("mixed", 1), ("complex", 12)])
     def test_arctan2_only_for_complex_exponents(self, monkeypatch, name, kernel_calls):
         f, z = self.MAPS[name], self.POINTS["growth-block"]
-        pre = self.prefactor_terms(f, z)[-1]
         calls = []
 
         def spy(w, work, log_mod, angles=False):
@@ -497,9 +481,11 @@ class TestEvalLogReal:
             kernel._log_into(w, work, log_mod, angles)
 
         monkeypatch.setattr(functions, "_log_into", spy)
-        self.eval_log_real(f, z, pre)
-        # one factor per block at 9 x 896 points: Log with arctan2 once per complex exponent
-        assert len(calls) == len(f.factors) and sum(calls) == kernel_calls
+        functions._factor_sums(f, z, log=True, dlog=False, real=True)
+        # the prefactor's log, with arctan2 only for a complex prefactor, then one factor
+        # per block at 9 x 896 points: Log with arctan2 once per complex exponent
+        assert calls[0] == (f.prefactor.imag != 0.0)
+        assert len(calls) == 1 + len(f.factors) and sum(calls[1:]) == kernel_calls
 
 
 class TestTransformClass:

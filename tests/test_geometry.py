@@ -701,6 +701,25 @@ class TestCoveringComposition:
             assert g.half_plane_map(z) == pytest.approx((1 - z) / (1 + z), abs=1e-12)
             assert g.half_plane_map(z).real > 0
 
+    @pytest.mark.parametrize("mu", [1.0, 0.8 - 0.5j], ids=["real-mu", "complex-mu"])
+    def test_one_pass_matches_separate_logs(self, mu):
+        # log f and Log(1-z) from one pass give the bytes of eval_log and log_principal taken apart
+        params = ClassParams(mu, 0.6)
+        f = ProductForm(mu, ((0.9 + 0.4j, 0.2 * mu), (0.9 - 0.4j, 0.2 * mu)))
+        s = to_interior_spirallike(f, params)
+        g, _ = covering_composition(s, params.phi, 0.3, 0.3)
+        z = (np.linspace(0.05, 0.99, 4)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 25))).ravel()
+        log_1mz = sc.log_principal(1.0 - z)
+        log_ratio = eval_log(f, z) - mu * log_1mz
+        core = np.exp(log_1mz / g.beta + log_ratio / (g.mu * g.beta))
+        for got, ref in [(s.log_ratio(z), log_ratio), (s(z), z * np.exp(log_ratio)),
+                         (g(z), 1.0 - core), (g.half_plane_map(z), core / (2.0 - core))]:
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        # a scalar gives the value of the one-point array
+        for fn in (s.log_ratio, s, g, g.half_plane_map):
+            value = fn(complex(z[37]))
+            assert type(value) is complex and value == fn(z[37:38])[0]
+
     def test_nontrivial_starlike_input(self, population):
         params = ClassParams(2.0, 0.5)
         f = construct(params, population[0].measure)
