@@ -36,14 +36,10 @@ __all__ = [
     "transform_class",
     "boundary_exponent",
     "boundary_rotation",
-    "boundary_exponent_radial",
-    "boundary_rotation_radial",
-    "richardson_limit",
 ]
 
 OMEGA_TOL = 1e-12       # slack on |mu - 1| <= 1
 NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
-RADIAL_EXPONENTS = (3, 4, 5, 6)  # radii 1 - 10**-k used for radial limits
 # elements per kernel call: factors x points in _factor_sums, and shifts x points
 # per block of the growth scan
 BLOCK_ELEMENTS = 8192
@@ -334,8 +330,7 @@ def boundary_exponent(f: ProductForm) -> complex:
 
     Closed form: prefactor minus the exponents of nodes at 1; factors
     with nodes elsewhere in the closed disk vanish in the limit.  For a
-    measure-built map this is mu*(1 - (1-beta)*sigma({1})).  Agrees
-    with :func:`boundary_exponent_radial` (the independent estimate).
+    measure-built map this is mu*(1 - (1-beta)*sigma({1})).
     """
     at_one = sum((e for c, e in f.factors if abs(c - 1.0) <= NODE_TOL), 0.0 + 0.0j)
     return complex(f.prefactor - at_one)
@@ -346,9 +341,7 @@ def boundary_rotation(f: ProductForm) -> float:
 
     Closed form: -sum over nodes c != 1 of Im((e/exponent)*Log(1-c)).
     For a measure-built map with real exponent ratio this reduces to
-    -(mu/exponent)*(1-beta)*sum w_j*arg(1-conj(zeta_j)).  The sign is
-    pinned by the radial-limit estimate, which this equals by
-    construction.
+    -(mu/exponent)*(1-beta)*sum w_j*arg(1-conj(zeta_j)).
     """
     nu = boundary_exponent(f)
     if abs(nu) <= NODE_TOL:
@@ -360,42 +353,3 @@ def boundary_rotation(f: ProductForm) -> float:
     for (_, e), log in zip(kept, logs):
         total += ((e / nu) * log).imag
     return -total
-
-
-def richardson_limit(values):
-    """Richardson table for samples at steps h, h/10, h/100, ... (RADIAL_EXPONENTS).
-
-    Assumes an expansion L + c1*h + c2*h**2 + ...; values must be
-    ordered from the largest step to the smallest.
-    """
-    table = list(values)
-    if len(table) < 2:
-        raise ValueError("need at least two samples")
-    n = len(table)
-    for j in range(1, n):
-        fac = 10.0 ** j
-        table = [(fac * table[i + 1] - table[i]) / (fac - 1.0) for i in range(len(table) - 1)]
-    return table[0]
-
-
-def _radial_points() -> list[float]:
-    return [1.0 - 10.0 ** (-k) for k in RADIAL_EXPONENTS]
-
-
-def boundary_exponent_radial(f: ProductForm) -> complex:
-    """Radial-limit estimate of the wedge exponent, Richardson accelerated.
-
-    Independent of the closed form in :func:`boundary_exponent`; the
-    raw ratio converges like (1-r), and acceleration over radii
-    1 - 10**-k, k = 3..6 recovers well under 1e-3 accuracy.
-    """
-    vals = [(r - 1.0) * log_derivative(f, r) for r in _radial_points()]
-    return complex(richardson_limit(vals))
-
-
-def boundary_rotation_radial(f: ProductForm, exponent: complex) -> float:
-    """Radial-limit estimate of the rotation via Im(log f(r)/exponent)."""
-    if abs(exponent) <= NODE_TOL:
-        raise DomainError("boundary exponent is 0; rotation undefined")
-    vals = [(eval_log(f, r) / exponent).imag for r in _radial_points()]
-    return float(richardson_limit(vals))

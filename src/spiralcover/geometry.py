@@ -25,8 +25,6 @@ from .functions import (
     core_function,
     eval_log,
     evaluate,
-    _as_points,
-    _factor_sums,
     _in_admissible_region,
 )
 from .verification import _QUIET, PASS_TOL, InteriorSpirallikeMap, VerificationReport, _report
@@ -527,10 +525,8 @@ class CoveringComposition:
     mu: complex
 
     def _core(self, z) -> tuple[np.ndarray, bool]:
-        """(1 - g at the points, whether z is a scalar); log f and Log(1-z) from one pass."""
-        zz, scalar = _as_points(z)
-        log_1mz, log_f, _ = _factor_sums(self.s.source, zz, log=True, dlog=False)
-        log_ratio = log_f - self.s.params.mu * log_1mz
+        """(1 - g at the points, whether z is a scalar); Log(1-z) and log s(z)/z from one pass."""
+        log_1mz, log_ratio, scalar = self.s._log_parts(z)
         return np.exp(log_1mz / self.beta + log_ratio / (self.mu * self.beta)), scalar
 
     def __call__(self, z):

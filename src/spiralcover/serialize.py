@@ -65,10 +65,11 @@ def _as_complex(v) -> complex:
 
 
 def load_function_spec(data: dict) -> tuple[ProductForm, ClassParams]:
-    """Parse {"mu", "beta"} plus either "factors" or "measure".
+    """Parse {"mu", "beta"} plus either "factors" or "measure", never both.
 
-    A "prefactor" key overrides the default prefactor mu, which keeps
-    bare power maps like (1-z)**(mu*beta) representable.
+    In factor form a "prefactor" key overrides the default prefactor
+    mu, which keeps bare power maps like (1-z)**(mu*beta) representable;
+    a measure fixes the prefactor, so "prefactor" beside it is an error.
     """
     if not isinstance(data, dict):
         raise ValueError("function spec must be a JSON object")
@@ -79,6 +80,8 @@ def load_function_spec(data: dict) -> tuple[ProductForm, ClassParams]:
         raise ValueError(f"function spec missing key {exc}") from exc
     params = ClassParams(mu, beta)
     if "measure" in data:
+        if "factors" in data or "prefactor" in data:
+            raise ValueError("a measure spec cannot also hold 'factors' or 'prefactor'")
         sigma = AtomicCircleMeasure.from_dict(data["measure"])
         return construct(params, sigma), params
     if "factors" not in data:

@@ -407,16 +407,20 @@ class InteriorSpirallikeMap:
     phi: float
     order: float
 
-    def __call__(self, z):
-        zz = np.asarray(z, dtype=np.complex128)
-        out = zz * np.exp(self.log_ratio(zz))
-        return complex(out) if np.ndim(z) == 0 else out
-
-    def log_ratio(self, z):
-        """Canonical log of s(z)/z = f(z)/(1-z)**mu; log f and Log(1-z) from one pass over the factors."""
+    def _log_parts(self, z):
+        """(Log(1-z), log of s(z)/z, whether z is a scalar), from one pass over the factors."""
         zz, scalar = _as_points(z)
         log_1mz, log_f, _ = _factor_sums(self.source, zz, log=True, dlog=False)
-        out = log_f - self.params.mu * log_1mz
+        return log_1mz, log_f - self.params.mu * log_1mz, scalar
+
+    def __call__(self, z):
+        _, log_ratio, scalar = self._log_parts(z)
+        out = np.asarray(z, dtype=np.complex128) * np.exp(log_ratio)
+        return complex(out[0]) if scalar else out
+
+    def log_ratio(self, z):
+        """Canonical log of s(z)/z = f(z)/(1-z)**mu."""
+        _, out, scalar = self._log_parts(z)
         return complex(out[0]) if scalar else out
 
     def spiral_margin(self, ev: GridEvaluation) -> np.ndarray:

@@ -16,6 +16,7 @@ from spiralcover.cli import main
 from spiralcover.serialize import dumps
 
 from conftest import MASTER_SEED, draw_params
+from radial_oracles import boundary_exponent_radial, boundary_rotation_radial
 
 
 def report(criterion: str, detail: str):
@@ -171,12 +172,12 @@ def test_criterion_07_boundary_limit_agreement(population):
     worst_nu, worst_a = 0.0, 0.0
     for entry in population:
         nu = sc.boundary_exponent(entry.f)
-        nu_est = sc.boundary_exponent_radial(entry.f)
+        nu_est = boundary_exponent_radial(entry.f)
         worst_nu = max(worst_nu, abs(nu - nu_est))
         assert abs(nu - nu_est) <= 1e-3
 
         a = sc.boundary_rotation(entry.f)
-        a_est = sc.boundary_rotation_radial(entry.f, nu)
+        a_est = boundary_rotation_radial(entry.f, nu)
         worst_a = max(worst_a, abs(a - a_est))
         assert abs(a - a_est) <= 1e-3
 

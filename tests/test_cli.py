@@ -79,6 +79,26 @@ class TestLoadSpec:
         with pytest.raises(ValueError):
             load_function_spec({"mu": 1.0, "beta": 0.0})
 
+    # a measure fixes the prefactor and the factors, so neither may sit beside it
+    MIXED_SPECS = [
+        {"mu": 1, "beta": 0.3, "prefactor": [0.2, 0], "measure": {"atoms": [{"angle": 0.5, "weight": 1}]}},
+        {**EXAMPLE_SPEC, "measure": {"atoms": [{"angle": 0.5, "weight": 1}]}},
+    ]
+
+    @pytest.mark.parametrize("spec", MIXED_SPECS, ids=["measure-prefactor", "measure-factors"])
+    def test_measure_with_other_form_rejected(self, spec):
+        with pytest.raises(ValueError, match="measure spec cannot also hold"):
+            load_function_spec(spec)
+
+    @pytest.mark.parametrize("command", ["check", "cover"])
+    @pytest.mark.parametrize("spec", MIXED_SPECS, ids=["measure-prefactor", "measure-factors"])
+    def test_measure_with_other_form_is_a_usage_error(self, command, spec, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(spec))
+        assert main([command, "-i", str(src), "-o", str(out)]) == 2
+        assert "measure spec cannot also hold" in capsys.readouterr().err
+        assert not out.exists()
+
     # a boolean or a string where a number belongs, in each numeric field
     @pytest.mark.parametrize(
         "spec",

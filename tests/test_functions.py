@@ -14,9 +14,7 @@ from spiralcover import (
     GridEvaluation,
     ProductForm,
     boundary_exponent,
-    boundary_exponent_radial,
     boundary_rotation,
-    boundary_rotation_radial,
     canonical_wedge,
     construct,
     core_function,
@@ -28,12 +26,12 @@ from spiralcover import (
     log_derivative,
     make_measure,
     random_measure,
-    richardson_limit,
     transform_class,
 )
 from spiralcover.serialize import load_function_spec
 
 from conftest import bit_equal, reference_growth_margin
+from radial_oracles import boundary_exponent_radial, boundary_rotation_radial, richardson_limit
 
 SAMPLE_Z = [0.0, 0.5, -0.3 + 0.4j, 0.1 - 0.7j, -0.85, 0.6 + 0.35j]
 

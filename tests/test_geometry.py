@@ -728,6 +728,19 @@ class TestCoveringComposition:
         g, report = covering_composition(s, 0.0, 0.5, 0.5)
         assert report.passed
 
+    def test_nonzero_spiral_angle(self, population):
+        params = ClassParams(1.2 * np.exp(0.4j), 0.5)
+        s = to_interior_spirallike(construct(params, population[0].measure), params)
+        assert s.order == pytest.approx(math.cos(0.4) - 0.3)
+        g, report = covering_composition(s, s.phi, 0.5, 0.5)
+        assert report.passed and report.indeterminate == 0
+        assert report.worst_margin == pytest.approx(0.05, abs=1e-4)
+        assert g(0.0) == pytest.approx(0.0, abs=1e-14)
+        # near 0 g stays in the disk, which (1-g)/(1+g) takes into the right half-plane
+        z = 0.2 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
+        assert np.all(np.abs(g(z)) < 1.0)
+        assert np.all(g.half_plane_map(z).real > 0.0)
+
     def test_parameter_validation(self):
         s = self.collapse_witness()
         with pytest.raises(DomainError):
