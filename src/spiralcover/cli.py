@@ -69,7 +69,7 @@ CHECKS = {
         _derivative_bounds_apply,
         ("log_f", "dlog_f"),
     ),
-    # exact algebra, held to its own 1e-12 tolerance
+    # exact algebra, held to its own INTERIOR_IDENTITY_TOL
     "interior-identity": (lambda ev, p, tol: check_interior_identity(ev, p), _any_params, _DLOG),
     "growth": (lambda ev, p, tol: check_growth(ev, p, tol), _any_params, _LOG),
     # samples f on |z| = 0.999, not the grid
@@ -199,7 +199,7 @@ def cmd_render(args) -> int:
         f0, _ = loaded[0]
         nu = boundary_exponent(f0)
         rot = boundary_rotation(f0)
-        up, down = wedge_spirals(nu, rot, (-1.0, 5.0))
+        up, down = wedge_spirals(nu, rot)
         spirals = [up, down]
 
     _write(args.output, render_svg(curves, disks, spirals, labels))

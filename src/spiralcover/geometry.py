@@ -422,9 +422,8 @@ def boundary_gap_profile(s: float, t: float) -> float:
         raise DomainError("s must lie in (0, 2]")
     if not -math.pi <= t <= math.pi:
         raise DomainError("t must lie in [-pi, pi]")
+    # on [-pi, pi], c >= 2*cos(pi/2) > 0
     c = 2.0 * math.cos(t / 2.0)
-    if c <= 0.0:
-        return 1.0
     return c ** (2.0 * s) + 1.0 - 2.0 * c**s * math.cos(s * t / 2.0)
 
 
@@ -459,24 +458,17 @@ def minimize_boundary_gap(s: float) -> tuple[float, float]:
     return t_min, boundary_gap_profile(s, t_min)
 
 
-def wedge_spirals(
-    exponent: complex,
-    rotation: float,
-    t_range: tuple[float, float],
-) -> tuple[PolyLine, PolyLine]:
+def wedge_spirals(exponent: complex, rotation: float) -> tuple[PolyLine, PolyLine]:
     """The two bounding spirals e^{-exponent*t} * e^{i*exponent*(rotation +- pi/2)}.
 
-    Each is sampled at 200 equally spaced t in t_range.
+    Each is sampled at 200 equally spaced t in [-1, 5].
     """
     exponent = complex(exponent)
     if not _in_admissible_region(exponent):
         raise DomainError("wedge exponent outside the admissible region")
     if not abs(rotation) < math.pi / 2:
         raise DomainError("|rotation| must be < pi/2")
-    t0, t1 = t_range
-    if not t1 > t0:
-        raise DomainError("empty t range")
-    ts = np.linspace(t0, t1, 200)
+    ts = np.linspace(-1.0, 5.0, 200)
     curves = []
     for sign in (+1.0, -1.0):
         anchor = cmath.exp(1j * exponent * (rotation + sign * math.pi / 2.0))
@@ -519,10 +511,14 @@ class CoveringComposition:
     """
 
     s: InteriorSpirallikeMap
-    phi: float
     alpha: float
     beta: float
-    mu: complex
+
+    @property
+    def mu(self) -> complex:
+        """e^{i*phi} * 2*(cos(phi) - alpha)/(1 - beta), with phi the spiral angle of s."""
+        phi = self.s.phi
+        return cmath.exp(1j * phi) * 2.0 * (math.cos(phi) - self.alpha) / (1.0 - self.beta)
 
     def _core(self, z) -> tuple[np.ndarray, bool]:
         """(1 - g at the points, whether z is a scalar); Log(1-z) and log s(z)/z from one pass."""
@@ -543,30 +539,26 @@ class CoveringComposition:
 
 def covering_composition(
     s: InteriorSpirallikeMap,
-    phi: float,
     alpha: float,
     beta: float,
 ) -> tuple[CoveringComposition, VerificationReport]:
     """Build the unit-disk covering composition and verify coverage by winding.
 
-    Needs phi in (-pi/2, pi/2), alpha < cos(phi), beta in
-    (0, alpha/cos(phi)], and an interior-spirallike s of matching angle
-    and order at least alpha.  256 samples of the open unit disk (4 radii
-    from 0.2 to 0.95, 64 angles each) must wind once inside
-    g(|z| = 0.999).
+    With phi the spiral angle of s, needs phi in (-pi/2, pi/2),
+    alpha < cos(phi), beta in (0, alpha/cos(phi)], and s of order at
+    least alpha.  256 samples of the open unit disk (4 radii from 0.2 to
+    0.95, 64 angles each) must wind once inside g(|z| = 0.999).
     """
+    phi = s.phi
     if not abs(phi) < math.pi / 2:
         raise DomainError("|phi| must be < pi/2")
     if not alpha < math.cos(phi):
         raise DomainError("alpha must be < cos(phi)")
     if not 0.0 < beta <= alpha / math.cos(phi):
         raise DomainError("beta must lie in (0, alpha/cos(phi)]")
-    if abs(s.phi - phi) > 1e-9:
-        raise DomainError("s has a different spiral angle than phi")
     if s.order < alpha - 1e-12:
         raise DomainError("s is not spirallike of order alpha")
-    mu = cmath.exp(1j * phi) * 2.0 * (math.cos(phi) - alpha) / (1.0 - beta)
-    g = CoveringComposition(s=s, phi=phi, alpha=alpha, beta=beta, mu=mu)
+    g = CoveringComposition(s=s, alpha=alpha, beta=beta)
 
     curve = _adaptive_closed_curve(g, 0.999, 512)
     radii = np.linspace(0.2, 0.95, 4)

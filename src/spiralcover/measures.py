@@ -181,8 +181,6 @@ def dirac_reweight(sigma: AtomicCircleMeasure, r: float, beta1: float) -> Atomic
         raise DomainError("r must lie in (0, 1]")
     if not 0 <= beta1 < 1:
         raise DomainError("beta1 must lie in [0, 1)")
-    if r * beta1 >= 1:
-        raise DomainError("r*beta1 must be < 1")
     scale = r * (1 - beta1) / (1 - r * beta1)
     dirac = (1 - r) / (1 - r * beta1)
     atoms = [(p, scale * w) for p, w in sigma.atoms]

@@ -48,13 +48,13 @@ __all__ = [
     "schwarz_function",
     "check_schwarz",
     "InteriorSpirallikeMap",
-    "to_interior_spirallike",
     "check_interior_identity",
     "growth_margin",
     "check_growth",
 ]
 
 PASS_TOL = 1e-9
+INTERIOR_IDENTITY_TOL = 1e-12  # exact algebra: round-off is the only slack
 # the floating-point policy of every check_* and of the curve values in geometry; one
 # instance decorates them all because no guarded call runs inside another (numpy 1.x
 # cannot nest an errstate instance) and none uses it as a with-block (numpy 2 enters
@@ -399,13 +399,27 @@ class InteriorSpirallikeMap:
     With mu = r*exp(i*phi), s satisfies
     Re(exp(-i*phi)*z*s'/s) > order with order = cos(phi) - r*(1-beta)/2,
     and the margin of that inequality equals (r/2) times the class
-    margin of f, exactly.
+    margin of f, exactly.  The angle and the order are those of params.
     """
 
     source: ProductForm
     params: ClassParams
-    phi: float
-    order: float
+
+    def __post_init__(self):
+        if self.order < -1e-12:
+            # |mu - 1| <= 1 forces cos(phi) >= r/2 >= r*(1-beta)/2; only the OMEGA_TOL
+            # slack on it, at tiny r, leaves cos(phi) below 0
+            raise DomainError("negative spirallike order: cos(arg mu) < |mu|*(1-beta)/2")
+
+    @property
+    def phi(self) -> float:
+        """The spiral angle arg mu."""
+        return self.params.phi
+
+    @property
+    def order(self) -> float:
+        """cos(phi) - r*(1-beta)/2."""
+        return math.cos(self.phi) - self.params.radius * (1.0 - self.params.beta) / 2.0
 
     def _log_parts(self, z):
         """(Log(1-z), log of s(z)/z, whether z is a scalar), from one pass over the factors."""
@@ -435,26 +449,12 @@ class InteriorSpirallikeMap:
         return (cmath.exp(-1j * self.phi) * zs).real - self.order
 
 
-def to_interior_spirallike(f: ProductForm, params: ClassParams) -> InteriorSpirallikeMap:
-    """Correspondence with maps spirallike about an interior point."""
-    phi = params.phi
-    order = math.cos(phi) - params.radius * (1.0 - params.beta) / 2.0
-    if order < -1e-12:
-        # admissible mu forces cos(phi) >= r/2 >= r*(1-beta)/2
-        raise DomainError("negative spirallike order; parameters inadmissible")
-    return InteriorSpirallikeMap(source=f, params=params, phi=phi, order=order)
-
-
 @_QUIET
-def check_interior_identity(
-    ev: GridEvaluation,
-    params: ClassParams,
-    tolerance: float = 1e-12,
-) -> VerificationReport:
-    """Exact algebra: spiral margin == (r/2) * class margin, no inequality slack."""
-    s = to_interior_spirallike(ev.f, params)
+def check_interior_identity(ev: GridEvaluation, params: ClassParams) -> VerificationReport:
+    """Exact algebra: spiral margin == (r/2) * class margin, held to INTERIOR_IDENTITY_TOL."""
+    s = InteriorSpirallikeMap(ev.f, params)
     dev = np.abs(s.spiral_margin(ev) - 0.5 * params.radius * class_margin(ev, params))
-    return _report("interior-identity", -dev, ev.points, tolerance)
+    return _report("interior-identity", -dev, ev.points, INTERIOR_IDENTITY_TOL)
 
 
 def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:

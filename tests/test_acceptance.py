@@ -229,17 +229,17 @@ def test_criterion_10_covering_composition(population):
     identity map; a nontrivial order-1/2 starlike input covers the
     sampled unit disk."""
     params = sc.ClassParams(2.0, 0.5)
-    s_collapse = sc.to_interior_spirallike(sc.core_function(params), params)
-    g, rep = sc.covering_composition(s_collapse, 0.0, 0.5, 0.5)
+    s_collapse = sc.InteriorSpirallikeMap(sc.core_function(params), params)
+    g, rep = sc.covering_composition(s_collapse, 0.5, 0.5)
     pts = sc.DEFAULT_GRID.points()
     collapse_dev = float(np.max(np.abs(g(pts) - pts)))
     assert collapse_dev <= 1e-12
     assert rep.passed
 
     f = sc.construct(params, population[0].measure)
-    s = sc.to_interior_spirallike(f, params)
+    s = sc.InteriorSpirallikeMap(f, params)
     assert s.order == pytest.approx(0.5)
-    g2, rep2 = sc.covering_composition(s, 0.0, 0.5, 0.5)
+    g2, rep2 = sc.covering_composition(s, 0.5, 0.5)
     assert rep2.passed, rep2.worst_margin
     assert rep2.samples == 256
     report(

@@ -120,6 +120,22 @@ class TestLoadSpec:
         assert "expected a number" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ([EXAMPLE_SPEC], "must be a JSON object"),
+            ({k: v for k, v in EXAMPLE_SPEC.items() if k != "mu"}, "missing key 'mu'"),
+            ({k: v for k, v in EXAMPLE_SPEC.items() if k != "beta"}, "missing key 'beta'"),
+        ],
+        ids=["array", "no-mu", "no-beta"],
+    )
+    def test_malformed_spec_is_a_usage_error(self, spec, message, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(spec))
+        assert main(["check", "-i", str(src), "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integer_beyond_float_range_rejected(self, tmp_path, capsys):
         src, out = tmp_path / "in.json", tmp_path / "out.json"
         src.write_text('{"mu": 1, "beta": 0, "factors": [{"node": [0, 0], "exponent": [1' + "0" * 400 + ', 0]}]}')
@@ -154,6 +170,14 @@ class TestConstruct:
         assert main(["construct", "-i", str(src), "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         assert data["factors"][0]["node"] == [1.0, 0.0]
+
+    def test_writes_prefactor_other_than_mu(self, tmp_path):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(CORE_SPEC))
+        assert main(["construct", "-i", str(src), "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["prefactor"] == [0.6, 0.0]
+        assert load_function_spec(data) == load_function_spec(CORE_SPEC)
 
     def test_random_measure_generation(self, tmp_path):
         out = tmp_path / "m.json"
@@ -216,6 +240,15 @@ class TestCheck:
         names = [c["check"] for c in data["checks"]]
         assert "membership" in names
         assert "derivative-bounds" in names  # real mu in (0, 2]
+
+    def test_dash_output_is_stdout(self, example_path, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["check", "-i", example_path, "--checks", "all", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["check", "-i", example_path, "--checks", "all", "-o", "-"]) == 0
+        text = capsys.readouterr().out
+        assert text == out.read_text()
+        assert json.loads(text)["passed"] is True
 
     def test_example_with_higher_order_fails(self, tmp_path):
         spec = dict(EXAMPLE_SPEC, beta=0.9)
@@ -739,6 +772,20 @@ class TestRender:
         svg = svg_text(out)
         assert svg.count("<path") == 1
         assert "<circle" not in svg and "<text" not in svg
+
+    def test_five_curves_rejected(self, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "fig.svg"
+        src.write_text(dumps({"functions": [EXAMPLE_SPEC] * 5}))
+        assert main(["render", "-i", str(src), "-o", str(out)]) == 2
+        assert "at most 4 overlay curves" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_covering_disk_needs_real_mu_beta(self, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "fig.svg"
+        src.write_text(dumps({"functions": [{**EXAMPLE_SPEC, "mu": [1.0, 0.2]}], "covering_disk": True}))
+        assert main(["render", "-i", str(src), "-o", str(out)]) == 2
+        assert "covering disk needs real mu*beta" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_empty_function_list(self, tmp_path):
         path = tmp_path / "empty.json"

@@ -53,6 +53,11 @@ class TestClassParams:
         with pytest.raises(DomainError):
             ClassParams(-0.2, 0.5)
 
+    @pytest.mark.parametrize("mu", [float("nan"), complex(1.0, float("inf"))])
+    def test_rejects_non_finite_mu(self, mu):
+        with pytest.raises(DomainError, match="finite"):
+            ClassParams(mu, 0.5)
+
     def test_rejects_bad_beta(self):
         with pytest.raises(DomainError):
             ClassParams(1.0, 1.0)

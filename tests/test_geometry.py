@@ -10,6 +10,7 @@ from spiralcover import (
     ClassParams,
     Disk,
     DomainError,
+    InteriorSpirallikeMap,
     PolyLine,
     ProductForm,
     boundary_curve,
@@ -28,7 +29,6 @@ from spiralcover import (
     make_measure,
     minimize_boundary_gap,
     random_measure,
-    to_interior_spirallike,
     wedge_margin,
     wedge_spirals,
     winding_numbers,
@@ -44,6 +44,10 @@ class TestPolyLine:
     def test_too_few_closed_points(self):
         with pytest.raises(ValueError):
             PolyLine(np.exp(1j * np.linspace(0, 6, 8)), closed=True)
+
+    def test_too_few_open_points(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            PolyLine([0.5j], closed=False)
 
     def test_duplicate_points_rejected(self):
         pts = np.exp(1j * np.linspace(0, 2 * np.pi, 32, endpoint=False))
@@ -343,8 +347,8 @@ class TestWindingReportAgainstReference:
 
     def test_covering_composition(self, population):
         params = ClassParams(2.0, 0.5)
-        s = to_interior_spirallike(construct(params, population[0].measure), params)
-        g, report = covering_composition(s, 0.0, 0.5, 0.5)
+        s = InteriorSpirallikeMap(construct(params, population[0].measure), params)
+        g, report = covering_composition(s, 0.5, 0.5)
         curve = sc.geometry._adaptive_closed_curve(g, 0.999, 512)
         pts = (np.linspace(0.2, 0.95, 4)[:, None] * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))).ravel()
         assert_same_report(report, reference_winding_report(curve, pts))
@@ -462,8 +466,8 @@ class TestAdaptiveCurveAgainstReference:
 
     def test_covering_composition(self, population):
         params = ClassParams(2.0, 0.5)
-        s = to_interior_spirallike(construct(params, population[0].measure), params)
-        g, _ = covering_composition(s, 0.0, 0.5, 0.5)
+        s = InteriorSpirallikeMap(construct(params, population[0].measure), params)
+        g, _ = covering_composition(s, 0.5, 0.5)
         assert_curve_matches_reference(g, 0.999, 512)
 
 
@@ -567,6 +571,11 @@ class TestCheckCovering:
         with pytest.raises(DomainError):
             check_covering(core_function(params), params, 0.99, 0.9)
 
+    def test_needs_a_sample(self):
+        params = ClassParams(1.0, 0.5)
+        with pytest.raises(ValueError, match="at least one sample"):
+            check_covering(core_function(params), params, 0.9, 0.99, m=0)
+
 
 class TestCoveringRadius:
     def test_unit_value(self):
@@ -639,25 +648,29 @@ class TestMinimizeBoundaryGap:
             _, value = minimize_boundary_gap(s)
             assert abs(math.sqrt(value) - covering_radius(s)) <= 1e-8
 
+    def test_domain(self):
+        for s in (0.0, 2.1):
+            with pytest.raises(DomainError):
+                minimize_boundary_gap(s)
+
 
 class TestWedgeSpirals:
     def test_axis_anchors(self):
-        up, down = wedge_spirals(1.0, 0.0, (0.0, 1.0))
-        assert up.points[0] == pytest.approx(1.0j)
-        assert down.points[0] == pytest.approx(-1.0j)
+        # t runs from -1, where e^{-t} = e
+        up, down = wedge_spirals(1.0, 0.0)
+        assert up.points[0] == pytest.approx(math.e * 1.0j)
+        assert down.points[0] == pytest.approx(-math.e * 1.0j)
 
     def test_real_exponent_constant_argument(self):
-        up, _ = wedge_spirals(1.3, 0.2, (-1.0, 2.0))
+        up, _ = wedge_spirals(1.3, 0.2)
         args = np.angle(up.points)
         assert np.max(np.abs(args - args[0])) <= 1e-12
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
-            wedge_spirals(1.0, 0.0, (1.0, 1.0))
+            wedge_spirals(2.5, 0.0)
         with pytest.raises(DomainError):
-            wedge_spirals(2.5, 0.0, (0.0, 1.0))
-        with pytest.raises(DomainError):
-            wedge_spirals(1.0, 1.6, (0.0, 1.0))
+            wedge_spirals(1.0, 1.6)
 
     def test_wedge_map_stays_inside_own_wedge(self):
         h = canonical_wedge(1.0 + 0.8j, 0.5)
@@ -679,24 +692,24 @@ class TestCoveringComposition:
     def collapse_witness():
         # s(z) = z/(1-z) realized through the core map of (mu, beta) = (2, 1/2)
         params = ClassParams(2.0, 0.5)
-        return to_interior_spirallike(core_function(params), params)
+        return InteriorSpirallikeMap(core_function(params), params)
 
     def test_algebraic_collapse_to_identity(self):
         s = self.collapse_witness()
-        g, report = covering_composition(s, 0.0, 0.5, 0.5)
+        g, report = covering_composition(s, 0.5, 0.5)
         pts = sc.DEFAULT_GRID.points()
         assert np.max(np.abs(g(pts) - pts)) <= 1e-12
         assert report.passed
 
     def test_zero_at_origin(self):
         s = self.collapse_witness()
-        g, _ = covering_composition(s, 0.0, 0.5, 0.5)
+        g, _ = covering_composition(s, 0.5, 0.5)
         assert g(0.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_half_plane_companion(self):
         # for the collapse witness the companion is (1-z)/(1+z)
         s = self.collapse_witness()
-        g, _ = covering_composition(s, 0.0, 0.5, 0.5)
+        g, _ = covering_composition(s, 0.5, 0.5)
         for z in (0.3, -0.4 + 0.2j, 0.7j):
             assert g.half_plane_map(z) == pytest.approx((1 - z) / (1 + z), abs=1e-12)
             assert g.half_plane_map(z).real > 0
@@ -706,8 +719,8 @@ class TestCoveringComposition:
         # log f and Log(1-z) from one pass give the bytes of eval_log and log_principal taken apart
         params = ClassParams(mu, 0.6)
         f = ProductForm(mu, ((0.9 + 0.4j, 0.2 * mu), (0.9 - 0.4j, 0.2 * mu)))
-        s = to_interior_spirallike(f, params)
-        g, _ = covering_composition(s, params.phi, 0.3, 0.3)
+        s = InteriorSpirallikeMap(f, params)
+        g, _ = covering_composition(s, 0.3, 0.3)
         z = (np.linspace(0.05, 0.99, 4)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 25))).ravel()
         log_1mz = sc.log_principal(1.0 - z)
         log_ratio = eval_log(f, z) - mu * log_1mz
@@ -723,16 +736,16 @@ class TestCoveringComposition:
     def test_nontrivial_starlike_input(self, population):
         params = ClassParams(2.0, 0.5)
         f = construct(params, population[0].measure)
-        s = to_interior_spirallike(f, params)
+        s = InteriorSpirallikeMap(f, params)
         assert s.order == pytest.approx(0.5)
-        g, report = covering_composition(s, 0.0, 0.5, 0.5)
+        g, report = covering_composition(s, 0.5, 0.5)
         assert report.passed
 
     def test_nonzero_spiral_angle(self, population):
         params = ClassParams(1.2 * np.exp(0.4j), 0.5)
-        s = to_interior_spirallike(construct(params, population[0].measure), params)
+        s = InteriorSpirallikeMap(construct(params, population[0].measure), params)
         assert s.order == pytest.approx(math.cos(0.4) - 0.3)
-        g, report = covering_composition(s, s.phi, 0.5, 0.5)
+        g, report = covering_composition(s, 0.5, 0.5)
         assert report.passed and report.indeterminate == 0
         assert report.worst_margin == pytest.approx(0.05, abs=1e-4)
         assert g(0.0) == pytest.approx(0.0, abs=1e-14)
@@ -744,22 +757,19 @@ class TestCoveringComposition:
     def test_parameter_validation(self):
         s = self.collapse_witness()
         with pytest.raises(DomainError):
-            covering_composition(s, 1.6, 0.5, 0.5)
+            covering_composition(s, 1.1, 0.5)
         with pytest.raises(DomainError):
-            covering_composition(s, 0.0, 1.1, 0.5)
+            covering_composition(s, 0.5, 0.0)
         with pytest.raises(DomainError):
-            covering_composition(s, 0.0, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            covering_composition(s, 0.0, 0.5, 1.1)
-
-    def test_rejects_mismatched_angle(self):
-        params = ClassParams(1.0 + 0.5j, 0.4)
-        s = to_interior_spirallike(core_function(params), params)
-        with pytest.raises(DomainError):
-            covering_composition(s, 0.0, 0.25, 0.25)
+            covering_composition(s, 0.5, 1.1)
 
     def test_rejects_insufficient_order(self):
         params = ClassParams(2.0, 0.5)  # order 1/2
-        s = to_interior_spirallike(core_function(params), params)
+        s = InteriorSpirallikeMap(core_function(params), params)
         with pytest.raises(DomainError):
-            covering_composition(s, 0.0, 0.75, 0.75)
+            covering_composition(s, 0.75, 0.75)
+        # order cos(0.4) - 0.3 = 0.621 < alpha, with alpha < cos(phi) and beta <= alpha/cos(phi)
+        params = ClassParams(1.2 * np.exp(0.4j), 0.5)
+        s = InteriorSpirallikeMap(extremal(params, 1j), params)
+        with pytest.raises(DomainError, match="not spirallike of order alpha"):
+            covering_composition(s, 0.8, 0.5)

@@ -154,6 +154,19 @@ class TestAtomicCircleMeasure:
             AtomicCircleMeasure(pts, np.full(4, 0.25))
 
     @pytest.mark.parametrize(
+        "points, weights, message",
+        [
+            ([1.0, -1.0], [1.0], "matching 1-d arrays"),
+            ([1.0, -1.0], [1.5, -0.5], "negative atom weight"),
+            ([1.0, -1.0], [0.5, 0.4], "do not sum to 1"),
+        ],
+        ids=["mismatched-shapes", "negative-weight", "sum-off-one"],
+    )
+    def test_malformed_rejected(self, points, weights, message):
+        with pytest.raises(ValueError, match=message):
+            AtomicCircleMeasure(np.array(points, dtype=complex), np.array(weights))
+
+    @pytest.mark.parametrize(
         "point, weight",
         [(np.nan, 1.0), (1.0, np.nan), (complex(np.nan, 0.0), 1.0), (np.inf, 1.0), (1.0, np.inf)],
     )

@@ -12,6 +12,7 @@ from spiralcover import (
     DomainError,
     GridEvaluation,
     GridSpec,
+    InteriorSpirallikeMap,
     ProductForm,
     VerificationReport,
     check_derivative_disk,
@@ -36,7 +37,6 @@ from spiralcover import (
     modulus_arg_bounds,
     random_measure,
     schwarz_function,
-    to_interior_spirallike,
 )
 from spiralcover.serialize import load_function_spec
 
@@ -55,6 +55,10 @@ class TestGrid:
     def test_radius_cap(self):
         with pytest.raises(ValueError):
             GridSpec(radii=(0.9995,))
+
+    def test_needs_a_radius(self):
+        with pytest.raises(ValueError, match="at least one radius"):
+            GridSpec(radii=())
 
 
 class TestReport:
@@ -459,7 +463,7 @@ class TestSchwarz:
 class TestInteriorSpirallike:
     def test_core_real_mu_closed_form(self):
         params = ClassParams(1.5, 0.4)
-        s = to_interior_spirallike(core_function(params), params)
+        s = InteriorSpirallikeMap(core_function(params), params)
         for z in (0.3, -0.5 + 0.2j, 0.7j):
             expected = z * (1.0 - z) ** (-params.mu.real * (1.0 - params.beta))
             assert s(z) == pytest.approx(expected, abs=1e-13)
@@ -469,7 +473,7 @@ class TestInteriorSpirallike:
         # which collapses to r*(1-beta)/2 exactly
         params = ClassParams(0.8 + 0.6j, 0.3)
         f = construct(params, random_measure(3, 14))
-        s = to_interior_spirallike(f, params)
+        s = InteriorSpirallikeMap(f, params)
         expected = params.radius * (1.0 - params.beta) / 2.0
         margin = s.spiral_margin(GridEvaluation(f, 0.0))
         assert margin == pytest.approx(expected)
@@ -478,22 +482,31 @@ class TestInteriorSpirallike:
     def test_origin_margin_real_mu(self):
         params = ClassParams(1.2, 0.4)
         f = core_function(params)
-        s = to_interior_spirallike(f, params)
+        s = InteriorSpirallikeMap(f, params)
         assert s.spiral_margin(GridEvaluation(f, 0.0)) == pytest.approx(1.0 - s.order)
 
     def test_margin_needs_evaluation_of_source(self):
         params = ClassParams(1.2, 0.4)
-        s = to_interior_spirallike(core_function(params), params)
+        s = InteriorSpirallikeMap(core_function(params), params)
         with pytest.raises(ValueError):
             s.spiral_margin(GridEvaluation(extremal(params, 1j), 0.5))
 
-    def test_order_formula(self):
+    def test_order_formula(self, population):
+        # the angle and the order are those of params, on both parameter sets of the population
         params = ClassParams(1.0 + 1.0j, 0.5)
-        s = to_interior_spirallike(core_function(params), params)
-        r, phi = params.radius, params.phi
-        assert s.phi == phi
-        assert s.order == pytest.approx(math.cos(phi) - r * (1.0 - params.beta) / 2.0)
-        assert s.order >= 0.0
+        cases = [(core_function(params), params)]
+        cases += [case for e in population for case in ((e.f, e.params), (e.real_f, e.real_params))]
+        for f, params in cases:
+            s = InteriorSpirallikeMap(f, params)
+            assert s.phi == params.phi
+            assert s.order == math.cos(params.phi) - params.radius * (1.0 - params.beta) / 2.0
+            assert s.order >= 0.0
+
+    def test_negative_order_rejected(self):
+        # admissible, |mu - 1| - 1 = 4.0e-13, but cos(phi) < 0 leaves the order below 0
+        params = ClassParams(1e-9 * cmath.exp(1j * math.acos(-4e-4)), 0.5)
+        with pytest.raises(DomainError, match="negative spirallike order"):
+            InteriorSpirallikeMap(core_function(params), params)
 
     def test_margin_identity_pointwise(self, population):
         # two-line algebra in the interior correspondence: the spiral
