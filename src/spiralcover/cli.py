@@ -34,7 +34,6 @@ from .verification import (
     check_value_bounds,
 )
 from .geometry import (
-    Disk,
     boundary_curve,
     check_covering,
     check_wedge_containment,
@@ -46,34 +45,27 @@ from .render import render_svg
 from .serialize import dumps, dumps_spec, fmt, load_function_spec
 
 
-def _any_params(params) -> bool:
-    return True
-
-
 # the GridEvaluation arrays a check reads: log f comes with Log(1-z), its prefactor term
 _DLOG = ("dlog_f",)
 _LOG = ("log_f", "log_1mz")
 
-# CLI name -> (runner (ev, params, tol) -> report, applies(params), the arrays of ev it
-# reads), in `--checks all` order; ev is the one GridEvaluation of the invocation.  The
-# runners look their check up by name when called, so wrappers installed on the module
-# names (spiralbench's tracer) see every call.
+# CLI name -> (runner (ev, params, tol) -> report, the arrays of ev it reads), in
+# `--checks all` order; ev is the one GridEvaluation of the invocation.  The runners look
+# their check up by name when called, so wrappers installed on the module names
+# (spiralbench's tracer) see every call.
 CHECKS = {
-    "membership": (lambda ev, p, tol: check_membership(ev, p, tol), _any_params, _DLOG),
-    "distortion": (lambda ev, p, tol: check_distortion(ev, p, tol), _any_params, _LOG),
-    "derivative-disk": (lambda ev, p, tol: check_derivative_disk(ev, p, tol), _any_params, _DLOG),
-    "schwarz": (lambda ev, p, tol: check_schwarz(ev, p, tol), _any_params, _LOG),
-    "value-bounds": (lambda ev, p, tol: check_value_bounds(ev, p, tol), _any_params, _LOG),
-    "derivative-bounds": (
-        lambda ev, p, tol: check_derivative_value_bounds(ev, p, tol),
-        _derivative_bounds_apply,
-        ("log_f", "dlog_f"),
-    ),
+    "membership": (lambda ev, p, tol: check_membership(ev, p, tol), _DLOG),
+    "distortion": (lambda ev, p, tol: check_distortion(ev, p, tol), _LOG),
+    "derivative-disk": (lambda ev, p, tol: check_derivative_disk(ev, p, tol), _DLOG),
+    "schwarz": (lambda ev, p, tol: check_schwarz(ev, p, tol), _LOG),
+    "value-bounds": (lambda ev, p, tol: check_value_bounds(ev, p, tol), _LOG),
+    # `--checks all` runs it only where _derivative_bounds_apply holds
+    "derivative-bounds": (lambda ev, p, tol: check_derivative_value_bounds(ev, p, tol), ("log_f", "dlog_f")),
     # exact algebra, held to its own INTERIOR_IDENTITY_TOL
-    "interior-identity": (lambda ev, p, tol: check_interior_identity(ev, p), _any_params, _DLOG),
-    "growth": (lambda ev, p, tol: check_growth(ev, p, tol), _any_params, _LOG),
+    "interior-identity": (lambda ev, p, tol: check_interior_identity(ev, p), _DLOG),
+    "growth": (lambda ev, p, tol: check_growth(ev, p, tol), _LOG),
     # samples f on |z| = 0.999, not the grid
-    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), _any_params, ()),
+    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), ()),
 }
 
 
@@ -117,7 +109,7 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     f, params = load_function_spec(_load_json(args.input))
     if args.checks == "all":
-        names = [name for name, (_, applies, _) in CHECKS.items() if applies(params)]
+        names = [name for name in CHECKS if name != "derivative-bounds" or _derivative_bounds_apply(params)]
     else:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
         if not names:
@@ -127,7 +119,7 @@ def cmd_check(args) -> int:
                 raise ValueError(f"unknown check {name!r}")
     ev = GridEvaluation(f, _grid_from_args(args).points())
     # what the checks read, before the first runs: log f and f'/f from one pass over the factors
-    ev.compute(*(read for name in names for read in CHECKS[name][2]))
+    ev.compute(*(read for name in names for read in CHECKS[name][1]))
     reports = [CHECKS[name][0](ev, params, args.tolerance) for name in names]
     passed = all(r.passed for r in reports)
     _write(args.output, dumps({"checks": [r.to_dict() for r in reports], "passed": passed}))
@@ -186,13 +178,13 @@ def cmd_render(args) -> int:
         _write(args.output, curves[0].to_csv())
         return 0
 
-    disks: list[Disk] = []
+    disk_radius = None
     if covering_disk:
         _, params = loaded[0]
         s = params.mu * params.beta
         if s.imag != 0.0:
             raise ValueError("covering disk needs real mu*beta")
-        disks.append(Disk(1.0 + 0.0j, covering_radius(s.real)))
+        disk_radius = covering_radius(s.real)
 
     spirals = []
     if wedge:
@@ -202,7 +194,7 @@ def cmd_render(args) -> int:
         up, down = wedge_spirals(nu, rot)
         spirals = [up, down]
 
-    _write(args.output, render_svg(curves, disks, spirals, labels))
+    _write(args.output, render_svg(curves, disk_radius, spirals, labels))
     return 0
 
 

@@ -54,6 +54,16 @@ def _in_admissible_region(mu: complex) -> bool:
     return abs(mu - 1.0) <= 1.0 + OMEGA_TOL and abs(mu) > NODE_TOL
 
 
+def _wedge_exponent(exponent: complex, rotation: float) -> complex:
+    """exponent as a complex; DomainError unless it is admissible and |rotation| < pi/2."""
+    exponent = complex(exponent)
+    if not _in_admissible_region(exponent):
+        raise DomainError("wedge exponent outside the admissible region")
+    if not abs(rotation) < math.pi / 2:
+        raise DomainError("|rotation| must be < pi/2")
+    return exponent
+
+
 @dataclass(frozen=True)
 class ClassParams:
     """Class parameters: mu in the closed disk |mu-1| <= 1 minus 0, beta in [0,1)."""
@@ -93,8 +103,9 @@ class ProductForm:
     Immutable, and every evaluation is a pure function of it, so grids
     may be evaluated in any order with the same results.  The factors
     may be given as a sequence of pairs or as an (n, 2) array; they are
-    kept as a tuple of complex pairs and, built once, as read-only node,
-    exponent and -(e_j*c_j) numerator arrays for the evaluations.
+    kept as a tuple of complex pairs and, built once for the evaluations,
+    as the read-only arrays nodes and exponents and a private array of
+    the numerators -(e_j*c_j).
     """
 
     prefactor: complex
@@ -122,17 +133,9 @@ class ProductForm:
             arr.flags.writeable = False
         object.__setattr__(self, "prefactor", p)
         object.__setattr__(self, "factors", facs)
-        object.__setattr__(self, "_nodes", nodes)
-        object.__setattr__(self, "_exponents", exponents)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "_numerators", numerators)
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return self._nodes
-
-    @property
-    def exponents(self) -> np.ndarray:
-        return self._exponents
 
     def to_dict(self, params: ClassParams) -> dict:
         """Spec form under params; the prefactor is written only when it is not mu."""
@@ -188,11 +191,7 @@ def canonical_wedge(exponent: complex, rotation: float) -> ProductForm:
     midline rotation `rotation`; every class member with these boundary
     asymptotics is subordinate to it.
     """
-    exponent = complex(exponent)
-    if not _in_admissible_region(exponent):
-        raise DomainError("wedge exponent outside the admissible region")
-    if not abs(rotation) < math.pi / 2:
-        raise DomainError("|rotation| must be < pi/2")
+    exponent = _wedge_exponent(exponent, rotation)
     node = -cmath.exp(-2j * rotation)
     return ProductForm(exponent, ((node, exponent),))
 

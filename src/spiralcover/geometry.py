@@ -25,13 +25,12 @@ from .functions import (
     core_function,
     eval_log,
     evaluate,
-    _in_admissible_region,
+    _wedge_exponent,
 )
 from .verification import _QUIET, PASS_TOL, InteriorSpirallikeMap, VerificationReport, _report
 
 __all__ = [
     "PolyLine",
-    "Disk",
     "boundary_curve",
     "winding_numbers",
     "contains_point",
@@ -89,16 +88,6 @@ class PolyLine:
         lines = ["re,im"]
         lines += [f"{fmt(p.real)},{fmt(p.imag)}" for p in self.points]
         return "\n".join(lines) + "\n"
-
-
-@dataclass(frozen=True)
-class Disk:
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("disk radius must be nonnegative")
 
 
 @_QUIET
@@ -463,11 +452,7 @@ def wedge_spirals(exponent: complex, rotation: float) -> tuple[PolyLine, PolyLin
 
     Each is sampled at 200 equally spaced t in [-1, 5].
     """
-    exponent = complex(exponent)
-    if not _in_admissible_region(exponent):
-        raise DomainError("wedge exponent outside the admissible region")
-    if not abs(rotation) < math.pi / 2:
-        raise DomainError("|rotation| must be < pi/2")
+    exponent = _wedge_exponent(exponent, rotation)
     ts = np.linspace(-1.0, 5.0, 200)
     curves = []
     for sign in (+1.0, -1.0):
@@ -507,12 +492,26 @@ class CoveringComposition:
 
     The log of s(z)/z comes from the canonical log of the backing
     product form, never from Log of evaluated values.  The Moebius
-    companion (1-g)/(1+g) covers the right half-plane.
+    companion (1-g)/(1+g) covers the right half-plane.  With phi the
+    spiral angle of s, it needs phi in (-pi/2, pi/2), alpha < cos(phi),
+    beta in (0, alpha/cos(phi)], and s of order at least alpha; other
+    parameters raise DomainError.
     """
 
     s: InteriorSpirallikeMap
     alpha: float
     beta: float
+
+    def __post_init__(self):
+        phi = self.s.phi
+        if not abs(phi) < math.pi / 2:
+            raise DomainError("|phi| must be < pi/2")
+        if not self.alpha < math.cos(phi):
+            raise DomainError("alpha must be < cos(phi)")
+        if not 0.0 < self.beta <= self.alpha / math.cos(phi):
+            raise DomainError("beta must lie in (0, alpha/cos(phi)]")
+        if self.s.order < self.alpha - 1e-12:
+            raise DomainError("s is not spirallike of order alpha")
 
     @property
     def mu(self) -> complex:
@@ -544,20 +543,10 @@ def covering_composition(
 ) -> tuple[CoveringComposition, VerificationReport]:
     """Build the unit-disk covering composition and verify coverage by winding.
 
-    With phi the spiral angle of s, needs phi in (-pi/2, pi/2),
-    alpha < cos(phi), beta in (0, alpha/cos(phi)], and s of order at
-    least alpha.  256 samples of the open unit disk (4 radii from 0.2 to
-    0.95, 64 angles each) must wind once inside g(|z| = 0.999).
+    CoveringComposition rejects parameters outside its rules.  256
+    samples of the open unit disk (4 radii from 0.2 to 0.95, 64 angles
+    each) must wind once inside g(|z| = 0.999).
     """
-    phi = s.phi
-    if not abs(phi) < math.pi / 2:
-        raise DomainError("|phi| must be < pi/2")
-    if not alpha < math.cos(phi):
-        raise DomainError("alpha must be < cos(phi)")
-    if not 0.0 < beta <= alpha / math.cos(phi):
-        raise DomainError("beta must lie in (0, alpha/cos(phi)]")
-    if s.order < alpha - 1e-12:
-        raise DomainError("s is not spirallike of order alpha")
     g = CoveringComposition(s=s, alpha=alpha, beta=beta)
 
     curve = _adaptive_closed_curve(g, 0.999, 512)

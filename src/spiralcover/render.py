@@ -12,7 +12,7 @@ from html import escape
 from typing import Sequence
 
 from . import __version__
-from .geometry import Disk, PolyLine
+from .geometry import PolyLine
 from .serialize import fmt
 
 __all__ = ["render_svg"]
@@ -21,17 +21,18 @@ CANVAS = 1024.0
 MARGIN = 0.05
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 DISK_COLOR = "#555555"
+DISK_CENTER = 1.0 + 0.0j  # f(0) = 1, the center of the covering disk
 
 
-def _bounds(curves: Sequence[PolyLine], disks: Sequence[Disk]) -> tuple[float, float, float, float]:
+def _bounds(curves: Sequence[PolyLine], disk_radius: float | None) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
     for c in curves:
         xs += [float(c.points.real.min()), float(c.points.real.max())]
         ys += [float(c.points.imag.min()), float(c.points.imag.max())]
-    for d in disks:
-        xs += [d.center.real - d.radius, d.center.real + d.radius]
-        ys += [d.center.imag - d.radius, d.center.imag + d.radius]
+    if disk_radius is not None:
+        xs += [DISK_CENTER.real - disk_radius, DISK_CENTER.real + disk_radius]
+        ys += [DISK_CENTER.imag - disk_radius, DISK_CENTER.imag + disk_radius]
     if not xs:
         raise ValueError("nothing to render")
     return min(xs), max(xs), min(ys), max(ys)
@@ -39,13 +40,13 @@ def _bounds(curves: Sequence[PolyLine], disks: Sequence[Disk]) -> tuple[float, f
 
 def render_svg(
     curves: Sequence[PolyLine],
-    disks: Sequence[Disk] = (),
+    disk_radius: float | None = None,
     open_curves: Sequence[PolyLine] = (),
     labels: Sequence[str] = (),
 ) -> str:
-    """SVG document for closed image curves, optional disks and spirals."""
+    """SVG document for closed image curves, an optional covering disk about 1, and spirals."""
     everything = list(curves) + list(open_curves)
-    x0, x1, y0, y1 = _bounds(everything, disks)
+    x0, x1, y0, y1 = _bounds(everything, disk_radius)
     span = max(x1 - x0, y1 - y0, 1e-30)
     pad = MARGIN * span
     x0, y0 = x0 - pad, y0 - pad
@@ -76,10 +77,10 @@ def render_svg(
         f'height="{fmt(CANVAS)}" viewBox="0 0 {fmt(CANVAS)} {fmt(CANVAS)}">',
         f'<rect width="{fmt(CANVAS)}" height="{fmt(CANVAS)}" fill="#ffffff" />',
     ]
-    for d in disks:
-        cx, cy = toxy(d.center)
+    if disk_radius is not None:
+        cx, cy = toxy(DISK_CENTER)
         parts.append(
-            f'<circle cx="{cx}" cy="{cy}" r="{fmt(d.radius * scale)}" fill="none" '
+            f'<circle cx="{cx}" cy="{cy}" r="{fmt(disk_radius * scale)}" fill="none" '
             f'stroke="{DISK_COLOR}" stroke-width="1.5" stroke-dasharray="6 4" />'
         )
     for i, poly in enumerate(curves):

@@ -86,6 +86,8 @@ def load_function_spec(data: dict) -> tuple[ProductForm, ClassParams]:
         return construct(params, sigma), params
     if "factors" not in data:
         raise ValueError("function spec needs 'factors' or 'measure'")
+    if not isinstance(data["factors"], list):
+        raise ValueError("'factors' must be a list of {node, exponent} objects")
     prefactor = _as_complex(data["prefactor"]) if "prefactor" in data else mu
     factors = tuple(
         (_as_complex(f["node"]), _as_complex(f["exponent"])) for f in data["factors"]

@@ -8,10 +8,12 @@ import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 
-from spiralcover import GridEvaluation, check_derivative_disk, cli, random_measure, verification
+from spiralcover import GridEvaluation, PolyLine, check_derivative_disk, cli, random_measure, verification
 from spiralcover.cli import CHECKS, main
+from spiralcover.render import render_svg
 from spiralcover.serialize import dumps, dumps_spec, load_function_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -134,6 +136,24 @@ class TestLoadSpec:
         src.write_text(json.dumps(spec))
         assert main(["check", "-i", str(src), "-o", str(out)]) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    NON_LIST_FACTORS = [{}, "", {"node": [0.5, 0], "exponent": [0.2, 0]}, "abc"]
+    NON_LIST_IDS = ["empty-object", "empty-string", "object", "string"]
+
+    @pytest.mark.parametrize("factors", NON_LIST_FACTORS, ids=NON_LIST_IDS)
+    def test_factors_not_a_list_rejected(self, factors):
+        # an empty object or string would otherwise load as the bare map (1-z)**mu
+        with pytest.raises(ValueError, match="'factors' must be a list"):
+            load_function_spec({"mu": 1, "beta": 0.5, "factors": factors})
+
+    @pytest.mark.parametrize("command", ["check", "cover"])
+    @pytest.mark.parametrize("factors", NON_LIST_FACTORS, ids=NON_LIST_IDS)
+    def test_factors_not_a_list_is_a_usage_error(self, command, factors, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps({"mu": 1, "beta": 0.5, "factors": factors}))
+        assert main([command, "-i", str(src), "-o", str(out)]) == 2
+        assert "'factors' must be a list" in capsys.readouterr().err
         assert not out.exists()
 
     def test_integer_beyond_float_range_rejected(self, tmp_path, capsys):
@@ -491,7 +511,7 @@ class TestSharedEvaluation:
                 return super().__getattribute__(attr)
 
         f, params = worked_example
-        runner, _, declared = CHECKS[name]
+        runner, declared = CHECKS[name]
         runner(Recording(f), params, 1e-9)
         assert reads == set(declared)
 
@@ -714,6 +734,14 @@ class TestRadiusTable:
         s2 = rows["2"]
         assert float(s2[1]) == 1.0
 
+    def test_disagreeing_columns_fail(self, tmp_path, capsys, monkeypatch):
+        # a numeric minimum 1e-6 off the closed form: the table is written and the run fails
+        monkeypatch.setattr(cli, "minimize_boundary_gap", lambda s: (0.0, (cli.covering_radius(s) + 1e-6) ** 2))
+        out = tmp_path / "t.csv"
+        assert main(["radius-table", "-o", str(out), "--samples", "4"]) == 1
+        assert "radius columns disagree by 1e-06" in capsys.readouterr().err
+        assert len(out.read_text().strip().split("\n")) == 5
+
     def test_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["radius-table", "-o", str(a), "--samples", "16"])
@@ -736,7 +764,35 @@ class TestRender:
         path.write_text(dumps({"functions": [CORE_SPEC], "covering_disk": True}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
-        assert "<circle" in svg_text(out)
+        assert svg_text(out).count("<circle") == 1
+
+    # sha256 of the README overlay's SVG with its covering disk and wedge spirals,
+    # recorded with the covering disk drawn from a Disk record (numpy 2.4, x86_64)
+    OVERLAY_DIGEST = "17952495673532ded5a15ca01a3611f94177aeba01849e535d78d2fa19ff2c75"
+
+    def test_readme_overlay_bytes_match_recorded_digest(self, tmp_path):
+        path, out = tmp_path / "overlay.json", tmp_path / "fig.svg"
+        path.write_text(dumps({"functions": [EXAMPLE_SPEC, CORE_SPEC], "covering_disk": True, "wedge": True}))
+        assert main(["render", "-i", str(path), "-o", str(out), "--rho", "0.999"]) == 0
+        svg = svg_text(out)
+        assert svg.count("<circle") == 1 and svg.count("<path") == 4
+        assert hashlib.sha256(svg.encode()).hexdigest() == self.OVERLAY_DIGEST
+
+    def test_disk_about_one(self):
+        # the circle sits at f(0) = 1 with the given radius, in the viewport of the curve and the disk
+        curve = PolyLine(0.5 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)), closed=True)
+        svg = render_svg([curve], 0.25)
+        circle = ElementTree.fromstring(svg.encode()).find("{http://www.w3.org/2000/svg}circle")
+        # the viewport spans [-0.5, 1.25] plus a 5% margin each side on the 1024-pixel canvas
+        scale = 1024.0 / (1.75 * 1.1)
+        cx, cy, r = (float(circle.get(k)) for k in ("cx", "cy", "r"))
+        assert cx == pytest.approx((1.0 + 0.5 + 0.0875) * scale)
+        assert cy == pytest.approx(1024.0 - (0.0 + 0.5 + 0.0875) * scale)
+        assert r == pytest.approx(0.25 * scale)
+
+    def test_nothing_to_render(self):
+        with pytest.raises(ValueError, match="nothing to render"):
+            render_svg([])
 
     def test_wedge_overlay(self, tmp_path):
         path = tmp_path / "w.json"

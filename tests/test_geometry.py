@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import spiralcover as sc
 from spiralcover import (
     ClassParams,
-    Disk,
+    CoveringComposition,
     DomainError,
     InteriorSpirallikeMap,
     PolyLine,
@@ -61,10 +61,6 @@ class TestPolyLine:
         lines = csv.strip().split("\n")
         assert lines[0] == "re,im"
         assert len(lines) == 17
-
-    def test_disk_validation(self):
-        with pytest.raises(ValueError):
-            Disk(0.0, -1.0)
 
 
 class TestWindingNumber:
@@ -753,6 +749,36 @@ class TestCoveringComposition:
         z = 0.2 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False))
         assert np.all(np.abs(g(z)) < 1.0)
         assert np.all(g.half_plane_map(z).real > 0.0)
+
+    @pytest.mark.parametrize(
+        "alpha, beta, message",
+        [(0.9, 0.99, "beta must lie in"), (0.5, 1.0, "beta must lie in"), (1.0, 0.5, "alpha must be < cos"),
+         (0.75, 0.75, "not spirallike of order alpha")],
+    )
+    def test_direct_construction_validates(self, alpha, beta, message):
+        # the composition's rules hold for g however it is built, not only through covering_composition
+        with pytest.raises(DomainError, match=message):
+            CoveringComposition(self.collapse_witness(), alpha, beta)
+
+    def test_direct_construction_matches_covering_composition(self):
+        s = self.collapse_witness()
+        direct, (built, _) = CoveringComposition(s, 0.5, 0.5), covering_composition(s, 0.5, 0.5)
+        assert direct == built
+        z = sc.DEFAULT_GRID.points()
+        for fn in ("__call__", "half_plane_map"):
+            got, ref = getattr(direct, fn)(z), getattr(built, fn)(z)
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+    def test_spiral_angle_rule(self):
+        # the OMEGA_TOL slack admits mu = 1.5e-12*e^{i(pi/2 + 5e-13)}: phi past pi/2 and order
+        # -8.75e-13, which InteriorSpirallikeMap accepts; alpha = -0.5 passes every other rule
+        params = ClassParams(1.5e-12 * np.exp(1j * (math.pi / 2 + 5e-13)), 0.5)
+        s = InteriorSpirallikeMap(core_function(params), params)
+        assert s.phi > math.pi / 2 and -1e-12 < s.order < 0.0
+        with pytest.raises(DomainError, match=r"\|phi\| must be < pi/2"):
+            CoveringComposition(s, -0.5, 0.5)
+        with pytest.raises(DomainError, match=r"\|phi\| must be < pi/2"):
+            covering_composition(s, -0.5, 0.5)
 
     def test_parameter_validation(self):
         s = self.collapse_witness()
