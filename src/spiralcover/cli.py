@@ -10,7 +10,6 @@ output is identical up to its version comment line.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -42,7 +41,9 @@ from .geometry import (
     wedge_spirals,
 )
 from .render import render_svg
-from .serialize import dumps, dumps_spec, fmt, load_function_spec
+from .serialize import (
+    curve_csv, dumps, dumps_spec, fmt, function_spec, load_function_spec, load_json, load_render_input, measure_spec,
+)
 
 
 # the GridEvaluation arrays a check reads: log f comes with Log(1-z), its prefactor term
@@ -76,14 +77,6 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text)
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
-
-
 def _grid_from_args(args) -> GridSpec:
     radii = DEFAULT_GRID.radii
     if args.grid_radii is not None:
@@ -97,17 +90,17 @@ def cmd_construct(args) -> int:
         if args.seed is None:
             raise ValueError("construct needs --input, or --seed to generate a random measure")
         sigma = random_measure(256 if args.samples is None else args.samples, args.seed)
-        _write(args.output, dumps_spec(sigma.to_dict()))
+        _write(args.output, dumps_spec(measure_spec(sigma)))
         return 0
     if args.seed is not None or args.samples is not None:
         raise ValueError("construct --input reads neither --seed nor --samples")
-    f, params = load_function_spec(_load_json(args.input))
-    _write(args.output, dumps_spec(f.to_dict(params)))
+    f, params = load_function_spec(load_json(args.input))
+    _write(args.output, dumps_spec(function_spec(f, params)))
     return 0
 
 
 def cmd_check(args) -> int:
-    f, params = load_function_spec(_load_json(args.input))
+    f, params = load_function_spec(load_json(args.input))
     if args.checks == "all":
         names = [name for name in CHECKS if name != "derivative-bounds" or _derivative_bounds_apply(params)]
     else:
@@ -127,7 +120,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_cover(args) -> int:
-    f, params = load_function_spec(_load_json(args.input))
+    f, params = load_function_spec(load_json(args.input))
     report = check_covering(f, params, args.r_inner, args.rho, m=args.samples)
     if report.indeterminate:
         print(f"warning: {report.indeterminate} indeterminate winding sample(s)", file=sys.stderr)
@@ -156,26 +149,13 @@ def cmd_radius_table(args) -> int:
 
 
 def cmd_render(args) -> int:
-    data = _load_json(args.input)
-    opts = data if isinstance(data, dict) else {}
-    covering_disk, wedge = opts.get("covering_disk", False), opts.get("wedge", False)
-    labels = opts.get("labels", [])
-    if not (isinstance(covering_disk, bool) and isinstance(wedge, bool)):
-        raise ValueError("'covering_disk' and 'wedge' must be true or false")
-    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
-        raise ValueError("'labels' must be a list of strings")
-    specs = data["functions"] if "functions" in opts else [data]
-    if not specs:
-        raise ValueError("no function specs to render")
-    if len(specs) > 4:
-        raise ValueError("at most 4 overlay curves")
-    loaded = [load_function_spec(spec) for spec in specs]
+    loaded, covering_disk, wedge, labels = load_render_input(load_json(args.input))
     curves = [boundary_curve(f, args.rho, n=args.samples) for f, _ in loaded]
 
     if args.output and args.output.endswith(".csv"):
         if len(curves) != 1:
             raise ValueError("CSV output supports exactly one curve")
-        _write(args.output, curves[0].to_csv())
+        _write(args.output, curve_csv(curves[0]))
         return 0
 
     disk_radius = None
@@ -189,10 +169,7 @@ def cmd_render(args) -> int:
     spirals = []
     if wedge:
         f0, _ = loaded[0]
-        nu = boundary_exponent(f0)
-        rot = boundary_rotation(f0)
-        up, down = wedge_spirals(nu, rot)
-        spirals = [up, down]
+        spirals = list(wedge_spirals(boundary_exponent(f0), boundary_rotation(f0)))
 
     _write(args.output, render_svg(curves, disk_radius, spirals, labels))
     return 0

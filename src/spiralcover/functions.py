@@ -137,17 +137,6 @@ class ProductForm:
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "_numerators", numerators)
 
-    def to_dict(self, params: ClassParams) -> dict:
-        """Spec form under params; the prefactor is written only when it is not mu."""
-        d: dict = {"mu": [params.mu.real, params.mu.imag], "beta": params.beta}
-        if self.prefactor != params.mu:
-            d["prefactor"] = [self.prefactor.real, self.prefactor.imag]
-        d["factors"] = [
-            {"node": [c.real, c.imag], "exponent": [e.real, e.imag]}
-            for c, e in self.factors
-        ]
-        return d
-
 
 def construct(params: ClassParams, sigma: AtomicCircleMeasure) -> ProductForm:
     """Class member for an atomic measure: nodes conj(zeta_j), exponents mu*(1-beta)*w_j.

@@ -82,13 +82,6 @@ class PolyLine:
         re, im = self.points.real, self.points.imag
         return float(math.hypot(re.max() - re.min(), im.max() - im.min()))
 
-    def to_csv(self) -> str:
-        from .serialize import fmt
-
-        lines = ["re,im"]
-        lines += [f"{fmt(p.real)},{fmt(p.imag)}" for p in self.points]
-        return "\n".join(lines) + "\n"
-
 
 @_QUIET
 def _curve_values(fn: Callable[[np.ndarray], np.ndarray], rho: float, thetas: np.ndarray) -> np.ndarray:

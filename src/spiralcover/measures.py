@@ -31,18 +31,6 @@ SUM_RESCALE_TOL = 1e-6  # deviations up to this are renormalized, beyond is an e
 ON_CIRCLE_TOL = 4 * np.finfo(np.float64).eps
 
 
-def _as_float(v) -> float:
-    """A JSON number as a float; booleans, strings and integers beyond float range raise ValueError."""
-    if isinstance(v, float):  # first: nearly every value read is one, and this test is the cheapest
-        return float(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        try:
-            return float(v)
-        except OverflowError:
-            raise ValueError("integer too large for a float") from None
-    raise ValueError(f"expected a number, got {v!r}")
-
-
 def _angular_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Angle order of the atoms and the chord from each sorted atom to the next.
 
@@ -60,8 +48,8 @@ class AtomicCircleMeasure:
     """Nonnegative point masses on |zeta| = 1 with total mass 1.
 
     Instances are produced by :func:`make_measure`, or by its checks on
-    arrays (from_dict, random_measure), and are immutable: the arrays
-    are read-only.
+    arrays (random_measure, and the measure reader in serialize), and are
+    immutable: the arrays are read-only.
     """
 
     points: np.ndarray = field(repr=False)
@@ -93,23 +81,6 @@ class AtomicCircleMeasure:
     @property
     def atoms(self) -> list[Tuple[complex, float]]:
         return [(complex(p), float(w)) for p, w in zip(self.points, self.weights)]
-
-    def to_dict(self) -> dict:
-        """Angle-based JSON form; angles keep the atoms exactly on the circle."""
-        return {
-            "atoms": [
-                {"angle": float(np.angle(p)), "weight": float(w)}
-                for p, w in zip(self.points, self.weights)
-            ]
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AtomicCircleMeasure":
-        atoms = [(_as_float(a["angle"]), _as_float(a["weight"])) for a in data["atoms"]]
-        angles, weights = np.array(atoms, dtype=np.float64).reshape(-1, 2).T.copy()
-        if not np.isfinite(angles).all():
-            raise ValueError("non-finite atom angle")
-        return _measure(np.exp(1j * angles), weights)
 
 
 def make_measure(atoms: Iterable[Tuple[complex, float]]) -> AtomicCircleMeasure:

@@ -1,4 +1,4 @@
-"""JSON and CSV interchange with deterministic float formatting.
+"""Every file format of the package: the one reader and writer of its JSON and CSV.
 
 Reports serialize every float at 12 significant digits, so report diffs
 stay stable at the verification tolerance.  Function specs and measures
@@ -11,17 +11,19 @@ from __future__ import annotations
 import json
 from typing import Any
 
+import numpy as np
+
 from .functions import ClassParams, ProductForm, construct
-from .measures import AtomicCircleMeasure, _as_float
+from .geometry import PolyLine
+from .measures import AtomicCircleMeasure, _measure
 
 __all__ = [
-    "fmt",
-    "round12",
-    "to_jsonable",
-    "dumps",
-    "dumps_spec",
-    "load_function_spec",
+    "fmt", "round12", "to_jsonable", "dumps", "dumps_spec",
+    "load_json", "load_function_spec", "load_measure", "load_render_input",
+    "function_spec", "measure_spec", "curve_csv",
 ]
+
+RENDER_OPTIONS = ("covering_disk", "wedge", "labels")
 
 
 def fmt(x: float) -> str:
@@ -58,38 +60,125 @@ def dumps_spec(obj: Any) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+def load_json(path: str) -> Any:
+    """The JSON value in the file at path; an unreadable, malformed or too deeply nested file raises ValueError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
+
+
+def _fields(obj: Any, name: str, keys: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict:
+    """obj, if a JSON object with every key of keys, any of optional and no other; else ValueError naming it."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name} must be a JSON object")
+    for key in obj:
+        if key not in keys and key not in optional:
+            raise ValueError(f"{name} has unknown key {key!r}")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{name} missing key {key!r}")
+    return obj
+
+
+def _pairs(items: Any, name: str, item: str, keys: tuple[str, str], read) -> list[tuple]:
+    """(read(it[keys[0]]), read(it[keys[1]])) for each object it, an item, of the list name."""
+    if not isinstance(items, list):
+        raise ValueError(f"{name!r} must be a list of {{{keys[0]}, {keys[1]}}} objects")
+    first, second = keys
+    try:  # an item of two keys, both read, holds no other
+        rows = [(read(it[first]), read(it[second])) for it in items if len(it) == 2]
+    except (KeyError, TypeError):
+        rows = []
+    if len(rows) != len(items):  # _fields names what is wrong with the first bad item
+        rows = [(read(it[first]), read(it[second])) for it in items if _fields(it, item, keys)]
+    return rows
+
+
+def _as_float(v) -> float:
+    """A JSON number as a float; booleans, strings and integers beyond float range raise ValueError."""
+    if isinstance(v, float):  # first: nearly every value read is one, and this test is the cheapest
+        return float(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:
+            raise ValueError("integer too large for a float") from None
+    raise ValueError(f"expected a number, got {v!r}")
+
+
 def _as_complex(v) -> complex:
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(_as_float(v[0]), _as_float(v[1]))
     return complex(_as_float(v), 0.0)
 
 
-def load_function_spec(data: dict) -> tuple[ProductForm, ClassParams]:
+def load_measure(data: Any) -> AtomicCircleMeasure:
+    """A measure from its JSON form {"atoms": [{"angle", "weight"}, ...]}."""
+    atoms = _pairs(_fields(data, "measure", ("atoms",))["atoms"], "atoms", "atom", ("angle", "weight"), _as_float)
+    angles, weights = np.array(atoms, dtype=np.float64).reshape(-1, 2).T.copy()
+    if not np.isfinite(angles).all():
+        raise ValueError("non-finite atom angle")
+    return _measure(np.exp(1j * angles), weights)
+
+
+def load_function_spec(data: Any) -> tuple[ProductForm, ClassParams]:
     """Parse {"mu", "beta"} plus either "factors" or "measure", never both.
 
     In factor form a "prefactor" key overrides the default prefactor
     mu, which keeps bare power maps like (1-z)**(mu*beta) representable;
     a measure fixes the prefactor, so "prefactor" beside it is an error.
     """
-    if not isinstance(data, dict):
-        raise ValueError("function spec must be a JSON object")
-    try:
-        mu = _as_complex(data["mu"])
-        beta = _as_float(data["beta"])
-    except KeyError as exc:
-        raise ValueError(f"function spec missing key {exc}") from exc
-    params = ClassParams(mu, beta)
-    if "measure" in data:
+    if isinstance(data, dict) and "measure" in data:
         if "factors" in data or "prefactor" in data:
             raise ValueError("a measure spec cannot also hold 'factors' or 'prefactor'")
-        sigma = AtomicCircleMeasure.from_dict(data["measure"])
-        return construct(params, sigma), params
-    if "factors" not in data:
-        raise ValueError("function spec needs 'factors' or 'measure'")
-    if not isinstance(data["factors"], list):
-        raise ValueError("'factors' must be a list of {node, exponent} objects")
-    prefactor = _as_complex(data["prefactor"]) if "prefactor" in data else mu
-    factors = tuple(
-        (_as_complex(f["node"]), _as_complex(f["exponent"])) for f in data["factors"]
-    )
+        _fields(data, "function spec", ("mu", "beta", "measure"))
+    else:
+        _fields(data, "function spec", ("mu", "beta", "factors"), ("prefactor",))
+    params = ClassParams(_as_complex(data["mu"]), _as_float(data["beta"]))
+    if "measure" in data:
+        return construct(params, load_measure(data["measure"])), params
+    prefactor = _as_complex(data["prefactor"]) if "prefactor" in data else params.mu
+    factors = _pairs(data["factors"], "factors", "factor", ("node", "exponent"), _as_complex)
     return ProductForm(prefactor, factors), params
+
+
+def load_render_input(data: Any) -> tuple[list[tuple[ProductForm, ClassParams]], bool, bool, list[str]]:
+    """Maps and options of {"functions": [spec, ...]} or of one spec, either with any keys of RENDER_OPTIONS."""
+    opts = data if isinstance(data, dict) else {}
+    rest = {k: v for k, v in opts.items() if k not in RENDER_OPTIONS} if isinstance(data, dict) else data
+    specs = _fields(rest, "render input", ("functions",))["functions"] if "functions" in opts else [rest]
+    if not isinstance(specs, list):
+        raise ValueError("'functions' must be a list of function specs")
+    covering_disk, wedge = opts.get("covering_disk", False), opts.get("wedge", False)
+    labels = opts.get("labels", [])
+    if not (isinstance(covering_disk, bool) and isinstance(wedge, bool)):
+        raise ValueError("'covering_disk' and 'wedge' must be true or false")
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise ValueError("'labels' must be a list of strings")
+    if not specs:
+        raise ValueError("no function specs to render")
+    if len(specs) > 4:
+        raise ValueError("at most 4 overlay curves")
+    return [load_function_spec(spec) for spec in specs], covering_disk, wedge, labels
+
+
+def function_spec(f: ProductForm, params: ClassParams) -> dict:
+    """Spec form of f under params; the prefactor is written only when it is not mu."""
+    d: dict = {"mu": [params.mu.real, params.mu.imag], "beta": params.beta}
+    if f.prefactor != params.mu:
+        d["prefactor"] = [f.prefactor.real, f.prefactor.imag]
+    d["factors"] = [{"node": [c.real, c.imag], "exponent": [e.real, e.imag]} for c, e in f.factors]
+    return d
+
+
+def measure_spec(sigma: AtomicCircleMeasure) -> dict:
+    """Angle-based JSON form; angles keep the atoms exactly on the circle."""
+    atoms = zip(sigma.points, sigma.weights)
+    return {"atoms": [{"angle": float(np.angle(p)), "weight": float(w)} for p, w in atoms]}
+
+
+def curve_csv(poly: PolyLine) -> str:
+    """The points of poly as CSV rows re,im at 12 significant digits, under a header."""
+    return "re,im\n" + "".join(f"{fmt(p.real)},{fmt(p.imag)}\n" for p in poly.points)

@@ -4,17 +4,19 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spiralcover import GridEvaluation, PolyLine, check_derivative_disk, cli, random_measure, verification
 from spiralcover.cli import CHECKS, main
 from spiralcover.render import render_svg
-from spiralcover.serialize import dumps, dumps_spec, load_function_spec
+from spiralcover.serialize import dumps, dumps_spec, function_spec, load_function_spec, measure_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -43,7 +45,7 @@ def wide_specs() -> list[dict]:
     """Three seeded measure-form class members with 64, 512 and 2048 atoms."""
     params = ((64, [1.0, 0.3], 0.4), (512, [0.8, -0.4], 0.2), (2048, [1.5, 0.2], 0.7))
     return [
-        {"mu": mu, "beta": beta, "measure": random_measure(n, 100 + n).to_dict()}
+        {"mu": mu, "beta": beta, "measure": measure_spec(random_measure(n, 100 + n))}
         for n, mu, beta in params
     ]
 
@@ -163,6 +165,145 @@ class TestLoadSpec:
         assert "too large" in capsys.readouterr().err
         assert not out.exists()
 
+    # a key outside the fixed set of its object, in each kind of object a spec holds;
+    # the first is the README's bare power with "prefactor" misspelt
+    UNKNOWN_KEY_SPECS = [
+        ({"mu": 1.0, "beta": 0.6, "prefactr": [0.3, 0.0], "factors": []}, "prefactr"),
+        ({**EXAMPLE_SPEC, "factors": [{"node": [0.9, 0.4], "exponent": [0.2, 0.0], "weight": 1}]}, "weight"),
+        ({**EXAMPLE_SPEC, "factors": [{"node": [0.9, 0.4], "exponen": [0.2, 0.0]}]}, "exponen"),
+        ({"mu": 1, "beta": 0.3, "measure": {"atoms": [{"angle": 0.5, "weight": 1}]}, "extra": 1}, "extra"),
+        ({"mu": 1, "beta": 0.3, "measure": {"atoms": [{"angle": 0.5, "weight": 1}], "extra": 1}}, "extra"),
+        ({"mu": 1, "beta": 0.3, "measure": {"atoms": [{"angle": 0.5, "weight": 1, "node": 0}]}}, "node"),
+        ({"mu": 1, "beta": 0.3, "measure": {"atoms": [{"angle": 0.5, "wieght": 1}]}}, "wieght"),
+    ]
+    UNKNOWN_KEY_IDS = [
+        "spec", "factor-extra", "factor-misspelt", "measure-spec", "measure", "atom-extra", "atom-misspelt",
+    ]
+
+    @pytest.mark.parametrize("spec, key", UNKNOWN_KEY_SPECS, ids=UNKNOWN_KEY_IDS)
+    def test_unknown_key_rejected(self, spec, key):
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            load_function_spec(spec)
+
+    @pytest.mark.parametrize("argv", [["check"], ["cover"], ["construct"], ["render"]], ids=lambda a: a[0])
+    @pytest.mark.parametrize("spec, key", UNKNOWN_KEY_SPECS, ids=UNKNOWN_KEY_IDS)
+    def test_unknown_key_is_a_usage_error(self, argv, spec, key, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.svg"
+        src.write_text(json.dumps(spec))
+        assert main([*argv, "-i", str(src), "-o", str(out)]) == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "--checks", "all"], ["cover", "--r-inner", "0.95", "--rho", "0.999", "--samples", "512"]],
+        ids=["check", "cover"],
+    )
+    def test_misspelt_prefactor_is_not_the_bare_core(self, argv, tmp_path):
+        # spelt right, (1-z)**0.3 declared with beta = 0.6 fails; misspelt, it would be (1-z)**1
+        spec = {"mu": 1.0, "beta": 0.6, "prefactor": [0.3, 0.0], "factors": []}
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(spec))
+        assert main([*argv, "-i", str(src), "-o", str(out)]) == 1
+        assert json.loads(out.read_text())["passed"] is False
+        out.unlink()
+        src.write_text(json.dumps({"prefactr" if k == "prefactor" else k: v for k, v in spec.items()}))
+        assert main([*argv, "-i", str(src), "-o", str(out)]) == 2
+        assert not out.exists()
+
+    # the reader names the object of the wrong shape
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({"mu": 1, "beta": 0.3, "measure": {"atoms": 5}}, "'atoms' must be a list of {angle, weight} objects"),
+            ({"mu": 1, "beta": 0.3, "factors": [5]}, "factor must be a JSON object"),
+            ({"mu": 1, "beta": 0.3, "measure": []}, "measure must be a JSON object"),
+            ({"mu": 1, "beta": 0.3, "measure": {"atoms": [[0.5, 1]]}}, "atom must be a JSON object"),
+            ({"mu": 1, "beta": 0.3, "measure": {"atoms": [{"angle": 0.5}]}}, "atom missing key 'weight'"),
+        ],
+        ids=["atoms-number", "factor-number", "measure-list", "atom-list", "atom-no-weight"],
+    )
+    def test_wrong_shape_names_its_object(self, spec, message, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(spec))
+        assert main(["check", "-i", str(src), "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["construct", "check", "distort", "cover", "render"])
+    def test_deeply_nested_json_is_a_usage_error(self, command, tmp_path, capsys):
+        src, out = tmp_path / "deep.json", tmp_path / "out.json"
+        src.write_text("[" * 100_000 + "]" * 100_000)
+        assert main([command, "-i", str(src), "-o", str(out)]) == 2
+        assert "cannot read JSON from" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def json_paths(value, path=()):
+    """The path, a tuple of keys and indices, of value and of every value inside it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from json_paths(item, (*path, key))
+
+
+def json_at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def json_replaced(value, path, new):
+    """value with the value at path replaced by new, without changing value."""
+    if not path:
+        return new
+    copy = dict(value) if isinstance(value, dict) else list(value)
+    copy[path[0]] = json_replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+SMALL_GRID = ["--grid-radii", "0.5", "--grid-angles", "4"]
+SMALL_FACTOR_SPEC = {"mu": [1.0, 0.0], "beta": 0.6, "factors": [{"node": [0.9, 0.4], "exponent": [0.4, 0.0]}]}
+SMALL_MEASURE_SPEC = {"mu": [0.8, -0.5], "beta": 0.3,
+                      "measure": {"atoms": [{"angle": 0.4, "weight": 0.6}, {"angle": -2.1, "weight": 0.4}]}}
+# (argv, valid input, output suffix): each input that `main` reads, at small sizes
+READER_CASES = [
+    (["check", "--checks", "all", *SMALL_GRID], SMALL_FACTOR_SPEC, "json"),
+    (["check", "--checks", "all", *SMALL_GRID], SMALL_MEASURE_SPEC, "json"),
+    (["construct"], SMALL_MEASURE_SPEC, "json"),
+    (["cover", "--samples", "32"], SMALL_FACTOR_SPEC, "json"),
+    (["render", "--samples", "32"], {"functions": [SMALL_FACTOR_SPEC], "covering_disk": True, "labels": ["f"]}, "svg"),
+    (["render", "--samples", "32"], {**SMALL_MEASURE_SPEC, "wedge": True}, "csv"),
+]
+KNOWN_KEYS = {"mu", "beta", "prefactor", "factors", "measure", "atoms", "angle", "weight", "node", "exponent",
+              "functions", "covering_disk", "wedge", "labels"}
+
+
+class TestReaderProperty:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_one_changed_value_or_added_key(self, data):
+        # exit 0, 1 or 2, never an exception; exit 2 writes no file, and an added key always exits 2
+        argv, base, suffix = data.draw(st.sampled_from(READER_CASES))
+        added = data.draw(st.booleans())
+        if added:
+            path = data.draw(st.sampled_from([p for p in json_paths(base) if isinstance(json_at(base, p), dict)]))
+            key = data.draw(st.text(max_size=8).filter(lambda k: k not in KNOWN_KEYS))
+            changed = json_replaced(base, path, {**json_at(base, path), key: data.draw(JSON_VALUES)})
+        else:
+            changed = json_replaced(base, data.draw(st.sampled_from(list(json_paths(base)))), data.draw(JSON_VALUES))
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "in.json", Path(tmp) / f"out.{suffix}"
+            src.write_text(json.dumps(changed))
+            code = main([*argv, "-i", str(src), "-o", str(out)])
+            assert code == 2 if added else code in (0, 1, 2)
+            assert out.exists() == (code != 2)
+
 
 class TestDumps:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("inf"))])
@@ -218,7 +359,7 @@ class TestConstruct:
         for e in population:
             for params in (e.params, e.real_params):
                 spec = {"mu": [params.mu.real, params.mu.imag], "beta": params.beta,
-                        "measure": e.measure.to_dict()}
+                        "measure": measure_spec(e.measure)}
                 src.write_text(json.dumps(spec))
                 assert main(["construct", "-i", str(src), "-o", str(out)]) == 0
                 built, _ = load_function_spec(spec)
@@ -229,7 +370,7 @@ class TestConstruct:
     def test_random_measure_round_trips(self, tmp_path):
         out = tmp_path / "m.json"
         assert main(["construct", "--seed", "7", "--samples", "16", "-o", str(out)]) == 0
-        assert json.loads(out.read_text()) == random_measure(16, 7).to_dict()
+        assert json.loads(out.read_text()) == measure_spec(random_measure(16, 7))
 
     def test_needs_input_or_seed(self, capsys):
         assert main(["construct"]) == 2
@@ -329,7 +470,7 @@ class TestCheck:
         entry = population[0]
         assert entry.params.mu.imag != 0.0
         path = tmp_path / "complex.json"
-        path.write_text(dumps(entry.f.to_dict(entry.params)))
+        path.write_text(dumps(function_spec(entry.f, entry.params)))
         assert main(["check", "-i", str(path), "--checks", "derivative-bounds"]) == 2
         out = tmp_path / "report.json"
         assert main(["check", "-i", str(path), "--checks", "all", "-o", str(out)]) == 0
@@ -440,17 +581,20 @@ class TestCheck:
         if kind == "readme-example":
             return ["check", "--checks", "all"], [EXAMPLE_SPEC]
         if kind == "population-20":
-            return ["check", "--checks", "all"], [e.f.to_dict(e.params) for e in population[:20]]
+            return ["check", "--checks", "all"], [function_spec(e.f, e.params) for e in population[:20]]
         if kind == "real-population-20":
-            return ["check", "--checks", "all"], [e.real_f.to_dict(e.real_params) for e in population[:20]]
+            return ["check", "--checks", "all"], [function_spec(e.real_f, e.real_params) for e in population[:20]]
         if kind == "wide-3":
             return ["check", "--checks", WIDE_CHECKS], wide_specs()
         if kind == "fine-grid-population-5":
             fine = ["--grid-radii", "0.5,0.995", "--grid-angles", "4097"]
-            specs = [s for e in population[:5] for s in (e.f.to_dict(e.params), e.real_f.to_dict(e.real_params))]
+            specs = [
+                function_spec(f, p) for e in population[:5] for f, p in ((e.f, e.params), (e.real_f, e.real_params))
+            ]
             return ["check", "--checks", "all", *fine], specs
         grid = ["--grid-radii", "0.2,0.9", "--grid-angles", "33"]
-        return ["check", *grid, "--checks", "growth,schwarz,membership"], [e.f.to_dict(e.params) for e in population[:20]]
+        specs = [function_spec(e.f, e.params) for e in population[:20]]
+        return ["check", *grid, "--checks", "growth,schwarz,membership"], specs
 
     @pytest.mark.parametrize("kind", sorted(CHECK_DIGESTS))
     def test_report_bytes_match_recorded_digest(self, kind, population, tmp_path):
@@ -561,7 +705,7 @@ class TestCover:
         if kind == "readme-example":
             return [EXAMPLE_SPEC], 0
         if kind == "population-20":
-            return [e.f.to_dict(e.params) for e in population[:20]], 0
+            return [function_spec(e.f, e.params) for e in population[:20]], 0
         # (1-z)**(mu*b) declared with beta = b + 0.3: part of the declared core is not covered
         specs = []
         for e, b in zip(population[:5], (0.1, 0.2, 0.3, 0.4, 0.5)):
@@ -634,7 +778,7 @@ class TestEnvironment:
     def test_report_bytes_do_not_depend_on_environment(self, population, tmp_path):
         """`check --checks all` and a failing `cover` write the same bytes under each environment."""
         src = tmp_path / "in.json"
-        src.write_text(dumps(population[0].f.to_dict(population[0].params)))
+        src.write_text(dumps(function_spec(population[0].f, population[0].params)))
         # (1-z)**(mu*b) declared with a larger beta: a failing cover, whose worst margin is a failing sample
         failing = TestCover.cover_specs("bare-power-5", population)[0][0]
         (tmp_path / "fail.json").write_text(dumps(failing))
@@ -819,6 +963,28 @@ class TestRender:
         assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
+
+    def test_options_beside_one_spec(self, tmp_path):
+        # a single spec may carry the options beside its own keys, as in {"functions": [spec]}
+        options = {"covering_disk": True, "wedge": True, "labels": ["f"]}
+        one, listed = tmp_path / "one.json", tmp_path / "listed.json"
+        one.write_text(dumps({**CORE_SPEC, **options}))
+        listed.write_text(dumps({"functions": [CORE_SPEC], **options}))
+        for src in (one, listed):
+            assert main(["render", "-i", str(src), "-o", str(src.with_suffix(".svg"))]) == 0
+        assert one.with_suffix(".svg").read_bytes() == listed.with_suffix(".svg").read_bytes()
+
+    @pytest.mark.parametrize(
+        "data, key",
+        [({"functions": [EXAMPLE_SPEC], "label": ["f"]}, "label"), ({"functions": [EXAMPLE_SPEC], **CORE_SPEC}, "mu")],
+        ids=["misspelt-option", "spec-key"],
+    )
+    def test_unknown_key_rejected(self, data, key, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "fig.svg"
+        src.write_text(dumps(data))
+        assert main(["render", "-i", str(src), "-o", str(out)]) == 2
+        assert f"render input has unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_false_options_draw_nothing_extra(self, tmp_path):
         path = tmp_path / "one.json"

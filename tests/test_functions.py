@@ -28,7 +28,7 @@ from spiralcover import (
     random_measure,
     transform_class,
 )
-from spiralcover.serialize import load_function_spec
+from spiralcover.serialize import load_function_spec, measure_spec
 
 from conftest import bit_equal, reference_growth_margin
 from radial_oracles import boundary_exponent_radial, boundary_rotation_radial, richardson_limit
@@ -190,7 +190,7 @@ class TestConstruct:
 def per_atom_measure_form(spec: dict) -> tuple[list, list, complex]:
     """Nodes, exponents and prefactor of a measure spec, atom by atom.
 
-    from_dict's np.exp(1j * angle) per atom, make_measure's list
+    load_measure's np.exp(1j * angle) per atom, make_measure's list
     comprehensions over the (point, weight) pairs, and construct's
     generator of Python products mu*(1-beta)*w: the path the array
     parse and construct must reproduce bit for bit.
@@ -246,7 +246,7 @@ class TestMeasureSpecAgainstPerAtomPath:
         for e in population:
             for params in (e.params, e.real_params):
                 mu = [params.mu.real, params.mu.imag]
-                self.check({"mu": mu, "beta": params.beta, "measure": e.measure.to_dict()})
+                self.check({"mu": mu, "beta": params.beta, "measure": measure_spec(e.measure)})
 
     def test_edge_specs(self):
         specs = edge_measure_specs(400, 20261018)

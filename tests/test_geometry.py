@@ -33,6 +33,7 @@ from spiralcover import (
     wedge_spirals,
     winding_numbers,
 )
+from spiralcover.serialize import curve_csv
 
 
 def regular_ngon(n=256, center=0.0, radius=1.0):
@@ -57,7 +58,7 @@ class TestPolyLine:
 
     def test_csv_round_trip_shape(self):
         poly = regular_ngon(16)
-        csv = poly.to_csv()
+        csv = curve_csv(poly)
         lines = csv.strip().split("\n")
         assert lines[0] == "re,im"
         assert len(lines) == 17

@@ -9,6 +9,7 @@ from spiralcover import (
     make_measure,
     random_measure,
 )
+from spiralcover.serialize import load_measure, measure_spec
 
 
 def assert_valid(sigma: AtomicCircleMeasure):
@@ -67,6 +68,17 @@ class TestMakeMeasure:
         assert len(sigma) == 1
         assert sigma.weights[0] == pytest.approx(1.0)
 
+    def test_merged_sum_off_one_renormalized(self):
+        # the input sum is within 1e-12 of 1, so it is not rescaled; the merge adds
+        # the cluster's weights first, and that sum rounds to beyond 1e-12 of 1
+        atoms = [(1.0, 0.1), (1.0j, 0.7), (1.0, 0.200000000001)]
+        merged = np.array([0.1 + 0.200000000001, 0.7])
+        assert abs(np.array([w for _, w in atoms]).sum() - 1.0) <= 1e-12 < abs(merged.sum() - 1.0)
+        sigma = make_measure(atoms)
+        assert sigma.points.tolist() == [1.0, 1.0j]
+        assert sigma.weights.tolist() == (merged / merged.sum()).tolist()
+        assert_valid(sigma)
+
     def test_pair_across_pi_merged(self):
         # 2e-13 apart, at the two ends of the angle order
         a, b = np.exp(1j * (np.pi - 1e-13)), np.exp(1j * (-np.pi + 1e-13))
@@ -85,7 +97,7 @@ class TestMakeMeasure:
 
     def test_json_round_trip(self):
         sigma = random_measure(5, 3)
-        back = AtomicCircleMeasure.from_dict(sigma.to_dict())
+        back = load_measure(measure_spec(sigma))
         assert np.allclose(np.sort(np.angle(back.points)), np.sort(np.angle(sigma.points)))
         assert back.weights.sum() == pytest.approx(1.0)
 
