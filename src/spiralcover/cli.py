@@ -17,28 +17,9 @@ from pathlib import Path
 from .kernel import DomainError
 from .functions import boundary_exponent, boundary_rotation
 from .measures import random_measure
-from .verification import (
-    DEFAULT_GRID,
-    PASS_TOL,
-    GridEvaluation,
-    GridSpec,
-    _derivative_bounds_apply,
-    check_derivative_disk,
-    check_derivative_value_bounds,
-    check_distortion,
-    check_growth,
-    check_interior_identity,
-    check_membership,
-    check_schwarz,
-    check_value_bounds,
-)
+from .verification import _GRID_CHECKS, DEFAULT_GRID, PASS_TOL, GridEvaluation, GridSpec
 from .geometry import (
-    boundary_curve,
-    check_covering,
-    check_wedge_containment,
-    covering_radius,
-    minimize_boundary_gap,
-    wedge_spirals,
+    boundary_curve, check_covering, check_wedge_containment, covering_radius, minimize_boundary_gap, wedge_spirals,
 )
 from .render import render_svg
 from .serialize import (
@@ -46,27 +27,14 @@ from .serialize import (
 )
 
 
-# the GridEvaluation arrays a check reads: log f comes with Log(1-z), its prefactor term
-_DLOG = ("dlog_f",)
-_LOG = ("log_f", "log_1mz")
-
-# CLI name -> (runner (ev, params, tol) -> report, the arrays of ev it reads), in
-# `--checks all` order; ev is the one GridEvaluation of the invocation.  The runners look
-# their check up by name when called, so wrappers installed on the module names
-# (spiralbench's tracer) see every call.
+# CLI name -> (runner (ev, params, tol) -> report, the arrays of ev it reads, whether `--checks all`
+# runs it for params), in `--checks all` order: verification's grid checks, then wedge-containment,
+# which samples f on |z| = 0.999.  ev is the one GridEvaluation of the invocation; each runner looks
+# its check up by name when called, so wrappers installed on the module names (spiralbench's tracer)
+# see every call.
 CHECKS = {
-    "membership": (lambda ev, p, tol: check_membership(ev, p, tol), _DLOG),
-    "distortion": (lambda ev, p, tol: check_distortion(ev, p, tol), _LOG),
-    "derivative-disk": (lambda ev, p, tol: check_derivative_disk(ev, p, tol), _DLOG),
-    "schwarz": (lambda ev, p, tol: check_schwarz(ev, p, tol), _LOG),
-    "value-bounds": (lambda ev, p, tol: check_value_bounds(ev, p, tol), _LOG),
-    # `--checks all` runs it only where _derivative_bounds_apply holds
-    "derivative-bounds": (lambda ev, p, tol: check_derivative_value_bounds(ev, p, tol), ("log_f", "dlog_f")),
-    # exact algebra, held to its own INTERIOR_IDENTITY_TOL
-    "interior-identity": (lambda ev, p, tol: check_interior_identity(ev, p), _DLOG),
-    "growth": (lambda ev, p, tol: check_growth(ev, p, tol), _LOG),
-    # samples f on |z| = 0.999, not the grid
-    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), ()),
+    **{name: (check.run, check.reads, check.applies) for name, check in _GRID_CHECKS.items()},
+    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), (), lambda p: True),
 }
 
 
@@ -102,7 +70,7 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     f, params = load_function_spec(load_json(args.input))
     if args.checks == "all":
-        names = [name for name in CHECKS if name != "derivative-bounds" or _derivative_bounds_apply(params)]
+        names = [name for name, (_, _, applies) in CHECKS.items() if applies(params)]
     else:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
         if not names:

@@ -9,6 +9,7 @@ round-trip precision, so loading them gives back the same floats.
 from __future__ import annotations
 
 import json
+import reprlib
 from typing import Any
 
 import numpy as np
@@ -75,7 +76,7 @@ def _fields(obj: Any, name: str, keys: tuple[str, ...], optional: tuple[str, ...
         raise ValueError(f"{name} must be a JSON object")
     for key in obj:
         if key not in keys and key not in optional:
-            raise ValueError(f"{name} has unknown key {key!r}")
+            raise ValueError(f"{name} has unknown key {reprlib.repr(key)}")
     for key in keys:
         if key not in obj:
             raise ValueError(f"{name} missing key {key!r}")
@@ -97,7 +98,7 @@ def _pairs(items: Any, name: str, item: str, keys: tuple[str, str], read) -> lis
 
 
 def _as_float(v) -> float:
-    """A JSON number as a float; booleans, strings and integers beyond float range raise ValueError."""
+    """A JSON number as a float; other values, named by type alone, and integers beyond float range raise ValueError."""
     if isinstance(v, float):  # first: nearly every value read is one, and this test is the cheapest
         return float(v)
     if isinstance(v, int) and not isinstance(v, bool):
@@ -105,7 +106,8 @@ def _as_float(v) -> float:
             return float(v)
         except OverflowError:
             raise ValueError("integer too large for a float") from None
-    raise ValueError(f"expected a number, got {v!r}")
+    json_type = {str: "a string", list: "an array", dict: "an object", bool: "a boolean", type(None): "null"}
+    raise ValueError(f"expected a number, got {json_type.get(type(v), type(v).__name__)}")
 
 
 def _as_complex(v) -> complex:

@@ -11,10 +11,12 @@ Every margin is built from three quantities of the map at the points:
 log f, f'/f and Log(1-z).  A GridEvaluation computes each of them at
 most once, when a margin first reads it or when its compute asks for
 it, and takes log f and f'/f asked for together from one pass over the
-factors.  Each margin is one function of a GridEvaluation, which the
-matching check scans with numpy's floating-point warnings off: a map
-that overflows leaves a non-finite margin, which raises DomainError
-whatever the warning filters.
+factors.  Each check is one entry of the table _GRID_CHECKS: the name
+of its report, its margin (one function of a GridEvaluation), the
+arrays that margin reads and the parameters it applies to.  One scan
+turns an entry into its report with numpy's floating-point warnings
+off: a map that overflows leaves a non-finite margin, which raises
+DomainError whatever the warning filters.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -55,7 +57,7 @@ __all__ = [
 
 PASS_TOL = 1e-9
 INTERIOR_IDENTITY_TOL = 1e-12  # exact algebra: round-off is the only slack
-# the floating-point policy of every check_* and of the curve values in geometry; one
+# the floating-point policy of the grid scan and of the curve values in geometry; one
 # instance decorates them all because no guarded call runs inside another (numpy 1.x
 # cannot nest an errstate instance) and none uses it as a with-block (numpy 2 enters
 # one instance as a context manager at most once)
@@ -208,16 +210,6 @@ def class_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     return expr.real - params.beta
 
 
-@_QUIET
-def check_membership(
-    ev: GridEvaluation,
-    params: ClassParams,
-    tolerance: float = PASS_TOL,
-) -> VerificationReport:
-    """Minimum class margin over the points."""
-    return _report("membership", class_margin(ev, params), ev.points, tolerance)
-
-
 def _ratio_log(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     """q = Log(1-z) - log f/mu, the canonical log of (1-z)/f**(1/mu)."""
     return ev.log_1mz - ev.log_f / params.mu
@@ -235,16 +227,6 @@ def distortion_coefficient(ev: GridEvaluation, params: ClassParams) -> np.ndarra
     return (np.exp(_ratio_log(ev, params) / (1.0 - params.beta)) - 1.0) / ev.points
 
 
-@_QUIET
-def check_distortion(
-    ev: GridEvaluation,
-    params: ClassParams,
-    tolerance: float = PASS_TOL,
-) -> VerificationReport:
-    """Worst margin of 1 - |lambda(z)| over the points."""
-    return _report("distortion-coefficient", 1.0 - np.abs(distortion_coefficient(ev, params)), ev.points, tolerance)
-
-
 def derivative_functional(ev: GridEvaluation, params: ClassParams):
     """Value, center, radius of the derivative-functional disk, as arrays over the points.
 
@@ -259,15 +241,9 @@ def derivative_functional(ev: GridEvaluation, params: ClassParams):
     return value, center, radius
 
 
-@_QUIET
-def check_derivative_disk(
-    ev: GridEvaluation,
-    params: ClassParams,
-    tolerance: float = PASS_TOL,
-) -> VerificationReport:
-    """Worst margin of radius - |value - center| over the points."""
+def _disk_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     value, center, radius = derivative_functional(ev, params)
-    return _report("derivative-disk", radius - np.abs(value - center), ev.points, tolerance)
+    return radius - np.abs(value - center)
 
 
 class ValueBounds(NamedTuple):
@@ -311,11 +287,6 @@ class DerivativeBounds(NamedTuple):
     raw_lower: float
 
 
-def _derivative_bounds_apply(params: ClassParams) -> bool:
-    """Whether the |f'| envelopes are stated for these parameters: real mu in (0, 2]."""
-    return params.mu.imag == 0.0 and 0.0 < params.mu.real <= 2.0
-
-
 def derivative_bounds(params: ClassParams, z):
     """|f'| envelopes for real mu in (0, 2], at a point or an array of points.
 
@@ -328,7 +299,7 @@ def derivative_bounds(params: ClassParams, z):
     az = np.abs(zz)
     if not np.all(az < 1):  # NaN fails too
         raise DomainError("z outside the open unit disk")
-    if not _derivative_bounds_apply(params):
+    if not _GRID_CHECKS["derivative-bounds"].applies(params):
         raise DomainError("derivative bounds need real mu in (0, 2]")
     m, beta = params.mu.real, params.beta
     power = np.abs(1.0 - zz) ** m
@@ -341,13 +312,7 @@ def derivative_bounds(params: ClassParams, z):
     return DerivativeBounds(*map(float, out)) if np.ndim(z) == 0 else out
 
 
-@_QUIET
-def check_value_bounds(
-    ev: GridEvaluation,
-    params: ClassParams,
-    tolerance: float = PASS_TOL,
-) -> VerificationReport:
-    """Worst margin over all applicable modulus/argument envelopes at the points."""
+def _value_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     q = _ratio_log(ev, params)
     ratio_mod = np.exp(q.real)
     b = modulus_arg_bounds(params, ev.points)
@@ -355,20 +320,13 @@ def check_value_bounds(
     if b.f_lo is not None:
         fmod = np.exp(ev.log_f.real)
         margins += [fmod - b.f_lo, b.f_hi - fmod]
-    return _report("value-bounds", np.min(margins, axis=0), ev.points, tolerance)
+    return np.min(margins, axis=0)
 
 
-@_QUIET
-def check_derivative_value_bounds(
-    ev: GridEvaluation,
-    params: ClassParams,
-    tolerance: float = PASS_TOL,
-) -> VerificationReport:
-    """Worst margin of lower <= |f'| <= upper <= simple_upper over the points."""
+def _derivative_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     fd = np.exp(ev.log_f.real) * np.abs(ev.dlog_f)
     b = derivative_bounds(params, ev.points)
-    margins = np.min([fd - b.lower, b.upper - fd, b.simple_upper - b.upper], axis=0)
-    return _report("derivative-bounds", margins, ev.points, tolerance)
+    return np.min([fd - b.lower, b.upper - fd, b.simple_upper - b.upper], axis=0)
 
 
 def schwarz_function(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
@@ -380,16 +338,6 @@ def schwarz_function(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     """
     inner = (ev.log_f - params.mu * ev.log_1mz) / (params.mu * (1.0 - params.beta))
     return 1.0 - np.exp(-inner)
-
-
-@_QUIET
-def check_schwarz(
-    ev: GridEvaluation,
-    params: ClassParams,
-    tolerance: float = PASS_TOL,
-) -> VerificationReport:
-    """Worst margin of |z| - |omega(z)| over the points."""
-    return _report("schwarz", np.abs(ev.points) - np.abs(schwarz_function(ev, params)), ev.points, tolerance)
 
 
 @dataclass(frozen=True)
@@ -449,12 +397,9 @@ class InteriorSpirallikeMap:
         return (cmath.exp(-1j * self.phi) * zs).real - self.order
 
 
-@_QUIET
-def check_interior_identity(ev: GridEvaluation, params: ClassParams) -> VerificationReport:
-    """Exact algebra: spiral margin == (r/2) * class margin, held to INTERIOR_IDENTITY_TOL."""
+def _identity_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     s = InteriorSpirallikeMap(ev.f, params)
-    dev = np.abs(s.spiral_margin(ev) - 0.5 * params.radius * class_margin(ev, params))
-    return _report("interior-identity", -dev, ev.points, INTERIOR_IDENTITY_TOL)
+    return -np.abs(s.spiral_margin(ev) - 0.5 * params.radius * class_margin(ev, params))
 
 
 def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
@@ -498,17 +443,97 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     return out
 
 
-@_QUIET
-def check_growth(
-    ev: GridEvaluation,
-    params: ClassParams,
-    tolerance: float = PASS_TOL,
-) -> VerificationReport:
-    """Scan the growth inequality at the points times a fixed open t-grid.
-
-    The claim quantifies over all t in (0, 2*cos(phi)); the scan takes the
-    32 values 2*cos(phi)*k/33, k = 1..32, and counts only the points.
-    """
+def _worst_growth(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     cos2 = 2.0 * math.cos(params.phi)
-    ts = [cos2 * k / 33.0 for k in range(1, 33)]
-    return _report("growth", growth_margin(ev, params, ts).min(axis=0), ev.points, tolerance)
+    return growth_margin(ev, params, [cos2 * k / 33.0 for k in range(1, 33)]).min(axis=0)
+
+
+class _GridCheck(NamedTuple):
+    """A check_*, its report's name, its margin (one value per point, nonnegative where the statement holds),
+    the GridEvaluation arrays the margin reads, the params it applies to, and a tolerance of its own, if any."""
+
+    function: str
+    report: str
+    margin: Callable[[GridEvaluation, ClassParams], np.ndarray]
+    reads: tuple[str, ...]
+    applies: Callable[[ClassParams], bool] = lambda p: True
+    tolerance: float | None = None
+
+    def run(self, ev: GridEvaluation, params: ClassParams, tolerance: float) -> VerificationReport:
+        """check_*'s report, looked up when called, so wrappers put on it (spiralbench's tracer) see every call."""
+        check = globals()[self.function]
+        return check(ev, params) if self.tolerance is not None else check(ev, params, tolerance)
+
+
+# the arrays a margin reads: log f comes with Log(1-z), its prefactor term
+_DLOG, _LOG = ("dlog_f",), ("log_f", "log_1mz")
+# CLI name -> grid check, in `--checks all` order; the |f'| envelopes are stated for real mu in (0, 2] only
+_GRID_CHECKS = {
+    "membership": _GridCheck("check_membership", "membership", class_margin, _DLOG),
+    "distortion": _GridCheck(
+        "check_distortion", "distortion-coefficient", lambda ev, p: 1.0 - np.abs(distortion_coefficient(ev, p)), _LOG
+    ),
+    "derivative-disk": _GridCheck("check_derivative_disk", "derivative-disk", _disk_margin, _DLOG),
+    "schwarz": _GridCheck(
+        "check_schwarz", "schwarz", lambda ev, p: np.abs(ev.points) - np.abs(schwarz_function(ev, p)), _LOG
+    ),
+    "value-bounds": _GridCheck("check_value_bounds", "value-bounds", _value_bounds_margin, _LOG),
+    "derivative-bounds": _GridCheck(
+        "check_derivative_value_bounds", "derivative-bounds", _derivative_bounds_margin, ("log_f", "dlog_f"),
+        applies=lambda p: p.mu.imag == 0.0 and 0.0 < p.mu.real <= 2.0,
+    ),
+    "interior-identity": _GridCheck(
+        "check_interior_identity", "interior-identity", _identity_margin, _DLOG, tolerance=INTERIOR_IDENTITY_TOL
+    ),
+    "growth": _GridCheck("check_growth", "growth", _worst_growth, _LOG),
+}
+
+
+@_QUIET
+def _scan(name: str, ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
+    """Worst margin of the grid check name over the points, with numpy's floating-point warnings off."""
+    check = _GRID_CHECKS[name]
+    tol = tolerance if check.tolerance is None else check.tolerance
+    return _report(check.report, check.margin(ev, params), ev.points, tol)
+
+
+def check_membership(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
+    """Minimum class margin over the points."""
+    return _scan("membership", ev, params, tolerance)
+
+
+def check_distortion(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
+    """Worst margin of 1 - |lambda(z)| over the points."""
+    return _scan("distortion", ev, params, tolerance)
+
+
+def check_derivative_disk(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
+    """Worst margin of radius - |value - center| over the points."""
+    return _scan("derivative-disk", ev, params, tolerance)
+
+
+def check_schwarz(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
+    """Worst margin of |z| - |omega(z)| over the points."""
+    return _scan("schwarz", ev, params, tolerance)
+
+
+def check_value_bounds(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
+    """Worst margin over all applicable modulus/argument envelopes at the points."""
+    return _scan("value-bounds", ev, params, tolerance)
+
+
+def check_derivative_value_bounds(
+    ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL
+) -> VerificationReport:
+    """Worst margin of lower <= |f'| <= upper <= simple_upper over the points."""
+    return _scan("derivative-bounds", ev, params, tolerance)
+
+
+def check_interior_identity(ev: GridEvaluation, params: ClassParams) -> VerificationReport:
+    """Exact algebra: spiral margin == (r/2) * class margin, held to INTERIOR_IDENTITY_TOL."""
+    return _scan("interior-identity", ev, params)
+
+
+def check_growth(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
+    """Worst growth margin over the points, each at the 32 shifts t = 2*cos(phi)*k/33, k = 1..32, of (0, 2*cos(phi))."""
+    return _scan("growth", ev, params, tolerance)

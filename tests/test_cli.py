@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spiralcover import GridEvaluation, PolyLine, check_derivative_disk, cli, random_measure, verification
+from spiralcover import ClassParams, GridEvaluation, PolyLine, check_derivative_disk, cli, random_measure, verification
 from spiralcover.cli import CHECKS, main
 from spiralcover.render import render_svg
 from spiralcover.serialize import dumps, dumps_spec, function_spec, load_function_spec, measure_spec
@@ -36,6 +36,9 @@ OVERFLOW_SPEC = {"mu": 1, "beta": 0.5, "factors": [{"node": [0.5, 0], "exponent"
 
 # f = (1-z)**-60: finite on |z| = 0.999, up to 1e180, too large for the winding test's products
 WINDING_OVERFLOW_SPEC = {"mu": [1, 0], "beta": 0.5, "prefactor": [-60, 0], "factors": []}
+
+# the `--checks all` order: the grid checks of verification's table, then wedge-containment
+ALL_CHECKS = [*verification._GRID_CHECKS, "wedge-containment"]
 
 # the six grid checks of spiralbench's wide-measure workload
 WIDE_CHECKS = "membership,distortion,derivative-disk,schwarz,value-bounds,interior-identity"
@@ -122,6 +125,23 @@ class TestLoadSpec:
         src.write_text(json.dumps(spec))
         assert main(["check", "-i", str(src), "-o", str(out)]) == 2
         assert "expected a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    # a rejected value or key is named in a bounded message, whatever its size
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"mu": 1, "beta": ' + "[" * 900 + "]" * 900 + ', "factors": []}',
+            '{"mu": 1, "beta": "' + "9" * 10_000 + '", "factors": []}',
+            '{"mu": 1, "beta": 0.5, "factors": [], "' + "k" * 10_000 + '": 0}',
+        ],
+        ids=["deep-array", "long-string", "long-key"],
+    )
+    def test_rejected_input_message_is_short(self, text, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(text)
+        assert main(["check", "-i", str(src), "-o", str(out)]) == 2
+        assert len(capsys.readouterr().err) < 120
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -643,9 +663,10 @@ class TestSharedEvaluation:
         assert [p[1:] for p in passes if len(p[0]) == 1] == [(log, dlog, False)]
         assert [p for p in passes if len(p[0]) == 2] == [((k, 896), True, False, True) for k in shifted]
 
-    @pytest.mark.parametrize("name", list(CHECKS))
+    @pytest.mark.parametrize("name", ALL_CHECKS)
     def test_declared_reads(self, name, worked_example):
-        # each CHECKS entry declares the arrays its runner reads on a fresh GridEvaluation
+        # each table entry declares the arrays its check reads on a fresh GridEvaluation;
+        # wedge-containment samples its own ring and declares none
         reads = set()
 
         class Recording(GridEvaluation):
@@ -655,18 +676,46 @@ class TestSharedEvaluation:
                 return super().__getattribute__(attr)
 
         f, params = worked_example
-        runner, declared = CHECKS[name]
+        runner, declared, _ = CHECKS[name]
         runner(Recording(f), params, 1e-9)
         assert reads == set(declared)
 
-    @pytest.mark.parametrize("name", list(CHECKS))
+    @pytest.mark.parametrize("name", ALL_CHECKS)
     def test_check_in_all_matches_check_alone(self, name, example_path, tmp_path):
         every, alone = tmp_path / "all.json", tmp_path / "alone.json"
         assert main(["check", "-i", example_path, "--checks", "all", "-o", str(every)]) == 0
         assert main(["check", "-i", example_path, "--checks", name, "-o", str(alone)]) == 0
         # every check applies to the README example, so the reports come in table order
-        entry = json.loads(every.read_text())["checks"][list(CHECKS).index(name)]
+        entry = json.loads(every.read_text())["checks"][ALL_CHECKS.index(name)]
         assert alone.read_text() == dumps({"checks": [entry], "passed": entry["passed"]})
+
+    def test_cli_checks_are_the_table(self):
+        assert list(CHECKS) == ALL_CHECKS
+        for name, check in verification._GRID_CHECKS.items():
+            assert CHECKS[name] == (check.run, check.reads, check.applies)
+
+    # the |f'| envelopes are stated for real mu in (0, 2]: at its end, inside, just past it
+    # within the admissible region's slack, and off the real axis
+    @pytest.mark.parametrize(
+        "mu, applies",
+        [(2.0, True), (0.5, True), (2.0 + 1e-12, False), (1 + 0.5j, False), (1 - 0.5j, False)],
+        ids=["two", "half", "past-two", "upper", "lower"],
+    )
+    def test_derivative_bounds_condition(self, mu, applies, tmp_path):
+        params = ClassParams(mu, 0.5)
+        assert [name for name, c in verification._GRID_CHECKS.items() if not c.applies(params)] == (
+            [] if applies else ["derivative-bounds"]
+        )
+        # `--checks all` reports in table order, then wedge-containment, and only what applies
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps_spec({"mu": [complex(mu).real, complex(mu).imag], "beta": 0.5, "factors": []}))
+        assert main(["check", "-i", str(src), "--checks", "all", *SMALL_GRID, "-o", str(out)]) in (0, 1)
+        expected = [c.report for name, c in verification._GRID_CHECKS.items() if applies or name != "derivative-bounds"]
+        assert [c["check"] for c in json.loads(out.read_text())["checks"]] == [*expected, "wedge-containment"]
+        # named alone, a check that does not apply is a usage error
+        out.unlink()
+        code = main(["check", "-i", str(src), "--checks", "derivative-bounds", *SMALL_GRID, "-o", str(out)])
+        assert (code, out.exists()) == ((0, True) if applies else (2, False))
 
 
 class TestDistort:
