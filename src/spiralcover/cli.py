@@ -27,14 +27,13 @@ from .serialize import (
 )
 
 
-# CLI name -> (runner (ev, params, tol) -> report, the arrays of ev it reads, whether `--checks all`
-# runs it for params), in `--checks all` order: verification's grid checks, then wedge-containment,
-# which samples f on |z| = 0.999.  ev is the one GridEvaluation of the invocation; each runner looks
-# its check up by name when called, so wrappers installed on the module names (spiralbench's tracer)
-# see every call.
+# CLI name -> (runner (ev, params, tol) -> report, whether `--checks all` runs it for params), in
+# `--checks all` order: verification's grid checks, then wedge-containment, which samples f on
+# |z| = 0.999.  ev is the one GridEvaluation of the invocation; each runner looks its check up by
+# name when called, so wrappers installed on the module names (spiralbench's tracer) see every call.
 CHECKS = {
-    **{name: (check.run, check.reads, check.applies) for name, check in _GRID_CHECKS.items()},
-    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), (), lambda p: True),
+    **{name: (check.run, check.applies) for name, check in _GRID_CHECKS.items()},
+    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), lambda p: True),
 }
 
 
@@ -70,7 +69,7 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     f, params = load_function_spec(load_json(args.input))
     if args.checks == "all":
-        names = [name for name, (_, _, applies) in CHECKS.items() if applies(params)]
+        names = [name for name, (_, applies) in CHECKS.items() if applies(params)]
     else:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
         if not names:
@@ -79,8 +78,6 @@ def cmd_check(args) -> int:
             if name not in CHECKS:
                 raise ValueError(f"unknown check {name!r}")
     ev = GridEvaluation(f, _grid_from_args(args).points())
-    # what the checks read, before the first runs: log f and f'/f from one pass over the factors
-    ev.compute(*(read for name in names for read in CHECKS[name][1]))
     reports = [CHECKS[name][0](ev, params, args.tolerance) for name in names]
     passed = all(r.passed for r in reports)
     _write(args.output, dumps({"checks": [r.to_dict() for r in reports], "passed": passed}))
@@ -130,6 +127,8 @@ def cmd_render(args) -> int:
     if covering_disk:
         _, params = loaded[0]
         s = params.mu * params.beta
+        if params.beta == 0.0:
+            raise ValueError("covering disk needs beta > 0: at beta = 0 the core map (1-z)**(mu*beta) is constant")
         if s.imag != 0.0:
             raise ValueError("covering disk needs real mu*beta")
         disk_radius = covering_radius(s.real)

@@ -8,15 +8,14 @@ default tolerance PASS_TOL sits orders of magnitude above
 double-precision round-off.
 
 Every margin is built from three quantities of the map at the points:
-log f, f'/f and Log(1-z).  A GridEvaluation computes each of them at
-most once, when a margin first reads it or when its compute asks for
-it, and takes log f and f'/f asked for together from one pass over the
-factors.  Each check is one entry of the table _GRID_CHECKS: the name
-of its report, its margin (one function of a GridEvaluation), the
-arrays that margin reads and the parameters it applies to.  One scan
-turns an entry into its report with numpy's floating-point warnings
-off: a map that overflows leaves a non-finite margin, which raises
-DomainError whatever the warning filters.
+log f, f'/f and Log(1-z).  A GridEvaluation computes all three when it
+is built, in one pass over the factors, and every margin reads the
+same arrays.  Each check is one entry of the table _GRID_CHECKS: the
+name of its report, its margin (one function of a GridEvaluation) and
+the parameters it applies to.  One scan turns an entry into its report
+with numpy's floating-point warnings off: a map that overflows leaves
+a non-finite margin, which raises DomainError whatever the warning
+filters.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -99,63 +97,32 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class GridEvaluation:
-    """One map at a set of points: log f, f'/f and Log(1-z), each computed on first read.
+    """One map at a set of points, with log f, f'/f and Log(1-z) there, computed when it is built.
 
     The points (the default grid unless given; a scalar is one point) are
     kept as a 1-d complex copy, and there must be at least one: a scan of
-    no points has no worst margin.  The arrays are read-only, because
-    every margin reads the same ones.  A caller that will read both log f
-    and f'/f asks for them with compute, which takes both from one pass
-    over the factors; Log(1-z) is the prefactor term of log f and always
-    comes with it.
+    no points has no worst margin.  The three arrays come from one pass
+    over the factors, with numpy's floating-point warnings off as in the
+    checks: a value that overflows is left non-finite, for the margin
+    that reads it to report.  All four arrays are read-only, because
+    every margin reads the same ones.
     """
 
     f: ProductForm
     points: np.ndarray = field(default_factory=DEFAULT_GRID.points)
+    log_1mz: np.ndarray = field(init=False, repr=False)
+    log_f: np.ndarray = field(init=False, repr=False)
+    dlog_f: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         points = np.array(self.points, dtype=np.complex128).ravel()
         if not points.size:
             raise ValueError("need at least one point")
-        object.__setattr__(self, "points", _read_only(points))
-
-    def compute(self, *names: str) -> None:
-        """Compute those of log_f, dlog_f and log_1mz not computed yet, in one pass over the factors.
-
-        The pass runs with numpy's floating-point warnings off, as the
-        checks do, also when it runs before one: a value that overflows
-        is left non-finite, for the margin that reads it to report.  Each
-        array is stored on the instance, so a later read is a plain
-        attribute hit.
-        """
-        unknown = set(names) - {"log_f", "dlog_f", "log_1mz"}
-        if unknown:
-            raise ValueError(f"no array named {', '.join(sorted(unknown))}")
-        todo = set(names) - vars(self).keys()
-        log, dlog = bool(todo & {"log_f", "log_1mz"}), "dlog_f" in todo
-        if log or dlog:
-            # a fresh errstate, as compute also runs inside the checks' _QUIET
-            with np.errstate(all="ignore"):
-                values = _factor_sums(self.f, _as_points(self.points)[0], log, dlog)
-            for name, value in zip(("log_1mz", "log_f", "dlog_f"), values):
-                if value is not None:
-                    vars(self)[name] = _read_only(value)
-
-    # cached_property, not property, so the arrays compute stores take precedence
-    @cached_property
-    def log_f(self) -> np.ndarray:
-        self.compute("log_f")
-        return vars(self)["log_f"]
-
-    @cached_property
-    def dlog_f(self) -> np.ndarray:
-        self.compute("dlog_f")
-        return vars(self)["dlog_f"]
-
-    @cached_property
-    def log_1mz(self) -> np.ndarray:
-        self.compute("log_1mz")
-        return vars(self)["log_1mz"]
+        # a fresh errstate: _QUIET only decorates, as its comment says
+        with np.errstate(all="ignore"):
+            values = _factor_sums(self.f, _as_points(points)[0], log=True, dlog=True)
+        for name, value in zip(("points", "log_1mz", "log_f", "dlog_f"), (points, *values)):
+            object.__setattr__(self, name, _read_only(value))
 
 
 @dataclass(frozen=True)
@@ -422,7 +389,7 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     mu = params.mu
     power = -mu.real * (1.0 - params.beta)
     real = mu.imag == 0.0
-    # validates the points; |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 then keeps z' in the disk
+    # the points lie in the disk, and |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 keeps z' there
     log_f = np.ascontiguousarray(ev.log_f.real)
     log_1mz = np.ascontiguousarray(ev.log_1mz.real) if real else ev.log_1mz
     rows = _block_rows(ev.points.size)
@@ -450,12 +417,11 @@ def _worst_growth(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
 
 class _GridCheck(NamedTuple):
     """A check_*, its report's name, its margin (one value per point, nonnegative where the statement holds),
-    the GridEvaluation arrays the margin reads, the params it applies to, and a tolerance of its own, if any."""
+    the params it applies to, and a tolerance of its own, if any."""
 
     function: str
     report: str
     margin: Callable[[GridEvaluation, ClassParams], np.ndarray]
-    reads: tuple[str, ...]
     applies: Callable[[ClassParams], bool] = lambda p: True
     tolerance: float | None = None
 
@@ -465,27 +431,25 @@ class _GridCheck(NamedTuple):
         return check(ev, params) if self.tolerance is not None else check(ev, params, tolerance)
 
 
-# the arrays a margin reads: log f comes with Log(1-z), its prefactor term
-_DLOG, _LOG = ("dlog_f",), ("log_f", "log_1mz")
 # CLI name -> grid check, in `--checks all` order; the |f'| envelopes are stated for real mu in (0, 2] only
 _GRID_CHECKS = {
-    "membership": _GridCheck("check_membership", "membership", class_margin, _DLOG),
+    "membership": _GridCheck("check_membership", "membership", class_margin),
     "distortion": _GridCheck(
-        "check_distortion", "distortion-coefficient", lambda ev, p: 1.0 - np.abs(distortion_coefficient(ev, p)), _LOG
+        "check_distortion", "distortion-coefficient", lambda ev, p: 1.0 - np.abs(distortion_coefficient(ev, p))
     ),
-    "derivative-disk": _GridCheck("check_derivative_disk", "derivative-disk", _disk_margin, _DLOG),
+    "derivative-disk": _GridCheck("check_derivative_disk", "derivative-disk", _disk_margin),
     "schwarz": _GridCheck(
-        "check_schwarz", "schwarz", lambda ev, p: np.abs(ev.points) - np.abs(schwarz_function(ev, p)), _LOG
+        "check_schwarz", "schwarz", lambda ev, p: np.abs(ev.points) - np.abs(schwarz_function(ev, p))
     ),
-    "value-bounds": _GridCheck("check_value_bounds", "value-bounds", _value_bounds_margin, _LOG),
+    "value-bounds": _GridCheck("check_value_bounds", "value-bounds", _value_bounds_margin),
     "derivative-bounds": _GridCheck(
-        "check_derivative_value_bounds", "derivative-bounds", _derivative_bounds_margin, ("log_f", "dlog_f"),
+        "check_derivative_value_bounds", "derivative-bounds", _derivative_bounds_margin,
         applies=lambda p: p.mu.imag == 0.0 and 0.0 < p.mu.real <= 2.0,
     ),
     "interior-identity": _GridCheck(
-        "check_interior_identity", "interior-identity", _identity_margin, _DLOG, tolerance=INTERIOR_IDENTITY_TOL
+        "check_interior_identity", "interior-identity", _identity_margin, tolerance=INTERIOR_IDENTITY_TOL
     ),
-    "growth": _GridCheck("check_growth", "growth", _worst_growth, _LOG),
+    "growth": _GridCheck("check_growth", "growth", _worst_growth),
 }
 
 

@@ -629,7 +629,7 @@ class TestCheck:
 
 
 class TestSharedEvaluation:
-    """`check` computes log f and f'/f at most once per invocation, only if a check reads them, in one pass."""
+    """`check` computes log f and f'/f once per invocation, in one pass, whichever checks it runs."""
 
     @pytest.fixture()
     def passes(self, monkeypatch):
@@ -643,42 +643,27 @@ class TestSharedEvaluation:
         return seen
 
     @pytest.mark.parametrize(
-        "kind, checks, log, dlog, shifted",
+        "kind, checks, shifted",
         [
-            ("wide-64", WIDE_CHECKS, True, True, []),
-            ("readme-example", "membership", False, True, []),
+            ("wide-64", WIDE_CHECKS, []),
+            ("readme-example", "membership", []),
             # growth takes Re log f at its shifted points in one pass per block of 9, 9, 9
             # and 5 shifts of the 896 points, real parts alone as mu = 1 is real
-            ("readme-example", "all", True, True, [9, 9, 9, 5]),
-            ("readme-example", "distortion", True, False, []),
-            ("readme-example", "growth", True, False, [9, 9, 9, 5]),
+            ("readme-example", "all", [9, 9, 9, 5]),
+            ("readme-example", "distortion", []),
+            ("readme-example", "growth", [9, 9, 9, 5]),
+            # wedge-containment samples its own ring, and the grid is evaluated all the same
+            ("readme-example", "wedge-containment", []),
         ],
-        ids=["wide-measure-checks", "membership", "all", "distortion", "growth"],
+        ids=["wide-measure-checks", "membership", "all", "distortion", "growth", "wedge-containment"],
     )
-    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, log, dlog, shifted):
+    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, shifted):
         src = tmp_path / "in.json"
         src.write_text(dumps(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
         assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
-        # one pass over the base grid's factors, for what the checks read
-        assert [p[1:] for p in passes if len(p[0]) == 1] == [(log, dlog, False)]
+        # one pass over the base grid's factors, with log f and f'/f
+        assert [p[1:] for p in passes if len(p[0]) == 1] == [(True, True, False)]
         assert [p for p in passes if len(p[0]) == 2] == [((k, 896), True, False, True) for k in shifted]
-
-    @pytest.mark.parametrize("name", ALL_CHECKS)
-    def test_declared_reads(self, name, worked_example):
-        # each table entry declares the arrays its check reads on a fresh GridEvaluation;
-        # wedge-containment samples its own ring and declares none
-        reads = set()
-
-        class Recording(GridEvaluation):
-            def __getattribute__(self, attr):
-                if attr in ("log_f", "dlog_f", "log_1mz"):
-                    reads.add(attr)
-                return super().__getattribute__(attr)
-
-        f, params = worked_example
-        runner, declared, _ = CHECKS[name]
-        runner(Recording(f), params, 1e-9)
-        assert reads == set(declared)
 
     @pytest.mark.parametrize("name", ALL_CHECKS)
     def test_check_in_all_matches_check_alone(self, name, example_path, tmp_path):
@@ -692,7 +677,7 @@ class TestSharedEvaluation:
     def test_cli_checks_are_the_table(self):
         assert list(CHECKS) == ALL_CHECKS
         for name, check in verification._GRID_CHECKS.items():
-            assert CHECKS[name] == (check.run, check.reads, check.applies)
+            assert CHECKS[name] == (check.run, check.applies)
 
     # the |f'| envelopes are stated for real mu in (0, 2]: at its end, inside, just past it
     # within the admissible region's slack, and off the real axis
@@ -1056,6 +1041,15 @@ class TestRender:
         src.write_text(dumps({"functions": [{**EXAMPLE_SPEC, "mu": [1.0, 0.2]}], "covering_disk": True}))
         assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert "covering disk needs real mu*beta" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_covering_disk_needs_positive_beta(self, tmp_path, capsys):
+        # at beta = 0 the core map (1-z)**(mu*beta) is constant and covers no disk
+        src, out = tmp_path / "in.json", tmp_path / "fig.svg"
+        spec = {"mu": [1, 0], "beta": 0.0, "factors": [{"node": [0.9, 0.4], "exponent": [0.5, 0]}]}
+        src.write_text(dumps({**spec, "covering_disk": True}))
+        assert main(["render", "-i", str(src), "-o", str(out)]) == 2
+        assert "covering disk needs beta > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_function_list(self, tmp_path):

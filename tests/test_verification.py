@@ -158,48 +158,23 @@ class TestGridEvaluation:
             GridEvaluation(ProductForm(1.0), points)
 
     def test_matches_direct_evaluation(self, worked_example, grid):
-        f = worked_example[0]
         pts = grid.points()
-        ev = GridEvaluation(f, pts)
-        assert np.array_equal(ev.points, pts)
-        assert np.array_equal(ev.log_f, eval_log(f, pts))
-        assert np.array_equal(ev.dlog_f, sc.log_derivative(f, pts))
-        assert np.array_equal(ev.log_1mz, sc.log_principal(1.0 - pts))
+        # the worked example, and maps of 0, 2 and 2048 factors: one block of factors, and several
+        members = [construct(ClassParams(0.9 + 0.4j, 0.35), random_measure(n, 7)) for n in (2, 2048)]
+        for f in (worked_example[0], ProductForm(1.3 - 0.2j), *members):
+            ev = GridEvaluation(f, pts)
+            # the one pass has the bits of the single-mode passes
+            assert np.array_equal(ev.points, pts)
+            assert bit_equal(ev.log_f, eval_log(f, pts))
+            assert bit_equal(ev.dlog_f, sc.log_derivative(f, pts))
+            assert bit_equal(ev.log_1mz, sc.log_principal(1.0 - pts))
 
-
-    @pytest.mark.parametrize("n", [0, 2, 2048])
-    def test_reads_one_at_a_time_equal_one_pass(self, n):
-        f = construct(ClassParams(0.9 + 0.4j, 0.35), random_measure(n, 7)) if n else ProductForm(1.3 - 0.2j)
-        apart, together = GridEvaluation(f), GridEvaluation(f)
-        together.compute("log_f", "dlog_f")
-        for name in ("log_f", "dlog_f", "log_1mz"):
-            assert bit_equal(getattr(apart, name), getattr(together, name))
-
-    def test_compute_takes_only_what_is_missing(self, worked_example, monkeypatch):
-        passes = []
-
-        def spy(f, zz, log, dlog, _fn=verification._factor_sums):
-            passes.append((log, dlog))
-            return _fn(f, zz, log, dlog)
-
-        monkeypatch.setattr(verification, "_factor_sums", spy)
-        ev = GridEvaluation(worked_example[0])
-        ev.compute("dlog_f")
-        dlog_f = ev.dlog_f
-        # log_1mz comes with log f; dlog_f is already there and is not taken again
-        ev.compute("log_1mz", "dlog_f")
-        assert {"log_f", "log_1mz", "dlog_f"} <= vars(ev).keys()
-        ev.compute("log_f", "dlog_f", "log_1mz")
-        assert passes == [(False, True), (True, False)]
-        assert ev.dlog_f is dlog_f
-        with pytest.raises(ValueError, match="read-only"):
-            ev.log_1mz[0] = 0.0
-
-    def test_compute_checks_the_points_and_names(self):
-        with pytest.raises(DomainError, match="outside the open unit disk"):
-            GridEvaluation(ProductForm(1.0), [0.5, 1.0]).compute("dlog_f")
-        with pytest.raises(ValueError, match="no array named logf"):
-            GridEvaluation(ProductForm(1.0)).compute("log_f", "logf")
+    @pytest.mark.parametrize(
+        "bad, match", [(1.0, "outside the open unit disk"), (complex("nan"), "non-finite")], ids=["one", "nan"]
+    )
+    def test_points_checked_when_built(self, bad, match):
+        with pytest.raises(DomainError, match=match):
+            GridEvaluation(ProductForm(1.0), [0.5, bad])
 
 
 class TestMembership:
@@ -645,9 +620,8 @@ class TestGrowth:
 
     @pytest.mark.parametrize("bad", [1.0, -0.6 + 0.8j, 1.5, complex("nan")], ids=["one", "unit-circle", "outside", "nan"])
     def test_points_outside_disk_rejected(self, bad):
-        # reading log f at the points validates them before any shift is taken
+        # the evaluation checks its points when it is built, before any shift is taken
         params = ClassParams(0.8 - 0.5j, 0.3)
-        ev = GridEvaluation(construct(params, random_measure(2, 43)), [0.5, bad])
         match = "non-finite" if cmath.isnan(bad) else "evaluation point outside the open unit disk"
         with pytest.raises(DomainError, match=match):
-            check_growth(ev, params)
+            check_growth(GridEvaluation(construct(params, random_measure(2, 43)), [0.5, bad]), params)
