@@ -185,14 +185,19 @@ def canonical_wedge(exponent: complex, rotation: float) -> ProductForm:
     return ProductForm(exponent, ((node, exponent),))
 
 
-def _as_points(z) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(z, dtype=np.complex128)
-    scalar = arr.ndim == 0
-    if scalar:
-        arr = arr.reshape(1)
-    if np.any(np.abs(arr) >= 1.0):
+def _as_points(z) -> np.ndarray:
+    """z as a complex array, a scalar as one point; DomainError unless every point is finite and |z| < 1."""
+    arr = np.atleast_1d(np.asarray(z, dtype=np.complex128))
+    if not np.all(np.abs(arr) < 1.0):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError("non-finite evaluation point")
         raise DomainError("evaluation point outside the open unit disk")
-    return arr, scalar
+    return arr
+
+
+def _like(z, out):
+    """out for an array z; for a scalar z, the one value of out as a Python scalar."""
+    return out if np.ndim(z) else out.item()
 
 
 def _fold(total: np.ndarray, terms: np.ndarray) -> None:
@@ -210,67 +215,62 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> None:
         np.subtract.reduce(terms, axis=0, out=total)
 
 
-def _factor_sums(f: ProductForm, zz: np.ndarray, log: bool, dlog: bool, real: bool = False):
-    """(Log(1 - zz), log f, f'/f) at the points zz, from one pass over the factors.
+def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False, real: bool = False):
+    """(Log(1 - zz), log f, f'/f or None) at the points zz, from one pass over the factors.
 
-    log asks for log f and dlog for f'/f; what is not asked comes back as
-    None, and Log(1 - zz), the prefactor's log, comes with log f.  With
-    real, only the real parts of Log(1 - zz) and log f come back.  zz is
-    an array of points inside the disk.  Each block of _block_rows(zz.size)
-    factors forms its bases 1 - c_j*zz once and takes e_j*Log(base)
-    through _log_into, -(e_j*c_j)/base, or both.  With real, the
-    prefactor and each block whose coefficients are all real take
-    ln|base| alone, with no arctan2: numpy forms Re(e*L) as
-    fma(e.real, L.real, -(e.imag*L.imag)), which rounds to e.real*Re(L)
-    when e.imag == 0.  The work arrays are allocated once per call, in
-    the shape of a block (the last, shorter block writes into their
-    leading rows): the bases, and the Log and ln|w| arrays only when log
-    f is asked.  The terms of f'/f go into a work array that is no longer
-    read, the Log array or else the bases.  Each total is p*Log(1 - zz)
+    Every pass takes log f and Log(1 - zz), the prefactor's log; dlog
+    adds f'/f.  With real, only the real parts of Log(1 - zz) and log f
+    come back.  zz is an array of points inside the disk.  Each block of
+    _block_rows(zz.size) factors forms its bases 1 - c_j*zz once, takes
+    e_j*Log(base) through _log_into and, with dlog, -(e_j*c_j)/base into
+    the Log array, which is no longer read.  With real, the prefactor and
+    each block whose coefficients are all real take ln|base| alone, with
+    no arctan2: numpy forms Re(e*L) as fma(e.real, L.real, -(e.imag*L.imag)),
+    which rounds to e.real*Re(L) when e.imag == 0.  The work arrays are
+    allocated once per call, in the shape of a block (the last, shorter
+    block writes into their leading rows).  Each total is p*Log(1 - zz)
     or -p/(1 - zz) minus the terms, left to right, as one factor at a
     time forms it; subtraction acts on each part alone, so a total of
     real parts has the bits of the complex total's real part.
     """
     one_m_z = 1.0 - zz
-    log_1mz = log_f = dlog_f = None
+    dlog_f = None
     rows = _block_rows(zz.size)
     shape = (min(rows, len(f.nodes)),) + zz.shape
     nodes = f.nodes.reshape((-1,) + (1,) * zz.ndim)
     bases = np.empty(shape, dtype=np.complex128)
-    if log:
-        p, log_1mz, log_mod = f.prefactor, np.empty_like(one_m_z), np.empty(zz.shape)
-        if real and p.imag == 0.0:
-            _log_into(one_m_z, log_1mz, log_mod)
-            log_1mz, log_f = log_mod, p.real * log_mod
-        else:
-            _log_into(one_m_z, log_1mz, log_mod, angles=True)
-            log_f = p * log_1mz
-            if real:
-                log_1mz, log_f = log_1mz.real, log_f.real
-        exponents = f.exponents.reshape(nodes.shape)
-        complex_exponents = (f.exponents.imag != 0.0).tolist()
-        logs, log_mod = np.empty(shape, dtype=np.complex128), np.empty(shape)
+    p, log_1mz, log_mod = f.prefactor, np.empty_like(one_m_z), np.empty(zz.shape)
+    if real and p.imag == 0.0:
+        _log_into(one_m_z, log_1mz, log_mod)
+        log_1mz, log_f = log_mod, p.real * log_mod
+    else:
+        _log_into(one_m_z, log_1mz, log_mod, angles=True)
+        log_f = p * log_1mz
+        if real:
+            log_1mz, log_f = log_1mz.real, log_f.real
+    exponents = f.exponents.reshape(nodes.shape)
+    complex_exponents = (f.exponents.imag != 0.0).tolist()
+    logs, log_mod = np.empty(shape, dtype=np.complex128), np.empty(shape)
     if dlog:
-        dlog_f = -f.prefactor / one_m_z
+        dlog_f = -p / one_m_z
         numerators = f._numerators.reshape(nodes.shape)
     for i in range(0, len(nodes), rows):
         c = nodes[i : i + rows]
         w = bases[: len(c)]
         np.multiply(c, zz, out=w)
         np.subtract(1.0, w, out=w)
-        if log:
-            e, block, mod = exponents[i : i + rows], logs[: len(c)], log_mod[: len(c)]
-            if real and not any(complex_exponents[i : i + rows]):
-                _log_into(w, block, mod)
-                terms = np.multiply(e.real, mod, out=mod)
-            else:
-                _log_into(w, block, mod, angles=True)
-                # e * logs, exponent first: under FMA the other operand order rounds differently
-                terms = np.multiply(e, block, out=block)
-            _fold(log_f, terms.real if real else terms)
+        e, block, mod = exponents[i : i + rows], logs[: len(c)], log_mod[: len(c)]
+        if real and not any(complex_exponents[i : i + rows]):
+            _log_into(w, block, mod)
+            terms = np.multiply(e.real, mod, out=mod)
+        else:
+            _log_into(w, block, mod, angles=True)
+            # e * logs, exponent first: under FMA the other operand order rounds differently
+            terms = np.multiply(e, block, out=block)
+        _fold(log_f, terms.real if real else terms)
         if dlog:
             # subtracting -(e_j*c_j)/(1-c_j*z) rounds as adding e_j*c_j/(1-c_j*z) does
-            _fold(dlog_f, np.divide(numerators[i : i + rows], w, out=block if log else w))
+            _fold(dlog_f, np.divide(numerators[i : i + rows], w, out=block))
     return log_1mz, log_f, dlog_f
 
 
@@ -280,22 +280,17 @@ def eval_log(f: ProductForm, z):
     Powers f**s must always be taken as exp(s * eval_log(f, z)); the
     naive Log(evaluate(f, z)) can jump by 2*pi*i between nearby points.
     """
-    zz, scalar = _as_points(z)
-    out = _factor_sums(f, zz, log=True, dlog=False)[1]
-    return complex(out[0]) if scalar else out
+    return _like(z, _factor_sums(f, _as_points(z))[1])
 
 
 def evaluate(f: ProductForm, z):
     """f(z) = exp(eval_log(f, z))."""
-    out = np.exp(eval_log(f, z))
-    return complex(out) if np.ndim(out) == 0 else out
+    return _like(z, np.exp(eval_log(f, z)))
 
 
 def log_derivative(f: ProductForm, z):
     """Exact f'(z)/f(z) = -p/(1-z) + sum_j e_j*c_j/(1-c_j*z); no differencing."""
-    zz, scalar = _as_points(z)
-    out = _factor_sums(f, zz, log=False, dlog=True)[2]
-    return complex(out[0]) if scalar else out
+    return _like(z, _factor_sums(f, _as_points(z), dlog=True)[2])
 
 
 def transform_class(f: ProductForm, frm: ClassParams, to: ClassParams) -> ProductForm:

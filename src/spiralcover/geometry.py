@@ -25,6 +25,7 @@ from .functions import (
     core_function,
     eval_log,
     evaluate,
+    _like,
     _wedge_exponent,
 )
 from .verification import _QUIET, PASS_TOL, InteriorSpirallikeMap, VerificationReport, _report
@@ -463,7 +464,7 @@ def wedge_margin(exponent: complex, rotation: float, log_w) -> np.ndarray | floa
     """
     theta = (np.asarray(log_w, dtype=np.complex128) / exponent).imag
     out = np.minimum(rotation + math.pi / 2.0 - theta, theta - (rotation - math.pi / 2.0))
-    return float(out) if np.ndim(log_w) == 0 else out
+    return _like(log_w, out)
 
 
 def check_wedge_containment(f: ProductForm, tolerance: float = PASS_TOL) -> VerificationReport:
@@ -512,21 +513,18 @@ class CoveringComposition:
         phi = self.s.phi
         return cmath.exp(1j * phi) * 2.0 * (math.cos(phi) - self.alpha) / (1.0 - self.beta)
 
-    def _core(self, z) -> tuple[np.ndarray, bool]:
-        """(1 - g at the points, whether z is a scalar); Log(1-z) and log s(z)/z from one pass."""
-        log_1mz, log_ratio, scalar = self.s._log_parts(z)
-        return np.exp(log_1mz / self.beta + log_ratio / (self.mu * self.beta)), scalar
+    def _core(self, z) -> np.ndarray:
+        """1 - g at the points z; Log(1-z) and log s(z)/z from one pass."""
+        log_1mz, log_ratio = self.s._log_parts(z)
+        return np.exp(log_1mz / self.beta + log_ratio / (self.mu * self.beta))
 
     def __call__(self, z):
-        core, scalar = self._core(z)
-        out = 1.0 - core
-        return complex(out[0]) if scalar else out
+        return _like(z, 1.0 - self._core(z))
 
     def half_plane_map(self, z):
         """(1-g)/(1+g); covers the right half-plane when g covers the disk."""
-        core, scalar = self._core(z)
-        out = core / (2.0 - core)
-        return complex(out[0]) if scalar else out
+        core = self._core(z)
+        return _like(z, core / (2.0 - core))
 
 
 def covering_composition(

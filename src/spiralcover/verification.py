@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernel import DomainError
-from .functions import ClassParams, ProductForm, _as_points, _block_rows, _factor_sums
+from .functions import ClassParams, ProductForm, _as_points, _block_rows, _factor_sums, _like
 
 __all__ = [
     "GridSpec",
@@ -120,7 +120,7 @@ class GridEvaluation:
             raise ValueError("need at least one point")
         # a fresh errstate: _QUIET only decorates, as its comment says
         with np.errstate(all="ignore"):
-            values = _factor_sums(self.f, _as_points(points)[0], log=True, dlog=True)
+            values = _factor_sums(self.f, _as_points(points), dlog=True)
         for name, value in zip(("points", "log_1mz", "log_f", "dlog_f"), (points, *values)):
             object.__setattr__(self, name, _read_only(value))
 
@@ -230,10 +230,8 @@ def modulus_arg_bounds(params: ClassParams, z):
     |arg| <= (1-beta)*arcsin|z| for every class member.  The |f|
     envelopes only make sense for real mu and are None otherwise.
     """
-    zz = np.asarray(z, dtype=np.complex128)
+    zz = _as_points(z)
     az = np.abs(zz)
-    if not np.all(az < 1):  # NaN fails too
-        raise DomainError("z outside the open unit disk")
     one_m_b = 1.0 - params.beta
     f_lo = f_hi = None
     if params.mu.imag == 0.0:
@@ -242,9 +240,7 @@ def modulus_arg_bounds(params: ClassParams, z):
         f_lo = base / (1.0 + az) ** (m * one_m_b)
         f_hi = base / (1.0 - az) ** (m * one_m_b)
     out = ValueBounds((1.0 - az) ** one_m_b, (1.0 + az) ** one_m_b, one_m_b * np.arcsin(az), f_lo, f_hi)
-    if np.ndim(z) == 0:
-        return ValueBounds(*(None if b is None else float(b) for b in out))
-    return out
+    return ValueBounds(*(None if b is None else _like(z, b) for b in out))
 
 
 class DerivativeBounds(NamedTuple):
@@ -262,10 +258,8 @@ def derivative_bounds(params: ClassParams, z):
     hence never truly negative; it is still clamped at 0 and the raw
     value reported alongside.
     """
-    zz = np.asarray(z, dtype=np.complex128)
+    zz = _as_points(z)
     az = np.abs(zz)
-    if not np.all(az < 1):  # NaN fails too
-        raise DomainError("z outside the open unit disk")
     if not _GRID_CHECKS["derivative-bounds"].applies(params):
         raise DomainError("derivative bounds need real mu in (0, 2]")
     m, beta = params.mu.real, params.beta
@@ -276,7 +270,7 @@ def derivative_bounds(params: ClassParams, z):
     upper = base / (1.0 - az) ** (m * (1.0 - beta)) * (bracket + 1.0 - beta)
     simple_upper = 2.0 * m * power / ((1.0 - az**2) * (1.0 - az) ** (m * (1.0 - beta)))
     out = DerivativeBounds(np.maximum(raw_lower, 0.0), upper, simple_upper, raw_lower)
-    return DerivativeBounds(*map(float, out)) if np.ndim(z) == 0 else out
+    return DerivativeBounds(*(_like(z, b) for b in out))
 
 
 def _value_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
@@ -337,20 +331,16 @@ class InteriorSpirallikeMap:
         return math.cos(self.phi) - self.params.radius * (1.0 - self.params.beta) / 2.0
 
     def _log_parts(self, z):
-        """(Log(1-z), log of s(z)/z, whether z is a scalar), from one pass over the factors."""
-        zz, scalar = _as_points(z)
-        log_1mz, log_f, _ = _factor_sums(self.source, zz, log=True, dlog=False)
-        return log_1mz, log_f - self.params.mu * log_1mz, scalar
+        """(Log(1-z), log of s(z)/z) at the points z, from one pass over the factors."""
+        log_1mz, log_f, _ = _factor_sums(self.source, _as_points(z))
+        return log_1mz, log_f - self.params.mu * log_1mz
 
     def __call__(self, z):
-        _, log_ratio, scalar = self._log_parts(z)
-        out = np.asarray(z, dtype=np.complex128) * np.exp(log_ratio)
-        return complex(out[0]) if scalar else out
+        return _like(z, np.asarray(z, dtype=np.complex128) * np.exp(self._log_parts(z)[1]))
 
     def log_ratio(self, z):
         """Canonical log of s(z)/z = f(z)/(1-z)**mu."""
-        _, out, scalar = self._log_parts(z)
-        return complex(out[0]) if scalar else out
+        return _like(z, self._log_parts(z)[1])
 
     def spiral_margin(self, ev: GridEvaluation) -> np.ndarray:
         """Re(exp(-i*phi)*z*s'/s) - order via z*s'/s = 1 + z*f'/f + mu*z/(1-z).
@@ -397,7 +387,7 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     for i in range(0, len(ts), rows):
         block = ts[i : i + rows]
         shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
-        log_1mz_s, log_f_s, _ = _factor_sums(ev.f, shifted, log=True, dlog=False, real=real)
+        log_1mz_s, log_f_s, _ = _factor_sums(ev.f, shifted, real=real)
         # real parts of complex arrays are strided views: each exp reads a contiguous array,
         # lhs a new one and the right-hand side the block's rows of out
         lhs, margin = np.subtract(log_f_s.real, log_f), out[i : i + rows]

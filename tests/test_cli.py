@@ -635,9 +635,9 @@ class TestSharedEvaluation:
     def passes(self, monkeypatch):
         seen = []
 
-        def spy(f, zz, log, dlog, real=False, _fn=verification._factor_sums):
-            seen.append((zz.shape, log, dlog, real))
-            return _fn(f, zz, log, dlog, real)
+        def spy(f, zz, dlog=False, real=False, _fn=verification._factor_sums):
+            seen.append((zz.shape, dlog, real))
+            return _fn(f, zz, dlog, real)
 
         monkeypatch.setattr(verification, "_factor_sums", spy)
         return seen
@@ -662,8 +662,8 @@ class TestSharedEvaluation:
         src.write_text(dumps(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
         assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
         # one pass over the base grid's factors, with log f and f'/f
-        assert [p[1:] for p in passes if len(p[0]) == 1] == [(True, True, False)]
-        assert [p for p in passes if len(p[0]) == 2] == [((k, 896), True, False, True) for k in shifted]
+        assert [p[1:] for p in passes if len(p[0]) == 1] == [(True, False)]
+        assert [p for p in passes if len(p[0]) == 2] == [((k, 896), False, True) for k in shifted]
 
     @pytest.mark.parametrize("name", ALL_CHECKS)
     def test_check_in_all_matches_check_alone(self, name, example_path, tmp_path):

@@ -303,6 +303,44 @@ def test_empty_point_set_gives_empty_array(evaluation, n):
     assert isinstance(out, np.ndarray) and out.shape == (0,) and out.dtype == np.complex128
 
 
+RULE_PARAMS = ClassParams(1.0, 0.5)
+RULE_MAP = construct(RULE_PARAMS, make_measure([(1j, 0.5), (-1j, 0.5)]))
+RULE_S = sc.InteriorSpirallikeMap(RULE_MAP, RULE_PARAMS)
+RULE_G = sc.CoveringComposition(RULE_S, 0.5, 0.5)
+# every function of evaluation points, each through functions._as_points and, but for
+# GridEvaluation, functions._like
+POINT_EVALUATORS = {
+    "eval_log": lambda z: eval_log(RULE_MAP, z),
+    "evaluate": lambda z: evaluate(RULE_MAP, z),
+    "log_derivative": lambda z: log_derivative(RULE_MAP, z),
+    "interior-map": RULE_S,
+    "log-ratio": RULE_S.log_ratio,
+    "covering-composition": RULE_G,
+    "half-plane-map": RULE_G.half_plane_map,
+    "modulus_arg_bounds": lambda z: sc.modulus_arg_bounds(RULE_PARAMS, z),
+    "derivative_bounds": lambda z: sc.derivative_bounds(RULE_PARAMS, z),
+    "GridEvaluation": lambda z: GridEvaluation(RULE_MAP, z),
+}
+
+
+@pytest.mark.parametrize("name", list(POINT_EVALUATORS))
+def test_one_point_rule(name):
+    evaluator = POINT_EVALUATORS[name]
+    for bad in (complex("nan"), [0.5, math.inf]):
+        with pytest.raises(DomainError, match="non-finite evaluation point"):
+            evaluator(bad)
+    with pytest.raises(DomainError, match="evaluation point outside the open unit disk"):
+        evaluator(1.0)
+    # a scalar is one point, and what comes back is a Python scalar, or a tuple of them
+    out = evaluator(-0.3 + 0.4j)
+    if name == "GridEvaluation":
+        assert out.points.shape == (1,)
+    elif isinstance(out, tuple):
+        assert all(v is None or type(v) is float for v in out)
+    else:
+        assert type(out) is complex
+
+
 class TestEvaluate:
     def test_worked_example_at_origin(self, worked_example):
         f, _ = worked_example
@@ -419,19 +457,14 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("points", list(POINT_SETS))
     @pytest.mark.parametrize("n", [0, ROWS - 1, ROWS, ROWS + 1, 2048])
     def test_one_pass_for_both(self, n, points):
-        # the pass that takes log f and f'/f together gives the bytes of each taken alone
+        # the pass that adds f'/f gives the bytes of the pass without it, and of each sum alone
         f, z = many_factor_map(n), self.POINT_SETS[points]
-        log_1mz, log_f, dlog_f = functions._factor_sums(f, z, log=True, dlog=True)
+        log_1mz, log_f, dlog_f = functions._factor_sums(f, z, dlog=True)
         assert bit_equal(log_1mz, kernel.log_principal(1.0 - z))
         assert bit_equal(log_f, per_factor_log(f, z))
         assert bit_equal(dlog_f, per_factor_log_derivative(f, z))
-        assert bit_equal(functions._factor_sums(f, z, log=True, dlog=False)[1], log_f)
-        assert bit_equal(functions._factor_sums(f, z, log=False, dlog=True)[2], dlog_f)
-
-    @pytest.mark.parametrize("log, dlog", [(True, False), (False, True)])
-    def test_one_quantity_computes_only_that(self, log, dlog):
-        log_1mz, log_f, dlog_f = functions._factor_sums(many_factor_map(20), self.GRID, log, dlog)
-        assert (log_1mz is not None, log_f is not None, dlog_f is not None) == (log, log, dlog)
+        log_only = functions._factor_sums(f, z)
+        assert bit_equal(log_only[0], log_1mz) and bit_equal(log_only[1], log_f) and log_only[2] is None
 
     @pytest.mark.parametrize("points", [GRID, GRID[::9]], ids=["default-grid", "100-points"])
     def test_growth_scan_over_blocks(self, points):
@@ -469,7 +502,7 @@ class TestEvalLogReal:
     @pytest.mark.parametrize("name", list(MAPS))
     def test_equals_real_part_of_eval_log(self, name, points):
         f, z = self.MAPS[name], self.POINTS[points]
-        log_1mz, log_f, dlog_f = functions._factor_sums(f, z, log=True, dlog=False, real=True)
+        log_1mz, log_f, dlog_f = functions._factor_sums(f, z, real=True)
         assert bit_equal(log_f, eval_log(f, z).real)
         assert bit_equal(log_1mz, kernel.log_principal(1.0 - z).real)
         assert dlog_f is None
@@ -484,7 +517,7 @@ class TestEvalLogReal:
             kernel._log_into(w, work, log_mod, angles)
 
         monkeypatch.setattr(functions, "_log_into", spy)
-        functions._factor_sums(f, z, log=True, dlog=False, real=True)
+        functions._factor_sums(f, z, real=True)
         # the prefactor's log, with arctan2 only for a complex prefactor, then one factor
         # per block at 9 x 896 points: Log with arctan2 once per complex exponent
         assert calls[0] == (f.prefactor.imag != 0.0)
