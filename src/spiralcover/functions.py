@@ -168,7 +168,7 @@ def extremal(params: ClassParams, xi: complex) -> ProductForm:
     theorems.
     """
     xi = complex(xi)
-    if abs(abs(xi) - 1.0) > 1e-9:
+    if not abs(abs(xi) - 1.0) <= 1e-9:
         raise DomainError("xi must lie on the unit circle")
     return construct(params, make_measure([(xi, 1.0)]))
 

@@ -28,7 +28,7 @@ from .functions import (
     _like,
     _wedge_exponent,
 )
-from .verification import _QUIET, PASS_TOL, InteriorSpirallikeMap, VerificationReport, _report
+from .verification import PASS_TOL, InteriorSpirallikeMap, VerificationReport, _report
 
 __all__ = [
     "PolyLine",
@@ -84,7 +84,7 @@ class PolyLine:
         return float(math.hypot(re.max() - re.min(), im.max() - im.min()))
 
 
-@_QUIET
+@np.errstate(all="ignore")
 def _curve_values(fn: Callable[[np.ndarray], np.ndarray], rho: float, thetas: np.ndarray) -> np.ndarray:
     """fn at rho*e^{i*theta}; DomainError when a value overflows, with or without a warning."""
     values = np.asarray(fn(rho * np.exp(1j * thetas)), dtype=np.complex128)
@@ -105,13 +105,14 @@ def _adaptive_closed_curve(
 ) -> PolyLine:
     thetas = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
     values = _curve_values(fn, rho, thetas)
-    mods = np.abs(values)
     budget = 16 * n
 
-    for _ in range(64):
+    # up to 64 inserting passes; the iteration after the last one only measures
+    for inserted in range(65):
         # segment k runs from vertex k to vertex k + 1
         seg = _next(values) - values
         chords = np.abs(seg)
+        mods = np.abs(values)
         local = np.maximum(np.maximum(mods, _next(mods)), 1e-12 * mods.max())
         flags = chords > REFINE_TOL * local
 
@@ -126,7 +127,7 @@ def _adaptive_closed_curve(
         flags |= vert_flags | _next(vert_flags)
 
         room = budget - thetas.size
-        if not flags.any() or room <= 0:
+        if inserted == 64 or not flags.any() or room <= 0:
             break
         idx = np.nonzero(flags)[0]
         if idx.size > room:
@@ -140,10 +141,6 @@ def _adaptive_closed_curve(
         order = np.argsort(thetas)
         thetas = thetas[order]
         values = np.concatenate([values, new_values])[order]
-        mods = np.concatenate([mods, np.abs(new_values)])[order]
-    else:
-        # the 64th pass inserted vertices: chords of the final polygon
-        chords = np.abs(_next(values) - values)
 
     scale = mods.max()
     if scale == 0 or np.all(chords <= 1e-15 * scale):
@@ -222,7 +219,7 @@ def _distance_index(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     return start, edge, edge_sq, x_lo, x_hi, y_lo, y_hi
 
 
-@_QUIET
+@np.errstate(all="ignore")
 def _index_distances(blocks: tuple[np.ndarray, ...], pts: np.ndarray, guard: float) -> np.ndarray:
     """Distance from each of pts to the polyline of a _distance_index.
 
@@ -261,7 +258,7 @@ def _index_distances(blocks: tuple[np.ndarray, ...], pts: np.ndarray, guard: flo
     return dists
 
 
-@_QUIET
+@np.errstate(all="ignore")
 def _windings(curve: PolyLine, points) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], float]:
     """Checked samples, their winding numbers around curve, its distance index and guard.
 

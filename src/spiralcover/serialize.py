@@ -19,7 +19,7 @@ from .geometry import PolyLine
 from .measures import AtomicCircleMeasure, _measure
 
 __all__ = [
-    "fmt", "round12", "to_jsonable", "dumps", "dumps_spec",
+    "fmt", "to_jsonable", "dumps", "dumps_spec",
     "load_json", "load_function_spec", "load_measure", "load_render_input",
     "function_spec", "measure_spec", "curve_csv",
 ]
@@ -32,18 +32,14 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def round12(x: float) -> float:
-    return float(fmt(x))
-
-
 def to_jsonable(obj: Any) -> Any:
     """Recursively round floats to 12 significant digits for stable output."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, float):
-        return round12(obj)
+        return float(fmt(obj))
     if isinstance(obj, complex):
-        return [round12(obj.real), round12(obj.imag)]
+        return [float(fmt(obj.real)), float(fmt(obj.imag))]
     if isinstance(obj, dict):
         return {k: to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

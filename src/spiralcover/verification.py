@@ -55,11 +55,6 @@ __all__ = [
 
 PASS_TOL = 1e-9
 INTERIOR_IDENTITY_TOL = 1e-12  # exact algebra: round-off is the only slack
-# the floating-point policy of the grid scan and of the curve values in geometry; one
-# instance decorates them all because no guarded call runs inside another (numpy 1.x
-# cannot nest an errstate instance) and none uses it as a with-block (numpy 2 enters
-# one instance as a context manager at most once)
-_QUIET = np.errstate(all="ignore")
 
 
 @dataclass(frozen=True)
@@ -114,13 +109,12 @@ class GridEvaluation:
     log_f: np.ndarray = field(init=False, repr=False)
     dlog_f: np.ndarray = field(init=False, repr=False)
 
+    @np.errstate(all="ignore")
     def __post_init__(self):
         points = np.array(self.points, dtype=np.complex128).ravel()
         if not points.size:
             raise ValueError("need at least one point")
-        # a fresh errstate: _QUIET only decorates, as its comment says
-        with np.errstate(all="ignore"):
-            values = _factor_sums(self.f, _as_points(points), dlog=True)
+        values = _factor_sums(self.f, _as_points(points), dlog=True)
         for name, value in zip(("points", "log_1mz", "log_f", "dlog_f"), (points, *values)):
             object.__setattr__(self, name, _read_only(value))
 
@@ -443,7 +437,7 @@ _GRID_CHECKS = {
 }
 
 
-@_QUIET
+@np.errstate(all="ignore")
 def _scan(name: str, ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
     """Worst margin of the grid check name over the points, with numpy's floating-point warnings off."""
     check = _GRID_CHECKS[name]

@@ -1,4 +1,4 @@
-"""Shared fixtures: the seeded random population used across suites."""
+"""Shared fixtures: the seeded random population used across suites, and a guard on numpy's error state."""
 
 from __future__ import annotations
 
@@ -93,6 +93,20 @@ def bit_equal(a, b) -> bool:
     a, b = np.asarray(a, dtype=dtype), np.asarray(b, dtype=dtype)
     # ascontiguousarray is at least 1-d, as the int64 view of a complex value needs
     return a.shape == b.shape and np.array_equal(*(np.ascontiguousarray(x).view(np.int64) for x in (a, b)))
+
+
+@pytest.fixture(autouse=True)
+def numpy_error_state_restored():
+    """Every test leaves numpy's floating-point error state as it found it.
+
+    A leak is restored before it is reported, so it fails each test that leaks it
+    and hides no warning from the tests after it.
+    """
+    before = np.geterr()
+    yield
+    after = np.geterr()
+    np.seterr(**before)
+    assert after == before, "numpy's error state leaked out of the test"
 
 
 @pytest.fixture(scope="session")

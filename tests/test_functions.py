@@ -595,6 +595,12 @@ class TestExtremal:
         with pytest.raises(DomainError):
             extremal(ClassParams(1.0, 0.0), 0.9)
 
+    @pytest.mark.parametrize("xi", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    def test_nan_rejected(self, xi):
+        # |xi| is NaN, which compares false both ways: the check must not pass it on
+        with pytest.raises(DomainError, match="xi must lie on the unit circle"):
+            extremal(ClassParams(1.0, 0.5), xi)
+
 
 class TestCanonicalWedge:
     def test_trivial_rotation(self):
