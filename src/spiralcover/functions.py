@@ -41,7 +41,9 @@ __all__ = [
 OMEGA_TOL = 1e-12       # slack on |mu - 1| <= 1
 NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
 # elements per kernel call: factors x points in _factor_sums, and shifts x points
-# per block of the growth scan
+# per block of the growth scan.  A block's complex work array is then at most
+# 128 KiB, glibc's default mmap threshold; larger bounds fault in more pages per
+# call in a fresh process (ROADMAP item 1)
 BLOCK_ELEMENTS = 8192
 
 

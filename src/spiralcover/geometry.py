@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +34,6 @@ __all__ = [
     "PolyLine",
     "boundary_curve",
     "winding_numbers",
-    "contains_point",
     "check_covering",
     "covering_radius",
     "boundary_gap_profile",
@@ -289,18 +288,6 @@ def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.
     pts, wn, blocks, guard = _windings(poly, points)
     dists = _index_distances(blocks, pts, guard)
     return wn, dists < guard, dists
-
-
-def contains_point(f: ProductForm, w: complex, rho: float) -> Optional[bool]:
-    """Whether w lies in the image of the rho-disk; None when indeterminate.
-
-    Univalence turns 'winding equals one' into exact membership, up to
-    the guard distance of boundary_curve(f, rho).
-    """
-    wn, indet, _ = winding_numbers(boundary_curve(f, rho), [w])
-    if indet[0]:
-        return None
-    return bool(wn[0] == 1)
 
 
 def _winding_report(check: str, curve: PolyLine, pts: np.ndarray) -> VerificationReport:

@@ -78,10 +78,6 @@ class AtomicCircleMeasure:
     def __len__(self) -> int:
         return self.points.size
 
-    @property
-    def atoms(self) -> list[Tuple[complex, float]]:
-        return [(complex(p), float(w)) for p, w in zip(self.points, self.weights)]
-
 
 def make_measure(atoms: Iterable[Tuple[complex, float]]) -> AtomicCircleMeasure:
     """Validate, project onto the circle, merge near-duplicates, normalize.
@@ -154,10 +150,10 @@ def dirac_reweight(sigma: AtomicCircleMeasure, r: float, beta1: float) -> Atomic
         raise DomainError("beta1 must lie in [0, 1)")
     scale = r * (1 - beta1) / (1 - r * beta1)
     dirac = (1 - r) / (1 - r * beta1)
-    atoms = [(p, scale * w) for p, w in sigma.atoms]
+    pts, wts = sigma.points, scale * sigma.weights
     if dirac > 0:
-        atoms.append((1.0 + 0.0j, dirac))
-    return make_measure(atoms)
+        pts, wts = np.append(pts, 1.0 + 0.0j), np.append(wts, dirac)
+    return _measure(pts, wts)
 
 
 def random_measure(n: int, seed: int) -> AtomicCircleMeasure:

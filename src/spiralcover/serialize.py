@@ -19,7 +19,7 @@ from .geometry import PolyLine
 from .measures import AtomicCircleMeasure, _measure
 
 __all__ = [
-    "fmt", "to_jsonable", "dumps", "dumps_spec",
+    "fmt", "dumps", "dumps_spec",
     "load_json", "load_function_spec", "load_measure", "load_render_input",
     "function_spec", "measure_spec", "curve_csv",
 ]
@@ -32,7 +32,7 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def to_jsonable(obj: Any) -> Any:
+def _to_jsonable(obj: Any) -> Any:
     """Recursively round floats to 12 significant digits for stable output."""
     if isinstance(obj, bool):
         return obj
@@ -41,15 +41,15 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, complex):
         return [float(fmt(obj.real)), float(fmt(obj.imag))]
     if isinstance(obj, dict):
-        return {k: to_jsonable(v) for k, v in obj.items()}
+        return {k: _to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
+        return [_to_jsonable(v) for v in obj]
     return obj
 
 
 def dumps(obj: Any) -> str:
     """Indented JSON of a report, at 12 significant digits."""
-    return dumps_spec(to_jsonable(obj))
+    return dumps_spec(_to_jsonable(obj))
 
 
 def dumps_spec(obj: Any) -> str:

@@ -987,8 +987,9 @@ class TestRender:
             ({"labels": "abc"}, "'labels' must be a list of strings"),
             ({"wedge": "no"}, "must be true or false"),
             ({"covering_disk": 1}, "must be true or false"),
+            ({"functions": {}}, "'functions' must be a list of function specs"),
         ],
-        ids=["number-label", "null-label", "string-labels", "string-wedge", "number-covering-disk"],
+        ids=["number-label", "null-label", "string-labels", "string-wedge", "number-covering-disk", "object-functions"],
     )
     @pytest.mark.parametrize("suffix", ["svg", "csv"])
     def test_bad_options_rejected(self, options, message, suffix, tmp_path, capsys):

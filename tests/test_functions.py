@@ -179,9 +179,10 @@ class TestConstruct:
         sigma = make_measure([(cmath.exp(1j * angle), w / total) for angle, w in atoms])
         zs = DEFAULT_GRID.points()[::7]
         got = eval_log(construct(ClassParams(mu, beta), sigma), zs)
+        pairs = list(zip(sigma.points.tolist(), sigma.weights.tolist()))
         for z, value in zip(zs, got):
             core = mu * cmath.log(1.0 - z)
-            terms = [w * cmath.log(1.0 - zeta.conjugate() * z) for zeta, w in sigma.atoms]
+            terms = [w * cmath.log(1.0 - zeta.conjugate() * z) for zeta, w in pairs]
             expected = core - mu * (1.0 - beta) * sum(terms)
             size = abs(core) + abs(mu) * (1.0 - beta) * sum(abs(t) for t in terms)
             assert abs(value - expected) <= 1e-12 * size
@@ -199,7 +200,7 @@ def per_atom_measure_form(spec: dict) -> tuple[list, list, complex]:
     atoms = [(float(a["angle"]), float(a["weight"])) for a in spec["measure"]["atoms"]]
     sigma = make_measure([(np.exp(1j * angle), w) for angle, w in atoms])
     mu, beta = params.mu, params.beta
-    facs = [(complex(np.conj(p)), mu * (1.0 - beta) * w) for p, w in sigma.atoms]
+    facs = [(complex(np.conj(p)), mu * (1.0 - beta) * w) for p, w in zip(sigma.points.tolist(), sigma.weights.tolist())]
     return [c for c, _ in facs], [e for _, e in facs], mu
 
 

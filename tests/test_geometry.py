@@ -19,7 +19,6 @@ from spiralcover import (
     check_covering,
     check_wedge_containment,
     construct,
-    contains_point,
     core_function,
     covering_composition,
     covering_radius,
@@ -498,32 +497,35 @@ class TestBoundaryCurve:
 
 
 class TestContainsPoint:
+    # by univalence, w lies in the image of the rho-disk when boundary_curve(f, rho) winds
+    # once around it, up to the curve's guard distance
     def test_center_value_inside(self):
         f = construct(ClassParams(1.0, 0.3), random_measure(3, 21))
-        assert contains_point(f, 1.0, 0.9) is True  # f(0) = 1
+        wn, indeterminate, _ = winding_numbers(boundary_curve(f, 0.9), [1.0])  # f(0) = 1
+        assert wn[0] == 1 and not indeterminate[0]
 
     def test_far_point_outside(self):
-        f = ProductForm(0.6)
-        assert contains_point(f, 11.0, 0.99) is False
+        wn, indeterminate, _ = winding_numbers(boundary_curve(ProductForm(0.6), 0.99), [11.0])
+        assert wn[0] == 0 and not indeterminate[0]
 
     def test_worked_example_covers_core_value(self, worked_example):
         f, _ = worked_example
         w = evaluate(ProductForm(0.6), 0.5)  # core map at z = 0.5
-        assert contains_point(f, w, 0.999) is True
+        wn, indeterminate, _ = winding_numbers(boundary_curve(f, 0.999), [w])
+        assert wn[0] == 1 and not indeterminate[0]
 
-    def test_on_curve_returns_none(self):
-        f = ProductForm(0.6)
-        curve = boundary_curve(f, 0.9)  # the curve contains_point builds
+    def test_on_curve_is_indeterminate(self):
+        curve = boundary_curve(ProductForm(0.6), 0.9)
         edge_mid = (curve.points[0] + curve.points[1]) / 2.0
-        assert contains_point(f, edge_mid, 0.9) is None
+        _, indeterminate, _ = winding_numbers(curve, [edge_mid])
+        assert indeterminate[0]
 
     @pytest.mark.parametrize("re,im", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf), (1.0, math.nan)])
     def test_non_finite_point_rejected(self, re, im):
         bad = complex(re, im)
-        with pytest.raises(DomainError):
-            winding_numbers(regular_ngon(64), [0.1, bad])
-        with pytest.raises(DomainError):
-            contains_point(ProductForm(0.6), bad, 0.9)
+        for curve in (regular_ngon(64), boundary_curve(ProductForm(0.6), 0.9)):
+            with pytest.raises(DomainError):
+                winding_numbers(curve, [0.1, bad])
 
 
 class TestWindingOverflow:
@@ -539,8 +541,6 @@ class TestWindingOverflow:
             warnings.simplefilter(warning_action, RuntimeWarning)
             with pytest.raises(DomainError, match="winding test overflows"):
                 winding_numbers(curve, [1.0, 2.0, 0.5])
-            with pytest.raises(DomainError, match="winding test overflows"):
-                contains_point(self.F, 1.0, 0.999)
             with pytest.raises(DomainError, match="winding test overflows"):
                 check_covering(self.F, self.PARAMS, 0.95, 0.999)
 

@@ -26,7 +26,7 @@ class TestMakeMeasure:
     def test_single_atom(self):
         sigma = make_measure([(1.0, 1.0)])
         assert len(sigma) == 1
-        assert sigma.atoms == [(1.0 + 0.0j, 1.0)]
+        assert list(zip(sigma.points.tolist(), sigma.weights.tolist())) == [(1.0 + 0.0j, 1.0)]
         assert_valid(sigma)
 
     def test_symmetric_pair(self):
@@ -189,7 +189,7 @@ class TestAtomicCircleMeasure:
 
 def weight_at(sigma, point: complex) -> float:
     """Total weight of the atoms of sigma within 1e-12 of point."""
-    return sum(w for p, w in sigma.atoms if abs(p - point) <= 1e-12)
+    return float(sigma.weights[np.abs(sigma.points - point) <= 1e-12].sum())
 
 
 class TestDiracReweight:
@@ -197,7 +197,7 @@ class TestDiracReweight:
         sigma = random_measure(4, 11)
         out = dirac_reweight(sigma, 1.0, 0.3)
         assert len(out) == len(sigma)
-        for p, w in sigma.atoms:
+        for p, w in zip(sigma.points.tolist(), sigma.weights.tolist()):
             assert weight_at(out, p) == pytest.approx(w)
 
     def test_dirac_at_minus_one_splits(self):
