@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: construct, check, distort, cover, radius-table, render.
+Subcommands: construct, check, cover, radius-table, render.
 Exit status 0 means every requested check passed, 1 means a check
 failed, 2 means the input was malformed, inapplicable or too large to
 allocate.  Identical inputs produce byte-identical JSON/CSV output; SVG
@@ -18,30 +18,20 @@ from .kernel import DomainError
 from .functions import boundary_exponent, boundary_rotation
 from .measures import random_measure
 from .verification import _GRID_CHECKS, DEFAULT_GRID, PASS_TOL, GridEvaluation, GridSpec
-from .geometry import (
-    boundary_curve, check_covering, check_wedge_containment, covering_radius, minimize_boundary_gap, wedge_spirals,
-)
+from .geometry import boundary_curve, check_covering, covering_radius, minimize_boundary_gap, wedge_spirals
 from .render import render_svg
 from .serialize import (
     curve_csv, dumps, dumps_spec, fmt, function_spec, load_function_spec, load_json, load_render_input, measure_spec,
 )
 
 
-# CLI name -> (runner (ev, params, tol) -> report, whether `--checks all` runs it for params), in
-# `--checks all` order: verification's grid checks, then wedge-containment, which samples f on
-# |z| = 0.999.  ev is the one GridEvaluation of the invocation; each runner looks its check up by
-# name when called, so wrappers installed on the module names (spiralbench's tracer) see every call.
-CHECKS = {
-    **{name: (check.run, check.applies) for name, check in _GRID_CHECKS.items()},
-    "wedge-containment": (lambda ev, p, tol: check_wedge_containment(ev.f, tolerance=tol), lambda p: True),
-}
-
-
 def _write(path: str | None, text: str) -> None:
+    """text as UTF-8, whatever the locale: to the file at path, or to stdout for None or '-'."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(text.encode("utf-8"))
     else:
-        Path(path).write_text(text)
+        Path(path).write_bytes(text.encode("utf-8"))
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -69,16 +59,19 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     f, params = load_function_spec(load_json(args.input))
     if args.checks == "all":
-        names = [name for name, (_, applies) in CHECKS.items() if applies(params)]
+        checks = [check for check in _GRID_CHECKS.values() if check.applies(params)]
     else:
         names = [n.strip() for n in args.checks.split(",") if n.strip()]
         if not names:
             raise ValueError("no checks named")
         for name in names:
-            if name not in CHECKS:
+            if name not in _GRID_CHECKS:
                 raise ValueError(f"unknown check {name!r}")
-    ev = GridEvaluation(f, _grid_from_args(args).points())
-    reports = [CHECKS[name][0](ev, params, args.tolerance) for name in names]
+        checks = [_GRID_CHECKS[name] for name in names]
+    # one evaluation per set of points a named check reads: the invocation's grid, or a check's own
+    grid = _grid_from_args(args)
+    evs = {spec: GridEvaluation(f, spec.points()) for spec in dict.fromkeys(c.grid or grid for c in checks)}
+    reports = [check.run(evs[check.grid or grid], params, args.tolerance) for check in checks]
     passed = all(r.passed for r in reports)
     _write(args.output, dumps({"checks": [r.to_dict() for r in reports], "passed": passed}))
     return 0 if passed else 1
@@ -165,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
                       ("input", "output", "samples", "seed"), {}),
         "check": (cmd_check, "run verification checks on a function spec",
                   ("input", "output", *grid, "checks"), {}),
-        "distort": (cmd_check, "distortion-theorem suite: check --checks distortion,derivative-disk",
-                    ("input", "output", *grid), dict(checks="distortion,derivative-disk")),
         "cover": (cmd_cover, "covering check against the core map",
                   ("input", "output", "rho", "r-inner", "samples"), dict(samples=256)),
         "radius-table": (cmd_radius_table, "covering radius table (CSV)", ("output", "samples"), dict(samples=64)),

@@ -58,11 +58,12 @@ def dumps_spec(obj: Any) -> str:
 
 
 def load_json(path: str) -> Any:
-    """The JSON value in the file at path; an unreadable, malformed or too deeply nested file raises ValueError."""
+    """The JSON value in the UTF-8 file at path; an unreadable, undecodable, malformed or too deeply nested
+    file raises ValueError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -11,11 +11,11 @@ Every margin is built from three quantities of the map at the points:
 log f, f'/f and Log(1-z).  A GridEvaluation computes all three when it
 is built, in one pass over the factors, and every margin reads the
 same arrays.  Each check is one entry of the table _GRID_CHECKS: the
-name of its report, its margin (one function of a GridEvaluation) and
-the parameters it applies to.  One scan turns an entry into its report
-with numpy's floating-point warnings off: a map that overflows leaves
-a non-finite margin, which raises DomainError whatever the warning
-filters.
+name of its report, its margin (one function of a GridEvaluation), the
+parameters it applies to and, for wedge-containment, the points it is
+sampled at.  One scan turns an entry into its report with numpy's
+floating-point warnings off: a map that overflows leaves a non-finite
+margin, which raises DomainError whatever the warning filters.
 """
 
 from __future__ import annotations
@@ -28,7 +28,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .kernel import DomainError
-from .functions import ClassParams, ProductForm, _as_points, _block_rows, _factor_sums, _like
+from .functions import (
+    ClassParams, ProductForm, _as_points, _block_rows, _factor_sums, _like, boundary_exponent, boundary_rotation,
+)
 
 __all__ = [
     "GridSpec",
@@ -51,6 +53,8 @@ __all__ = [
     "check_interior_identity",
     "growth_margin",
     "check_growth",
+    "wedge_margin",
+    "check_wedge_containment",
 ]
 
 PASS_TOL = 1e-9
@@ -399,15 +403,29 @@ def _worst_growth(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     return growth_margin(ev, params, [cos2 * k / 33.0 for k in range(1, 33)]).min(axis=0)
 
 
+def wedge_margin(exponent: complex, rotation: float, log_w) -> np.ndarray | float:
+    """Signed distance (in matched spiral parameter) of image points to the wedge.
+
+    An image point with canonical log L lies in the wedge exactly when
+    Im(L/exponent) falls in (rotation - pi/2, rotation + pi/2); the
+    margin is the distance to the nearer bounding spiral.
+    """
+    theta = (np.asarray(log_w, dtype=np.complex128) / exponent).imag
+    out = np.minimum(rotation + math.pi / 2.0 - theta, theta - (rotation - math.pi / 2.0))
+    return _like(log_w, out)
+
+
 class _GridCheck(NamedTuple):
     """A check_*, its report's name, its margin (one value per point, nonnegative where the statement holds),
-    the params it applies to, and a tolerance of its own, if any."""
+    the params it applies to, a tolerance of its own, if any, and the points `check` samples it at, if not
+    the invocation's grid."""
 
     function: str
     report: str
     margin: Callable[[GridEvaluation, ClassParams], np.ndarray]
     applies: Callable[[ClassParams], bool] = lambda p: True
     tolerance: float | None = None
+    grid: GridSpec | None = None
 
     def run(self, ev: GridEvaluation, params: ClassParams, tolerance: float) -> VerificationReport:
         """check_*'s report, looked up when called, so wrappers put on it (spiralbench's tracer) see every call."""
@@ -434,6 +452,11 @@ _GRID_CHECKS = {
         "check_interior_identity", "interior-identity", _identity_margin, tolerance=INTERIOR_IDENTITY_TOL
     ),
     "growth": _GridCheck("check_growth", "growth", _worst_growth),
+    "wedge-containment": _GridCheck(
+        "check_wedge_containment", "wedge-containment",
+        lambda ev, p: wedge_margin(boundary_exponent(ev.f), boundary_rotation(ev.f), ev.log_f),
+        grid=GridSpec((0.999,), 512),
+    ),
 }
 
 
@@ -485,3 +508,12 @@ def check_interior_identity(ev: GridEvaluation, params: ClassParams) -> Verifica
 def check_growth(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
     """Worst growth margin over the points, each at the 32 shifts t = 2*cos(phi)*k/33, k = 1..32, of (0, 2*cos(phi))."""
     return _scan("growth", ev, params, tolerance)
+
+
+def check_wedge_containment(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
+    """Image samples of f at the points stay inside the wedge of its own boundary asymptotics.
+
+    `check` samples f at 512 points of |z| = 0.999.  Only containment is
+    asserted; minimality of the wedge is not grid-decidable.
+    """
+    return _scan("wedge-containment", ev, params, tolerance)

@@ -16,7 +16,8 @@ from pathlib import Path
 import pytest
 
 from spiralcover import VerificationReport
-from spiralcover.cli import CHECKS, main
+from spiralcover.cli import main
+from spiralcover.verification import _GRID_CHECKS as CHECKS
 from spiralcover.serialize import dumps_spec, function_spec
 
 BENCH = Path(__file__).resolve().parents[1] / "spiralbench"

@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spiralcover import ClassParams, GridEvaluation, PolyLine, check_derivative_disk, cli, random_measure, verification
-from spiralcover.cli import CHECKS, main
+from spiralcover import (
+    ClassParams, GridEvaluation, GridSpec, PolyLine, check_derivative_disk, cli, random_measure, verification,
+)
+from spiralcover.cli import main
 from spiralcover.render import render_svg
 from spiralcover.serialize import dumps, dumps_spec, function_spec, load_function_spec, measure_spec
 
@@ -37,8 +39,8 @@ OVERFLOW_SPEC = {"mu": 1, "beta": 0.5, "factors": [{"node": [0.5, 0], "exponent"
 # f = (1-z)**-60: finite on |z| = 0.999, up to 1e180, too large for the winding test's products
 WINDING_OVERFLOW_SPEC = {"mu": [1, 0], "beta": 0.5, "prefactor": [-60, 0], "factors": []}
 
-# the `--checks all` order: the grid checks of verification's table, then wedge-containment
-ALL_CHECKS = [*verification._GRID_CHECKS, "wedge-containment"]
+# the `--checks all` order: the entries of verification's table, wedge-containment last
+ALL_CHECKS = list(verification._GRID_CHECKS)
 
 # the six grid checks of spiralbench's wide-measure workload
 WIDE_CHECKS = "membership,distortion,derivative-disk,schwarz,value-bounds,interior-identity"
@@ -250,7 +252,7 @@ class TestLoadSpec:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["construct", "check", "distort", "cover", "render"])
+    @pytest.mark.parametrize("command", ["construct", "check", "cover", "render"])
     def test_deeply_nested_json_is_a_usage_error(self, command, tmp_path, capsys):
         src, out = tmp_path / "deep.json", tmp_path / "out.json"
         src.write_text("[" * 100_000 + "]" * 100_000)
@@ -597,7 +599,8 @@ class TestCheck:
     def check_runs(kind, population):
         """(argv, specs) of one kind of `check` input; every run exits 0."""
         if kind == "distort-readme-example":
-            return ["distort"], [EXAMPLE_SPEC]
+            # recorded when a `distort` subcommand ran these two checks
+            return ["check", "--checks", "distortion,derivative-disk"], [EXAMPLE_SPEC]
         if kind == "readme-example":
             return ["check", "--checks", "all"], [EXAMPLE_SPEC]
         if kind == "population-20":
@@ -643,27 +646,38 @@ class TestSharedEvaluation:
         return seen
 
     @pytest.mark.parametrize(
-        "kind, checks, shifted",
+        "kind, checks, grids, shifted",
         [
-            ("wide-64", WIDE_CHECKS, []),
-            ("readme-example", "membership", []),
+            ("wide-64", WIDE_CHECKS, [896], []),
+            ("readme-example", "membership", [896], []),
             # growth takes Re log f at its shifted points in one pass per block of 9, 9, 9
-            # and 5 shifts of the 896 points, real parts alone as mu = 1 is real
-            ("readme-example", "all", [9, 9, 9, 5]),
-            ("readme-example", "distortion", []),
-            ("readme-example", "growth", [9, 9, 9, 5]),
-            # wedge-containment samples its own ring, and the grid is evaluated all the same
-            ("readme-example", "wedge-containment", []),
+            # and 5 shifts of the 896 points, real parts alone as mu = 1 is real; then
+            # wedge-containment takes its own 512-point ring
+            ("readme-example", "all", [896, 512], [9, 9, 9, 5]),
+            ("readme-example", "distortion", [896], []),
+            ("readme-example", "growth", [896], [9, 9, 9, 5]),
+            # wedge-containment alone reads only its ring, so the grid is not evaluated
+            ("readme-example", "wedge-containment", [512], []),
         ],
         ids=["wide-measure-checks", "membership", "all", "distortion", "growth", "wedge-containment"],
     )
-    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, shifted):
+    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, grids, shifted):
         src = tmp_path / "in.json"
         src.write_text(dumps(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
         assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
-        # one pass over the base grid's factors, with log f and f'/f
-        assert [p[1:] for p in passes if len(p[0]) == 1] == [(True, False)]
+        # one pass over the factors per set of points a named check reads, with log f and f'/f
+        assert [p for p in passes if len(p[0]) == 1] == [((n,), True, False) for n in grids]
         assert [p for p in passes if len(p[0]) == 2] == [((k, 896), False, True) for k in shifted]
+
+    @pytest.mark.parametrize("checks", ["wedge-containment", "all"])
+    def test_wedge_report_ignores_the_grid_flags(self, checks, example_path, tmp_path):
+        reports = []
+        for k, grid in enumerate([[], ["--grid-radii", "0.5"], ["--grid-angles", "3"], SMALL_GRID]):
+            out = tmp_path / f"out{k}.json"
+            assert main(["check", "-i", example_path, "--checks", checks, *grid, "-o", str(out)]) == 0
+            reports.append(json.loads(out.read_text())["checks"][-1])
+        assert reports[0]["check"] == "wedge-containment" and reports[0]["samples"] == 512
+        assert all(r == reports[0] for r in reports)
 
     @pytest.mark.parametrize("name", ALL_CHECKS)
     def test_check_in_all_matches_check_alone(self, name, example_path, tmp_path):
@@ -675,9 +689,10 @@ class TestSharedEvaluation:
         assert alone.read_text() == dumps({"checks": [entry], "passed": entry["passed"]})
 
     def test_cli_checks_are_the_table(self):
-        assert list(CHECKS) == ALL_CHECKS
-        for name, check in verification._GRID_CHECKS.items():
-            assert CHECKS[name] == (check.run, check.applies)
+        # `check` keeps no list of its own: it runs the table's entries, each on the grid it names
+        assert not hasattr(cli, "CHECKS")
+        grids = {name: check.grid for name, check in verification._GRID_CHECKS.items()}
+        assert grids == {**dict.fromkeys(ALL_CHECKS[:-1]), "wedge-containment": GridSpec((0.999,), 512)}
 
     # the |f'| envelopes are stated for real mu in (0, 2]: at its end, inside, just past it
     # within the admissible region's slack, and off the real axis
@@ -691,12 +706,13 @@ class TestSharedEvaluation:
         assert [name for name, c in verification._GRID_CHECKS.items() if not c.applies(params)] == (
             [] if applies else ["derivative-bounds"]
         )
-        # `--checks all` reports in table order, then wedge-containment, and only what applies
+        # `--checks all` reports in table order, wedge-containment last, and only what applies
         src, out = tmp_path / "in.json", tmp_path / "out.json"
         src.write_text(dumps_spec({"mu": [complex(mu).real, complex(mu).imag], "beta": 0.5, "factors": []}))
         assert main(["check", "-i", str(src), "--checks", "all", *SMALL_GRID, "-o", str(out)]) in (0, 1)
         expected = [c.report for name, c in verification._GRID_CHECKS.items() if applies or name != "derivative-bounds"]
-        assert [c["check"] for c in json.loads(out.read_text())["checks"]] == [*expected, "wedge-containment"]
+        assert [c["check"] for c in json.loads(out.read_text())["checks"]] == expected
+        assert expected[-1] == "wedge-containment"
         # named alone, a check that does not apply is a usage error
         out.unlink()
         code = main(["check", "-i", str(src), "--checks", "derivative-bounds", *SMALL_GRID, "-o", str(out)])
@@ -704,15 +720,35 @@ class TestSharedEvaluation:
 
 
 class TestDistort:
+    """The distortion-theorem reports come from `check` alone: `distort` is no command."""
+
     def test_example(self, example_path, tmp_path):
         out = tmp_path / "d.json"
-        assert main(["distort", "-i", example_path, "-o", str(out)]) == 0
+        assert main(["check", "-i", example_path, "--checks", "distortion,derivative-disk", "-o", str(out)]) == 0
         data = json.loads(out.read_text())
         names = [c["check"] for c in data["checks"]]
         assert names == ["distortion-coefficient", "derivative-disk"]
 
+    def test_distort_is_an_unknown_command(self, example_path, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["distort", "-i", example_path, "-o", str(out)])
+        assert exc.value.code == 2
+        assert "invalid choice: 'distort'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCover:
+    def test_overflowing_turn_ratio_is_no_warning(self, tmp_path):
+        # a factor of exponent -192 at |c| = 0.985: on |z| = 0.99, |f| runs from ~1e-308 to ~1e57,
+        # so two adjacent curve segments differ in length by more than the float range
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps({**EXAMPLE_SPEC, "factors": [{"node": [0.9, 0.4], "exponent": [-192, 0.0]}]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["cover", "-i", str(src), "--samples", "32", "-o", str(out)]) == 1
+        assert json.loads(out.read_text())["passed"] is False
+
     def test_example_covering(self, example_path, tmp_path):
         out = tmp_path / "c.json"
         code = main(
@@ -978,6 +1014,40 @@ class TestRender:
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
         assert svg_text(out).count("<path") == 3  # one curve + two spirals
+
+    # the README's no-environment rule for text: files are read and written as UTF-8,
+    # and stdout gets the file's bytes, under a UTF-8 locale and under plain ASCII
+    LOCALES = (
+        {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"},
+        {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+    )
+
+    def test_utf8_label_whatever_the_locale(self, tmp_path):
+        src = tmp_path / "labelled.json"
+        src.write_bytes(json.dumps({"functions": [EXAMPLE_SPEC], "labels": ["λ = 0.6"]}, ensure_ascii=False).encode())
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        env.pop("PYTHONIOENCODING", None)
+        runs = []
+        for k, extra in enumerate(self.LOCALES):
+            out = tmp_path / f"fig{k}.svg"
+            for target in (str(out), "-"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "spiralcover.cli", "render", "-i", str(src), "--samples", "64", "-o", target],
+                    env={**env, **extra},
+                    capture_output=True,
+                )
+                assert proc.returncode == 0, proc.stderr
+            runs.append((out.read_bytes(), proc.stdout))
+        assert "λ = 0.6".encode() in runs[0][0]
+        assert runs[0][0] == runs[0][1]
+        assert runs[1] == runs[0]
+
+    def test_undecodable_input_is_a_usage_error(self, tmp_path, capsys):
+        src, out = tmp_path / "utf16.json", tmp_path / "fig.svg"
+        src.write_bytes(json.dumps({"functions": [EXAMPLE_SPEC], "labels": ["λ"]}, ensure_ascii=False).encode("utf-16"))
+        assert main(["render", "-i", str(src), "-o", str(out)]) == 2
+        assert "cannot read JSON from" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "options, message",

@@ -10,6 +10,7 @@ from spiralcover import (
     ClassParams,
     CoveringComposition,
     DomainError,
+    GridEvaluation,
     InteriorSpirallikeMap,
     PolyLine,
     ProductForm,
@@ -675,13 +676,16 @@ class TestWedgeSpirals:
         margins = wedge_margin(1.0 + 0.8j, 0.5, eval_log(h, z))
         assert np.all(margins > 0)
 
+    # the ring on which `check` samples wedge-containment
+    RING = sc.GridSpec((0.999,), 512).points()
+
     def test_population_wedge_containment(self, population):
         for entry in population[:10]:
-            assert check_wedge_containment(entry.f).passed
+            assert check_wedge_containment(GridEvaluation(entry.f, self.RING), entry.params).passed
 
     def test_worked_example_wedge(self, worked_example):
-        f, _ = worked_example
-        assert check_wedge_containment(f).passed
+        f, params = worked_example
+        assert check_wedge_containment(GridEvaluation(f, self.RING), params).passed
 
 
 class TestCoveringComposition:

@@ -84,3 +84,30 @@ class TestBetweenTSamples:
         src = tmp_path / "in.json"
         src.write_text(dumps(BETWEEN_T_SPEC))
         assert main(["check", "-i", str(src), "--checks", "growth", "-o", str(tmp_path / "out.json")]) != 0
+
+
+# the README worked example declared with beta = 0.6035 in place of 0.6: the default grid's
+# worst class margin, +7.306e-4 at its outer ring z = -0.995, hides a dip below zero nearer
+# the circle, as the margin is harmonic and its infimum lies on |z| = 1
+README_NEAR_MISS_SPEC = {
+    "mu": 1.0,
+    "beta": 0.6035,
+    "factors": [
+        {"node": [0.9, 0.4], "exponent": [0.2, 0.0]},
+        {"node": [0.9, -0.4], "exponent": [0.2, 0.0]},
+    ],
+}
+
+
+class TestReadmeMapNearMiss:
+    F, PARAMS = load_function_spec(README_NEAR_MISS_SPEC)
+
+    def test_class_margin_is_negative_near_minus_one(self):
+        margin = sc.class_margin(sc.GridEvaluation(self.F, -0.9999), self.PARAMS)
+        assert -3.0e-4 < margin.item() < -2.9e-4
+
+    @pytest.mark.xfail(strict=True, reason="the default grid passes a map whose margin dips outside its outer ring")
+    def test_membership_check_does_not_pass(self, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_text(dumps(README_NEAR_MISS_SPEC))
+        assert main(["check", "-i", str(src), "--checks", "membership", "-o", str(tmp_path / "out.json")]) != 0
