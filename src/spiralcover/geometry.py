@@ -296,24 +296,23 @@ def _winding_report(check: str, curve: PolyLine, pts: np.ndarray) -> Verificatio
     so pass/fail follows the sign of the worst margin.  The report counts
     the indeterminate samples.
 
-    Exact distances are taken every ANCHOR_EVERY-th sample and where
-    they can decide the report.  The distance is 1-Lipschitz, so the
-    anchors on either side bound each sample between them, widened for
-    rounding as in _index_distances.  Samples that may be indeterminate
-    or may hold the worst margin get exact distances; every other sample
-    keeps a lower bound on its margin strictly above the worst, so the
-    report equals the one with exact distances everywhere.  Every round
-    queries the one distance index built with the windings.
+    Exact distances, from the one distance index built with the
+    windings, are taken every ANCHOR_EVERY-th sample and where they can
+    decide the report.  The distance is 1-Lipschitz, so the anchors on
+    either side bound each sample, each bound widened by at least the
+    guard for rounding: a sample's bounds meet only where it is exact.
+    Samples that may be indeterminate or may hold the worst margin (a
+    margin lower bound at most the smallest upper bound) get exact
+    distances; every other margin stays strictly above the worst, so
+    the report equals the one with exact distances everywhere.
     """
     pts, wn, blocks, guard = _windings(curve, pts)
     lo, hi = np.full(pts.size, -np.inf), np.full(pts.size, np.inf)
-    exact = np.zeros(pts.size, dtype=bool)
 
     def settle(mask):
-        idx = np.flatnonzero(mask & ~exact)
+        idx = np.flatnonzero(mask & (lo < hi))
         if idx.size:
             lo[idx] = hi[idx] = _index_distances(blocks, pts[idx], guard)
-            exact[idx] = True
 
     index = np.arange(pts.size)
     settle(index % ANCHOR_EVERY == 0)
@@ -327,11 +326,8 @@ def _winding_report(check: str, curve: PolyLine, pts: np.ndarray) -> Verificatio
 
     settle(lo < guard)  # may be indeterminate
     fail = (wn != 1) | (hi < guard)
-    if fail.any():
-        # a failing margin is -max(d, guard); the worst is the largest max(d, guard)
-        settle(fail & (np.maximum(hi, guard) >= max(guard, lo[fail].max())))
-    else:
-        settle(lo <= hi.min())
+    # a failing margin is -max(d, guard): settle every sample whose margin may be the smallest
+    settle(np.where(fail, -np.maximum(hi, guard), lo) <= np.where(fail, -np.maximum(lo, guard), hi).min())
     margins = np.where(fail, -np.maximum(hi, guard), lo)
     return _report(check, margins, pts, 0.0, int(np.count_nonzero(hi < guard)))
 
