@@ -57,13 +57,25 @@ def dumps_spec(obj: Any) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """The JSON object of pairs; a key given twice raises ValueError naming it, as no reader could tell which is meant."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"JSON object has repeated key {reprlib.repr(key)}")
+            seen.add(key)
+    return obj
+
+
 def load_json(path: str) -> Any:
     """The JSON value in the UTF-8 file at path; an unreadable, undecodable, malformed or too deeply nested
-    file raises ValueError."""
+    file, or an object with a repeated key, raises ValueError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except (OSError, UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise ValueError(f"cannot read JSON from {path}: {exc}") from exc
 
 

@@ -358,16 +358,20 @@ def _identity_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
 
 
 def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
-    """RHS - LHS of the spiral growth inequality, one row per shift t of ts.
+    """The rate L(z, t)/t of the spiral growth inequality, one row per shift t of ts.
 
     For 0 < t < 2*cos(arg mu) the point z' = z*(1 - exp(-i*phi)*t) stays
     in the disk and |f| there is controlled by |((1-z')/(1-z))**mu| times
-    (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  Moduli are taken branch
-    safely through exp(Re(log)).  The shifts go in blocks of
-    _block_rows(points) at a time, and each block takes log f(z') and
-    Log(1 - z') from one pass over the factors, for both sides: real
-    parts alone when mu is real.  The bytes equal those of
-    Re(eval_log(f, z')) and Re(mu*(Log(1 - z') - Log(1 - z))).
+    (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  L is the log of that bound
+    less log |f(z')/f(z)|:
+    Re(mu*(Log(1-z') - Log(1-z))) - Re(mu)*(1-beta)*log(1 - t/(2*cos(phi)))
+    - Re(log f(z') - log f(z)), nonnegative exactly where the inequality
+    holds.  As t -> 0+, L/t tends to (|mu|/2) times the class margin, so
+    the rate is comparable across t and across grids.  The shifts go in
+    blocks of _block_rows(points) at a time, and each block takes log f(z')
+    and Log(1 - z') from one pass over the factors: real parts alone when
+    mu is real.  The bytes equal those of Re(eval_log(f, z')) and
+    Re(mu*(Log(1 - z') - Log(1 - z))).
     """
     phi = params.phi
     cos2 = 2.0 * math.cos(phi)
@@ -386,21 +390,21 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
         block = ts[i : i + rows]
         shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
         log_1mz_s, log_f_s, _ = _factor_sums(ev.f, shifted, real=real)
-        # real parts of complex arrays are strided views: each exp reads a contiguous array,
-        # lhs a new one and the right-hand side the block's rows of out
-        lhs, margin = np.subtract(log_f_s.real, log_f), out[i : i + rows]
+        # the block's rows of out take L in place, from Re(mu*ratio) down
+        lhs, rate = np.subtract(log_f_s.real, log_f), out[i : i + rows]
         ratio = np.subtract(log_1mz_s, log_1mz, out=log_1mz_s)
-        np.copyto(margin, np.multiply(mu.real if real else mu, ratio, out=ratio).real)
-        np.exp(lhs, out=lhs)
-        np.exp(margin, out=margin)
-        np.multiply(margin, np.array([[(1.0 - t / cos2) ** power] for t in block]), out=margin)
-        np.subtract(margin, lhs, out=margin)
+        np.copyto(rate, np.multiply(mu.real if real else mu, ratio, out=ratio).real)
+        np.subtract(rate, lhs, out=rate)
+        np.add(rate, np.array([[power * math.log1p(-t / cos2)] for t in block]), out=rate)
+        np.divide(rate, np.array([[t] for t in block]), out=rate)
     return out
 
 
 def _worst_growth(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
+    """The least rate over the 32 sampled t and the t -> 0+ row, (|mu|/2) times the class margin."""
     cos2 = 2.0 * math.cos(params.phi)
-    return growth_margin(ev, params, [cos2 * k / 33.0 for k in range(1, 33)]).min(axis=0)
+    rates = growth_margin(ev, params, [cos2 * k / 33.0 for k in range(1, 33)]).min(axis=0)
+    return np.minimum(rates, 0.5 * params.radius * class_margin(ev, params))
 
 
 def wedge_margin(exponent: complex, rotation: float, log_w) -> np.ndarray | float:
@@ -506,7 +510,8 @@ def check_interior_identity(ev: GridEvaluation, params: ClassParams) -> Verifica
 
 
 def check_growth(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
-    """Worst growth margin over the points, each at the 32 shifts t = 2*cos(phi)*k/33, k = 1..32, of (0, 2*cos(phi))."""
+    """Worst growth rate L(z, t)/t over the points (growth_margin), each at the 32 shifts t = 2*cos(phi)*k/33,
+    k = 1..32, of (0, 2*cos(phi)) and at t -> 0+, where the rate is exactly (|mu|/2) times the class margin."""
     return _scan("growth", ev, params, tolerance)
 
 

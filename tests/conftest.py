@@ -63,7 +63,8 @@ def build_population(count: int = POPULATION_SIZE, seed: int = MASTER_SEED) -> l
 
 
 def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
-    """growth_margin from complex logs: Re(log f(z') - log f(z)) and Re(mu*(Log(1-z') - Log(1-z))).
+    """growth_margin from complex logs: the rate (Re(mu*(Log(1-z') - Log(1-z))) - Re(log f(z') - log f(z))
+    + log1p constant)/t.
 
     The formula whose bytes the real-part scan must reproduce, with no blocks of its
     own: all shifted points z' in one eval_log (or stand-in) call and one log_principal.
@@ -72,10 +73,10 @@ def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
     cos2 = 2.0 * math.cos(params.phi)
     power = -params.mu.real * (1.0 - params.beta)
     shifted = ev.points * np.array([[1.0 - rot * t] for t in ts])
-    lhs = np.exp((eval_log(ev.f, shifted) - ev.log_f).real)
+    lhs = (eval_log(ev.f, shifted) - ev.log_f).real
     log_ratio = params.mu * (sc.log_principal(1.0 - shifted) - ev.log_1mz)
-    rhs = np.exp(log_ratio.real) * np.array([[(1.0 - t / cos2) ** power] for t in ts])
-    return rhs - lhs
+    rows = np.array([[power * math.log1p(-t / cos2)] for t in ts])
+    return (log_ratio.real - lhs + rows) / np.array([[t] for t in ts])
 
 
 def log_modulus(w):

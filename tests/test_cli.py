@@ -260,6 +260,26 @@ class TestLoadSpec:
         assert "cannot read JSON from" in capsys.readouterr().err
         assert not out.exists()
 
+    # a key given twice: the README example read at the second beta would pass membership
+    # (worst margin 0.404) as a map other than the one meant
+    @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (["check", "--checks", "membership"], json.dumps(EXAMPLE_SPEC).replace('"beta": 0.6', '"beta": 0.6, "beta": 0.2'),
+             "beta"),
+            (["check"], '{"mu": 1, "beta": 0.3, "measure": {"atoms": [{"angle": 0.5, "weight": 1, "weight": 0.5}]}}',
+             "weight"),
+            (["render"], '{"functions": [' + json.dumps(EXAMPLE_SPEC) + '], "wedge": true, "wedge": false}', "wedge"),
+        ],
+        ids=["spec", "atom", "render-option"],
+    )
+    def test_repeated_key_is_a_usage_error(self, argv, text, key, tmp_path, capsys):
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(text)
+        assert main([*argv, "-i", str(src), "-o", str(out)]) == 2
+        assert f"repeated key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def json_paths(value, path=()):
     """The path, a tuple of keys and indices, of value and of every value inside it."""
@@ -506,7 +526,6 @@ class TestCheck:
         "schwarz": "schwarz",
         "value-bounds": "value-bounds",
         "derivative-bounds": "derivative-bounds",
-        "growth": "growth",
     }
 
     @pytest.mark.parametrize("warning_action", ["default", "error"])
@@ -521,6 +540,19 @@ class TestCheck:
             assert main(["check", "-i", str(src), "--checks", checks, "-o", str(out)]) == 2
         assert not out.exists()
         assert f"error: {self.OVERFLOWING[checks]}: margin not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("warning_action", ["default", "error"])
+    def test_overflowing_values_fail_growth(self, tmp_path, warning_action):
+        # growth compares logs, which stay finite where f = (1-z)/(1-z/2)**1e300 overflows:
+        # exit 1 and a failing report with a finite rate, and no RuntimeWarning
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps(OVERFLOW_SPEC))
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action, RuntimeWarning)
+            assert main(["check", "-i", str(src), "--checks", "growth", "-o", str(out)]) == 1
+        (report,) = json.loads(out.read_text())["checks"]
+        assert report["check"] == "growth" and report["passed"] is False
+        assert -1e301 < report["worst_margin"] < -1e299
 
     @pytest.mark.parametrize("warning_action", ["default", "error"])
     @pytest.mark.parametrize("checks", ["membership", "distortion", "all"])
@@ -585,14 +617,17 @@ class TestCheck:
     # fine-grid-population-5 (8,194 points, above the 8,192-element block bound, so
     # growth takes one shift per block and every kernel call one factor) was recorded
     # on the same build before growth took its shifted logs from the one factor pass.
+    # The five cases that run growth were re-recorded once more, on the same build,
+    # when growth came to report the rate L(z, t)/t with its exact t -> 0+ row; the
+    # entries of every other check kept their bytes.
     CHECK_DIGESTS = {
-        "readme-example": "1002f5d999d8ec6f82df35c1af1a37f98febda02e0a1a0d2879c85c83cc74bee",
-        "population-20": "2349802fde6d4b23fd9e080e8ea8aa05bf6070f393889fa7ab234fb1ee177104",
-        "real-population-20": "e77a6c549b4d44365833aedaeb24f81d18e7167b4f5ecb13c2ec497de12d7468",
+        "readme-example": "231a7b88856c2897b758a7608085d173f45eb9dcfa00af0760630a277b30710e",
+        "population-20": "981bbce4ae0d2a43198acd2fa04c300ae306ab4b71d2110e599c1054eb69d475",
+        "real-population-20": "6bf3ed8db770929ab5d6994be0435847432794d2f0968bca7c636724a41d6abe",
         "distort-readme-example": "da3bc43b04818d05c9538e7b7b4452c11b21b712b6f72baca983c7355cb8ef41",
         "wide-3": "3c799146ccd3e20f621bcabf4b85093299d307fc3cba4b7172b6ced7083b493a",
-        "custom-grid-population-20": "43783728dc846298e3df0828b0b1e1fc149a8dd895eacab2a56e657ed326c3b5",
-        "fine-grid-population-5": "e514ced8cfd44276df7c206f9cf86f0a78d70cf344df7b2d6a1a51733317476f",
+        "custom-grid-population-20": "a6e6b76ff1dd6c8a03625399a056fd7dacce7c9f69f76d474e9eb28999212cf0",
+        "fine-grid-population-5": "1553b44a9f818821430549e0d936331e73f2b42bd69a42c415c7cd20a06ff136",
     }
 
     @staticmethod

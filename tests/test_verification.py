@@ -96,7 +96,6 @@ class TestOverflow:
         check_schwarz: "schwarz",
         check_value_bounds: "value-bounds",
         check_derivative_value_bounds: "derivative-bounds",
-        check_growth: "growth",
     }
 
     @pytest.mark.parametrize("action", ["default", "error"])
@@ -109,6 +108,19 @@ class TestOverflow:
             with pytest.raises(DomainError, match=f"^{self.OVERFLOWING[check]}: margin not finite"):
                 check(GridEvaluation(f), params)
         assert seen == []
+
+    @pytest.mark.parametrize("action", ["default", "error"])
+    def test_growth_rate_stays_finite(self, action):
+        # growth compares logs, which stay finite where |f| overflows: the map fails with a
+        # finite rate, at most the t -> 0+ row's (|mu|/2) times the class margin, and no warning
+        f, params = load_function_spec(self.SPEC)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter(action, RuntimeWarning)
+            ev = GridEvaluation(f)
+            rep = check_growth(ev, params)
+        assert seen == []
+        assert not rep.passed and math.isfinite(rep.worst_margin)
+        assert rep.worst_margin <= 0.5 * check_membership(ev, params).worst_margin < 0.0
 
 
 class TestClassMargin:
@@ -497,26 +509,31 @@ class TestInteriorSpirallike:
 
 class TestGrowth:
     def test_margin_vanishes_as_t_to_zero(self):
+        # L = t * rate vanishes, and the rate tends to the t -> 0+ row: (|mu|/2) times the
+        # class margin, (1 + z - 2*beta*z)/(1 - z) - beta = 1.5 for the core map at z = 0.5
         params = ClassParams(1.0, 0.5)
         f = core_function(params)
-        assert abs(growth_margin(GridEvaluation(f, 0.5), params, [1e-9])) < 1e-6
+        rate = growth_margin(GridEvaluation(f, 0.5), params, [1e-9]).item()
+        assert abs(rate * 1e-9) < 1e-6
+        assert rate == pytest.approx(0.5 * 1.5, abs=1e-6)
 
     def test_origin_closed_form(self):
+        # at z = 0 both logs of f cancel: the rate is -Re(mu)*(1-beta)*log(1 - t/(2*cos(phi)))/t
         params = ClassParams(0.9 + 0.3j, 0.25)
         f = construct(params, random_measure(4, 15))
         t = 0.7
         cos2 = 2 * math.cos(params.phi)
-        expected = (1 - t / cos2) ** (-params.mu.real * (1 - params.beta)) - 1.0
+        expected = -params.mu.real * (1 - params.beta) * math.log1p(-t / cos2) / t
         assert growth_margin(GridEvaluation(f, 0.0), params, [t]) == pytest.approx(expected)
         assert expected >= 0.0
 
     def test_core_sample_value(self):
-        # frozen oracle: lhs = sqrt(1.5), rhs = 1.5/sqrt(0.75)
+        # frozen oracle: lhs = sqrt(1.5), rhs = 1.5/sqrt(0.75), so L = log(rhs/lhs) at t = 0.5
         params = ClassParams(1.0, 0.5)
         f = core_function(params)
-        expected = 1.5 * 0.75 ** (-0.5) - math.sqrt(1.5)
+        expected = (math.log(1.5 * 0.75 ** (-0.5)) - math.log(math.sqrt(1.5))) / 0.5
         assert growth_margin(GridEvaluation(f, 0.5), params, [0.5]) == pytest.approx(expected)
-        assert expected > 0
+        assert expected == pytest.approx(math.log(2.0))
 
     def test_population_scan(self, population):
         for entry in population[:5]:
