@@ -58,7 +58,7 @@ def dumps_spec(obj: Any) -> str:
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
-    """The JSON object of pairs; a key given twice raises ValueError naming it, as no reader could tell which is meant."""
+    """The JSON object of pairs; a key given twice raises ValueError naming it, as neither value is surely meant."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
         seen = set()

@@ -390,7 +390,7 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
         block = ts[i : i + rows]
         shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
         log_1mz_s, log_f_s, _ = _factor_sums(ev.f, shifted, real=real)
-        # the block's rows of out take L in place, from Re(mu*ratio) down
+        # L goes into the block's rows of out in place, each of its terms a difference of logs at z' and z
         lhs, rate = np.subtract(log_f_s.real, log_f), out[i : i + rows]
         ratio = np.subtract(log_1mz_s, log_1mz, out=log_1mz_s)
         np.copyto(rate, np.multiply(mu.real if real else mu, ratio, out=ratio).real)

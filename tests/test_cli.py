@@ -265,8 +265,8 @@ class TestLoadSpec:
     @pytest.mark.parametrize(
         "argv, text, key",
         [
-            (["check", "--checks", "membership"], json.dumps(EXAMPLE_SPEC).replace('"beta": 0.6', '"beta": 0.6, "beta": 0.2'),
-             "beta"),
+            (["check", "--checks", "membership"],
+             json.dumps(EXAMPLE_SPEC).replace('"beta": 0.6', '"beta": 0.6, "beta": 0.2'), "beta"),
             (["check"], '{"mu": 1, "beta": 0.3, "measure": {"atoms": [{"angle": 0.5, "weight": 1, "weight": 0.5}]}}',
              "weight"),
             (["render"], '{"functions": [' + json.dumps(EXAMPLE_SPEC) + '], "wedge": true, "wedge": false}', "wedge"),

@@ -352,8 +352,8 @@ class TestWindingReportAgainstReference:
 
     def test_exact_distances_only_where_they_decide(self, worked_example, population, monkeypatch):
         # one distance index and one crossing pass per report; every exact distance is
-        # a query of that index, and only a subset of the samples gets one.  The counts
-        # are exact on any machine, so a change that settles more samples fails here
+        # a query of that index, and only a subset of the samples gets one.  Unlike a
+        # timing, the count can be pinned, so a change that settles more samples fails here
         f, params = worked_example
         geometry = sc.geometry
         calls = {"_distance_index": 0, "_crossing_windings": 0}
