@@ -218,11 +218,13 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> None:
 
 
 def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False, real: bool = False):
-    """(Log(1 - zz), log f, f'/f or None) at the points zz, from one pass over the factors.
+    """(Log(1 - zz) or None, log f, f'/f or None) at the points zz, from one pass over the factors.
 
-    Every pass takes log f and Log(1 - zz), the prefactor's log; dlog
-    adds f'/f.  With real, only the real parts of Log(1 - zz) and log f
-    come back.  zz is an array of points inside the disk.  Each block of
+    Every pass takes log f and Log(1 - zz), the prefactor's log, except a
+    real pass without dlog for a zero prefactor: its term is 0, so neither
+    1 - zz nor its log is formed, and None comes back for Log(1 - zz).
+    dlog adds f'/f.  With real, only the real parts of Log(1 - zz) and
+    log f come back.  zz is an array of points inside the disk.  Each block of
     _block_rows(zz.size) factors forms its bases 1 - c_j*zz once, takes
     e_j*Log(base) through _log_into and, with dlog, -(e_j*c_j)/base into
     the Log array, which is no longer read.  With real, the prefactor and
@@ -235,18 +237,21 @@ def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False, real: bool 
     time forms it; subtraction acts on each part alone, so a total of
     real parts has the bits of the complex total's real part.
     """
-    one_m_z = 1.0 - zz
-    dlog_f = None
+    p, log_1mz, dlog_f = f.prefactor, None, None
     rows = _block_rows(zz.size)
     shape = (min(rows, len(f.nodes)),) + zz.shape
     nodes = f.nodes.reshape((-1,) + (1,) * zz.ndim)
     bases = np.empty(shape, dtype=np.complex128)
-    p, log_1mz, log_mod = f.prefactor, np.empty_like(one_m_z), np.empty(zz.shape)
-    if real and p.imag == 0.0:
-        _log_into(one_m_z, log_1mz, log_mod)
-        log_1mz, log_f = log_mod, p.real * log_mod
+    one_m_z = None if real and not dlog and p == 0.0 else 1.0 - zz
+    if one_m_z is None:
+        log_f = np.zeros(zz.shape)
+    elif real and p.imag == 0.0:
+        log_1mz = np.empty(zz.shape)
+        _log_into(one_m_z, np.empty(zz.shape, dtype=np.complex128), log_1mz)
+        log_f = p.real * log_1mz
     else:
-        _log_into(one_m_z, log_1mz, log_mod, angles=True)
+        log_1mz = np.empty(zz.shape, dtype=np.complex128)
+        _log_into(one_m_z, log_1mz, np.empty(zz.shape), angles=True)
         log_f = p * log_1mz
         if real:
             log_1mz, log_f = log_1mz.real, log_f.real

@@ -363,38 +363,31 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
     For 0 < t < 2*cos(arg mu) the point z' = z*(1 - exp(-i*phi)*t) stays
     in the disk and |f| there is controlled by |((1-z')/(1-z))**mu| times
     (1 - t/(2*cos(phi)))**(-Re(mu)*(1-beta)).  L is the log of that bound
-    less log |f(z')/f(z)|:
-    Re(mu*(Log(1-z') - Log(1-z))) - Re(mu)*(1-beta)*log(1 - t/(2*cos(phi)))
-    - Re(log f(z') - log f(z)), nonnegative exactly where the inequality
-    holds.  As t -> 0+, L/t tends to (|mu|/2) times the class margin, so
-    the rate is comparable across t and across grids.  The shifts go in
-    blocks of _block_rows(points) at a time, and each block takes log f(z')
-    and Log(1 - z') from one pass over the factors: real parts alone when
-    mu is real.  The bytes equal those of Re(eval_log(f, z')) and
-    Re(mu*(Log(1 - z') - Log(1 - z))).
+    less log |f(z')/f(z)|; with g = log(f/(1-z)**mu) it is
+    Re g(z) - Re g(z') - Re(mu)*(1-beta)*log(1 - t/(2*cos(phi))),
+    nonnegative exactly where the inequality holds.  As t -> 0+, L/t
+    tends to (|mu|/2) times the class margin, so the rate is comparable
+    across t and across grids.  g(z) comes from the evaluation.  The
+    shifts go in blocks of _block_rows(points), each taking Re g(z') from
+    one real-parts pass over the ratio map f/(1-z)**mu, prefactor p - mu:
+    0 for every member construct builds, so no Log(1 - z') is taken.
     """
     phi = params.phi
     cos2 = 2.0 * math.cos(phi)
     if not all(0.0 < t < cos2 for t in ts):
         raise DomainError("t outside (0, 2*cos(arg mu))")
     rot = cmath.exp(-1j * phi)
-    mu = params.mu
-    power = -mu.real * (1.0 - params.beta)
-    real = mu.imag == 0.0
-    # the points lie in the disk, and |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 keeps z' there
-    log_f = np.ascontiguousarray(ev.log_f.real)
-    log_1mz = np.ascontiguousarray(ev.log_1mz.real) if real else ev.log_1mz
+    power = -params.mu.real * (1.0 - params.beta)
+    ratio = ProductForm(ev.f.prefactor - params.mu, ev.f.factors)
+    g = np.ascontiguousarray((ev.log_f - params.mu * ev.log_1mz).real)
     rows = _block_rows(ev.points.size)
     out = np.empty((len(ts), ev.points.size))
     for i in range(0, len(ts), rows):
         block = ts[i : i + rows]
+        # the points lie in the disk, and |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 keeps z' there
         shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
-        log_1mz_s, log_f_s, _ = _factor_sums(ev.f, shifted, real=real)
-        # L goes into the block's rows of out in place, each of its terms a difference of logs at z' and z
-        lhs, rate = np.subtract(log_f_s.real, log_f), out[i : i + rows]
-        ratio = np.subtract(log_1mz_s, log_1mz, out=log_1mz_s)
-        np.copyto(rate, np.multiply(mu.real if real else mu, ratio, out=ratio).real)
-        np.subtract(rate, lhs, out=rate)
+        # L goes into the block's rows of out in place
+        rate = np.subtract(g, _factor_sums(ratio, shifted, real=True)[1], out=out[i : i + rows])
         np.add(rate, np.array([[power * math.log1p(-t / cos2)] for t in block]), out=rate)
         np.divide(rate, np.array([[t] for t in block]), out=rate)
     return out

@@ -63,20 +63,20 @@ def build_population(count: int = POPULATION_SIZE, seed: int = MASTER_SEED) -> l
 
 
 def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
-    """growth_margin from complex logs: the rate (Re(mu*(Log(1-z') - Log(1-z))) - Re(log f(z') - log f(z))
-    + log1p constant)/t.
+    """growth_margin from complex logs of g = log(f/(1-z)**mu): the rate (Re g(z) - Re g(z') + log1p constant)/t.
 
     The formula whose bytes the real-part scan must reproduce, with no blocks of its
-    own: all shifted points z' in one eval_log (or stand-in) call and one log_principal.
+    own: g(z) from the evaluation, and g at all shifted points z' in one eval_log (or
+    stand-in) call on the ratio map, prefactor p - mu with f's factors.
     """
     rot = cmath.exp(-1j * params.phi)
     cos2 = 2.0 * math.cos(params.phi)
     power = -params.mu.real * (1.0 - params.beta)
     shifted = ev.points * np.array([[1.0 - rot * t] for t in ts])
-    lhs = (eval_log(ev.f, shifted) - ev.log_f).real
-    log_ratio = params.mu * (sc.log_principal(1.0 - shifted) - ev.log_1mz)
+    ratio = sc.ProductForm(ev.f.prefactor - params.mu, ev.f.factors)
+    g = (ev.log_f - params.mu * ev.log_1mz).real
     rows = np.array([[power * math.log1p(-t / cos2)] for t in ts])
-    return (log_ratio.real - lhs + rows) / np.array([[t] for t in ts])
+    return (g - eval_log(ratio, shifted).real + rows) / np.array([[t] for t in ts])
 
 
 def log_modulus(w):

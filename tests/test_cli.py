@@ -463,6 +463,18 @@ class TestCheck:
         assert data["passed"] is False
         assert data["checks"][0]["worst_margin"] < 0
 
+    def test_zero_prefactor_spec_fails_with_a_report(self, tmp_path):
+        # a zero prefactor takes no Log(1 - z) in a real-parts pass, but the grid's evaluation
+        # still has it: distortion and growth's g(z) read it (the ratio map's prefactor is -mu)
+        spec = {"mu": [1, 0], "beta": 0.5, "prefactor": [0, 0], "factors": [{"node": [0.6, 0.7], "exponent": [0.2, 0]}]}
+        path, out = tmp_path / "zero.json", tmp_path / "report.json"
+        path.write_text(dumps(spec))
+        assert main(["check", "-i", str(path), "--checks", "membership,distortion,growth", "-o", str(out)]) == 1
+        data = json.loads(out.read_text())
+        assert data["passed"] is False and len(data["checks"]) == 3
+        f, _ = load_function_spec(spec)
+        assert f.prefactor == 0 and np.all(np.isfinite(GridEvaluation(f).log_1mz))
+
     def test_truncated_json_is_a_usage_error(self, tmp_path):
         path = tmp_path / "trunc.json"
         path.write_text('{"mu": 1.0, "beta"')

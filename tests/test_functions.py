@@ -524,6 +524,24 @@ class TestEvalLogReal:
         assert calls[0] == (f.prefactor.imag != 0.0)
         assert len(calls) == 1 + len(f.factors) and sum(calls[1:]) == kernel_calls
 
+    @pytest.mark.parametrize("points", list(POINTS))
+    def test_zero_prefactor_takes_no_prefactor_log(self, monkeypatch, points):
+        # a real pass forms no 1 - z and takes no log of it for a zero prefactor, whose term is 0;
+        # the complex pass, which a GridEvaluation makes, still returns Log(1 - z)
+        f, z = ProductForm(0.0, self.MAPS["mixed"].factors), self.POINTS[points]
+        shapes = []
+
+        def spy(w, work, log_mod, angles=False):
+            shapes.append(w.shape)
+            kernel._log_into(w, work, log_mod, angles)
+
+        monkeypatch.setattr(functions, "_log_into", spy)
+        log_1mz, log_f, dlog_f = functions._factor_sums(f, z, real=True)
+        assert log_1mz is None and dlog_f is None
+        assert shapes and all(len(s) == z.ndim + 1 for s in shapes)
+        assert bit_equal(log_f, eval_log(f, z).real)
+        assert bit_equal(functions._factor_sums(f, z)[0], kernel.log_principal(1.0 - z))
+
 
 class TestTransformClass:
     def test_identity_transform(self):

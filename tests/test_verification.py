@@ -584,8 +584,41 @@ class TestGrowth:
         monkeypatch.setattr(sc.functions, "_log_into", spy)
         monkeypatch.setattr(sc.functions, "log_principal", refuse)
         growth_margin(ev, entry.real_params, self.t_grid(entry.real_params))
-        # 4 blocks of shifts, each with the prefactor's and every factor's ln|1 - c*z'|
-        assert calls == [False] * 4 * (1 + len(entry.real_f.factors))
+        # 4 blocks of shifts, each with every factor's ln|1 - c*z'|; the ratio map's prefactor
+        # p - mu is 0, so no block takes ln|1 - z'|
+        assert calls == [False] * 4 * len(entry.real_f.factors)
+
+    MAPS = {
+        "member-complex-mu": (ClassParams(0.8 - 0.5j, 0.3), None),
+        "member-real-mu": (ClassParams(1.2, 0.3), None),
+        "complex-prefactor": (ClassParams(0.8 - 0.5j, 0.3), 0.6 + 0.3j),
+        "real-prefactor": (ClassParams(1.2, 0.3), 0.6),
+    }
+
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("name", list(MAPS))
+    def test_kernel_calls_per_prefactor(self, monkeypatch, name, n):
+        # on the default grid a block of shifts takes one factor per kernel call: 4*n calls when
+        # the prefactor is mu, as for every member construct builds, and 4*(n + 1) otherwise
+        params, prefactor = self.MAPS[name]
+        f = construct(params, random_measure(n, 44))
+        if prefactor is not None:
+            f = ProductForm(prefactor, f.factors)
+        ev = GridEvaluation(f)
+        calls = []
+
+        def spy(w, work, log_mod, angles=False):
+            calls.append(w.shape)
+            sc.kernel._log_into(w, work, log_mod, angles)
+
+        def refuse(w):
+            raise AssertionError("log_principal called by the growth scan")
+
+        monkeypatch.setattr(sc.functions, "_log_into", spy)
+        monkeypatch.setattr(sc.functions, "log_principal", refuse)
+        growth_margin(ev, params, self.t_grid(params))
+        assert len(calls) == 4 * (n if prefactor is None else n + 1)
+        assert sum(len(s) == 2 for s in calls) == (0 if prefactor is None else 4)
 
     def test_returns_a_fresh_writable_array(self, population):
         # the work arrays live for one call: a second call, on another map and the same
@@ -616,11 +649,15 @@ class TestGrowth:
         assert bit_equal(growth_margin(ev, params, ts), reference_growth_margin(ev, params, ts))
 
     @pytest.mark.parametrize(
-        "grid, rows",
-        [(sc.DEFAULT_GRID, [9, 9, 9, 5]), (GRIDS["one-shift-per-block"], [1] * 32), (GRIDS["one-block"], [32])],
+        "grid, rows, factors_per_call",
+        [
+            (sc.DEFAULT_GRID, [9, 9, 9, 5], 1),
+            (GRIDS["one-shift-per-block"], [1] * 32, 1),
+            (GRIDS["one-block"], [32], 3),
+        ],
         ids=["default-grid", "one-shift-per-block", "one-block"],
     )
-    def test_blocks_follow_block_elements(self, monkeypatch, grid, rows):
+    def test_blocks_follow_block_elements(self, monkeypatch, grid, rows, factors_per_call):
         params = ClassParams(1.2, 0.3)
         ev = GridEvaluation(construct(params, random_measure(3, 42)), grid.points())
         ev.log_f, ev.log_1mz  # the base grid's logs are shared with the other checks
@@ -632,8 +669,10 @@ class TestGrowth:
 
         monkeypatch.setattr(sc.functions, "_log_into", spy)
         growth_margin(ev, params, self.t_grid(params))
-        # the prefactor's ln|1 - z'|, once per block of shifts; the factors' bases have one axis more
-        assert [s for s in shapes if len(s) == 2] == [(k, ev.points.size) for k in rows]
+        # no prefactor log remains (p - mu = 0), so the factor bases' shapes give the blocks:
+        # (factors, shifts, points), with min(3, max(1, 8192 // (shifts * points))) factors per call
+        m = factors_per_call
+        assert shapes == [(m, k, ev.points.size) for k in rows for _ in range(3 // m)]
 
     @pytest.mark.parametrize("bad", [1.0, -0.6 + 0.8j, 1.5, complex("nan")], ids=["one", "unit-circle", "outside", "nan"])
     def test_points_outside_disk_rejected(self, bad):
