@@ -41,9 +41,10 @@ __all__ = [
 OMEGA_TOL = 1e-12       # slack on |mu - 1| <= 1
 NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
 # elements per kernel call: factors x points in _factor_sums, and shifts x points
-# per block of the growth scan.  A block's complex work array is then at most
-# 128 KiB, glibc's default mmap threshold; larger bounds fault in more pages per
-# call in a fresh process (ROADMAP item 1)
+# per block of the growth scan.  A block holds at least one row of points, so a call
+# takes at most max(8192, points) elements, and up to 8,192 points a block's complex
+# work array is at most 128 KiB, glibc's default mmap threshold; larger bounds fault
+# in more pages per call in a fresh process (ROADMAP item 1)
 BLOCK_ELEMENTS = 8192
 
 
@@ -220,43 +221,41 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> None:
 def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False, real: bool = False):
     """(Log(1 - zz) or None, log f, f'/f or None) at the points zz, from one pass over the factors.
 
-    Every pass takes log f and Log(1 - zz), the prefactor's log, except a
-    real pass without dlog for a zero prefactor: its term is 0, so neither
-    1 - zz nor its log is formed, and None comes back for Log(1 - zz).
-    dlog adds f'/f.  With real, only the real parts of Log(1 - zz) and
-    log f come back.  zz is an array of points inside the disk.  Each block of
-    _block_rows(zz.size) factors forms its bases 1 - c_j*zz once, takes
-    e_j*Log(base) through _log_into and, with dlog, -(e_j*c_j)/base into
-    the Log array, which is no longer read.  With real, the prefactor and
-    each block whose coefficients are all real take ln|base| alone, with
-    no arctan2: numpy forms Re(e*L) as fma(e.real, L.real, -(e.imag*L.imag)),
-    which rounds to e.real*Re(L) when e.imag == 0.  The work arrays are
-    allocated once per call, in the shape of a block (the last, shorter
-    block writes into their leading rows).  Each total is p*Log(1 - zz)
-    or -p/(1 - zz) minus the terms, left to right, as one factor at a
-    time forms it; subtraction acts on each part alone, so a total of
-    real parts has the bits of the complex total's real part.
+    zz is an array of points inside the disk.  A pass takes log f and
+    Log(1 - zz), the prefactor's log, and dlog adds f'/f.  A real pass,
+    which takes no dlog, returns Re log f alone, with None for Log(1 - zz):
+    a zero prefactor adds nothing, so neither 1 - zz nor its log is formed,
+    and any other takes the complex Log and keeps the real part of its
+    term.  Each block of _block_rows(zz.size) factors forms its bases
+    1 - c_j*zz once, takes e_j*Log(base) through _log_into and, with dlog,
+    -(e_j*c_j)/base into the Log array, which is no longer read.  A real
+    pass over a map whose exponents are all real takes ln|base| alone in
+    every block, with no arctan2: numpy forms Re(e*L) as
+    fma(e.real, L.real, -(e.imag*L.imag)), which rounds to e.real*Re(L)
+    when e.imag == 0.  The work arrays are allocated once per call, in the
+    shape of a block (the last, shorter block writes into their leading
+    rows).  Each total is p*Log(1 - zz) or -p/(1 - zz) minus the terms,
+    left to right, as one factor at a time forms it; subtraction acts on
+    each part alone, so a total of real parts has the bits of the complex
+    total's real part, but for the sign of a total of exactly 0 when a
+    zero prefactor's term, which may be -0.0, is left out.
     """
     p, log_1mz, dlog_f = f.prefactor, None, None
     rows = _block_rows(zz.size)
     shape = (min(rows, len(f.nodes)),) + zz.shape
     nodes = f.nodes.reshape((-1,) + (1,) * zz.ndim)
     bases = np.empty(shape, dtype=np.complex128)
-    one_m_z = None if real and not dlog and p == 0.0 else 1.0 - zz
+    one_m_z = None if real and p == 0.0 else 1.0 - zz
     if one_m_z is None:
         log_f = np.zeros(zz.shape)
-    elif real and p.imag == 0.0:
-        log_1mz = np.empty(zz.shape)
-        _log_into(one_m_z, np.empty(zz.shape, dtype=np.complex128), log_1mz)
-        log_f = p.real * log_1mz
     else:
         log_1mz = np.empty(zz.shape, dtype=np.complex128)
         _log_into(one_m_z, log_1mz, np.empty(zz.shape), angles=True)
         log_f = p * log_1mz
-        if real:
-            log_1mz, log_f = log_1mz.real, log_f.real
+    if real:
+        log_1mz, log_f = None, log_f.real
     exponents = f.exponents.reshape(nodes.shape)
-    complex_exponents = (f.exponents.imag != 0.0).tolist()
+    moduli = real and not f.exponents.imag.any()
     logs, log_mod = np.empty(shape, dtype=np.complex128), np.empty(shape)
     if dlog:
         dlog_f = -p / one_m_z
@@ -267,7 +266,7 @@ def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False, real: bool 
         np.multiply(c, zz, out=w)
         np.subtract(1.0, w, out=w)
         e, block, mod = exponents[i : i + rows], logs[: len(c)], log_mod[: len(c)]
-        if real and not any(complex_exponents[i : i + rows]):
+        if moduli:
             _log_into(w, block, mod)
             terms = np.multiply(e.real, mod, out=mod)
         else:

@@ -33,6 +33,16 @@ EXAMPLE_SPEC = {
 
 CORE_SPEC = {"mu": 1.0, "beta": 0.6, "prefactor": [0.6, 0.0], "factors": []}
 
+# a real-mu spec with one real and one complex exponent; it passes membership and growth
+MIXED_EXPONENTS_SPEC = {
+    "mu": 1.0,
+    "beta": 0.1,
+    "factors": [
+        {"node": [0.5, -0.8], "exponent": [0.05, 0.0]},
+        {"node": [-0.2, 0.9], "exponent": [0.04, -0.03]},
+    ],
+}
+
 # f = (1-z)/(1-z/2)**1e300: finite exponent data whose values overflow on every curve
 OVERFLOW_SPEC = {"mu": 1, "beta": 0.5, "factors": [{"node": [0.5, 0], "exponent": [1e300, 0]}]}
 
@@ -631,9 +641,13 @@ class TestCheck:
     # on the same build before growth took its shifted logs from the one factor pass.
     # The five cases that run growth were re-recorded once more, on the same build,
     # when growth came to report the rate L(z, t)/t with its exact t -> 0+ row; the
-    # entries of every other check kept their bytes.
+    # entries of every other check kept their bytes.  core-map and mixed-exponents were
+    # recorded on the same build before growth's real-parts pass came to take the
+    # complex Log for every nonzero prefactor and to choose ln|base| alone once per map.
     CHECK_DIGESTS = {
         "readme-example": "231a7b88856c2897b758a7608085d173f45eb9dcfa00af0760630a277b30710e",
+        "core-map": "9618766e3b7bf7b1afd2c60a70890238c7b947a119d98a2a04f04cdc3de68d8b",
+        "mixed-exponents": "4fde75fce62f4071aceb34a1d1b6064565aafc26d839a8930c136a39a61a0de5",
         "population-20": "981bbce4ae0d2a43198acd2fa04c300ae306ab4b71d2110e599c1054eb69d475",
         "real-population-20": "6bf3ed8db770929ab5d6994be0435847432794d2f0968bca7c636724a41d6abe",
         "distort-readme-example": "da3bc43b04818d05c9538e7b7b4452c11b21b712b6f72baca983c7355cb8ef41",
@@ -644,33 +658,38 @@ class TestCheck:
 
     @staticmethod
     def check_runs(kind, population):
-        """(argv, specs) of one kind of `check` input; every run exits 0."""
+        """The (argv, spec) runs of one kind of `check` input, in digest order; every run exits 0."""
         if kind == "distort-readme-example":
             # recorded when a `distort` subcommand ran these two checks
-            return ["check", "--checks", "distortion,derivative-disk"], [EXAMPLE_SPEC]
+            return [(["check", "--checks", "distortion,derivative-disk"], EXAMPLE_SPEC)]
         if kind == "readme-example":
-            return ["check", "--checks", "all"], [EXAMPLE_SPEC]
+            return [(["check", "--checks", "all"], EXAMPLE_SPEC)]
+        if kind == "core-map":
+            # growth's ratio map has the real prefactor 0.6 - 1 = -0.4
+            return [(["check", "--checks", "all"], CORE_SPEC)]
+        if kind == "mixed-exponents":
+            # one factor per block of growth's shifts on the default grid; on 8 points both
+            # factors, one real exponent and one complex, share a block
+            argv = ["check", "--checks", "membership,growth"]
+            small = ["--grid-radii", "0.5", "--grid-angles", "8"]
+            return [(argv, MIXED_EXPONENTS_SPEC), ([*argv, *small], MIXED_EXPONENTS_SPEC)]
         if kind == "population-20":
-            return ["check", "--checks", "all"], [function_spec(e.f, e.params) for e in population[:20]]
+            return [(["check", "--checks", "all"], function_spec(e.f, e.params)) for e in population[:20]]
         if kind == "real-population-20":
-            return ["check", "--checks", "all"], [function_spec(e.real_f, e.real_params) for e in population[:20]]
+            return [(["check", "--checks", "all"], function_spec(e.real_f, e.real_params)) for e in population[:20]]
         if kind == "wide-3":
-            return ["check", "--checks", WIDE_CHECKS], wide_specs()
+            return [(["check", "--checks", WIDE_CHECKS], spec) for spec in wide_specs()]
         if kind == "fine-grid-population-5":
-            fine = ["--grid-radii", "0.5,0.995", "--grid-angles", "4097"]
-            specs = [
-                function_spec(f, p) for e in population[:5] for f, p in ((e.f, e.params), (e.real_f, e.real_params))
-            ]
-            return ["check", "--checks", "all", *fine], specs
-        grid = ["--grid-radii", "0.2,0.9", "--grid-angles", "33"]
-        specs = [function_spec(e.f, e.params) for e in population[:20]]
-        return ["check", *grid, "--checks", "growth,schwarz,membership"], specs
+            argv = ["check", "--checks", "all", "--grid-radii", "0.5,0.995", "--grid-angles", "4097"]
+            pairs = [(f, p) for e in population[:5] for f, p in ((e.f, e.params), (e.real_f, e.real_params))]
+            return [(argv, function_spec(f, p)) for f, p in pairs]
+        argv = ["check", "--grid-radii", "0.2,0.9", "--grid-angles", "33", "--checks", "growth,schwarz,membership"]
+        return [(argv, function_spec(e.f, e.params)) for e in population[:20]]
 
     @pytest.mark.parametrize("kind", sorted(CHECK_DIGESTS))
     def test_report_bytes_match_recorded_digest(self, kind, population, tmp_path):
-        argv, specs = self.check_runs(kind, population)
         digest = hashlib.sha256()
-        for k, spec in enumerate(specs):
+        for k, (argv, spec) in enumerate(self.check_runs(kind, population)):
             src, out = tmp_path / f"in{k}.json", tmp_path / f"out{k}.json"
             src.write_text(dumps(spec))
             assert main([*argv, "-i", str(src), "-o", str(out)]) == 0

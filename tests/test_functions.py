@@ -446,6 +446,12 @@ class TestBlockedEvaluation:
         assert self.ROWS == 9
         assert len(calls) == 1 + math.ceil(2048 / self.ROWS)
         assert calls[1] == (self.ROWS, self.GRID.size)
+        # above BLOCK_ELEMENTS points, as on CI's 2 x 4097 grid, each call takes one factor
+        # over every point: 8,194 elements, not at most 8,192
+        calls.clear()
+        fine = sc.GridSpec((0.5, 0.995), 4097).points()
+        eval_log(many_factor_map(5), fine)
+        assert calls == [(8194,)] + [(1, 8194)] * 5
 
     POINT_SETS = {
         "scalar": np.array([-0.3 + 0.4j]),
@@ -479,7 +485,12 @@ class TestBlockedEvaluation:
 
 
 class TestEvalLogReal:
-    """_factor_sums with real is Re(eval_log) bit for bit, with arctan2 only for complex coefficients."""
+    """A real pass of _factor_sums is Re(eval_log) bit for bit, with None for Log(1 - z).
+
+    The one exception is the sign of a total of exactly 0 when a zero prefactor is left out.
+    The pass takes arctan2 for a nonzero prefactor and, in every block, for a map with a
+    complex exponent.
+    """
 
     GRID = DEFAULT_GRID.points()
     MAPS = {
@@ -505,12 +516,38 @@ class TestEvalLogReal:
         f, z = self.MAPS[name], self.POINTS[points]
         log_1mz, log_f, dlog_f = functions._factor_sums(f, z, real=True)
         assert bit_equal(log_f, eval_log(f, z).real)
-        assert bit_equal(log_1mz, kernel.log_principal(1.0 - z).real)
-        assert dlog_f is None
+        assert log_1mz is None and dlog_f is None
 
-    @pytest.mark.parametrize("name, kernel_calls", [("real", 0), ("mixed", 1), ("complex", 12)])
-    def test_arctan2_only_for_complex_exponents(self, monkeypatch, name, kernel_calls):
+    NODES = st.builds(lambda r, a: r * cmath.exp(1j * a), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
+    REALS = st.floats(-2.0, 2.0).map(lambda x: complex(x, 0.0))
+    COMPLEXES = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0).filter(lambda y: y != 0.0))
+
+    @given(
+        st.lists(st.tuples(NODES, st.one_of(REALS, COMPLEXES)), max_size=12),
+        st.one_of(st.just(0j), REALS, COMPLEXES),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 1000),
+        st.tuples(st.integers(1, 9), st.integers(1, 1000)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_random_maps_equal_real_part_of_eval_log(self, factors, prefactor, seed, size, block):
+        # up to 9,000 points: one factor per block, a few factors per block, or every factor in one
+        f, rng = ProductForm(prefactor, factors), np.random.default_rng(seed)
+        for shape in [(1,), (size,), block]:
+            z = 0.999 * np.sqrt(rng.random(shape)) * np.exp(2j * math.pi * rng.random(shape))
+            log_1mz, log_f, dlog_f = functions._factor_sums(f, z, real=True)
+            expected = eval_log(f, z).real
+            if prefactor == 0.0:
+                # the left-out zero prefactor's term: where the total is exactly 0, as for f = 1,
+                # Re(0*Log(1 - z)) is -0.0 wherever |1 - z| < 1, and the real pass keeps +0.0
+                log_f, expected = log_f + 0.0, expected + 0.0
+            assert bit_equal(log_f, expected)
+            assert log_1mz is None and dlog_f is None
+
+    @pytest.mark.parametrize("name, complex_exponents", [("real", 0), ("mixed", 1), ("complex", 12)])
+    def test_arctan2_only_for_complex_exponents(self, monkeypatch, name, complex_exponents):
         f, z = self.MAPS[name], self.POINTS["growth-block"]
+        assert np.count_nonzero(f.exponents.imag) == complex_exponents
         calls = []
 
         def spy(w, work, log_mod, angles=False):
@@ -519,10 +556,10 @@ class TestEvalLogReal:
 
         monkeypatch.setattr(functions, "_log_into", spy)
         functions._factor_sums(f, z, real=True)
-        # the prefactor's log, with arctan2 only for a complex prefactor, then one factor
-        # per block at 9 x 896 points: Log with arctan2 once per complex exponent
-        assert calls[0] == (f.prefactor.imag != 0.0)
-        assert len(calls) == 1 + len(f.factors) and sum(calls[1:]) == kernel_calls
+        # the prefactor's Log, with arctan2 as for every nonzero prefactor, then one factor per
+        # block at 9 x 896 points: ln|base| alone when every exponent is real, Log otherwise
+        assert f.prefactor != 0.0 and calls[0] is True
+        assert calls[1:] == [complex_exponents > 0] * len(f.factors)
 
     @pytest.mark.parametrize("points", list(POINTS))
     def test_zero_prefactor_takes_no_prefactor_log(self, monkeypatch, points):

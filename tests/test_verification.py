@@ -562,7 +562,7 @@ class TestGrowth:
     @pytest.mark.parametrize("mu", [1.2, 0.8 - 0.5j], ids=["real-mu", "complex-mu"])
     @pytest.mark.parametrize("prefactor", [0.6, 0.6 + 0.3j], ids=["real-prefactor", "complex-prefactor"])
     def test_prefactor_and_mu_combinations_match_reference(self, mu, prefactor):
-        # ln|1 - z'| alone serves only when both mu and the prefactor are real
+        # the ratio prefactor p - mu is not 0, so every block takes its complex Log(1 - z')
         params = ClassParams(mu, 0.3)
         f = ProductForm(prefactor, ((0.7 - 0.6j, 0.3), (-0.5 + 0.1j, 0.25 + 0.2j)))
         ev, ts = GridEvaluation(f), self.t_grid(params)
