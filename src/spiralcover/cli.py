@@ -35,6 +35,9 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _grid_from_args(args) -> GridSpec:
+    """The grid the --grid-* flags name: DEFAULT_GRID itself, whose points are computed once, if neither is given."""
+    if args.grid_radii is None and args.grid_angles is None:
+        return DEFAULT_GRID
     radii = DEFAULT_GRID.radii
     if args.grid_radii is not None:
         radii = tuple(float(r) for r in args.grid_radii.split(","))
@@ -68,9 +71,14 @@ def cmd_check(args) -> int:
             if name not in _GRID_CHECKS:
                 raise ValueError(f"unknown check {name!r}")
         checks = [_GRID_CHECKS[name] for name in names]
-    # one evaluation per set of points a named check reads: the invocation's grid, or a check's own
+    # one evaluation per set of points a named check reads: the invocation's grid, or a check's own,
+    # which is read for log f alone, so f'/f is taken only on the grid and only if a check reads it
     grid = _grid_from_args(args)
-    evs = {spec: GridEvaluation(f, spec.points()) for spec in dict.fromkeys(c.grid or grid for c in checks)}
+    on_grid = any(c.grid is None for c in checks)
+    evs = {
+        spec: GridEvaluation(f, spec.points(), dlog=on_grid and spec == grid)
+        for spec in dict.fromkeys(c.grid or grid for c in checks)
+    }
     reports = [check.run(evs[check.grid or grid], params, args.tolerance) for check in checks]
     passed = all(r.passed for r in reports)
     _write(args.output, dumps({"checks": [r.to_dict() for r in reports], "passed": passed}))

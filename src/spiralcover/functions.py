@@ -140,6 +140,13 @@ class ProductForm:
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "_numerators", numerators)
 
+    def _with_prefactor(self, p: complex) -> ProductForm:
+        """This map's factors under the finite prefactor p, sharing its checked arrays and factor tuple: no
+        validation and no numerator loop run again."""
+        g = object.__new__(ProductForm)
+        g.__dict__.update(self.__dict__, prefactor=complex(p))
+        return g
+
 
 def construct(params: ClassParams, sigma: AtomicCircleMeasure) -> ProductForm:
     """Class member for an atomic measure: nodes conj(zeta_j), exponents mu*(1-beta)*w_j.

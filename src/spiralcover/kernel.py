@@ -17,7 +17,12 @@ overflows nor underflows.  Against cmath.log each part is within
 writes through _log_into, which callers with work arrays of their own
 also use, and which takes the real part alone, ln|w| with no arctan2,
 for callers that read no imaginary part; so each quantity has one code
-path and one domain check.
+path and one domain check.  _log_into sets no floating-point error
+state: the factor pass gives it only bases 1 - c*z with
+|c| <= 1 + 1e-12 and |z| < 1, so |w| < 2 + 1e-12 and no square can
+overflow.  log_principal, which takes any argument, turns overflow
+warnings off itself, so an overflowing square reaches the domain check
+as inf.
 """
 
 from __future__ import annotations
@@ -42,11 +47,12 @@ def _log_into(w: np.ndarray, work: np.ndarray, log_mod: np.ndarray, angles: bool
     float64 array of that shape; work must not share memory with w.  work
     first takes the squares of w's float64 view, whose pairs add to
     x*x + y*y bit for bit.  With angles true, log_mod is left holding
-    w.imag + 0.0.
+    w.imag + 0.0.  No error state is set here, so w must not overflow
+    when squared: the factor pass's bases have |w| < 2 + 1e-12, and
+    log_principal turns overflow warnings off for any other argument.
     """
-    with np.errstate(over="ignore"):
-        squares = np.square(w.view(np.float64), out=work.view(np.float64))
-        np.add(squares[..., ::2], squares[..., 1::2], out=log_mod)
+    squares = np.square(w.view(np.float64), out=work.view(np.float64))
+    np.add(squares[..., ::2], squares[..., 1::2], out=log_mod)
     # one min and one max decide the domain (NaN fails both comparisons);
     # which message applies is worked out only once it has failed
     if log_mod.size and not (_MIN_SQ <= log_mod.min() and log_mod.max() <= _MAX_SQ):
@@ -63,6 +69,7 @@ def _log_into(w: np.ndarray, work: np.ndarray, log_mod: np.ndarray, angles: bool
         np.arctan2(log_mod, w.real, out=work.imag)
 
 
+@np.errstate(over="ignore")
 def log_principal(w):
     """Principal logarithm ln|w| + i*arg(w) with arg(w) in (-pi, pi].
 

@@ -9,6 +9,7 @@ round-trip precision, so loading them gives back the same floats.
 from __future__ import annotations
 
 import json
+import math
 import reprlib
 from typing import Any
 
@@ -32,29 +33,71 @@ def fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _to_jsonable(obj: Any) -> Any:
-    """Recursively round floats to 12 significant digits for stable output."""
-    if isinstance(obj, bool):
-        return obj
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _key(key) -> str:
+    """A dict key as json writes it: a str as it is, a float, int, bool or None as its JSON text, quoted."""
+    if isinstance(key, str):
+        return _escape(key)
+    if isinstance(key, (float, int)) or key is None:
+        return _escape(_text(key, False, "", None))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _text(obj: Any, report: bool, indent: str, path: set | None) -> str:
+    """obj as json.dumps(obj, indent=2, allow_nan=False) writes it, its lines after the first at indent.
+
+    For a report, floats go to 12 significant digits first and a complex
+    value is the pair [re, im].  path holds the ids of the lists and
+    dicts being written, for json's ValueError on a value that holds
+    itself; dumps passes None, and such a report raises RecursionError.
+    """
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
     if isinstance(obj, float):
-        return float(fmt(obj))
-    if isinstance(obj, complex):
-        return [float(fmt(obj.real)), float(fmt(obj.imag))]
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    return obj
+        x = float(fmt(obj)) if report else obj
+        if not math.isfinite(x):  # json's ValueError without allow_nan
+            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+        return float.__repr__(x)
+    if report and isinstance(obj, complex):
+        obj = [float(fmt(obj.real)), float(fmt(obj.imag))]
+    is_list = isinstance(obj, (list, tuple))
+    if not (is_list or isinstance(obj, dict)):
+        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+    if not obj:
+        return "[]" if is_list else "{}"
+    if path is not None:
+        if id(obj) in path:
+            raise ValueError("Circular reference detected")
+        path.add(id(obj))
+    inner = indent + "  "
+    if is_list:
+        items = [_text(v, report, inner, path) for v in obj]
+    else:
+        items = [f"{_key(k)}: {_text(v, report, inner, path)}" for k, v in obj.items()]
+    if path is not None:
+        path.discard(id(obj))
+    body = (",\n" + inner).join(items)
+    return f"[\n{inner}{body}\n{indent}]" if is_list else f"{{\n{inner}{body}\n{indent}}}"
 
 
 def dumps(obj: Any) -> str:
     """Indented JSON of a report, at 12 significant digits."""
-    return dumps_spec(_to_jsonable(obj))
+    return _text(obj, True, "", None) + "\n"
 
 
 def dumps_spec(obj: Any) -> str:
     """Indented JSON at round-trip precision; NaN and infinities raise ValueError, as JSON has no form for them."""
-    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    return _text(obj, False, "", set()) + "\n"
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:

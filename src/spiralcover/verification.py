@@ -8,14 +8,15 @@ default tolerance PASS_TOL sits orders of magnitude above
 double-precision round-off.
 
 Every margin is built from three quantities of the map at the points:
-log f, f'/f and Log(1-z).  A GridEvaluation computes all three when it
-is built, in one pass over the factors, and every margin reads the
-same arrays.  Each check is one entry of the table _GRID_CHECKS: the
-name of its report, its margin (one function of a GridEvaluation), the
+log f, f'/f and Log(1-z).  A GridEvaluation computes them when it is
+built, in one pass over the factors, and every margin reads the same
+arrays.  Each check is one entry of the table _GRID_CHECKS: the name of
+its report, its margin (one function of a GridEvaluation), the
 parameters it applies to and, for wedge-containment, the points it is
-sampled at.  One scan turns an entry into its report with numpy's
-floating-point warnings off: a map that overflows leaves a non-finite
-margin, which raises DomainError whatever the warning filters.
+sampled at, whose pass takes no f'/f, as its margin reads none.  One
+scan turns an entry into its report with numpy's floating-point
+warnings off: a map that overflows leaves a non-finite margin, which
+raises DomainError whatever the warning filters.
 """
 
 from __future__ import annotations
@@ -81,17 +82,22 @@ class GridSpec:
             raise ValueError("need at least one angle per ring")
 
     def points(self) -> np.ndarray:
-        theta = np.linspace(0.0, 2.0 * np.pi, self.angles_per_ring, endpoint=False)
-        ring = np.exp(1j * theta)
-        return (np.asarray(self.radii)[:, None] * ring[None, :]).ravel()
-
-
-DEFAULT_GRID = GridSpec()
+        """The points, ring by ring: computed on the first call, which then returns the same read-only array."""
+        points = self.__dict__.get("_points")
+        if points is None:
+            theta = np.linspace(0.0, 2.0 * np.pi, self.angles_per_ring, endpoint=False)
+            ring = np.exp(1j * theta)
+            points = _read_only((np.asarray(self.radii)[:, None] * ring[None, :]).ravel())
+            object.__setattr__(self, "_points", points)  # not a field: equality and hashing stay on the two
+        return points
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+DEFAULT_GRID = GridSpec()
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,27 +106,29 @@ class GridEvaluation:
 
     The points (the default grid unless given; a scalar is one point) are
     kept as a 1-d complex copy, and there must be at least one: a scan of
-    no points has no worst margin.  The three arrays come from one pass
-    over the factors, with numpy's floating-point warnings off as in the
+    no points has no worst margin.  The arrays come from one pass over
+    the factors, with numpy's floating-point warnings off as in the
     checks: a value that overflows is left non-finite, for the margin
-    that reads it to report.  All four arrays are read-only, because
-    every margin reads the same ones.
+    that reads it to report.  With dlog false the pass takes no f'/f and
+    dlog_f is None, for checks that read log f and Log(1-z) alone.  The
+    arrays are read-only, because every margin reads the same ones.
     """
 
     f: ProductForm
     points: np.ndarray = field(default_factory=DEFAULT_GRID.points)
+    dlog: bool = True
     log_1mz: np.ndarray = field(init=False, repr=False)
     log_f: np.ndarray = field(init=False, repr=False)
-    dlog_f: np.ndarray = field(init=False, repr=False)
+    dlog_f: np.ndarray | None = field(init=False, repr=False)
 
     @np.errstate(all="ignore")
     def __post_init__(self):
         points = np.array(self.points, dtype=np.complex128).ravel()
         if not points.size:
             raise ValueError("need at least one point")
-        values = _factor_sums(self.f, _as_points(points), dlog=True)
+        values = _factor_sums(self.f, _as_points(points), dlog=self.dlog)
         for name, value in zip(("points", "log_1mz", "log_f", "dlog_f"), (points, *values)):
-            object.__setattr__(self, name, _read_only(value))
+            object.__setattr__(self, name, value if value is None else _read_only(value))
 
 
 @dataclass(frozen=True)
@@ -378,18 +386,21 @@ def growth_margin(ev: GridEvaluation, params: ClassParams, ts) -> np.ndarray:
         raise DomainError("t outside (0, 2*cos(arg mu))")
     rot = cmath.exp(-1j * phi)
     power = -params.mu.real * (1.0 - params.beta)
-    ratio = ProductForm(ev.f.prefactor - params.mu, ev.f.factors)
+    ratio = ev.f._with_prefactor(ev.f.prefactor - params.mu)
     g = np.ascontiguousarray((ev.log_f - params.mu * ev.log_1mz).real)
+    # one (len(ts), 1) column each of the shift factors, the log1p constants and the t, sliced per block
+    scales = np.array([[1.0 - rot * t] for t in ts])
+    consts = np.array([[power * math.log1p(-t / cos2)] for t in ts])
+    steps = np.array([[t] for t in ts])
     rows = _block_rows(ev.points.size)
     out = np.empty((len(ts), ev.points.size))
     for i in range(0, len(ts), rows):
-        block = ts[i : i + rows]
         # the points lie in the disk, and |1 - rot*t|**2 = 1 - 2t*cos(phi) + t**2 < 1 keeps z' there
-        shifted = ev.points * np.array([[1.0 - rot * t] for t in block])
+        shifted = ev.points * scales[i : i + rows]
         # L goes into the block's rows of out in place
         rate = np.subtract(g, _factor_sums(ratio, shifted, real=True)[1], out=out[i : i + rows])
-        np.add(rate, np.array([[power * math.log1p(-t / cos2)] for t in block]), out=rate)
-        np.divide(rate, np.array([[t] for t in block]), out=rate)
+        np.add(rate, consts[i : i + rows], out=rate)
+        np.divide(rate, steps[i : i + rows], out=rate)
     return out
 
 
@@ -415,7 +426,8 @@ def wedge_margin(exponent: complex, rotation: float, log_w) -> np.ndarray | floa
 class _GridCheck(NamedTuple):
     """A check_*, its report's name, its margin (one value per point, nonnegative where the statement holds),
     the params it applies to, a tolerance of its own, if any, and the points `check` samples it at, if not
-    the invocation's grid."""
+    the invocation's grid.  A margin on points of its own reads log f and Log(1-z) alone, not f'/f, so
+    `check` evaluates those points with dlog false."""
 
     function: str
     report: str

@@ -80,11 +80,16 @@ def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
 
 
 def log_modulus(w):
-    """ln|w| through _log_into with angles off, as the growth scan takes it, into fresh arrays."""
+    """ln|w| through _log_into with angles off, as the growth scan takes it, into fresh arrays.
+
+    _log_into sets no error state, as the factor pass's bases cannot overflow when squared;
+    out-of-domain w such as 1e200j can, so overflow is off here, as log_principal has it.
+    """
     arr = np.asarray(w, dtype=np.complex128)
     flat = np.ascontiguousarray(arr)
     out = np.empty(flat.shape)
-    _log_into(flat, np.empty(flat.shape, dtype=np.complex128), out)
+    with np.errstate(over="ignore"):
+        _log_into(flat, np.empty(flat.shape, dtype=np.complex128), out)
     return out.item() if arr.ndim == 0 else out
 
 

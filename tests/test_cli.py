@@ -18,7 +18,7 @@ from spiralcover import (
 )
 from spiralcover.cli import main
 from spiralcover.render import render_svg
-from spiralcover.serialize import dumps, dumps_spec, function_spec, load_function_spec, measure_spec
+from spiralcover.serialize import dumps, dumps_spec, fmt, function_spec, load_function_spec, measure_spec
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -357,7 +357,73 @@ class TestReaderProperty:
             assert out.exists() == (code != 2)
 
 
+def report_oracle(obj):
+    """The value json.dumps writes for a report: floats at 12 significant digits, complex values as [re, im]."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(fmt(obj))
+    if isinstance(obj, complex):
+        return [float(fmt(obj.real)), float(fmt(obj.imag))]
+    if isinstance(obj, dict):
+        return {k: report_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [report_oracle(v) for v in obj]
+    return obj
+
+
+def outcome(write, value):
+    """The text write gives for value, or the type of what it raises."""
+    try:
+        return write(value)
+    except Exception as exc:
+        return type(exc)
+
+
+def json_text(value):
+    return json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+
+WRITER_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+WRITER_KEYS = st.text(max_size=6) | st.sampled_from(["", "\x00", "\x1f", "\x7f", "\"", "\\", "é", "\u2028", "😀"])
+WRITER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | WRITER_FLOATS | st.text(max_size=6)
+    | st.complex_numbers(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(WRITER_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
 class TestDumps:
+    """dumps and dumps_spec write in one pass the text json.dumps(..., indent=2) writes, or raise as it does."""
+
+    @given(WRITER_VALUES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json(self, value):
+        assert outcome(dumps, value) == outcome(lambda v: json_text(report_oracle(v)), value)
+        assert outcome(dumps_spec, value) == outcome(json_text, value)
+
+    @pytest.mark.parametrize(
+        "key", [3, -0.0, 1e308, 5e-324, True, False, None, float("nan"), (1, 2), 1j, b"k"],
+        ids=["int", "neg-zero", "big", "subnormal", "true", "false", "none", "nan", "tuple", "complex", "bytes"],
+    )
+    def test_keys_as_json_writes_them(self, key):
+        for write, oracle in ((dumps, report_oracle), (dumps_spec, lambda v: v)):
+            assert outcome(write, {key: 1.25}) == outcome(lambda v: json_text(oracle(v)), {key: 1.25})
+
+    def test_value_that_holds_itself(self):
+        held = [1.0]
+        held.append({"again": held})
+        for write, oracle in ((dumps, report_oracle), (dumps_spec, lambda v: v)):
+            assert outcome(write, held) == outcome(lambda v: json_text(oracle(v)), held)
+
+    def test_numpy_scalars(self):
+        value = {"f": np.float64(0.1) * 3, "c": np.complex128(1 / 3 - 2j), "i": np.int64(3), "b": np.bool_(True)}
+        for write, oracle in ((dumps, report_oracle), (dumps_spec, lambda v: v)):
+            for key in value:
+                assert outcome(write, {key: value[key]}) == outcome(lambda v: json_text(oracle(v)), {key: value[key]})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("inf"))])
     def test_rejects_non_finite(self, value):
         with pytest.raises(ValueError):
@@ -714,16 +780,16 @@ class TestSharedEvaluation:
     @pytest.mark.parametrize(
         "kind, checks, grids, shifted",
         [
-            ("wide-64", WIDE_CHECKS, [896], []),
-            ("readme-example", "membership", [896], []),
+            ("wide-64", WIDE_CHECKS, [(896, True)], []),
+            ("readme-example", "membership", [(896, True)], []),
             # growth takes Re log f at its shifted points in one pass per block of 9, 9, 9
             # and 5 shifts of the 896 points, real parts alone as mu = 1 is real; then
-            # wedge-containment takes its own 512-point ring
-            ("readme-example", "all", [896, 512], [9, 9, 9, 5]),
-            ("readme-example", "distortion", [896], []),
-            ("readme-example", "growth", [896], [9, 9, 9, 5]),
+            # wedge-containment takes log f alone on its own 512-point ring
+            ("readme-example", "all", [(896, True), (512, False)], [9, 9, 9, 5]),
+            ("readme-example", "distortion", [(896, True)], []),
+            ("readme-example", "growth", [(896, True)], [9, 9, 9, 5]),
             # wedge-containment alone reads only its ring, so the grid is not evaluated
-            ("readme-example", "wedge-containment", [512], []),
+            ("readme-example", "wedge-containment", [(512, False)], []),
         ],
         ids=["wide-measure-checks", "membership", "all", "distortion", "growth", "wedge-containment"],
     )
@@ -731,9 +797,34 @@ class TestSharedEvaluation:
         src = tmp_path / "in.json"
         src.write_text(dumps(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
         assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
-        # one pass over the factors per set of points a named check reads, with log f and f'/f
-        assert [p for p in passes if len(p[0]) == 1] == [((n,), True, False) for n in grids]
+        # one pass over the factors per set of points a named check reads, with f'/f on the grid alone
+        assert [p for p in passes if len(p[0]) == 1] == [((n,), dlog, False) for n, dlog in grids]
         assert [p for p in passes if len(p[0]) == 2] == [((k, 896), False, True) for k in shifted]
+
+    @pytest.mark.parametrize("name", [name for name, c in verification._GRID_CHECKS.items() if c.grid is not None])
+    def test_own_grid_reads_no_dlog(self, name, population):
+        # `check` evaluates a check's own grid with dlog false: its margin reads no f'/f
+        check = verification._GRID_CHECKS[name]
+        for entry in population[:25]:
+            for f, params in ((entry.f, entry.params), (entry.real_f, entry.real_params)):
+                evs = [GridEvaluation(f, check.grid.points(), dlog=dlog) for dlog in (True, False)]
+                assert evs[1].dlog_f is None
+                reports = [dumps(check.run(ev, params, verification.PASS_TOL).to_dict()) for ev in evs]
+                assert reports[0] == reports[1]
+
+    def test_no_flag_is_the_default_grid(self):
+        # DEFAULT_GRID itself, whose points are computed once per process
+        args = cli._PARSER.parse_args(["check", "-i", "in.json"])
+        assert cli._grid_from_args(args) is verification.DEFAULT_GRID
+        args = cli._PARSER.parse_args(["check", "-i", "in.json", "--grid-angles", "128"])
+        assert cli._grid_from_args(args) == verification.DEFAULT_GRID
+
+    def test_unread_grid_is_not_computed(self, example_path, tmp_path):
+        # 1e15 points could not be allocated; wedge-containment alone reads only its ring
+        out = tmp_path / "out.json"
+        argv = ["check", "-i", example_path, "--checks", "wedge-containment", "--grid-angles", "1000000000000000"]
+        assert main([*argv, "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["checks"][0]["samples"] == 512
 
     @pytest.mark.parametrize("checks", ["wedge-containment", "all"])
     def test_wedge_report_ignores_the_grid_flags(self, checks, example_path, tmp_path):

@@ -133,6 +133,16 @@ class TestProductForm:
             pairs[:] = 0.0  # the form keeps its own copy
             assert g == e.f and same_bits(g.nodes, e.f.nodes) and same_bits(g.exponents, e.f.exponents)
 
+    def test_with_prefactor_is_the_checked_form(self, population, worked_example):
+        # growth's ratio map: the same form as one built and checked afresh, sharing the checked arrays
+        for f in [worked_example[0], ProductForm(0.6)] + [e.f for e in population[:20]]:
+            for p in (0.0, f.prefactor - 1.0, -0.4 + 0.25j):
+                g = f._with_prefactor(p)
+                assert type(g) is ProductForm and g == ProductForm(p, f.factors)
+                assert type(g.prefactor) is complex and g.prefactor == p
+                assert g.factors is f.factors and g.nodes is f.nodes and g.exponents is f.exponents
+                assert g._numerators is f._numerators
+
 
 class TestConstruct:
     def test_dirac_at_one_collapses_to_power(self):

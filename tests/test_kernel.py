@@ -1,12 +1,14 @@
 import cmath
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spiralcover import DomainError, log_principal
+from spiralcover import DomainError, ProductForm, log_principal
+from spiralcover.functions import NODE_TOL, _factor_sums
 
 from conftest import log_modulus
 
@@ -177,3 +179,35 @@ class TestLogModulus:
         out = log_modulus(np.array([], dtype=np.complex128))
         assert out.shape == (0,)
         assert out.dtype == np.float64
+
+
+class TestFactorPassPrecondition:
+    """_log_into sets no error state: the factor pass's bases 1 - c*z have |c| <= 1 + NODE_TOL and |z| < 1,
+    so |1 - c*z| < 2 + 1e-12 and no square overflows, even at the edge of both ranges."""
+
+    # nodes of modulus exactly 1 + NODE_TOL, and points of modulus exactly nextafter(1, 0)
+    EDGE = 1.0 + NODE_TOL
+    NODES = (-EDGE, EDGE * 1j, -EDGE * 1j, EDGE)
+    POINTS = np.nextafter(1.0, 0.0) * np.array([1.0, -1.0, 1j, -1j])
+
+    @pytest.mark.parametrize("exponents", [(0.3, 0.2, 0.1, 0.4), (0.3 - 0.1j, 0.2, 0.1 + 0.05j, 0.4)],
+                             ids=["real", "complex"])
+    @pytest.mark.parametrize("prefactor", [1.0, 0.0, -0.4 + 0.2j], ids=["one", "zero", "complex"])
+    def test_no_overflow_at_the_edge(self, exponents, prefactor):
+        f = ProductForm(prefactor, tuple(zip(self.NODES, exponents)))
+        assert float(np.abs(f.nodes).max()) == self.EDGE and float(np.abs(self.POINTS).max()) < 1.0
+        # the grid, the ring and growth's shifted blocks: one row of points, and several rows
+        for zz in (self.POINTS, np.stack([self.POINTS, -self.POINTS, 0.5 * self.POINTS])):
+            with np.errstate(over="raise"):
+                passes = [_factor_sums(f, zz, dlog=True), _factor_sums(f, zz), _factor_sums(f, zz, real=True)]
+            assert all(np.isfinite(v).all() for values in passes for v in values if v is not None)
+
+    @pytest.mark.parametrize("overflow", ["warn", "raise"])
+    def test_log_principal_turns_overflow_off_itself(self, overflow):
+        # 1e200j squares to inf: log_principal reports the domain, with no warning or FloatingPointError
+        with warnings.catch_warnings(), np.errstate(over=overflow):
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="modulus outside"):
+                log_principal(1e200j)
+            with pytest.raises(DomainError, match="modulus outside"):
+                log_principal(np.array([0.5, 1e200j]))

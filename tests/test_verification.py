@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import warnings
 
@@ -59,6 +60,17 @@ class TestGrid:
     def test_needs_a_radius(self):
         with pytest.raises(ValueError, match="at least one radius"):
             GridSpec(radii=())
+
+    def test_points_computed_once(self):
+        grid = GridSpec((0.5, 0.9), 16)
+        pts = grid.points()
+        assert grid.points() is pts and not pts.flags.writeable
+        # equality and hashing stay on the two fields, whether or not the points were computed
+        fresh = GridSpec((0.5, 0.9), 16)
+        assert fresh == grid and hash(fresh) == hash(grid) and repr(fresh) == repr(grid)
+        assert bit_equal(fresh.points(), pts)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.angles_per_ring = 8
 
 
 class TestReport:
@@ -162,6 +174,15 @@ class TestGridEvaluation:
         assert pts.flags.writeable
         assert GridEvaluation(f, 0.5).points.tolist() == [0.5]
         assert np.array_equal(GridEvaluation(f).points, sc.DEFAULT_GRID.points())
+
+    def test_without_dlog(self, worked_example, grid):
+        # dlog false: the same log f and Log(1-z), bit for bit, and no f'/f
+        members = [construct(ClassParams(0.9 + 0.4j, 0.35), random_measure(n, 7)) for n in (2, 2048)]
+        for f in (worked_example[0], ProductForm(1.3 - 0.2j), *members):
+            full, bare = GridEvaluation(f, grid.points()), GridEvaluation(f, grid.points(), dlog=False)
+            assert bare.dlog_f is None and full.dlog_f is not None
+            assert bit_equal(bare.log_f, full.log_f) and bit_equal(bare.log_1mz, full.log_1mz)
+            assert not (bare.log_f.flags.writeable or bare.log_1mz.flags.writeable)
 
     @pytest.mark.parametrize("points", [[], np.empty((3, 0))], ids=["empty-list", "empty-2d"])
     def test_rejects_no_points(self, points):
