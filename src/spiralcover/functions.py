@@ -40,17 +40,11 @@ __all__ = [
 
 OMEGA_TOL = 1e-12       # slack on |mu - 1| <= 1
 NODE_TOL = 1e-12        # |node| <= 1 slack, and node-at-1 detection
-# elements per kernel call: factors x points in _factor_sums, and shifts x points
-# per block of the growth scan.  A block holds at least one row of points, so a call
-# takes at most max(8192, points) elements, and up to 8,192 points a block's complex
-# work array is at most 128 KiB, glibc's default mmap threshold; larger bounds fault
-# in more pages per call in a fresh process (ROADMAP item 1)
+# elements per kernel call: factors x points in _factor_sums.  A block holds at least
+# one factor, so a call takes at most max(8192, points) elements, and up to 8,192 points
+# a block's complex work array is at most 128 KiB, glibc's default mmap threshold; larger
+# bounds fault in more pages per call in a fresh process (ROADMAP item 1)
 BLOCK_ELEMENTS = 8192
-
-
-def _block_rows(size: int) -> int:
-    """Rows of size elements per kernel call: max(1, BLOCK_ELEMENTS // size), an empty row counting as one element."""
-    return max(1, BLOCK_ELEMENTS // max(1, size))
 
 
 def _in_admissible_region(mu: complex) -> bool:
@@ -140,13 +134,6 @@ class ProductForm:
         object.__setattr__(self, "exponents", exponents)
         object.__setattr__(self, "_numerators", numerators)
 
-    def _with_prefactor(self, p: complex) -> ProductForm:
-        """This map's factors under the finite prefactor p, sharing its checked arrays and factor tuple: no
-        validation and no numerator loop run again."""
-        g = object.__new__(ProductForm)
-        g.__dict__.update(self.__dict__, prefactor=complex(p))
-        return g
-
 
 def construct(params: ClassParams, sigma: AtomicCircleMeasure) -> ProductForm:
     """Class member for an atomic measure: nodes conj(zeta_j), exponents mu*(1-beta)*w_j.
@@ -225,44 +212,29 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> None:
         np.subtract.reduce(terms, axis=0, out=total)
 
 
-def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False, real: bool = False):
-    """(Log(1 - zz) or None, log f, f'/f or None) at the points zz, from one pass over the factors.
+def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False):
+    """(Log(1 - zz), log f, f'/f or None) at the points zz, from one pass over the factors.
 
-    zz is an array of points inside the disk.  A pass takes log f and
-    Log(1 - zz), the prefactor's log, and dlog adds f'/f.  A real pass,
-    which takes no dlog, returns Re log f alone, with None for Log(1 - zz):
-    a zero prefactor adds nothing, so neither 1 - zz nor its log is formed,
-    and any other takes the complex Log and keeps the real part of its
-    term.  Each block of _block_rows(zz.size) factors forms its bases
+    zz is an array of points inside the disk, of any shape.  A pass takes
+    log f and Log(1 - zz), the prefactor's log, and dlog adds f'/f.  Each
+    block of max(1, BLOCK_ELEMENTS // zz.size) factors forms its bases
     1 - c_j*zz once, takes e_j*Log(base) through _log_into and, with dlog,
-    -(e_j*c_j)/base into the Log array, which is no longer read.  A real
-    pass over a map whose exponents are all real takes ln|base| alone in
-    every block, with no arctan2: numpy forms Re(e*L) as
-    fma(e.real, L.real, -(e.imag*L.imag)), which rounds to e.real*Re(L)
-    when e.imag == 0.  The work arrays are allocated once per call, in the
-    shape of a block (the last, shorter block writes into their leading
-    rows).  Each total is p*Log(1 - zz) or -p/(1 - zz) minus the terms,
-    left to right, as one factor at a time forms it; subtraction acts on
-    each part alone, so a total of real parts has the bits of the complex
-    total's real part, but for the sign of a total of exactly 0 when a
-    zero prefactor's term, which may be -0.0, is left out.
+    -(e_j*c_j)/base into the Log array, which is no longer read.  The work
+    arrays are allocated once per call, in the shape of a block (the last,
+    shorter block writes into their leading rows).  Each total is
+    p*Log(1 - zz) or -p/(1 - zz) minus the terms, left to right, as one
+    factor at a time forms it.
     """
-    p, log_1mz, dlog_f = f.prefactor, None, None
-    rows = _block_rows(zz.size)
+    p, dlog_f = f.prefactor, None
+    rows = max(1, BLOCK_ELEMENTS // max(1, zz.size))  # an empty point array counts as one element
     shape = (min(rows, len(f.nodes)),) + zz.shape
     nodes = f.nodes.reshape((-1,) + (1,) * zz.ndim)
     bases = np.empty(shape, dtype=np.complex128)
-    one_m_z = None if real and p == 0.0 else 1.0 - zz
-    if one_m_z is None:
-        log_f = np.zeros(zz.shape)
-    else:
-        log_1mz = np.empty(zz.shape, dtype=np.complex128)
-        _log_into(one_m_z, log_1mz, np.empty(zz.shape), angles=True)
-        log_f = p * log_1mz
-    if real:
-        log_1mz, log_f = None, log_f.real
+    one_m_z = 1.0 - zz
+    log_1mz = np.empty(zz.shape, dtype=np.complex128)
+    _log_into(one_m_z, log_1mz, np.empty(zz.shape))
+    log_f = p * log_1mz
     exponents = f.exponents.reshape(nodes.shape)
-    moduli = real and not f.exponents.imag.any()
     logs, log_mod = np.empty(shape, dtype=np.complex128), np.empty(shape)
     if dlog:
         dlog_f = -p / one_m_z
@@ -272,15 +244,10 @@ def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False, real: bool 
         w = bases[: len(c)]
         np.multiply(c, zz, out=w)
         np.subtract(1.0, w, out=w)
-        e, block, mod = exponents[i : i + rows], logs[: len(c)], log_mod[: len(c)]
-        if moduli:
-            _log_into(w, block, mod)
-            terms = np.multiply(e.real, mod, out=mod)
-        else:
-            _log_into(w, block, mod, angles=True)
-            # e * logs, exponent first: under FMA the other operand order rounds differently
-            terms = np.multiply(e, block, out=block)
-        _fold(log_f, terms.real if real else terms)
+        block = logs[: len(c)]
+        _log_into(w, block, log_mod[: len(c)])
+        # e * logs, exponent first: under FMA the other operand order rounds differently
+        _fold(log_f, np.multiply(exponents[i : i + rows], block, out=block))
         if dlog:
             # subtracting -(e_j*c_j)/(1-c_j*z) rounds as adding e_j*c_j/(1-c_j*z) does
             _fold(dlog_f, np.divide(numerators[i : i + rows], w, out=block))

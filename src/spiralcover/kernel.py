@@ -14,15 +14,13 @@ log_principal takes one real log and one arctan2 per element,
 on the domain 1e-150 <= |w| <= 1e150, where x*x + y*y neither
 overflows nor underflows.  Against cmath.log each part is within
 8*eps*max(1, |Log w|) on the right half-plane of that domain.  It
-writes through _log_into, which callers with work arrays of their own
-also use, and which takes the real part alone, ln|w| with no arctan2,
-for callers that read no imaginary part; so each quantity has one code
-path and one domain check.  _log_into sets no floating-point error
-state: the factor pass gives it only bases 1 - c*z with
-|c| <= 1 + 1e-12 and |z| < 1, so |w| < 2 + 1e-12 and no square can
-overflow.  log_principal, which takes any argument, turns overflow
-warnings off itself, so an overflowing square reaches the domain check
-as inf.
+writes through _log_into, which the factor pass, with work arrays of
+its own, also uses; so the log has one code path and one domain check.
+_log_into sets no floating-point error state: the factor pass gives it
+only bases 1 - c*z with |c| <= 1 + 1e-12 and |z| < 1, so
+|w| < 2 + 1e-12 and no square can overflow.  log_principal, which
+takes any argument, turns overflow warnings off itself, so an
+overflowing square reaches the domain check as inf.
 """
 
 from __future__ import annotations
@@ -40,13 +38,13 @@ class DomainError(ValueError):
     """Argument outside the domain the caller contract guarantees."""
 
 
-def _log_into(w: np.ndarray, work: np.ndarray, log_mod: np.ndarray, angles: bool = False) -> None:
-    """ln|w| into log_mod, or Log w into work when angles is true; DomainError unless 1e-150 <= |w| <= 1e150.
+def _log_into(w: np.ndarray, work: np.ndarray, log_mod: np.ndarray) -> None:
+    """Log w into work; DomainError unless 1e-150 <= |w| <= 1e150.
 
     w and work are C-contiguous complex128 arrays of one shape, log_mod a
-    float64 array of that shape; work must not share memory with w.  work
-    first takes the squares of w's float64 view, whose pairs add to
-    x*x + y*y bit for bit.  With angles true, log_mod is left holding
+    float64 scratch array of that shape; work must not share memory with
+    w.  work first takes the squares of w's float64 view, whose pairs add
+    to x*x + y*y bit for bit in log_mod, which is left holding
     w.imag + 0.0.  No error state is set here, so w must not overflow
     when squared: the factor pass's bases have |w| < 2 + 1e-12, and
     log_principal turns overflow warnings off for any other argument.
@@ -62,11 +60,10 @@ def _log_into(w: np.ndarray, work: np.ndarray, log_mod: np.ndarray, angles: bool
             raise DomainError("log of 0")
         raise DomainError("modulus outside [1e-150, 1e150]")
     np.log(log_mod, out=log_mod)
-    np.multiply(log_mod, 0.5, out=work.real if angles else log_mod)
-    if angles:
-        # -0.0 imaginary parts would flip arg(-x) to -pi; + 0.0 normalizes them to +0.0
-        np.add(w.imag, 0.0, out=log_mod)
-        np.arctan2(log_mod, w.real, out=work.imag)
+    np.multiply(log_mod, 0.5, out=work.real)
+    # -0.0 imaginary parts would flip arg(-x) to -pi; + 0.0 normalizes them to +0.0
+    np.add(w.imag, 0.0, out=log_mod)
+    np.arctan2(log_mod, w.real, out=work.imag)
 
 
 @np.errstate(over="ignore")
@@ -82,6 +79,6 @@ def log_principal(w):
     arr = np.asarray(w, dtype=np.complex128)
     flat = np.ascontiguousarray(arr)  # at least 1-d, as the float64 view needs
     out = np.empty(flat.shape, dtype=np.complex128)
-    _log_into(flat, out, np.empty(flat.shape), angles=True)
+    _log_into(flat, out, np.empty(flat.shape))
     return out.item() if arr.ndim == 0 else out
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 import spiralcover as sc
-from spiralcover.kernel import _log_into
 
 MASTER_SEED = 20260809
 POPULATION_SIZE = 100
@@ -62,12 +61,20 @@ def build_population(count: int = POPULATION_SIZE, seed: int = MASTER_SEED) -> l
     return entries
 
 
-def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
-    """growth_margin from complex logs of g = log(f/(1-z)**mu): the rate (Re g(z) - Re g(z') + log1p constant)/t.
+def growth_shifts(params) -> list[float]:
+    """The 32 shifts t = 2*cos(phi)*k/33, k = 1..32, spread over (0, 2*cos(phi))."""
+    return [2.0 * math.cos(params.phi) * k / 33.0 for k in range(1, 33)]
 
-    The formula whose bytes the real-part scan must reproduce, with no blocks of its
-    own: g(z) from the evaluation, and g at all shifted points z' in one eval_log (or
-    stand-in) call on the ratio map, prefactor p - mu with f's factors.
+
+def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
+    """The rate L(z, t)/t of the growth inequality, one row per shift t of ts, from complex logs.
+
+    For 0 < t < 2*cos(phi) the point z' = z*(1 - exp(-i*phi)*t) stays in the disk, and
+    with g = log(f/(1-z)**mu) the inequality is L >= 0 with
+    L = Re g(z) - Re g(z') - Re(mu)*(1-beta)*log(1 - t/(2*cos(phi))).  g(z) comes from
+    the evaluation, and g at all shifted points z' from one eval_log (or stand-in) call
+    on the ratio map, prefactor p - mu with f's factors.  As t -> 0+ the rate tends to
+    (|mu|/2) times the class margin, which is what check_growth reports.
     """
     rot = cmath.exp(-1j * params.phi)
     cos2 = 2.0 * math.cos(params.phi)
@@ -77,20 +84,6 @@ def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
     g = (ev.log_f - params.mu * ev.log_1mz).real
     rows = np.array([[power * math.log1p(-t / cos2)] for t in ts])
     return (g - eval_log(ratio, shifted).real + rows) / np.array([[t] for t in ts])
-
-
-def log_modulus(w):
-    """ln|w| through _log_into with angles off, as the growth scan takes it, into fresh arrays.
-
-    _log_into sets no error state, as the factor pass's bases cannot overflow when squared;
-    out-of-domain w such as 1e200j can, so overflow is off here, as log_principal has it.
-    """
-    arr = np.asarray(w, dtype=np.complex128)
-    flat = np.ascontiguousarray(arr)
-    out = np.empty(flat.shape)
-    with np.errstate(over="ignore"):
-        _log_into(flat, np.empty(flat.shape, dtype=np.complex128), out)
-    return out.item() if arr.ndim == 0 else out
 
 
 def bit_equal(a, b) -> bool:

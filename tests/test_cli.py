@@ -540,8 +540,8 @@ class TestCheck:
         assert data["checks"][0]["worst_margin"] < 0
 
     def test_zero_prefactor_spec_fails_with_a_report(self, tmp_path):
-        # a zero prefactor takes no Log(1 - z) in a real-parts pass, but the grid's evaluation
-        # still has it: distortion and growth's g(z) read it (the ratio map's prefactor is -mu)
+        # a zero prefactor's term is 0, but the grid's evaluation still takes Log(1 - z), which
+        # distortion reads
         spec = {"mu": [1, 0], "beta": 0.5, "prefactor": [0, 0], "factors": [{"node": [0.6, 0.7], "exponent": [0.2, 0]}]}
         path, out = tmp_path / "zero.json", tmp_path / "report.json"
         path.write_text(dumps(spec))
@@ -710,6 +710,8 @@ class TestCheck:
     # entries of every other check kept their bytes.  core-map and mixed-exponents were
     # recorded on the same build before growth's real-parts pass came to take the
     # complex Log for every nonzero prefactor and to choose ln|base| alone once per map.
+    # Every case kept its bytes when growth came to report its t -> 0+ row alone, with
+    # no shifted grids: where growth passes, that row was already its worst rate.
     CHECK_DIGESTS = {
         "readme-example": "231a7b88856c2897b758a7608085d173f45eb9dcfa00af0760630a277b30710e",
         "core-map": "9618766e3b7bf7b1afd2c60a70890238c7b947a119d98a2a04f04cdc3de68d8b",
@@ -731,11 +733,12 @@ class TestCheck:
         if kind == "readme-example":
             return [(["check", "--checks", "all"], EXAMPLE_SPEC)]
         if kind == "core-map":
-            # growth's ratio map has the real prefactor 0.6 - 1 = -0.4
+            # recorded when growth's shifted grids took the ratio map f/(1-z)**mu, here with the
+            # real prefactor 0.6 - 1 = -0.4
             return [(["check", "--checks", "all"], CORE_SPEC)]
         if kind == "mixed-exponents":
-            # one factor per block of growth's shifts on the default grid; on 8 points both
-            # factors, one real exponent and one complex, share a block
+            # recorded when growth's shifted grids took one factor per block on the default
+            # grid and, on 8 points, both factors, one real exponent and one complex, in one
             argv = ["check", "--checks", "membership,growth"]
             small = ["--grid-radii", "0.5", "--grid-angles", "8"]
             return [(argv, MIXED_EXPONENTS_SPEC), ([*argv, *small], MIXED_EXPONENTS_SPEC)]
@@ -770,36 +773,34 @@ class TestSharedEvaluation:
     def passes(self, monkeypatch):
         seen = []
 
-        def spy(f, zz, dlog=False, real=False, _fn=verification._factor_sums):
-            seen.append((zz.shape, dlog, real))
-            return _fn(f, zz, dlog, real)
+        def spy(f, zz, dlog=False, _fn=verification._factor_sums):
+            seen.append((zz.shape, dlog))
+            return _fn(f, zz, dlog)
 
         monkeypatch.setattr(verification, "_factor_sums", spy)
         return seen
 
     @pytest.mark.parametrize(
-        "kind, checks, grids, shifted",
+        "kind, checks, grids",
         [
-            ("wide-64", WIDE_CHECKS, [(896, True)], []),
-            ("readme-example", "membership", [(896, True)], []),
-            # growth takes Re log f at its shifted points in one pass per block of 9, 9, 9
-            # and 5 shifts of the 896 points, real parts alone as mu = 1 is real; then
+            ("wide-64", WIDE_CHECKS, [(896, True)]),
+            ("readme-example", "membership", [(896, True)]),
             # wedge-containment takes log f alone on its own 512-point ring
-            ("readme-example", "all", [(896, True), (512, False)], [9, 9, 9, 5]),
-            ("readme-example", "distortion", [(896, True)], []),
-            ("readme-example", "growth", [(896, True)], [9, 9, 9, 5]),
+            ("readme-example", "all", [(896, True), (512, False)]),
+            ("readme-example", "distortion", [(896, True)]),
+            # growth reads the class margin, so the grid's one pass is all it takes
+            ("readme-example", "growth", [(896, True)]),
             # wedge-containment alone reads only its ring, so the grid is not evaluated
-            ("readme-example", "wedge-containment", [(512, False)], []),
+            ("readme-example", "wedge-containment", [(512, False)]),
         ],
         ids=["wide-measure-checks", "membership", "all", "distortion", "growth", "wedge-containment"],
     )
-    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, grids, shifted):
+    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, grids):
         src = tmp_path / "in.json"
         src.write_text(dumps(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
         assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
         # one pass over the factors per set of points a named check reads, with f'/f on the grid alone
-        assert [p for p in passes if len(p[0]) == 1] == [((n,), dlog, False) for n, dlog in grids]
-        assert [p for p in passes if len(p[0]) == 2] == [((k, 896), False, True) for k in shifted]
+        assert passes == [((n,), dlog) for n, dlog in grids]
 
     @pytest.mark.parametrize("name", [name for name, c in verification._GRID_CHECKS.items() if c.grid is not None])
     def test_own_grid_reads_no_dlog(self, name, population):

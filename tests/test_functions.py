@@ -22,7 +22,6 @@ from spiralcover import (
     eval_log,
     evaluate,
     extremal,
-    growth_margin,
     log_derivative,
     make_measure,
     random_measure,
@@ -30,7 +29,7 @@ from spiralcover import (
 )
 from spiralcover.serialize import load_function_spec, measure_spec
 
-from conftest import bit_equal, reference_growth_margin
+from conftest import bit_equal, growth_shifts, reference_growth_margin
 from radial_oracles import boundary_exponent_radial, boundary_rotation_radial, richardson_limit
 
 SAMPLE_Z = [0.0, 0.5, -0.3 + 0.4j, 0.1 - 0.7j, -0.85, 0.6 + 0.35j]
@@ -132,16 +131,6 @@ class TestProductForm:
             g = ProductForm(e.f.prefactor, pairs)
             pairs[:] = 0.0  # the form keeps its own copy
             assert g == e.f and same_bits(g.nodes, e.f.nodes) and same_bits(g.exponents, e.f.exponents)
-
-    def test_with_prefactor_is_the_checked_form(self, population, worked_example):
-        # growth's ratio map: the same form as one built and checked afresh, sharing the checked arrays
-        for f in [worked_example[0], ProductForm(0.6)] + [e.f for e in population[:20]]:
-            for p in (0.0, f.prefactor - 1.0, -0.4 + 0.25j):
-                g = f._with_prefactor(p)
-                assert type(g) is ProductForm and g == ProductForm(p, f.factors)
-                assert type(g.prefactor) is complex and g.prefactor == p
-                assert g.factors is f.factors and g.nodes is f.nodes and g.exponents is f.exponents
-                assert g._numerators is f._numerators
 
 
 class TestConstruct:
@@ -446,9 +435,9 @@ class TestBlockedEvaluation:
     def test_kernel_calls_per_block(self, monkeypatch):
         calls = []
 
-        def spy(w, work, log_mod, angles=False):
+        def spy(w, work, log_mod):
             calls.append(np.shape(w))
-            kernel._log_into(w, work, log_mod, angles)
+            kernel._log_into(w, work, log_mod)
 
         monkeypatch.setattr(functions, "_log_into", spy)
         eval_log(many_factor_map(2048), self.GRID)
@@ -456,7 +445,7 @@ class TestBlockedEvaluation:
         assert self.ROWS == 9
         assert len(calls) == 1 + math.ceil(2048 / self.ROWS)
         assert calls[1] == (self.ROWS, self.GRID.size)
-        # above BLOCK_ELEMENTS points, as on CI's 2 x 4097 grid, each call takes one factor
+        # above BLOCK_ELEMENTS points, as on a 2 x 4097 grid, each call takes one factor
         # over every point: 8,194 elements, not at most 8,192
         calls.clear()
         fine = sc.GridSpec((0.5, 0.995), 4097).points()
@@ -467,7 +456,7 @@ class TestBlockedEvaluation:
         "scalar": np.array([-0.3 + 0.4j]),
         "empty": np.array([], dtype=np.complex128),
         "default-grid": GRID,
-        # growth's shape: 9 shifts x 896 points
+        # 9 rows of 896 points, as the tests' growth reference takes its shifted grids
         "growth-shaped": GRID * np.linspace(0.9, 0.2, 9)[:, None],
     }
 
@@ -485,109 +474,14 @@ class TestBlockedEvaluation:
 
     @pytest.mark.parametrize("points", [GRID, GRID[::9]], ids=["default-grid", "100-points"])
     def test_growth_scan_over_blocks(self, points):
-        # growth's shifted points take (rows, 1, 1) nodes: 1 factor per block at 9 x 896 on
-        # the default grid, 2 at 32 x 100 on 100 points, so 25 factors span several blocks
+        # the growth reference's 32 shifted grids take (rows, 1, 1) nodes: 1 factor per block at
+        # 32 x 896 on the default grid, 2 at 32 x 100 on 100 points, so 25 factors span several blocks
         params = ClassParams(0.9 + 0.4j, 0.35)
         f = many_factor_map(25)
-        ts = [2.0 * math.cos(params.phi) * k / 33.0 for k in range(1, 33)]
+        ts = growth_shifts(params)
         ev = GridEvaluation(f, points)
-        assert bit_equal(growth_margin(ev, params, ts), reference_growth_margin(ev, params, ts, per_factor_log))
-
-
-class TestEvalLogReal:
-    """A real pass of _factor_sums is Re(eval_log) bit for bit, with None for Log(1 - z).
-
-    The one exception is the sign of a total of exactly 0 when a zero prefactor is left out.
-    The pass takes arctan2 for a nonzero prefactor and, in every block, for a map with a
-    complex exponent.
-    """
-
-    GRID = DEFAULT_GRID.points()
-    MAPS = {
-        "real": ProductForm(1.3, ((0.6 + 0.7j, 0.25), (-0.9, 0.4), (0.3j, -0.1))),
-        "complex": many_factor_map(12),
-        # a real prefactor with one real and one complex exponent
-        "mixed": ProductForm(0.8, ((0.5 - 0.8j, 0.3), (-0.2 + 0.9j, 0.2 - 0.35j))),
-        "complex-prefactor": ProductForm(0.7 - 0.4j, ((0.9, 0.5),)),
-        "bare-power": ProductForm(1.1),
-    }
-    POINTS = {
-        # one point, as a 1-element array: every factor in one block, a sum down a single column
-        "scalar": np.array([-0.3 + 0.4j]),
-        "empty": np.array([], dtype=np.complex128),
-        "default-grid": GRID,
-        # the growth scan's block on the default grid: 9 shifts x 896 points
-        "growth-block": GRID * np.linspace(0.95, 0.1, 9)[:, None],
-    }
-
-    @pytest.mark.parametrize("points", list(POINTS))
-    @pytest.mark.parametrize("name", list(MAPS))
-    def test_equals_real_part_of_eval_log(self, name, points):
-        f, z = self.MAPS[name], self.POINTS[points]
-        log_1mz, log_f, dlog_f = functions._factor_sums(f, z, real=True)
-        assert bit_equal(log_f, eval_log(f, z).real)
-        assert log_1mz is None and dlog_f is None
-
-    NODES = st.builds(lambda r, a: r * cmath.exp(1j * a), st.floats(0.0, 1.0), st.floats(-math.pi, math.pi))
-    REALS = st.floats(-2.0, 2.0).map(lambda x: complex(x, 0.0))
-    COMPLEXES = st.builds(complex, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0).filter(lambda y: y != 0.0))
-
-    @given(
-        st.lists(st.tuples(NODES, st.one_of(REALS, COMPLEXES)), max_size=12),
-        st.one_of(st.just(0j), REALS, COMPLEXES),
-        st.integers(0, 2**32 - 1),
-        st.integers(0, 1000),
-        st.tuples(st.integers(1, 9), st.integers(1, 1000)),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_random_maps_equal_real_part_of_eval_log(self, factors, prefactor, seed, size, block):
-        # up to 9,000 points: one factor per block, a few factors per block, or every factor in one
-        f, rng = ProductForm(prefactor, factors), np.random.default_rng(seed)
-        for shape in [(1,), (size,), block]:
-            z = 0.999 * np.sqrt(rng.random(shape)) * np.exp(2j * math.pi * rng.random(shape))
-            log_1mz, log_f, dlog_f = functions._factor_sums(f, z, real=True)
-            expected = eval_log(f, z).real
-            if prefactor == 0.0:
-                # the left-out zero prefactor's term: where the total is exactly 0, as for f = 1,
-                # Re(0*Log(1 - z)) is -0.0 wherever |1 - z| < 1, and the real pass keeps +0.0
-                log_f, expected = log_f + 0.0, expected + 0.0
-            assert bit_equal(log_f, expected)
-            assert log_1mz is None and dlog_f is None
-
-    @pytest.mark.parametrize("name, complex_exponents", [("real", 0), ("mixed", 1), ("complex", 12)])
-    def test_arctan2_only_for_complex_exponents(self, monkeypatch, name, complex_exponents):
-        f, z = self.MAPS[name], self.POINTS["growth-block"]
-        assert np.count_nonzero(f.exponents.imag) == complex_exponents
-        calls = []
-
-        def spy(w, work, log_mod, angles=False):
-            calls.append(angles)
-            kernel._log_into(w, work, log_mod, angles)
-
-        monkeypatch.setattr(functions, "_log_into", spy)
-        functions._factor_sums(f, z, real=True)
-        # the prefactor's Log, with arctan2 as for every nonzero prefactor, then one factor per
-        # block at 9 x 896 points: ln|base| alone when every exponent is real, Log otherwise
-        assert f.prefactor != 0.0 and calls[0] is True
-        assert calls[1:] == [complex_exponents > 0] * len(f.factors)
-
-    @pytest.mark.parametrize("points", list(POINTS))
-    def test_zero_prefactor_takes_no_prefactor_log(self, monkeypatch, points):
-        # a real pass forms no 1 - z and takes no log of it for a zero prefactor, whose term is 0;
-        # the complex pass, which a GridEvaluation makes, still returns Log(1 - z)
-        f, z = ProductForm(0.0, self.MAPS["mixed"].factors), self.POINTS[points]
-        shapes = []
-
-        def spy(w, work, log_mod, angles=False):
-            shapes.append(w.shape)
-            kernel._log_into(w, work, log_mod, angles)
-
-        monkeypatch.setattr(functions, "_log_into", spy)
-        log_1mz, log_f, dlog_f = functions._factor_sums(f, z, real=True)
-        assert log_1mz is None and dlog_f is None
-        assert shapes and all(len(s) == z.ndim + 1 for s in shapes)
-        assert bit_equal(log_f, eval_log(f, z).real)
-        assert bit_equal(functions._factor_sums(f, z)[0], kernel.log_principal(1.0 - z))
+        blocked = reference_growth_margin(ev, params, ts)
+        assert bit_equal(blocked, reference_growth_margin(ev, params, ts, per_factor_log))
 
 
 class TestTransformClass:

@@ -10,8 +10,6 @@ from hypothesis import given, strategies as st
 from spiralcover import DomainError, ProductForm, log_principal
 from spiralcover.functions import NODE_TOL, _factor_sums
 
-from conftest import log_modulus
-
 
 EPS = sys.float_info.epsilon
 
@@ -123,64 +121,6 @@ class TestLogPrincipal:
         assert type(log_principal(np.array(1.0 + 1.0j))) is complex
 
 
-def random_domain_points(shape, seed):
-    """w = r*e^{it} with r log-uniform on [1e-150, 1e150] and t anywhere in (-pi, pi]."""
-    rng = np.random.default_rng(seed)
-    r = 10.0 ** rng.uniform(-150.0, 150.0, shape)
-    return r * np.exp(1j * rng.uniform(-np.pi, np.pi, shape))
-
-
-class TestLogModulus:
-    """_log_into's ln|w| alone is log_principal's real part, bit for bit, with its domain check."""
-
-    @pytest.mark.parametrize("shape", [(1,), (896,), (8, 896), (3, 1, 5)])
-    def test_bit_equal_to_real_part(self, shape):
-        for seed in range(5):
-            w = random_domain_points(shape, seed)
-            # the bases 1 - c*z the package evaluates: |c*z| < 1
-            bases = 1.0 - np.exp(-np.abs(np.log(np.abs(w)) / 10.0)) * w / np.abs(w)
-            for arr in (w, -w, bases):
-                got = log_modulus(arr)
-                assert got.dtype == np.float64 and got.shape == arr.shape
-                assert np.array_equal(got.view(np.int64), log_principal(arr).real.view(np.int64))
-
-    @given(right_half_plane_in_domain())
-    def test_scalar_bit_equal(self, w):
-        got = log_modulus(w)
-        assert type(got) is float
-        assert math.copysign(1.0, got) == math.copysign(1.0, log_principal(w).real)
-        assert got == log_principal(w).real
-
-    @pytest.mark.parametrize(
-        "w, message",
-        [
-            (0.0, "log of 0"),
-            (complex(-0.0, -0.0), "log of 0"),
-            (complex(float("nan"), 0.0), "non-finite complex argument"),
-            (complex(0.0, float("nan")), "non-finite complex argument"),
-            (float("inf"), "non-finite complex argument"),
-            (float("-inf"), "non-finite complex argument"),
-            (complex(0.0, float("-inf")), "non-finite complex argument"),
-            (1e-151, "modulus outside"),
-            (complex(1e-200, -1e-200), "modulus outside"),
-            (1e151, "modulus outside"),
-            (complex(0.0, 1e200), "modulus outside"),
-        ],
-    )
-    def test_same_domain_errors(self, w, message):
-        for arg in (w, np.array([2.0, w, 0.5j])):
-            with pytest.raises(DomainError, match=message) as got:
-                log_modulus(arg)
-            with pytest.raises(DomainError) as ref:
-                log_principal(arg)
-            assert str(got.value) == str(ref.value)
-
-    def test_empty_array(self):
-        out = log_modulus(np.array([], dtype=np.complex128))
-        assert out.shape == (0,)
-        assert out.dtype == np.float64
-
-
 class TestFactorPassPrecondition:
     """_log_into sets no error state: the factor pass's bases 1 - c*z have |c| <= 1 + NODE_TOL and |z| < 1,
     so |1 - c*z| < 2 + 1e-12 and no square overflows, even at the edge of both ranges."""
@@ -196,10 +136,10 @@ class TestFactorPassPrecondition:
     def test_no_overflow_at_the_edge(self, exponents, prefactor):
         f = ProductForm(prefactor, tuple(zip(self.NODES, exponents)))
         assert float(np.abs(f.nodes).max()) == self.EDGE and float(np.abs(self.POINTS).max()) < 1.0
-        # the grid, the ring and growth's shifted blocks: one row of points, and several rows
+        # one row of points, as the grid and the ring are, and several rows
         for zz in (self.POINTS, np.stack([self.POINTS, -self.POINTS, 0.5 * self.POINTS])):
             with np.errstate(over="raise"):
-                passes = [_factor_sums(f, zz, dlog=True), _factor_sums(f, zz), _factor_sums(f, zz, real=True)]
+                passes = [_factor_sums(f, zz, dlog=True), _factor_sums(f, zz)]
             assert all(np.isfinite(v).all() for values in passes for v in values if v is not None)
 
     @pytest.mark.parametrize("overflow", ["warn", "raise"])

@@ -14,6 +14,8 @@ import spiralcover as sc
 from spiralcover.cli import main
 from spiralcover.serialize import dumps, load_function_spec
 
+from conftest import growth_shifts, reference_growth_margin
+
 # the extremal of G(1, 0.5) with its atom at angle pi + pi/128, declared with a beta above
 # 0.5: the class margin's minimum on |z| = 0.995 lies halfway between two default grid angles
 BETWEEN_ANGLES_SPEC = {
@@ -63,7 +65,8 @@ class TestPointOnTheTrueCurve:
 
 # the extremal of G(1 + 0.5i, 0) with its atom at -1, declared with beta = 0.003: the
 # growth rate L(z, t)/t tends to (|mu|/2)*class margin as t -> 0, which is negative at
-# z = 0.995, but it turns positive again before the first sampled t = 2*cos(phi)/33
+# z = 0.995, but it turns positive again before t = 2*cos(phi)/33, the first of the 32
+# shifts the tests sample (conftest.growth_shifts)
 BETWEEN_T_SPEC = {"mu": [1.0, 0.5], "beta": 0.003, "factors": [{"node": [-1.0, 0.0], "exponent": [1.0, 0.5]}]}
 
 
@@ -72,13 +75,13 @@ class TestBetweenTSamples:
     COS2 = 2.0 * math.cos(PARAMS.phi)
 
     def test_margin_dips_below_the_first_sampled_t(self):
-        rate = sc.growth_margin(sc.GridEvaluation(self.F, 0.995), self.PARAMS, [0.1 * self.COS2 / 33.0])
+        rate = reference_growth_margin(sc.GridEvaluation(self.F, 0.995), self.PARAMS, [0.1 * self.COS2 / 33.0])
         assert -1.06e-4 < rate.item() < -1.04e-4
 
     @pytest.mark.parametrize("grid", [sc.DEFAULT_GRID, sc.GridSpec((0.995,), 4096)], ids=["default-grid", "ring"])
     def test_sampled_t_pass(self, grid):
-        ts = [self.COS2 * k / 33.0 for k in range(1, 33)]
-        assert sc.growth_margin(sc.GridEvaluation(self.F, grid.points()), self.PARAMS, ts).min() > 4e-5
+        ev = sc.GridEvaluation(self.F, grid.points())
+        assert reference_growth_margin(ev, self.PARAMS, growth_shifts(self.PARAMS)).min() > 4e-5
 
     def test_growth_check_does_not_pass(self, tmp_path):
         # the t -> 0+ row, (|mu|/2)*class margin, is the worst rate: -2.76e-4 at z = 0.995
