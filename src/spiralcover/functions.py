@@ -9,6 +9,11 @@ log f is available everywhere on the disk.  Constructing from an atomic
 circle measure gives the members of the class G(mu, beta); interior
 nodes (|c_j| < 1) are admitted so that worked examples whose factors
 are not circle atoms fit the same representation.
+
+Every evaluation goes through one pass over the factors, _factor_sums,
+and gives each point the bits it gets in any batch: a lone point is
+passed as the pair [z, z], because numpy rounds a complex product over
+one element without the fused multiply-add of its vector loops.
 """
 
 from __future__ import annotations
@@ -212,27 +217,38 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> None:
         np.subtract.reduce(terms, axis=0, out=total)
 
 
-def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False):
+def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False, log_1mz: np.ndarray | None = None):
     """(Log(1 - zz), log f, f'/f or None) at the points zz, from one pass over the factors.
 
     zz is an array of points inside the disk, of any shape.  A pass takes
-    log f and Log(1 - zz), the prefactor's log, and dlog adds f'/f.  Each
-    block of max(1, BLOCK_ELEMENTS // zz.size) factors forms its bases
-    1 - c_j*zz once, takes e_j*Log(base) through _log_into and, with dlog,
+    log f and Log(1 - zz), the prefactor's log, unless the caller gives
+    log_1mz, which a GridEvaluation keeps with its points and which is
+    then returned as given; dlog adds f'/f.  Each block of
+    max(1, BLOCK_ELEMENTS // zz.size) factors forms its bases 1 - c_j*zz
+    once, takes e_j*Log(base) through _log_into and, with dlog,
     -(e_j*c_j)/base into the Log array, which is no longer read.  The work
     arrays are allocated once per call, in the shape of a block (the last,
     shorter block writes into their leading rows).  Each total is
     p*Log(1 - zz) or -p/(1 - zz) minus the terms, left to right, as one
     factor at a time forms it.
+
+    A point gets the same bits whatever it is evaluated with.  numpy
+    rounds a complex product over a single element without the fused
+    multiply-add of its vector loops, so a lone point goes through the
+    pass as the pair [z, z], whose first values are returned.
     """
+    if zz.size == 1:
+        pair, log_pair = (None if a is None else np.repeat(a.ravel(), 2) for a in (zz, log_1mz))
+        return tuple(None if a is None else a[:1].reshape(zz.shape) for a in _factor_sums(f, pair, dlog, log_pair))
     p, dlog_f = f.prefactor, None
     rows = max(1, BLOCK_ELEMENTS // max(1, zz.size))  # an empty point array counts as one element
     shape = (min(rows, len(f.nodes)),) + zz.shape
     nodes = f.nodes.reshape((-1,) + (1,) * zz.ndim)
     bases = np.empty(shape, dtype=np.complex128)
     one_m_z = 1.0 - zz
-    log_1mz = np.empty(zz.shape, dtype=np.complex128)
-    _log_into(one_m_z, log_1mz, np.empty(zz.shape))
+    if log_1mz is None:
+        log_1mz = np.empty(zz.shape, dtype=np.complex128)
+        _log_into(one_m_z, log_1mz, np.empty(zz.shape))
     log_f = p * log_1mz
     exponents = f.exponents.reshape(nodes.shape)
     logs, log_mod = np.empty(shape, dtype=np.complex128), np.empty(shape)

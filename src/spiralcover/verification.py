@@ -7,10 +7,20 @@ the points, its location, and passes when the worst margin clears
 default tolerance PASS_TOL sits orders of magnitude above
 double-precision round-off.
 
-Every margin is built from three quantities of the map at the points:
-log f, f'/f and Log(1-z).  A GridEvaluation computes them when it is
-built, in one pass over the factors, and every margin reads the same
-arrays.  Each check is one entry of the table _GRID_CHECKS: the name of
+Every margin is built from log f and f'/f at the points and from
+quantities of the points alone: Log(1-z), 1-z, |z|, (1+z)/(1-z),
+1/(1-z) and 1-|z|^2.  Those live in a _PointArrays, which computes
+each on its first read and keeps it; a GridSpec keeps one beside its
+points, so the default grid and the wedge ring compute them once per
+process, and an evaluation on other points builds its own.  A
+GridEvaluation computes log f and f'/f when it is built, in one pass
+over the factors that reads Log(1-z) from there, and keeps each
+quantity of the map that several margins share, formed once per
+params: the class margin (membership, growth, interior-identity), the
+ratio log q (distortion, value-bounds), |f| and, for real mu, the
+envelope powers |1-z|^mu and (1 +- |z|)^(mu*(1-beta)) (value-bounds,
+derivative-bounds).  Every margin reads the same read-only arrays.
+Each check is one entry of the table _GRID_CHECKS: the name of
 its report, its margin (one function of a GridEvaluation), the
 parameters it applies to and, for wedge-containment, the points it is
 sampled at, whose pass takes no f'/f, as its margin reads none.  One
@@ -24,11 +34,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .kernel import DomainError
+from .kernel import DomainError, log_principal
 from .functions import (
     ClassParams, ProductForm, _as_points, _factor_sums, _like, boundary_exponent, boundary_rotation,
 )
@@ -82,18 +93,62 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """The points, ring by ring: computed on the first call, which then returns the same read-only array."""
-        points = self.__dict__.get("_points")
-        if points is None:
+        return self._arrays().points
+
+    def _arrays(self) -> _PointArrays:
+        """The points with the arrays of the points alone, kept from the first call on."""
+        arrays = self.__dict__.get("_point_arrays")
+        if arrays is None:
             theta = np.linspace(0.0, 2.0 * np.pi, self.angles_per_ring, endpoint=False)
             ring = np.exp(1j * theta)
-            points = _read_only((np.asarray(self.radii)[:, None] * ring[None, :]).ravel())
-            object.__setattr__(self, "_points", points)  # not a field: equality and hashing stay on the two
-        return points
+            arrays = _PointArrays(_read_only((np.asarray(self.radii)[:, None] * ring[None, :]).ravel()))
+            object.__setattr__(self, "_point_arrays", arrays)  # not a field: equality and hashing stay on the two
+        return arrays
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+class _PointArrays:
+    """Points inside the disk, with the quantities of the points alone that the margins read.
+
+    Each quantity is computed from the points on its first read and then
+    kept, read-only, so it is computed once per set of points: once per
+    process for a GridSpec, which keeps one beside its points, and once
+    per evaluation for other points.
+    """
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+
+    @cached_property
+    def one_m_z(self) -> np.ndarray:
+        return _read_only(1.0 - self.points)
+
+    @cached_property
+    def log_1mz(self) -> np.ndarray:
+        return _read_only(log_principal(self.one_m_z))
+
+    @cached_property
+    def abs_z(self) -> np.ndarray:
+        return _read_only(np.abs(self.points))
+
+    @cached_property
+    def cayley(self) -> np.ndarray:
+        """(1+z)/(1-z)."""
+        return _read_only((1.0 + self.points) / self.one_m_z)
+
+    @cached_property
+    def inv_1mz(self) -> np.ndarray:
+        """1/(1-z)."""
+        return _read_only(1.0 / self.one_m_z)
+
+    @cached_property
+    def one_m_abs2(self) -> np.ndarray:
+        """1 - |z|**2."""
+        return _read_only(1.0 - self.abs_z**2)
 
 
 DEFAULT_GRID = GridSpec()
@@ -105,12 +160,18 @@ class GridEvaluation:
 
     The points (the default grid unless given; a scalar is one point) are
     kept as a 1-d complex copy, and there must be at least one: a scan of
-    no points has no worst margin.  The arrays come from one pass over
+    no points has no worst margin.  The points of DEFAULT_GRID or of a
+    check's own grid are kept as they are, with the arrays of the points
+    alone (Log(1-z) among them) that their GridSpec keeps; other points
+    get those arrays of their own.  log f and f'/f come from one pass over
     the factors, with numpy's floating-point warnings off as in the
-    checks: a value that overflows is left non-finite, for the margin
-    that reads it to report.  With dlog false the pass takes no f'/f and
-    dlog_f is None, for checks that read log f and Log(1-z) alone.  The
-    arrays are read-only, because every margin reads the same ones.
+    checks: a value that overflows is left non-finite, for the margin that
+    reads it to report.  With dlog false the pass takes no f'/f and dlog_f
+    is None, for checks that read log f and Log(1-z) alone.  The arrays
+    are read-only, because every margin reads the same ones; so are the
+    quantities of the map that several margins share (the class margin,
+    the ratio log, |f| and the real-mu envelope powers), each formed on
+    its first read and kept per params.
     """
 
     f: ProductForm
@@ -122,12 +183,32 @@ class GridEvaluation:
 
     @np.errstate(all="ignore")
     def __post_init__(self):
-        points = np.array(self.points, dtype=np.complex128).ravel()
-        if not points.size:
-            raise ValueError("need at least one point")
-        values = _factor_sums(self.f, _as_points(points), dlog=self.dlog)
-        for name, value in zip(("points", "log_1mz", "log_f", "dlog_f"), (points, *values)):
+        arrays = _arrays_of(self.points)
+        values = _factor_sums(self.f, arrays.points, self.dlog, arrays.log_1mz)
+        for name, value in zip(("points", "log_1mz", "log_f", "dlog_f"), (arrays.points, *values)):
             object.__setattr__(self, name, value if value is None else _read_only(value))
+        object.__setattr__(self, "_arrays", arrays)
+        object.__setattr__(self, "_memo", {})
+
+
+def _arrays_of(points) -> _PointArrays:
+    """The arrays a grid of `check` keeps, if points are its own points; else new ones for a flat read-only copy."""
+    for grid in _CHECK_GRIDS:
+        kept = grid.__dict__.get("_point_arrays")
+        if kept is not None and kept.points is points:
+            return kept
+    points = np.array(points, dtype=np.complex128).ravel()
+    if not points.size:
+        raise ValueError("need at least one point")
+    return _PointArrays(_read_only(_as_points(points)))
+
+
+def _once(memo: dict, key: str, params, compute: Callable[[], np.ndarray]) -> np.ndarray:
+    """compute(), kept read-only in memo under key for these params (the same object), so it is formed once."""
+    hit = memo.get(key)
+    if hit is None or hit[0] is not params:
+        hit = memo[key] = (params, _read_only(compute()))
+    return hit[1]
 
 
 @dataclass(frozen=True)
@@ -160,11 +241,12 @@ def _report(
     check: str, margins: np.ndarray, locations: np.ndarray, tol: float, indeterminate: int = 0
 ) -> VerificationReport:
     margins = np.asarray(margins, dtype=np.float64)
-    bad = int(np.count_nonzero(~np.isfinite(margins)))
-    if bad:
-        raise DomainError(f"{check}: margin not finite at {bad} of {margins.size} points (the map overflows)")
-    i = int(np.argmin(margins))
+    i = int(margins.argmin())
     worst = float(margins[i])
+    # argmin stops at the first NaN, so any non-finite margin leaves the min or the max non-finite
+    if not (math.isfinite(worst) and math.isfinite(margins.max())):
+        bad = int(np.count_nonzero(~np.isfinite(margins)))
+        raise DomainError(f"{check}: margin not finite at {bad} of {margins.size} points (the map overflows)")
     return VerificationReport(
         check=check,
         worst_margin=worst,
@@ -176,15 +258,27 @@ def _report(
 
 
 def class_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
-    """Re((2/mu)*z*f'/f + (1+z)/(1-z)) - beta; positive where the class inequality holds."""
-    z = ev.points
-    expr = (2.0 / params.mu) * z * ev.dlog_f + (1.0 + z) / (1.0 - z)
+    """Re((2/mu)*z*f'/f + (1+z)/(1-z)) - beta; positive where the class inequality holds.
+
+    Formed once per evaluation and params, as a read-only array that
+    membership, growth and interior-identity all read.
+    """
+    return _once(ev._memo, "class", params, lambda: _class_margin(ev, params))
+
+
+def _class_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
+    expr = (2.0 / params.mu) * ev.points * ev.dlog_f + ev._arrays.cayley
     return expr.real - params.beta
 
 
 def _ratio_log(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     """q = Log(1-z) - log f/mu, the canonical log of (1-z)/f**(1/mu)."""
-    return ev.log_1mz - ev.log_f / params.mu
+    return _once(ev._memo, "q", params, lambda: ev.log_1mz - ev.log_f / params.mu)
+
+
+def _f_modulus(ev: GridEvaluation) -> np.ndarray:
+    """|f| = exp(Re log f)."""
+    return _once(ev._memo, "|f|", None, lambda: np.exp(ev.log_f.real))
 
 
 def distortion_coefficient(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
@@ -205,11 +299,10 @@ def derivative_functional(ev: GridEvaluation, params: ClassParams):
     value = f'/(mu*f) + 1/(1-z) must satisfy |value - center| <= radius
     with center (1-beta)*conj(z)/(1-|z|^2), radius (1-beta)/(1-|z|^2).
     """
-    z = ev.points
-    value = ev.dlog_f / params.mu + 1.0 / (1.0 - z)
-    denom = 1.0 - np.abs(z) ** 2
-    center = (1.0 - params.beta) * np.conj(z) / denom
-    radius = (1.0 - params.beta) / denom
+    arrays = ev._arrays
+    value = ev.dlog_f / params.mu + arrays.inv_1mz
+    center = (1.0 - params.beta) * np.conj(ev.points) / arrays.one_m_abs2
+    radius = (1.0 - params.beta) / arrays.one_m_abs2
     return value, center, radius
 
 
@@ -235,17 +328,29 @@ def modulus_arg_bounds(params: ClassParams, z):
     |arg| <= (1-beta)*arcsin|z| for every class member.  The |f|
     envelopes only make sense for real mu and are None otherwise.
     """
-    zz = _as_points(z)
-    az = np.abs(zz)
-    one_m_b = 1.0 - params.beta
+    out = _value_envelopes(params, _PointArrays(_as_points(z)), {})
+    return ValueBounds(*(None if b is None else _like(z, b) for b in out))
+
+
+def _envelope_powers(params: ClassParams, arrays: _PointArrays, memo: dict):
+    """|1-z|**mu, (1+|z|)**k and (1-|z|)**k with k = mu*(1-beta), for real mu: the powers the |f| and |f'|
+    envelopes share, each formed once per memo and params."""
+    m = params.mu.real
+    k = m * (1.0 - params.beta)
+    return (
+        _once(memo, "|1-z|**mu", params, lambda: np.abs(arrays.one_m_z) ** m),
+        _once(memo, "(1+|z|)**k", params, lambda: (1.0 + arrays.abs_z) ** k),
+        _once(memo, "(1-|z|)**k", params, lambda: (1.0 - arrays.abs_z) ** k),
+    )
+
+
+def _value_envelopes(params: ClassParams, arrays: _PointArrays, memo: dict) -> ValueBounds:
+    az, one_m_b = arrays.abs_z, 1.0 - params.beta
     f_lo = f_hi = None
     if params.mu.imag == 0.0:
-        m = params.mu.real
-        base = np.abs(1.0 - zz) ** m
-        f_lo = base / (1.0 + az) ** (m * one_m_b)
-        f_hi = base / (1.0 - az) ** (m * one_m_b)
-    out = ValueBounds((1.0 - az) ** one_m_b, (1.0 + az) ** one_m_b, one_m_b * np.arcsin(az), f_lo, f_hi)
-    return ValueBounds(*(None if b is None else _like(z, b) for b in out))
+        power, lo, hi = _envelope_powers(params, arrays, memo)
+        f_lo, f_hi = power / lo, power / hi
+    return ValueBounds((1.0 - az) ** one_m_b, (1.0 + az) ** one_m_b, one_m_b * np.arcsin(az), f_lo, f_hi)
 
 
 class DerivativeBounds(NamedTuple):
@@ -263,35 +368,37 @@ def derivative_bounds(params: ClassParams, z):
     hence never truly negative; it is still clamped at 0 and the raw
     value reported alongside.
     """
-    zz = _as_points(z)
-    az = np.abs(zz)
+    out = _derivative_envelopes(params, _PointArrays(_as_points(z)), {})
+    return DerivativeBounds(*(_like(z, b) for b in out))
+
+
+def _derivative_envelopes(params: ClassParams, arrays: _PointArrays, memo: dict) -> DerivativeBounds:
     if not _GRID_CHECKS["derivative-bounds"].applies(params):
         raise DomainError("derivative bounds need real mu in (0, 2]")
-    m, beta = params.mu.real, params.beta
-    power = np.abs(1.0 - zz) ** m
-    base = m * power / (1.0 - az**2)
-    bracket = np.abs((1.0 - np.conj(zz)) / (1.0 - zz) + beta * np.conj(zz))
-    raw_lower = base / (1.0 + az) ** (m * (1.0 - beta)) * (bracket - 1.0 + beta)
-    upper = base / (1.0 - az) ** (m * (1.0 - beta)) * (bracket + 1.0 - beta)
-    simple_upper = 2.0 * m * power / ((1.0 - az**2) * (1.0 - az) ** (m * (1.0 - beta)))
-    out = DerivativeBounds(np.maximum(raw_lower, 0.0), upper, simple_upper, raw_lower)
-    return DerivativeBounds(*(_like(z, b) for b in out))
+    m, beta, zc = params.mu.real, params.beta, np.conj(arrays.points)
+    power, lo, hi = _envelope_powers(params, arrays, memo)
+    base = m * power / arrays.one_m_abs2
+    bracket = np.abs((1.0 - zc) / arrays.one_m_z + beta * zc)
+    raw_lower = base / lo * (bracket - 1.0 + beta)
+    upper = base / hi * (bracket + 1.0 - beta)
+    simple_upper = 2.0 * m * power / (arrays.one_m_abs2 * hi)
+    return DerivativeBounds(np.maximum(raw_lower, 0.0), upper, simple_upper, raw_lower)
 
 
 def _value_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     q = _ratio_log(ev, params)
     ratio_mod = np.exp(q.real)
-    b = modulus_arg_bounds(params, ev.points)
+    b = _value_envelopes(params, ev._arrays, ev._memo)
     margins = [ratio_mod - b.mod_lo, b.mod_hi - ratio_mod, b.arg_cap - np.abs(q.imag)]
     if b.f_lo is not None:
-        fmod = np.exp(ev.log_f.real)
+        fmod = _f_modulus(ev)
         margins += [fmod - b.f_lo, b.f_hi - fmod]
     return np.min(margins, axis=0)
 
 
 def _derivative_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
-    fd = np.exp(ev.log_f.real) * np.abs(ev.dlog_f)
-    b = derivative_bounds(params, ev.points)
+    fd = _f_modulus(ev) * np.abs(ev.dlog_f)
+    b = _derivative_envelopes(params, ev._arrays, ev._memo)
     return np.min([fd - b.lower, b.upper - fd, b.simple_upper - b.upper], axis=0)
 
 
@@ -355,7 +462,7 @@ class InteriorSpirallikeMap:
         if ev.f != self.source:
             raise ValueError("the evaluation is not of this map's source")
         z = ev.points
-        zs = 1.0 + z * ev.dlog_f + self.params.mu * z / (1.0 - z)
+        zs = 1.0 + z * ev.dlog_f + self.params.mu * z / ev._arrays.one_m_z
         return (cmath.exp(-1j * self.phi) * zs).real - self.order
 
 
@@ -403,7 +510,7 @@ _GRID_CHECKS = {
     ),
     "derivative-disk": _GridCheck("check_derivative_disk", "derivative-disk", _disk_margin),
     "schwarz": _GridCheck(
-        "check_schwarz", "schwarz", lambda ev, p: np.abs(ev.points) - np.abs(schwarz_function(ev, p))
+        "check_schwarz", "schwarz", lambda ev, p: ev._arrays.abs_z - np.abs(schwarz_function(ev, p))
     ),
     "value-bounds": _GridCheck("check_value_bounds", "value-bounds", _value_bounds_margin),
     "derivative-bounds": _GridCheck(
@@ -420,6 +527,8 @@ _GRID_CHECKS = {
         grid=GridSpec((0.999,), 512),
     ),
 }
+# the grids `check` reads unless told otherwise; an evaluation on the points of one reads the arrays it keeps
+_CHECK_GRIDS = (DEFAULT_GRID, *(c.grid for c in _GRID_CHECKS.values() if c.grid is not None))
 
 
 @np.errstate(all="ignore")

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spiralcover import (
-    ClassParams, GridEvaluation, GridSpec, PolyLine, check_derivative_disk, cli, random_measure, verification,
+    ClassParams, GridEvaluation, GridSpec, PolyLine, check_derivative_disk, cli, functions, kernel, random_measure,
+    verification,
 )
 from spiralcover.cli import main
 from spiralcover.render import render_svg
@@ -773,9 +774,9 @@ class TestSharedEvaluation:
     def passes(self, monkeypatch):
         seen = []
 
-        def spy(f, zz, dlog=False, _fn=verification._factor_sums):
+        def spy(f, zz, dlog=False, log_1mz=None, _fn=verification._factor_sums):
             seen.append((zz.shape, dlog))
-            return _fn(f, zz, dlog)
+            return _fn(f, zz, dlog, log_1mz)
 
         monkeypatch.setattr(verification, "_factor_sums", spy)
         return seen
@@ -801,6 +802,39 @@ class TestSharedEvaluation:
         assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
         # one pass over the factors per set of points a named check reads, with f'/f on the grid alone
         assert passes == [((n,), dlog) for n, dlog in grids]
+
+    def test_class_margin_formed_once(self, monkeypatch, tmp_path):
+        # membership, interior-identity and growth read one class margin
+        formed = []
+
+        def spy(ev, params, _fn=verification._class_margin):
+            formed.append(ev.points.size)
+            return _fn(ev, params)
+
+        monkeypatch.setattr(verification, "_class_margin", spy)
+        src = tmp_path / "in.json"
+        src.write_text(dumps(EXAMPLE_SPEC))
+        assert main(["check", "-i", str(src), "--checks", "all", "-o", str(tmp_path / "out.json")]) == 0
+        assert formed == [896]
+
+    def test_point_arrays_computed_once_per_process(self, monkeypatch, tmp_path):
+        # the GridSpecs of the default grid and of the wedge ring keep Log(1-z) of their points, so a
+        # second `check` takes the kernel for the blocks of factors alone, 2 factors x 896, then x 512,
+        # and for the wedge's rotation, the logs of 1 - c_j
+        src = tmp_path / "in.json"
+        src.write_text(dumps(EXAMPLE_SPEC))
+        argv = ["check", "-i", str(src), "--checks", "all", "-o", str(tmp_path / "out.json")]
+        assert main(argv) == 0
+        shapes = []
+
+        def spy(w, work, log_mod, _fn=kernel._log_into):
+            shapes.append(w.shape)
+            _fn(w, work, log_mod)
+
+        monkeypatch.setattr(kernel, "_log_into", spy)
+        monkeypatch.setattr(functions, "_log_into", spy)
+        assert main(argv) == 0
+        assert shapes == [(2, 896), (2, 512), (2,)]
 
     @pytest.mark.parametrize("name", [name for name, c in verification._GRID_CHECKS.items() if c.grid is not None])
     def test_own_grid_reads_no_dlog(self, name, population):

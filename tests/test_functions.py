@@ -452,6 +452,21 @@ class TestBlockedEvaluation:
         eval_log(many_factor_map(5), fine)
         assert calls == [(8194,)] + [(1, 8194)] * 5
 
+    def test_lone_point_has_the_bits_of_the_grid(self, population):
+        # a lone point rounds as in a batch on population maps of 1 to 8 atoms: numpy takes a complex
+        # product over one element without the fused multiply-add of its vector loops, which a
+        # one-factor block over one point took, so single-atom maps differed there
+        maps = [f for entry in population for f in (entry.f, entry.real_f)]
+        assert sum(len(f.factors) == 1 for f in maps) >= 10
+        for f in maps:
+            grid = GridEvaluation(f, self.GRID)
+            for k in range(0, self.GRID.size, 101):
+                z = self.GRID[k]
+                assert bit_equal(eval_log(f, z), grid.log_f[k]) and bit_equal(log_derivative(f, z), grid.dlog_f[k])
+                lone = GridEvaluation(f, z)
+                for name in ("log_1mz", "log_f", "dlog_f"):
+                    assert bit_equal(getattr(lone, name), getattr(grid, name)[k : k + 1])
+
     POINT_SETS = {
         "scalar": np.array([-0.3 + 0.4j]),
         "empty": np.array([], dtype=np.complex128),
