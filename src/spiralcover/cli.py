@@ -76,7 +76,7 @@ def cmd_check(args) -> int:
     grid = _grid_from_args(args)
     on_grid = any(c.grid is None for c in checks)
     evs = {
-        spec: GridEvaluation(f, spec.points(), dlog=on_grid and spec == grid)
+        spec: GridEvaluation(f, spec, dlog=on_grid and spec == grid)
         for spec in dict.fromkeys(c.grid or grid for c in checks)
     }
     reports = [check.run(evs[check.grid or grid], params, args.tolerance) for check in checks]

@@ -215,6 +215,8 @@ def load_render_input(data: Any) -> tuple[list[tuple[ProductForm, ClassParams]],
         raise ValueError("no function specs to render")
     if len(specs) > 4:
         raise ValueError("at most 4 overlay curves")
+    if len(labels) > len(specs):
+        raise ValueError("more labels than function specs")  # label i takes the colour of curve i
     return [load_function_spec(spec) for spec in specs], covering_disk, wedge, labels
 
 

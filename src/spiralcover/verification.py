@@ -9,21 +9,18 @@ double-precision round-off.
 
 Every margin is built from log f and f'/f at the points and from
 quantities of the points alone: Log(1-z), 1-z, |z|, (1+z)/(1-z),
-1/(1-z) and 1-|z|^2.  Those live in a _PointArrays, which computes
-each on its first read and keeps it; a GridSpec keeps one beside its
-points, so the default grid and the wedge ring compute them once per
-process, and an evaluation on other points builds its own.  A
-GridEvaluation computes log f and f'/f when it is built, in one pass
-over the factors that reads Log(1-z) from there, and keeps each
-quantity of the map that several margins share, formed once per
-params: the class margin (membership, growth, interior-identity), the
-ratio log q (distortion, value-bounds), |f| and, for real mu, the
+1/(1-z) and 1-|z|^2, one read-only record that a GridSpec builds on
+first use and keeps; raw points get a record of their own.  A
+GridEvaluation takes a GridSpec or raw points, computes log f and f'/f
+in one pass over the factors that reads Log(1-z) from the record, and
+keeps each quantity of the map that several margins share, formed once
+per params: the class margin (membership, growth, interior-identity),
+the ratio log q (distortion, value-bounds), |f| and, for real mu, the
 envelope powers |1-z|^mu and (1 +- |z|)^(mu*(1-beta)) (value-bounds,
-derivative-bounds).  Every margin reads the same read-only arrays.
-Each check is one entry of the table _GRID_CHECKS: the name of
-its report, its margin (one function of a GridEvaluation), the
-parameters it applies to and, for wedge-containment, the points it is
-sampled at, whose pass takes no f'/f, as its margin reads none.  One
+derivative-bounds).  Each check is one entry of the table _GRID_CHECKS:
+the name of its report, its margin (one function of a GridEvaluation),
+the parameters it applies to and, for wedge-containment, the points it
+is sampled at, whose pass takes no f'/f, as its margin reads none.  One
 scan turns an entry into its report with numpy's floating-point
 warnings off: a map that overflows leaves a non-finite margin, which
 raises DomainError whatever the warning filters.
@@ -93,17 +90,14 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         """The points, ring by ring: computed on the first call, which then returns the same read-only array."""
-        return self._arrays().points
+        return self._arrays.points
 
+    @cached_property
     def _arrays(self) -> _PointArrays:
-        """The points with the arrays of the points alone, kept from the first call on."""
-        arrays = self.__dict__.get("_point_arrays")
-        if arrays is None:
-            theta = np.linspace(0.0, 2.0 * np.pi, self.angles_per_ring, endpoint=False)
-            ring = np.exp(1j * theta)
-            arrays = _PointArrays(_read_only((np.asarray(self.radii)[:, None] * ring[None, :]).ravel()))
-            object.__setattr__(self, "_point_arrays", arrays)  # not a field: equality and hashing stay on the two
-        return arrays
+        """The points' record, kept from the first read on in __dict__, so equality, hashing and repr stay on
+        the two fields."""
+        ring = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, self.angles_per_ring, endpoint=False))
+        return _point_arrays((np.asarray(self.radii)[:, None] * ring[None, :]).ravel())
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -111,44 +105,23 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _PointArrays:
-    """Points inside the disk, with the quantities of the points alone that the margins read.
+class _PointArrays(NamedTuple):
+    """Points inside the disk, with the quantities of the points alone that the margins read, all read-only."""
 
-    Each quantity is computed from the points on its first read and then
-    kept, read-only, so it is computed once per set of points: once per
-    process for a GridSpec, which keeps one beside its points, and once
-    per evaluation for other points.
-    """
+    points: np.ndarray
+    one_m_z: np.ndarray
+    log_1mz: np.ndarray
+    abs_z: np.ndarray
+    cayley: np.ndarray  # (1+z)/(1-z)
+    inv_1mz: np.ndarray  # 1/(1-z)
+    one_m_abs2: np.ndarray  # 1 - |z|**2
 
-    def __init__(self, points: np.ndarray):
-        self.points = points
 
-    @cached_property
-    def one_m_z(self) -> np.ndarray:
-        return _read_only(1.0 - self.points)
-
-    @cached_property
-    def log_1mz(self) -> np.ndarray:
-        return _read_only(log_principal(self.one_m_z))
-
-    @cached_property
-    def abs_z(self) -> np.ndarray:
-        return _read_only(np.abs(self.points))
-
-    @cached_property
-    def cayley(self) -> np.ndarray:
-        """(1+z)/(1-z)."""
-        return _read_only((1.0 + self.points) / self.one_m_z)
-
-    @cached_property
-    def inv_1mz(self) -> np.ndarray:
-        """1/(1-z)."""
-        return _read_only(1.0 / self.one_m_z)
-
-    @cached_property
-    def one_m_abs2(self) -> np.ndarray:
-        """1 - |z|**2."""
-        return _read_only(1.0 - self.abs_z**2)
+def _point_arrays(points: np.ndarray) -> _PointArrays:
+    """The record of points inside the disk, an array it takes over and makes read-only, as are the others."""
+    one_m_z, abs_z = 1.0 - points, np.abs(points)
+    arrays = points, one_m_z, log_principal(one_m_z), abs_z, (1.0 + points) / one_m_z, 1.0 / one_m_z, 1.0 - abs_z**2
+    return _PointArrays(*map(_read_only, arrays))
 
 
 DEFAULT_GRID = GridSpec()
@@ -158,24 +131,23 @@ DEFAULT_GRID = GridSpec()
 class GridEvaluation:
     """One map at a set of points, with log f, f'/f and Log(1-z) there, computed when it is built.
 
-    The points (the default grid unless given; a scalar is one point) are
-    kept as a 1-d complex copy, and there must be at least one: a scan of
-    no points has no worst margin.  The points of DEFAULT_GRID or of a
-    check's own grid are kept as they are, with the arrays of the points
-    alone (Log(1-z) among them) that their GridSpec keeps; other points
-    get those arrays of their own.  log f and f'/f come from one pass over
-    the factors, with numpy's floating-point warnings off as in the
-    checks: a value that overflows is left non-finite, for the margin that
-    reads it to report.  With dlog false the pass takes no f'/f and dlog_f
-    is None, for checks that read log f and Log(1-z) alone.  The arrays
-    are read-only, because every margin reads the same ones; so are the
-    quantities of the map that several margins share (the class margin,
-    the ratio log, |f| and the real-mu envelope powers), each formed on
-    its first read and kept per params.
+    The points are a GridSpec's (DEFAULT_GRID unless given), kept as it
+    keeps them with the arrays of the points alone, Log(1-z) among them;
+    or raw points (a scalar is one point), kept as a flat, checked,
+    read-only complex copy with arrays of their own.  There must be at
+    least one: a scan of no points has no worst margin.  log f and f'/f
+    come from one pass over the factors, with numpy's floating-point
+    warnings off as in the checks: a value that overflows is left
+    non-finite, for the margin that reads it to report.  With dlog false
+    the pass takes no f'/f and dlog_f is None, for checks that read log f
+    and Log(1-z) alone.  The arrays are read-only, because every margin
+    reads the same ones; so are the quantities of the map that several
+    margins share (the class margin, the ratio log, |f| and the real-mu
+    envelope powers), each formed on its first read and kept per params.
     """
 
     f: ProductForm
-    points: np.ndarray = field(default_factory=DEFAULT_GRID.points)
+    points: np.ndarray | GridSpec = DEFAULT_GRID
     dlog: bool = True
     log_1mz: np.ndarray = field(init=False, repr=False)
     log_f: np.ndarray = field(init=False, repr=False)
@@ -183,24 +155,18 @@ class GridEvaluation:
 
     @np.errstate(all="ignore")
     def __post_init__(self):
-        arrays = _arrays_of(self.points)
-        values = _factor_sums(self.f, arrays.points, self.dlog, arrays.log_1mz)
-        for name, value in zip(("points", "log_1mz", "log_f", "dlog_f"), (arrays.points, *values)):
-            object.__setattr__(self, name, value if value is None else _read_only(value))
-        object.__setattr__(self, "_arrays", arrays)
-        object.__setattr__(self, "_memo", {})
-
-
-def _arrays_of(points) -> _PointArrays:
-    """The arrays a grid of `check` keeps, if points are its own points; else new ones for a flat read-only copy."""
-    for grid in _CHECK_GRIDS:
-        kept = grid.__dict__.get("_point_arrays")
-        if kept is not None and kept.points is points:
-            return kept
-    points = np.array(points, dtype=np.complex128).ravel()
-    if not points.size:
-        raise ValueError("need at least one point")
-    return _PointArrays(_read_only(_as_points(points)))
+        if isinstance(self.points, GridSpec):
+            arrays = self.points._arrays
+        else:
+            points = np.array(self.points, dtype=np.complex128).ravel()
+            if not points.size:
+                raise ValueError("need at least one point")
+            arrays = _point_arrays(_as_points(points))
+        _, log_f, dlog_f = _factor_sums(self.f, arrays.points, self.dlog, arrays.log_1mz)
+        kept = {"points": arrays.points, "log_1mz": arrays.log_1mz, "log_f": _read_only(log_f),
+                "dlog_f": dlog_f if dlog_f is None else _read_only(dlog_f), "_arrays": arrays, "_memo": {}}
+        for name, value in kept.items():
+            object.__setattr__(self, name, value)
 
 
 def _once(memo: dict, key: str, params, compute: Callable[[], np.ndarray]) -> np.ndarray:
@@ -328,7 +294,7 @@ def modulus_arg_bounds(params: ClassParams, z):
     |arg| <= (1-beta)*arcsin|z| for every class member.  The |f|
     envelopes only make sense for real mu and are None otherwise.
     """
-    out = _value_envelopes(params, _PointArrays(_as_points(z)), {})
+    out = _value_envelopes(params, _point_arrays(_as_points(z).copy()), {})
     return ValueBounds(*(None if b is None else _like(z, b) for b in out))
 
 
@@ -368,7 +334,7 @@ def derivative_bounds(params: ClassParams, z):
     hence never truly negative; it is still clamped at 0 and the raw
     value reported alongside.
     """
-    out = _derivative_envelopes(params, _PointArrays(_as_points(z)), {})
+    out = _derivative_envelopes(params, _point_arrays(_as_points(z).copy()), {})
     return DerivativeBounds(*(_like(z, b) for b in out))
 
 
@@ -527,8 +493,6 @@ _GRID_CHECKS = {
         grid=GridSpec((0.999,), 512),
     ),
 }
-# the grids `check` reads unless told otherwise; an evaluation on the points of one reads the arrays it keeps
-_CHECK_GRIDS = (DEFAULT_GRID, *(c.grid for c in _GRID_CHECKS.values() if c.grid is not None))
 
 
 @np.errstate(all="ignore")

@@ -1250,8 +1250,12 @@ class TestRender:
             ({"wedge": "no"}, "must be true or false"),
             ({"covering_disk": 1}, "must be true or false"),
             ({"functions": {}}, "'functions' must be a list of function specs"),
+            ({"labels": ["a", "b", "c"], "wedge": True}, "more labels than function specs"),
         ],
-        ids=["number-label", "null-label", "string-labels", "string-wedge", "number-covering-disk", "object-functions"],
+        ids=[
+            "number-label", "null-label", "string-labels", "string-wedge", "number-covering-disk", "object-functions",
+            "labels-past-curves",
+        ],
     )
     @pytest.mark.parametrize("suffix", ["svg", "csv"])
     def test_bad_options_rejected(self, options, message, suffix, tmp_path, capsys):
@@ -1331,7 +1335,7 @@ class TestRender:
 
     def test_label_text_is_escaped(self, tmp_path):
         path = tmp_path / "one.json"
-        path.write_text(dumps({"functions": [EXAMPLE_SPEC], "labels": ["a<b & c", "plain"]}))
+        path.write_text(dumps({"functions": [EXAMPLE_SPEC, CORE_SPEC], "labels": ["a<b & c", "plain"]}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
         svg = svg_text(out)

@@ -209,6 +209,30 @@ class TestGridEvaluation:
         with pytest.raises(DomainError, match=match):
             GridEvaluation(ProductForm(1.0), [0.5, bad])
 
+    # the grid `check` reads unless told otherwise, its wedge ring, and a grid the --grid-* flags name
+    SPECS = [sc.DEFAULT_GRID, verification._GRID_CHECKS["wedge-containment"].grid, GridSpec((0.5, 0.9), 16)]
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["default", "wedge-ring", "custom"])
+    def test_spec_arrays_kept_as_they_are(self, spec, worked_example):
+        # no copy and no second Log(1-z): the evaluation reads the record its GridSpec keeps
+        for dlog in (True, False):
+            ev = GridEvaluation(worked_example[0], spec, dlog=dlog)
+            assert ev.points is spec.points() and ev.log_1mz is spec._arrays.log_1mz
+        assert GridEvaluation(worked_example[0]).points is sc.DEFAULT_GRID.points()
+
+    @pytest.mark.parametrize("spec", SPECS, ids=["default", "wedge-ring", "custom"])
+    def test_raw_points_match_their_spec(self, spec, population):
+        # raw points get a record of their own, with the bits of the one their GridSpec keeps
+        for entry in population:
+            for f, params in ((entry.f, entry.params), (entry.real_f, entry.real_params)):
+                kept, raw = GridEvaluation(f, spec), GridEvaluation(f, np.array(spec.points()))
+                assert raw.points is not kept.points and raw.log_1mz is not kept.log_1mz
+                for name in ("points", "log_1mz", "log_f", "dlog_f"):
+                    assert bit_equal(getattr(raw, name), getattr(kept, name)), name
+                for name, check in verification._GRID_CHECKS.items():
+                    if check.applies(params):
+                        assert bit_equal(check.margin(raw, params), check.margin(kept, params)), name
+
 
 class TestMembership:
     def test_measure_built_maps_pass(self, population):

@@ -16,8 +16,10 @@ claim rule's result and the bound check, with the metrics' directions and
 bounds taken from the head's BENCHMARK.json.
 
 The claim rule: at least ten pairs, of which the head wins at least nine
-tenths, ties counting for neither side, and the head's median is better
-than the base's by more than the distance between the base's quartiles.  The bound check:
+tenths, ties counting for neither side, the head's median is better
+than the base's by more than the distance between the base's quartiles,
+and the head's runs fail no larger share of their operations than the
+base's, from the failed and attempted totals the record keeps per side.  The bound check:
 the head's median is worse than the base's by no more than the metric's
 bound, as a share of the base's median.
 """
@@ -65,9 +67,15 @@ def wins(base: list[float], head: list[float], better: str) -> int:
     return sum(sign * (h - b) > 0.0 for b, h in zip(base, head, strict=True))
 
 
-def claim(base: list[float], head: list[float], better: str) -> dict:
-    """The claim rule on one metric: of at least CLAIM_PAIRS pairs the head wins CLAIM_SHARE, and its median is
-    better by more than the base's interquartile range."""
+def outcomes(runs: list[dict]) -> dict:
+    """A side's failed and attempted operations, summed over its runs, and the failed share (0 for none)."""
+    failed, attempted = (sum(r[key] for r in runs) for key in ("failed", "attempted"))
+    return {"failed": failed, "attempted": attempted, "failed_share": failed / attempted if attempted else 0.0}
+
+
+def claim(base: list[float], head: list[float], better: str, failed_shares: tuple[float, float]) -> dict:
+    """The claim rule on one metric: of at least CLAIM_PAIRS pairs the head wins CLAIM_SHARE, its median is
+    better by more than the base's interquartile range, and its failed share (base's, head's) is no larger."""
     sign = 1.0 if better == "higher" else -1.0
     won, gap, spread = wins(base, head, better), sign * (median(head) - median(base)), iqr(base)
     return {
@@ -75,7 +83,8 @@ def claim(base: list[float], head: list[float], better: str) -> dict:
         "pairs": len(base),
         "median_gain": gap,
         "base_iqr": spread,
-        "holds": len(base) >= CLAIM_PAIRS and won >= CLAIM_SHARE * len(base) and gap > spread,
+        "holds": len(base) >= CLAIM_PAIRS and won >= CLAIM_SHARE * len(base) and gap > spread
+        and failed_shares[1] <= failed_shares[0],
     }
 
 
@@ -86,13 +95,15 @@ def within_bound(base: list[float], head: list[float], better: str, bound: float
     return loss <= bound * abs(median(base))
 
 
-def summarize(base: list[float], head: list[float], better: str, bound: float) -> dict:
+def summarize(
+    base: list[float], head: list[float], better: str, bound: float, failed_shares: tuple[float, float]
+) -> dict:
     return {
         "base_median": median(base),
         "head_median": median(head),
         "base_quartiles": quartiles(base),
         "head_quartiles": quartiles(head),
-        **claim(base, head, better),
+        **claim(base, head, better, failed_shares),
         "within_bound": within_bound(base, head, better, bound),
     }
 
@@ -186,13 +197,15 @@ def main(argv=None) -> int:
                 for side in ("base", "head") if k % 2 == 0 else ("head", "base"):
                     runs[side].append(run_one(trees[side], workload, args))
                     print(f"{workload} pair {k + 1}/{args.pairs} {side}: {runs[side][-1]['metrics']}", flush=True)
+            totals = {side: outcomes(runs[side]) for side in runs}
+            shares = (totals["base"]["failed_share"], totals["head"]["failed_share"])
             metrics = {}
             for m in spec["end_to_end"]:
                 base, head = ([r["metrics"][m["name"]] for r in runs[side]] for side in ("base", "head"))
                 metrics[m["name"]] = {"better": m["better"], "bound": m["bound"],
-                                      **summarize(base, head, m["better"], m["bound"])}
+                                      **summarize(base, head, m["better"], m["bound"], shares)}
             digests = sorted({r["digest"] for side in runs for r in runs[side]})
-            workloads[workload] = {"runs": runs, "metrics": metrics, "digests": digests,
+            workloads[workload] = {"runs": runs, "outcomes": totals, "metrics": metrics, "digests": digests,
                                    "digests_agree": len(digests) == 1}
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -212,7 +225,8 @@ def main(argv=None) -> int:
             print(f"{workload} {name}: {m['base_median']:.6g} -> {m['head_median']:.6g}, head wins "
                   f"{m['wins']}/{m['pairs']}, claim {'holds' if m['holds'] else 'not met'}, "
                   f"{'within' if m['within_bound'] else 'beyond'} bound")
-        print(f"{workload} digests agree: {w['digests_agree']}")
+        print(f"{workload} digests agree: {w['digests_agree']}; failed/attempted: "
+              + ", ".join(f"{side} {o['failed']}/{o['attempted']}" for side, o in w["outcomes"].items()))
     return 0
 
 
