@@ -80,9 +80,8 @@ def cmd_check(args) -> int:
         for spec in dict.fromkeys(c.grid or grid for c in checks)
     }
     reports = [check.run(evs[check.grid or grid], params, args.tolerance) for check in checks]
-    passed = all(r.passed for r in reports)
-    _write(args.output, dumps({"checks": [r.to_dict() for r in reports], "passed": passed}))
-    return 0 if passed else 1
+    _write(args.output, dumps(reports))
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_cover(args) -> int:
@@ -90,7 +89,7 @@ def cmd_cover(args) -> int:
     report = check_covering(f, params, args.r_inner, args.rho, m=args.samples)
     if report.indeterminate:
         print(f"warning: {report.indeterminate} indeterminate winding sample(s)", file=sys.stderr)
-    _write(args.output, dumps(report.to_dict()))
+    _write(args.output, dumps(report))
     return 0 if report.passed else 1
 
 
@@ -116,13 +115,12 @@ def cmd_radius_table(args) -> int:
 
 def cmd_render(args) -> int:
     loaded, covering_disk, wedge, labels = load_render_input(load_json(args.input))
-    curves = [boundary_curve(f, args.rho, n=args.samples) for f, _ in loaded]
-
     if args.output and args.output.endswith(".csv"):
-        if len(curves) != 1:
-            raise ValueError("CSV output supports exactly one curve")
-        _write(args.output, curve_csv(curves[0]))
+        if len(loaded) != 1 or covering_disk or wedge or labels:
+            raise ValueError("CSV output takes exactly one curve and no covering_disk, wedge or labels")
+        _write(args.output, curve_csv(boundary_curve(loaded[0][0], args.rho, n=args.samples)))
         return 0
+    curves = [boundary_curve(f, args.rho, n=args.samples) for f, _ in loaded]
 
     disk_radius = None
     if covering_disk:

@@ -208,13 +208,10 @@ def _fold(total: np.ndarray, terms: np.ndarray) -> None:
     The running total goes into the first row, and np.subtract.reduce
     along axis 0 goes row by row down the block (np.add.reduce would sum
     a one-point block pairwise), so the bytes equal those of one term at
-    a time.  A one-row block is that row, with no reduce.
+    a time.
     """
-    if len(terms) == 1:
-        np.subtract(total, terms[0], out=total)
-    else:
-        np.subtract(total, terms[0], out=terms[0])
-        np.subtract.reduce(terms, axis=0, out=total)
+    np.subtract(total, terms[0], out=terms[0])
+    np.subtract.reduce(terms, axis=0, out=total)
 
 
 def _factor_sums(f: ProductForm, zz: np.ndarray, dlog: bool = False, log_1mz: np.ndarray | None = None):

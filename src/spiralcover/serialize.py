@@ -1,9 +1,11 @@
 """Every file format of the package: the one reader and writer of its JSON and CSV.
 
-Reports serialize every float at 12 significant digits, so report diffs
-stay stable at the verification tolerance.  Function specs and measures
-written by `construct` are inputs, not reports: they serialize at
-round-trip precision, so loading them gives back the same floats.
+A report is written from its six fields in one fixed form, the text
+json.dumps(..., indent=2) gives them with every float at 12 significant
+digits, so report diffs stay stable at the verification tolerance.
+Function specs and measures written by `construct` are inputs, not
+reports: json.dumps writes them at round-trip precision, so loading
+them gives back the same floats.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 from .functions import ClassParams, ProductForm, construct
 from .geometry import PolyLine
 from .measures import AtomicCircleMeasure, _measure
+from .verification import VerificationReport
 
 __all__ = [
     "fmt", "dumps", "dumps_spec",
@@ -35,69 +38,47 @@ def fmt(x: float) -> str:
 
 _escape = json.encoder.encode_basestring_ascii
 
-
-def _key(key) -> str:
-    """A dict key as json writes it: a str as it is, a float, int, bool or None as its JSON text, quoted."""
-    if isinstance(key, str):
-        return _escape(key)
-    if isinstance(key, (float, int)) or key is None:
-        return _escape(_text(key, False, "", None))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+# the layouts json.dumps(..., indent=2) gives a report's six fields and a check document, each value a %s slot
+_REPORT = json.dumps(
+    {"check": 0, "passed": 0, "worst_margin": 0, "worst_z": [0, 0], "tolerance": 0, "samples": 0}, indent=2
+).replace("0", "%s")
+_CHECKS = json.dumps({"checks": [0], "passed": 0}, indent=2).replace("0", "%s")
+_ENTRY = _REPORT.replace("\n", "\n    ")  # a report as an entry of the checks list
 
 
-def _text(obj: Any, report: bool, indent: str, path: set | None) -> str:
-    """obj as json.dumps(obj, indent=2, allow_nan=False) writes it, its lines after the first at indent.
+def _number(x) -> str:
+    """x at 12 significant digits as json writes the float; NaN and infinities raise ValueError, as json's do."""
+    x = float(fmt(x))
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return float.__repr__(x)
 
-    For a report, floats go to 12 significant digits first and a complex
-    value is the pair [re, im].  path holds the ids of the lists and
-    dicts being written, for json's ValueError on a value that holds
-    itself; dumps passes None, and such a report raises RecursionError.
+
+def _values(r: VerificationReport) -> tuple:
+    """The fields of r as JSON text, in the order _REPORT takes them."""
+    z = r.worst_location
+    return (
+        _escape(r.check), "true" if r.passed else "false",
+        _number(r.worst_margin), _number(z.real), _number(z.imag), _number(r.tolerance), r.samples,
+    )
+
+
+def dumps(reports: VerificationReport | list[VerificationReport]) -> str:
+    """JSON of one report, or of the check document {"checks": [...], "passed": ...} of a non-empty list of them.
+
+    The text is json.dumps(..., indent=2)'s for the six fields
+    {check, passed, worst_margin, worst_z: [re, im], tolerance, samples},
+    with every float at 12 significant digits.
     """
-    if isinstance(obj, str):
-        return _escape(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        x = float(fmt(obj)) if report else obj
-        if not math.isfinite(x):  # json's ValueError without allow_nan
-            raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
-        return float.__repr__(x)
-    if report and isinstance(obj, complex):
-        obj = [float(fmt(obj.real)), float(fmt(obj.imag))]
-    is_list = isinstance(obj, (list, tuple))
-    if not (is_list or isinstance(obj, dict)):
-        raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
-    if not obj:
-        return "[]" if is_list else "{}"
-    if path is not None:
-        if id(obj) in path:
-            raise ValueError("Circular reference detected")
-        path.add(id(obj))
-    inner = indent + "  "
-    if is_list:
-        items = [_text(v, report, inner, path) for v in obj]
-    else:
-        items = [f"{_key(k)}: {_text(v, report, inner, path)}" for k, v in obj.items()]
-    if path is not None:
-        path.discard(id(obj))
-    body = (",\n" + inner).join(items)
-    return f"[\n{inner}{body}\n{indent}]" if is_list else f"{{\n{inner}{body}\n{indent}}}"
-
-
-def dumps(obj: Any) -> str:
-    """Indented JSON of a report, at 12 significant digits."""
-    return _text(obj, True, "", None) + "\n"
+    if isinstance(reports, VerificationReport):
+        return _REPORT % _values(reports) + "\n"
+    entries = ",\n    ".join([_ENTRY % _values(r) for r in reports])
+    return _CHECKS % (entries, "true" if all(r.passed for r in reports) else "false") + "\n"
 
 
 def dumps_spec(obj: Any) -> str:
     """Indented JSON at round-trip precision; NaN and infinities raise ValueError, as JSON has no form for them."""
-    return _text(obj, False, "", set()) + "\n"
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:

@@ -179,7 +179,7 @@ def _once(memo: dict, key: str, params, compute: Callable[[], np.ndarray]) -> np
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Worst margin of one check; indeterminate counts undecided samples, which to_dict omits."""
+    """Worst margin of one check; indeterminate counts undecided samples, which the JSON report omits."""
 
     check: str
     worst_margin: float
@@ -191,16 +191,6 @@ class VerificationReport:
     @property
     def passed(self) -> bool:
         return bool(self.worst_margin >= -self.tolerance)
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "passed": self.passed,
-            "worst_margin": float(self.worst_margin),
-            "worst_z": [self.worst_location.real, self.worst_location.imag],
-            "tolerance": float(self.tolerance),
-            "samples": int(self.samples),
-        }
 
 
 def _report(

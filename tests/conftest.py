@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
 from dataclasses import dataclass
 
@@ -84,6 +85,26 @@ def reference_growth_margin(ev, params, ts, eval_log=sc.eval_log):
     g = (ev.log_f - params.mu * ev.log_1mz).real
     rows = np.array([[power * math.log1p(-t / cos2)] for t in ts])
     return (g - eval_log(ratio, shifted).real + rows) / np.array([[t] for t in ts])
+
+
+def report_oracle(obj):
+    """The value json.dumps writes for a report: floats at 12 significant digits, complex values as [re, im]."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}")
+    if isinstance(obj, complex):
+        return [report_oracle(obj.real), report_oracle(obj.imag)]
+    if isinstance(obj, dict):
+        return {k: report_oracle(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [report_oracle(v) for v in obj]
+    return obj
+
+
+def report_json(value) -> str:
+    """value as the package's report files write JSON, for input files: json.dumps of report_oracle(value)."""
+    return json.dumps(report_oracle(value), indent=2) + "\n"
 
 
 def bit_equal(a, b) -> bool:

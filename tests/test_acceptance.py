@@ -13,9 +13,8 @@ import pytest
 
 import spiralcover as sc
 from spiralcover.cli import main
-from spiralcover.serialize import dumps
 
-from conftest import MASTER_SEED, draw_params
+from conftest import MASTER_SEED, draw_params, report_json
 from radial_oracles import boundary_exponent_radial, boundary_rotation_radial
 
 
@@ -116,7 +115,7 @@ def test_criterion_04_figure_reproduction(worked_example, tmp_path):
         ]
     }
     path = tmp_path / "overlay.json"
-    path.write_text(dumps(spec))
+    path.write_text(report_json(spec))
     out = tmp_path / "figure.svg"
     assert main(["render", "-i", str(path), "-o", str(out), "--rho", "0.999"]) == 0
     ElementTree.parse(out)  # well-formed XML

@@ -18,7 +18,7 @@ import pytest
 from spiralcover import VerificationReport
 from spiralcover.cli import main
 from spiralcover.verification import _GRID_CHECKS as CHECKS
-from spiralcover.serialize import dumps_spec, function_spec
+from spiralcover.serialize import dumps, dumps_spec, function_spec
 
 BENCH = Path(__file__).resolve().parents[1] / "spiralbench"
 
@@ -65,4 +65,4 @@ def test_report_names(workloads, worked_example, tmp_path):
 
 def test_report_keys(workloads):
     report = VerificationReport("membership", 0.5, 0.1j, 1e-9, 896)
-    assert set(report.to_dict()) == workloads.REPORT_KEYS
+    assert set(json.loads(dumps(report))) == workloads.REPORT_KEYS

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spiralcover import (
-    ClassParams, GridEvaluation, GridSpec, PolyLine, check_derivative_disk, cli, functions, kernel, random_measure,
-    verification,
+    ClassParams, GridEvaluation, GridSpec, PolyLine, VerificationReport, check_derivative_disk, cli, functions, kernel,
+    random_measure, verification,
 )
 from spiralcover.cli import main
 from spiralcover.render import render_svg
-from spiralcover.serialize import dumps, dumps_spec, fmt, function_spec, load_function_spec, measure_spec
+from spiralcover.serialize import dumps, dumps_spec, function_spec, load_function_spec, measure_spec
+
+from conftest import report_json, report_oracle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -69,7 +71,7 @@ def wide_specs() -> list[dict]:
 @pytest.fixture()
 def example_path(tmp_path):
     path = tmp_path / "example.json"
-    path.write_text(dumps(EXAMPLE_SPEC))
+    path.write_text(report_json(EXAMPLE_SPEC))
     return str(path)
 
 
@@ -331,7 +333,7 @@ READER_CASES = [
     (["construct"], SMALL_MEASURE_SPEC, "json"),
     (["cover", "--samples", "32"], SMALL_FACTOR_SPEC, "json"),
     (["render", "--samples", "32"], {"functions": [SMALL_FACTOR_SPEC], "covering_disk": True, "labels": ["f"]}, "svg"),
-    (["render", "--samples", "32"], {**SMALL_MEASURE_SPEC, "wedge": True}, "csv"),
+    (["render", "--samples", "32"], {**SMALL_MEASURE_SPEC, "wedge": False}, "csv"),
 ]
 KNOWN_KEYS = {"mu", "beta", "prefactor", "factors", "measure", "atoms", "angle", "weight", "node", "exponent",
               "functions", "covering_disk", "wedge", "labels"}
@@ -358,21 +360,6 @@ class TestReaderProperty:
             assert out.exists() == (code != 2)
 
 
-def report_oracle(obj):
-    """The value json.dumps writes for a report: floats at 12 significant digits, complex values as [re, im]."""
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, float):
-        return float(fmt(obj))
-    if isinstance(obj, complex):
-        return [float(fmt(obj.real)), float(fmt(obj.imag))]
-    if isinstance(obj, dict):
-        return {k: report_oracle(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [report_oracle(v) for v in obj]
-    return obj
-
-
 def outcome(write, value):
     """The text write gives for value, or the type of what it raises."""
     try:
@@ -385,50 +372,55 @@ def json_text(value):
     return json.dumps(value, indent=2, allow_nan=False) + "\n"
 
 
-WRITER_FLOATS = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
-WRITER_KEYS = st.text(max_size=6) | st.sampled_from(["", "\x00", "\x1f", "\x7f", "\"", "\\", "é", "\u2028", "😀"])
-WRITER_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | WRITER_FLOATS | st.text(max_size=6)
-    | st.complex_numbers(allow_nan=True, allow_infinity=True),
-    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-    | st.dictionaries(WRITER_KEYS, inner, max_size=4),
-    max_leaves=24,
+def report_dict(r: VerificationReport) -> dict:
+    """The six fields of r under their JSON names, worst_z the complex location itself."""
+    return {"check": r.check, "passed": r.passed, "worst_margin": r.worst_margin, "worst_z": r.worst_location,
+            "tolerance": r.tolerance, "samples": r.samples}
+
+
+REPORT_FLOATS = st.floats() | st.sampled_from([-0.0, 5e-324, 1e308, -1e308, np.nan, np.inf, -np.inf])
+REPORTS = st.builds(
+    VerificationReport,
+    st.text(max_size=6) | st.sampled_from(["", "\x00", "\x1f", "\x7f", "\"", "\\", "é", "\u2028", "😀", "%s"]),
+    REPORT_FLOATS,
+    st.builds(complex, REPORT_FLOATS, REPORT_FLOATS),
+    REPORT_FLOATS,
+    st.integers(0, 2**63),
 )
 
 
 class TestDumps:
-    """dumps and dumps_spec write in one pass the text json.dumps(..., indent=2) writes, or raise as it does."""
+    """dumps writes a report, or the check document of a list of them, as json.dumps(..., indent=2) writes
+    the report's six fields at 12 significant digits, or raises as it does; dumps_spec is json.dumps."""
 
-    @given(WRITER_VALUES)
+    @given(REPORTS | st.lists(REPORTS, min_size=1, max_size=10))
     @settings(max_examples=400, deadline=None)
     def test_matches_json(self, value):
-        assert outcome(dumps, value) == outcome(lambda v: json_text(report_oracle(v)), value)
-        assert outcome(dumps_spec, value) == outcome(json_text, value)
-
-    @pytest.mark.parametrize(
-        "key", [3, -0.0, 1e308, 5e-324, True, False, None, float("nan"), (1, 2), 1j, b"k"],
-        ids=["int", "neg-zero", "big", "subnormal", "true", "false", "none", "nan", "tuple", "complex", "bytes"],
-    )
-    def test_keys_as_json_writes_them(self, key):
-        for write, oracle in ((dumps, report_oracle), (dumps_spec, lambda v: v)):
-            assert outcome(write, {key: 1.25}) == outcome(lambda v: json_text(oracle(v)), {key: 1.25})
-
-    def test_value_that_holds_itself(self):
-        held = [1.0]
-        held.append({"again": held})
-        for write, oracle in ((dumps, report_oracle), (dumps_spec, lambda v: v)):
-            assert outcome(write, held) == outcome(lambda v: json_text(oracle(v)), held)
-
-    def test_numpy_scalars(self):
-        value = {"f": np.float64(0.1) * 3, "c": np.complex128(1 / 3 - 2j), "i": np.int64(3), "b": np.bool_(True)}
-        for write, oracle in ((dumps, report_oracle), (dumps_spec, lambda v: v)):
-            for key in value:
-                assert outcome(write, {key: value[key]}) == outcome(lambda v: json_text(oracle(v)), {key: value[key]})
+        if isinstance(value, VerificationReport):
+            d = report_dict(value)
+        else:
+            d = {"checks": [report_dict(r) for r in value], "passed": all(r.passed for r in value)}
+        assert outcome(dumps, value) == outcome(json_text, report_oracle(d))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), complex(0.0, float("inf"))])
     def test_rejects_non_finite(self, value):
-        with pytest.raises(ValueError):
-            dumps({"worst_margin": value})
+        report = VerificationReport("x", 0.5, 0.1 + 0.2j, 1e-9, 3)
+        fields = ["worst_location"] if isinstance(value, complex) else ["worst_margin", "worst_location", "tolerance"]
+        for field in fields:
+            bad = dataclasses.replace(report, **{field: value})
+            for reports in (bad, [report, bad]):
+                with pytest.raises(ValueError):
+                    dumps(reports)
+
+    def test_each_command_writes_through_one_call(self, example_path, tmp_path, monkeypatch):
+        # the benchmark's tracer times report writing by wrapping serialize.dumps, which the CLI calls once per report file
+        calls = []
+        monkeypatch.setattr(cli, "dumps", lambda reports: calls.append(reports) or dumps(reports))
+        out = tmp_path / "out.json"
+        for argv in (["check", "--checks", "all"], ["cover", "--samples", "64"]):
+            calls.clear()
+            assert main([*argv, "-i", example_path, "-o", str(out)]) == 0
+            assert len(calls) == 1 and out.read_text() == dumps(calls[0])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_spec_rejects_non_finite(self, value):
@@ -445,7 +437,7 @@ class TestConstruct:
         src = tmp_path / "in.json"
         out = tmp_path / "out.json"
         src.write_text(
-            dumps({"mu": 1.0, "beta": 0.5, "measure": {"atoms": [{"angle": 0.0, "weight": 1.0}]}})
+            report_json({"mu": 1.0, "beta": 0.5, "measure": {"atoms": [{"angle": 0.0, "weight": 1.0}]}})
         )
         assert main(["construct", "-i", str(src), "-o", str(out)]) == 0
         data = json.loads(out.read_text())
@@ -533,7 +525,7 @@ class TestCheck:
     def test_example_with_higher_order_fails(self, tmp_path):
         spec = dict(EXAMPLE_SPEC, beta=0.9)
         path = tmp_path / "bad.json"
-        path.write_text(dumps(spec))
+        path.write_text(report_json(spec))
         out = tmp_path / "report.json"
         assert main(["check", "-i", str(path), "-o", str(out)]) == 1
         data = json.loads(out.read_text())
@@ -545,7 +537,7 @@ class TestCheck:
         # distortion reads
         spec = {"mu": [1, 0], "beta": 0.5, "prefactor": [0, 0], "factors": [{"node": [0.6, 0.7], "exponent": [0.2, 0]}]}
         path, out = tmp_path / "zero.json", tmp_path / "report.json"
-        path.write_text(dumps(spec))
+        path.write_text(report_json(spec))
         assert main(["check", "-i", str(path), "--checks", "membership,distortion,growth", "-o", str(out)]) == 1
         data = json.loads(out.read_text())
         assert data["passed"] is False and len(data["checks"]) == 3
@@ -601,7 +593,7 @@ class TestCheck:
         entry = population[0]
         assert entry.params.mu.imag != 0.0
         path = tmp_path / "complex.json"
-        path.write_text(dumps(function_spec(entry.f, entry.params)))
+        path.write_text(report_json(function_spec(entry.f, entry.params)))
         assert main(["check", "-i", str(path), "--checks", "derivative-bounds"]) == 2
         out = tmp_path / "report.json"
         assert main(["check", "-i", str(path), "--checks", "all", "-o", str(out)]) == 0
@@ -623,7 +615,7 @@ class TestCheck:
         # f = (1-z)/(1-z/2)**1e300 overflows on the grid: exit 2 naming the check, no file,
         # and no RuntimeWarning, so the same holds when warnings are errors
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps(OVERFLOW_SPEC))
+        src.write_text(report_json(OVERFLOW_SPEC))
         with warnings.catch_warnings():
             warnings.simplefilter(warning_action, RuntimeWarning)
             assert main(["check", "-i", str(src), "--checks", checks, "-o", str(out)]) == 2
@@ -635,7 +627,7 @@ class TestCheck:
         # growth compares logs, which stay finite where f = (1-z)/(1-z/2)**1e300 overflows:
         # exit 1 and a failing report with a finite rate, and no RuntimeWarning
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps(OVERFLOW_SPEC))
+        src.write_text(report_json(OVERFLOW_SPEC))
         with warnings.catch_warnings():
             warnings.simplefilter(warning_action, RuntimeWarning)
             assert main(["check", "-i", str(src), "--checks", "growth", "-o", str(out)]) == 1
@@ -651,7 +643,7 @@ class TestCheck:
         # the overflow and exits 2
         spec = {"mu": 1, "beta": 0.5, "factors": [{"node": [1, 0], "exponent": [1e308, 0]}]}
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps(spec))
+        src.write_text(report_json(spec))
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter(warning_action, RuntimeWarning)
             assert main(["check", "-i", str(src), "--checks", checks, "-o", str(out)]) == 2
@@ -662,7 +654,7 @@ class TestCheck:
 
     def test_overflowing_margins_rejected_with_warnings_as_errors(self, tmp_path):
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps(OVERFLOW_SPEC))
+        src.write_text(report_json(OVERFLOW_SPEC))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
         proc = subprocess.run(
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "spiralcover.cli",
@@ -761,7 +753,7 @@ class TestCheck:
         digest = hashlib.sha256()
         for k, (argv, spec) in enumerate(self.check_runs(kind, population)):
             src, out = tmp_path / f"in{k}.json", tmp_path / f"out{k}.json"
-            src.write_text(dumps(spec))
+            src.write_text(report_json(spec))
             assert main([*argv, "-i", str(src), "-o", str(out)]) == 0
             digest.update(out.read_bytes())
         assert digest.hexdigest() == self.CHECK_DIGESTS[kind]
@@ -798,7 +790,7 @@ class TestSharedEvaluation:
     )
     def test_kernel_call_counts(self, passes, tmp_path, kind, checks, grids):
         src = tmp_path / "in.json"
-        src.write_text(dumps(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
+        src.write_text(report_json(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
         assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
         # one pass over the factors per set of points a named check reads, with f'/f on the grid alone
         assert passes == [((n,), dlog) for n, dlog in grids]
@@ -813,7 +805,7 @@ class TestSharedEvaluation:
 
         monkeypatch.setattr(verification, "_class_margin", spy)
         src = tmp_path / "in.json"
-        src.write_text(dumps(EXAMPLE_SPEC))
+        src.write_text(report_json(EXAMPLE_SPEC))
         assert main(["check", "-i", str(src), "--checks", "all", "-o", str(tmp_path / "out.json")]) == 0
         assert formed == [896]
 
@@ -822,7 +814,7 @@ class TestSharedEvaluation:
         # second `check` takes the kernel for the blocks of factors alone, 2 factors x 896, then x 512,
         # and for the wedge's rotation, the logs of 1 - c_j
         src = tmp_path / "in.json"
-        src.write_text(dumps(EXAMPLE_SPEC))
+        src.write_text(report_json(EXAMPLE_SPEC))
         argv = ["check", "-i", str(src), "--checks", "all", "-o", str(tmp_path / "out.json")]
         assert main(argv) == 0
         shapes = []
@@ -844,7 +836,7 @@ class TestSharedEvaluation:
             for f, params in ((entry.f, entry.params), (entry.real_f, entry.real_params)):
                 evs = [GridEvaluation(f, check.grid.points(), dlog=dlog) for dlog in (True, False)]
                 assert evs[1].dlog_f is None
-                reports = [dumps(check.run(ev, params, verification.PASS_TOL).to_dict()) for ev in evs]
+                reports = [dumps(check.run(ev, params, verification.PASS_TOL)) for ev in evs]
                 assert reports[0] == reports[1]
 
     def test_no_flag_is_the_default_grid(self):
@@ -878,7 +870,7 @@ class TestSharedEvaluation:
         assert main(["check", "-i", example_path, "--checks", name, "-o", str(alone)]) == 0
         # every check applies to the README example, so the reports come in table order
         entry = json.loads(every.read_text())["checks"][ALL_CHECKS.index(name)]
-        assert alone.read_text() == dumps({"checks": [entry], "passed": entry["passed"]})
+        assert alone.read_text() == report_json({"checks": [entry], "passed": entry["passed"]})
 
     def test_cli_checks_are_the_table(self):
         # `check` keeps no list of its own: it runs the table's entries, each on the grid it names
@@ -935,7 +927,7 @@ class TestCover:
         # a factor of exponent -192 at |c| = 0.985: on |z| = 0.99, |f| runs from ~1e-308 to ~1e57,
         # so two adjacent curve segments differ in length by more than the float range
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps({**EXAMPLE_SPEC, "factors": [{"node": [0.9, 0.4], "exponent": [-192, 0.0]}]}))
+        src.write_text(report_json({**EXAMPLE_SPEC, "factors": [{"node": [0.9, 0.4], "exponent": [-192, 0.0]}]}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["cover", "-i", str(src), "--samples", "32", "-o", str(out)]) == 1
@@ -984,7 +976,7 @@ class TestCover:
         digest = hashlib.sha256()
         for k, spec in enumerate(specs):
             src, out = tmp_path / f"in{k}.json", tmp_path / f"out{k}.json"
-            src.write_text(dumps(spec))
+            src.write_text(report_json(spec))
             args = ["--r-inner", "0.95", "--rho", "0.999", "--samples", "512"]
             assert main(["cover", "-i", str(src), "-o", str(out), *args]) == code
             digest.update(out.read_bytes())
@@ -992,13 +984,13 @@ class TestCover:
 
     def test_overflowing_curve_rejected(self, tmp_path):
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps(OVERFLOW_SPEC))
+        src.write_text(report_json(OVERFLOW_SPEC))
         assert main(["cover", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
 
     def test_overflowing_curve_rejected_with_warnings_as_errors(self, tmp_path, capsys):
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps(OVERFLOW_SPEC))
+        src.write_text(report_json(OVERFLOW_SPEC))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["cover", "-i", str(src), "-o", str(out)]) == 2
@@ -1009,7 +1001,7 @@ class TestCover:
     def test_overflowing_winding_rejected(self, tmp_path, capsys, warning_action):
         # the curve is finite, its cross products are not: exit 2, no file, no RuntimeWarning
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps(WINDING_OVERFLOW_SPEC))
+        src.write_text(report_json(WINDING_OVERFLOW_SPEC))
         with warnings.catch_warnings():
             warnings.simplefilter(warning_action, RuntimeWarning)
             assert main(["cover", "-i", str(src), "-o", str(out), "--rho", "0.999", "--r-inner", "0.95"]) == 2
@@ -1040,10 +1032,10 @@ class TestEnvironment:
     def test_report_bytes_do_not_depend_on_environment(self, population, tmp_path):
         """`check --checks all` and a failing `cover` write the same bytes under each environment."""
         src = tmp_path / "in.json"
-        src.write_text(dumps(function_spec(population[0].f, population[0].params)))
+        src.write_text(report_json(function_spec(population[0].f, population[0].params)))
         # (1-z)**(mu*b) declared with a larger beta: a failing cover, whose worst margin is a failing sample
         failing = TestCover.cover_specs("bare-power-5", population)[0][0]
-        (tmp_path / "fail.json").write_text(dumps(failing))
+        (tmp_path / "fail.json").write_text(report_json(failing))
         runs = {
             "check": (["check", "-i", str(src), "--checks", "all"], 0),
             "cover": (["cover", "-i", str(tmp_path / "fail.json"), "--samples", "64"], 1),
@@ -1158,7 +1150,7 @@ class TestRadiusTable:
 class TestRender:
     def test_two_curve_overlay(self, tmp_path):
         path = tmp_path / "overlay.json"
-        path.write_text(dumps({"functions": [EXAMPLE_SPEC, CORE_SPEC], "labels": ["f", "core"]}))
+        path.write_text(report_json({"functions": [EXAMPLE_SPEC, CORE_SPEC], "labels": ["f", "core"]}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out), "--rho", "0.99"]) == 0
         svg = svg_text(out)
@@ -1167,7 +1159,7 @@ class TestRender:
 
     def test_covering_disk_circle(self, tmp_path):
         path = tmp_path / "one.json"
-        path.write_text(dumps({"functions": [CORE_SPEC], "covering_disk": True}))
+        path.write_text(report_json({"functions": [CORE_SPEC], "covering_disk": True}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
         assert svg_text(out).count("<circle") == 1
@@ -1178,7 +1170,7 @@ class TestRender:
 
     def test_readme_overlay_bytes_match_recorded_digest(self, tmp_path):
         path, out = tmp_path / "overlay.json", tmp_path / "fig.svg"
-        path.write_text(dumps({"functions": [EXAMPLE_SPEC, CORE_SPEC], "covering_disk": True, "wedge": True}))
+        path.write_text(report_json({"functions": [EXAMPLE_SPEC, CORE_SPEC], "covering_disk": True, "wedge": True}))
         assert main(["render", "-i", str(path), "-o", str(out), "--rho", "0.999"]) == 0
         svg = svg_text(out)
         assert svg.count("<circle") == 1 and svg.count("<path") == 4
@@ -1202,7 +1194,7 @@ class TestRender:
 
     def test_wedge_overlay(self, tmp_path):
         path = tmp_path / "w.json"
-        path.write_text(dumps({"functions": [EXAMPLE_SPEC], "wedge": True}))
+        path.write_text(report_json({"functions": [EXAMPLE_SPEC], "wedge": True}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
         assert svg_text(out).count("<path") == 3  # one curve + two spirals
@@ -1260,7 +1252,7 @@ class TestRender:
     @pytest.mark.parametrize("suffix", ["svg", "csv"])
     def test_bad_options_rejected(self, options, message, suffix, tmp_path, capsys):
         src, out = tmp_path / "in.json", tmp_path / f"out.{suffix}"
-        src.write_text(dumps({"functions": [EXAMPLE_SPEC], **options}))
+        src.write_text(report_json({"functions": [EXAMPLE_SPEC], **options}))
         assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
         assert message in capsys.readouterr().err
@@ -1269,8 +1261,8 @@ class TestRender:
         # a single spec may carry the options beside its own keys, as in {"functions": [spec]}
         options = {"covering_disk": True, "wedge": True, "labels": ["f"]}
         one, listed = tmp_path / "one.json", tmp_path / "listed.json"
-        one.write_text(dumps({**CORE_SPEC, **options}))
-        listed.write_text(dumps({"functions": [CORE_SPEC], **options}))
+        one.write_text(report_json({**CORE_SPEC, **options}))
+        listed.write_text(report_json({"functions": [CORE_SPEC], **options}))
         for src in (one, listed):
             assert main(["render", "-i", str(src), "-o", str(src.with_suffix(".svg"))]) == 0
         assert one.with_suffix(".svg").read_bytes() == listed.with_suffix(".svg").read_bytes()
@@ -1282,14 +1274,14 @@ class TestRender:
     )
     def test_unknown_key_rejected(self, data, key, tmp_path, capsys):
         src, out = tmp_path / "in.json", tmp_path / "fig.svg"
-        src.write_text(dumps(data))
+        src.write_text(report_json(data))
         assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert f"render input has unknown key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_false_options_draw_nothing_extra(self, tmp_path):
         path = tmp_path / "one.json"
-        path.write_text(dumps({"functions": [EXAMPLE_SPEC], "covering_disk": False, "wedge": False, "labels": []}))
+        path.write_text(report_json({"functions": [EXAMPLE_SPEC], "covering_disk": False, "wedge": False, "labels": []}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
         svg = svg_text(out)
@@ -1298,14 +1290,14 @@ class TestRender:
 
     def test_five_curves_rejected(self, tmp_path, capsys):
         src, out = tmp_path / "in.json", tmp_path / "fig.svg"
-        src.write_text(dumps({"functions": [EXAMPLE_SPEC] * 5}))
+        src.write_text(report_json({"functions": [EXAMPLE_SPEC] * 5}))
         assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert "at most 4 overlay curves" in capsys.readouterr().err
         assert not out.exists()
 
     def test_covering_disk_needs_real_mu_beta(self, tmp_path, capsys):
         src, out = tmp_path / "in.json", tmp_path / "fig.svg"
-        src.write_text(dumps({"functions": [{**EXAMPLE_SPEC, "mu": [1.0, 0.2]}], "covering_disk": True}))
+        src.write_text(report_json({"functions": [{**EXAMPLE_SPEC, "mu": [1.0, 0.2]}], "covering_disk": True}))
         assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert "covering disk needs real mu*beta" in capsys.readouterr().err
         assert not out.exists()
@@ -1314,19 +1306,19 @@ class TestRender:
         # at beta = 0 the core map (1-z)**(mu*beta) is constant and covers no disk
         src, out = tmp_path / "in.json", tmp_path / "fig.svg"
         spec = {"mu": [1, 0], "beta": 0.0, "factors": [{"node": [0.9, 0.4], "exponent": [0.5, 0]}]}
-        src.write_text(dumps({**spec, "covering_disk": True}))
+        src.write_text(report_json({**spec, "covering_disk": True}))
         assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert "covering disk needs beta > 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_function_list(self, tmp_path):
         path = tmp_path / "empty.json"
-        path.write_text(dumps({"functions": []}))
+        path.write_text(report_json({"functions": []}))
         assert main(["render", "-i", str(path), "-o", str(tmp_path / "x.svg")]) == 2
 
     def test_deterministic_output(self, tmp_path):
         path = tmp_path / "one.json"
-        path.write_text(dumps({"functions": [EXAMPLE_SPEC]}))
+        path.write_text(report_json({"functions": [EXAMPLE_SPEC]}))
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"
         main(["render", "-i", str(path), "-o", str(a)])
         main(["render", "-i", str(path), "-o", str(b)])
@@ -1335,7 +1327,7 @@ class TestRender:
 
     def test_label_text_is_escaped(self, tmp_path):
         path = tmp_path / "one.json"
-        path.write_text(dumps({"functions": [EXAMPLE_SPEC, CORE_SPEC], "labels": ["a<b & c", "plain"]}))
+        path.write_text(report_json({"functions": [EXAMPLE_SPEC, CORE_SPEC], "labels": ["a<b & c", "plain"]}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
         svg = svg_text(out)
@@ -1345,12 +1337,12 @@ class TestRender:
 
     def test_unwritable_output(self, tmp_path):
         path = tmp_path / "one.json"
-        path.write_text(dumps({"functions": [EXAMPLE_SPEC]}))
+        path.write_text(report_json({"functions": [EXAMPLE_SPEC]}))
         assert main(["render", "-i", str(path), "-o", str(tmp_path / "no" / "dir.svg")]) == 2
 
     def test_curve_csv_output(self, tmp_path):
         path = tmp_path / "one.json"
-        path.write_text(dumps(EXAMPLE_SPEC))
+        path.write_text(report_json(EXAMPLE_SPEC))
         out = tmp_path / "curve.csv"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
         lines = out.read_text().strip().split("\n")
@@ -1361,21 +1353,42 @@ class TestRender:
     def test_overflowing_curve_rejected(self, suffix, tmp_path):
         # exp(log f) overflows on |z| = rho: exit 2 before any file is written
         src, out = tmp_path / "in.json", tmp_path / f"out.{suffix}"
-        src.write_text(dumps(OVERFLOW_SPEC))
+        src.write_text(report_json(OVERFLOW_SPEC))
         assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("suffix", ["svg", "csv"])
     def test_overflowing_curve_rejected_with_warnings_as_errors(self, suffix, tmp_path, capsys):
         src, out = tmp_path / "in.json", tmp_path / f"out.{suffix}"
-        src.write_text(dumps(OVERFLOW_SPEC))
+        src.write_text(report_json(OVERFLOW_SPEC))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["render", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: boundary curve overflows")
 
+    @pytest.mark.parametrize(
+        "options", [{"wedge": True}, {"covering_disk": True}, {"labels": ["f"]}], ids=["wedge", "covering-disk", "labels"]
+    )
+    def test_curve_csv_rejects_drawn_options(self, options, tmp_path, capsys, monkeypatch):
+        # the options are drawn in SVG only: CSV output exits 2 before any curve is sampled
+        src, out = tmp_path / "in.json", tmp_path / "curve.csv"
+        src.write_text(report_json({"functions": [EXAMPLE_SPEC], **options}))
+        sampled = []
+        monkeypatch.setattr(cli, "boundary_curve", lambda *args, **kwargs: sampled.append(args))
+        assert main(["render", "-i", str(src), "-o", str(out)]) == 2
+        assert "CSV output takes exactly one curve and no covering_disk, wedge or labels" in capsys.readouterr().err
+        assert not out.exists() and not sampled
+
+    def test_curve_csv_takes_false_options(self, tmp_path):
+        plain, opts = tmp_path / "plain.json", tmp_path / "opts.json"
+        plain.write_text(report_json(EXAMPLE_SPEC))
+        opts.write_text(report_json({"functions": [EXAMPLE_SPEC], "covering_disk": False, "wedge": False, "labels": []}))
+        for src in (plain, opts):
+            assert main(["render", "-i", str(src), "-o", str(src.with_suffix(".csv"))]) == 0
+        assert plain.with_suffix(".csv").read_bytes() == opts.with_suffix(".csv").read_bytes()
+
     def test_curve_csv_rejects_multiple(self, tmp_path):
         path = tmp_path / "two.json"
-        path.write_text(dumps({"functions": [EXAMPLE_SPEC, CORE_SPEC]}))
+        path.write_text(report_json({"functions": [EXAMPLE_SPEC, CORE_SPEC]}))
         assert main(["render", "-i", str(path), "-o", str(tmp_path / "x.csv")]) == 2

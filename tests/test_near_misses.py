@@ -12,9 +12,9 @@ import pytest
 
 import spiralcover as sc
 from spiralcover.cli import main
-from spiralcover.serialize import dumps, load_function_spec
+from spiralcover.serialize import load_function_spec
 
-from conftest import growth_shifts, reference_growth_margin
+from conftest import growth_shifts, reference_growth_margin, report_json
 
 # the extremal of G(1, 0.5) with its atom at angle pi + pi/128, declared with a beta above
 # 0.5: the class margin's minimum on |z| = 0.995 lies halfway between two default grid angles
@@ -27,7 +27,7 @@ BETWEEN_ANGLES_SPEC = {
 
 def run_membership(tmp_path, *grid) -> int:
     src = tmp_path / "in.json"
-    src.write_text(dumps(BETWEEN_ANGLES_SPEC))
+    src.write_text(report_json(BETWEEN_ANGLES_SPEC))
     return main(["check", "-i", str(src), "--checks", "membership", *grid, "-o", str(tmp_path / "out.json")])
 
 
@@ -86,7 +86,7 @@ class TestBetweenTSamples:
     def test_growth_check_does_not_pass(self, tmp_path):
         # the t -> 0+ row, (|mu|/2)*class margin, is the worst rate: -2.76e-4 at z = 0.995
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps(BETWEEN_T_SPEC))
+        src.write_text(report_json(BETWEEN_T_SPEC))
         assert main(["check", "-i", str(src), "--checks", "growth", "-o", str(out)]) == 1
         (report,) = json.loads(out.read_text())["checks"]
         assert report["worst_z"] == [0.995, 0.0]
@@ -116,5 +116,5 @@ class TestReadmeMapNearMiss:
     @pytest.mark.xfail(strict=True, reason="the default grid passes a map whose margin dips outside its outer ring")
     def test_membership_check_does_not_pass(self, tmp_path):
         src = tmp_path / "in.json"
-        src.write_text(dumps(README_NEAR_MISS_SPEC))
+        src.write_text(report_json(README_NEAR_MISS_SPEC))
         assert main(["check", "-i", str(src), "--checks", "membership", "-o", str(tmp_path / "out.json")]) != 0
