@@ -413,7 +413,7 @@ class TestDumps:
                     dumps(reports)
 
     def test_each_command_writes_through_one_call(self, example_path, tmp_path, monkeypatch):
-        # the benchmark's tracer times report writing by wrapping serialize.dumps, which the CLI calls once per report file
+        # the benchmark's tracer times report writing by wrapping serialize.dumps: one call per report file
         calls = []
         monkeypatch.setattr(cli, "dumps", lambda reports: calls.append(reports) or dumps(reports))
         out = tmp_path / "out.json"
@@ -1281,7 +1281,8 @@ class TestRender:
 
     def test_false_options_draw_nothing_extra(self, tmp_path):
         path = tmp_path / "one.json"
-        path.write_text(report_json({"functions": [EXAMPLE_SPEC], "covering_disk": False, "wedge": False, "labels": []}))
+        options = {"covering_disk": False, "wedge": False, "labels": []}
+        path.write_text(report_json({"functions": [EXAMPLE_SPEC], **options}))
         out = tmp_path / "fig.svg"
         assert main(["render", "-i", str(path), "-o", str(out)]) == 0
         svg = svg_text(out)
@@ -1368,7 +1369,8 @@ class TestRender:
         assert capsys.readouterr().err.startswith("error: boundary curve overflows")
 
     @pytest.mark.parametrize(
-        "options", [{"wedge": True}, {"covering_disk": True}, {"labels": ["f"]}], ids=["wedge", "covering-disk", "labels"]
+        "options", [{"wedge": True}, {"covering_disk": True}, {"labels": ["f"]}],
+        ids=["wedge", "covering-disk", "labels"],
     )
     def test_curve_csv_rejects_drawn_options(self, options, tmp_path, capsys, monkeypatch):
         # the options are drawn in SVG only: CSV output exits 2 before any curve is sampled
@@ -1383,7 +1385,7 @@ class TestRender:
     def test_curve_csv_takes_false_options(self, tmp_path):
         plain, opts = tmp_path / "plain.json", tmp_path / "opts.json"
         plain.write_text(report_json(EXAMPLE_SPEC))
-        opts.write_text(report_json({"functions": [EXAMPLE_SPEC], "covering_disk": False, "wedge": False, "labels": []}))
+        opts.write_text(report_json({**EXAMPLE_SPEC, "covering_disk": False, "wedge": False, "labels": []}))
         for src in (plain, opts):
             assert main(["render", "-i", str(src), "-o", str(src.with_suffix(".csv"))]) == 0
         assert plain.with_suffix(".csv").read_bytes() == opts.with_suffix(".csv").read_bytes()
