@@ -14,11 +14,13 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .kernel import DomainError
 from .functions import boundary_exponent, boundary_rotation
 from .measures import random_measure
 from .verification import _GRID_CHECKS, DEFAULT_GRID, PASS_TOL, GridEvaluation, GridSpec
-from .geometry import boundary_curve, check_covering, covering_radius, minimize_boundary_gap, wedge_spirals
+from .geometry import GAP_SCAN_T, boundary_curve, boundary_gap_profile, check_covering, covering_radius, wedge_spirals
 from .render import render_svg
 from .serialize import (
     curve_csv, dumps, dumps_spec, fmt, function_spec, load_function_spec, load_json, load_render_input, measure_spec,
@@ -95,12 +97,13 @@ def cmd_cover(args) -> int:
 
 def cmd_radius_table(args) -> int:
     n = args.samples
+    # the s column first, so a table too large to allocate exits 2 before any row
+    column = 2.0 * np.arange(1, n + 1) / n
     rows = ["s,r_closed,r_numeric,chen_owa,ratio"]
     worst = 0.0
-    for k in range(1, n + 1):
-        s = 2.0 * k / n
+    for s in column.tolist():
         r_closed = covering_radius(s)
-        r_numeric = math.sqrt(minimize_boundary_gap(s)[1])
+        r_numeric = math.sqrt(boundary_gap_profile(s, GAP_SCAN_T).min())
         chen_owa = s / 4.0
         rows.append(
             f"{fmt(s)},{fmt(r_closed)},{fmt(r_numeric)},{fmt(chen_owa)},{fmt(r_closed / chen_owa)}"

@@ -35,7 +35,6 @@ __all__ = [
     "check_covering",
     "covering_radius",
     "boundary_gap_profile",
-    "minimize_boundary_gap",
     "wedge_spirals",
     "CoveringComposition",
     "covering_composition",
@@ -47,6 +46,9 @@ REFINE_TOL = 0.05     # chord length, relative to the local modulus, before bise
 DISTANCE_BLOCK = 16   # segments per bounding box in the curve-distance search
 PRUNE_SLACK = 1e-9    # relative slack on distance bounds, for rounding
 ANCHOR_EVERY = 16     # samples per exact distance that bounds its neighbours in a winding report
+# the t at which radius-table scans the gap profile: [0, pi] with both ends, where a real s has its minimum
+GAP_SCAN_T = np.linspace(0.0, np.pi, 4097)
+GAP_SCAN_T.setflags(write=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,7 +366,8 @@ def covering_radius(s: float) -> float:
     """Radius of the disk around 1 covered by every class image, s = mu*beta.
 
     sqrt(1 + 2**(2s) - 2**(s+1)) collapses to 2**s - 1 on (0, 1]; the
-    radius saturates at 1 on (1, 2].
+    radius saturates at 1 on (1, 2].  It is the square root of the gap
+    profile's minimum over t, which radius-table takes on GAP_SCAN_T.
     """
     if not 0.0 < s <= 2.0:
         raise DomainError("s must lie in (0, 2]")
@@ -373,50 +376,28 @@ def covering_radius(s: float) -> float:
     return 1.0
 
 
-def boundary_gap_profile(s: float, t: float) -> float:
-    """Squared distance |(1 + e^{it})**s - 1|**2 from 1 to the core image boundary.
+def boundary_gap_profile(s: float, t: float | np.ndarray) -> float | np.ndarray:
+    """Squared distance |(1 + e^{it})**s - 1|**2 from 1 to the core image boundary, at each t.
 
     Equals (2*cos(t/2))**(2s) + 1 - 2*(2*cos(t/2))**s * cos(s*t/2); even
-    in t, with limit 1 at t = +-pi.
+    in t, with limit 1 at t = +-pi.  For real s it increases on [0, pi]
+    for s < 1, decreases for s > 1 and is constant at s = 1, so its
+    minimum is at t = 0 or t = pi.  Taken as the squared modulus of
+    (1 + e^{it})**s - 1, which has no cancellation where the gap is
+    small.  A float t gives a float and an array an array of its shape,
+    through the same numpy arithmetic, so both give the same bits.
     """
     if not 0.0 < s <= 2.0:
         raise DomainError("s must lie in (0, 2]")
-    if not -math.pi <= t <= math.pi:
+    t = np.asarray(t, dtype=np.float64)
+    if not np.all(np.abs(t) <= math.pi):  # NaN fails the comparison
         raise DomainError("t must lie in [-pi, pi]")
-    # on [-pi, pi], c >= 2*cos(pi/2) > 0
-    c = 2.0 * math.cos(t / 2.0)
-    return c ** (2.0 * s) + 1.0 - 2.0 * c**s * math.cos(s * t / 2.0)
-
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def minimize_boundary_gap(s: float) -> tuple[float, float]:
-    """Golden-section minimum of the gap profile over t in [0, pi - 1e-9].
-
-    The profile is monotone on [0, pi] (increasing for s < 1,
-    decreasing for s > 1, constant at s = 1), so golden section over
-    the bracket converges to the global minimum; the square root of the
-    value reproduces the closed-form covering radius.
-    """
-    if not 0.0 < s <= 2.0:
-        raise DomainError("s must lie in (0, 2]")
-    lo, hi = 0.0, math.pi - 1e-9
-    x1 = hi - _INV_GOLDEN * (hi - lo)
-    x2 = lo + _INV_GOLDEN * (hi - lo)
-    f1 = boundary_gap_profile(s, x1)
-    f2 = boundary_gap_profile(s, x2)
-    while hi - lo > 1e-10:
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_GOLDEN * (hi - lo)
-            f1 = boundary_gap_profile(s, x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_GOLDEN * (hi - lo)
-            f2 = boundary_gap_profile(s, x2)
-    t_min = (lo + hi) / 2.0
-    return t_min, boundary_gap_profile(s, t_min)
+    # 1 + e^{it} = c*e^{it/2}, with c >= 2*cos(pi/2) > 0 on [-pi, pi]; np.power, not **, which on a
+    # numpy scalar takes the C library's pow, whose last bits differ from the array loop's
+    modulus, arg = np.power(2.0 * np.cos(t / 2.0), s), s * t / 2.0
+    re, im = modulus * np.cos(arg) - 1.0, modulus * np.sin(arg)
+    gap = re * re + im * im
+    return float(gap) if gap.ndim == 0 else gap
 
 
 def wedge_spirals(exponent: complex, rotation: float) -> tuple[PolyLine, PolyLine]:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -81,10 +82,16 @@ class GridSpec:
     angles_per_ring: int = 128
 
     def __post_init__(self):
+        # kept as a tuple of floats and an int, so a spec from a list or an array hashes and compares
+        object.__setattr__(self, "radii", tuple(map(float, self.radii)))
         if not self.radii:
             raise ValueError("grid needs at least one radius")
         if any(not 0.0 < r <= 0.999 for r in self.radii):
             raise ValueError("grid radii must lie in (0, 0.999]")
+        try:
+            object.__setattr__(self, "angles_per_ring", operator.index(self.angles_per_ring))
+        except TypeError:
+            raise ValueError("angles per ring must be an integer") from None
         if self.angles_per_ring < 1:
             raise ValueError("need at least one angle per ring")
 

@@ -129,13 +129,13 @@ def test_criterion_04_figure_reproduction(worked_example, tmp_path):
 
 
 def test_criterion_05_covering_radius():
-    """Numeric minimization of the boundary gap reproduces the closed
-    covering radius on a 64-point grid; the radius saturates at 1 and
-    dominates the quarter rule."""
+    """The boundary gap's minimum over the scan of t in [0, pi]
+    reproduces the closed covering radius on a 64-point grid; the radius
+    saturates at 1 and dominates the quarter rule."""
     worst = 0.0
     for k in range(1, 65):
         s = 2.0 * k / 64.0
-        numeric = math.sqrt(sc.minimize_boundary_gap(s)[1])
+        numeric = math.sqrt(sc.boundary_gap_profile(s, sc.geometry.GAP_SCAN_T).min())
         closed = sc.covering_radius(s)
         worst = max(worst, abs(numeric - closed))
         assert abs(numeric - closed) <= 1e-8

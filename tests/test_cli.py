@@ -1068,8 +1068,7 @@ class TestSamples:
         assert main(argv) == 2
         assert not out.exists()
 
-    # 1e15 elements fail at allocation, whatever the machine: 8 PiB and more.  radius-table
-    # is left out: it loops over its samples in Python and allocates nothing that size.
+    # 1e15 elements fail at allocation, whatever the machine: 8 PiB and more
     @pytest.mark.parametrize(
         "argv",
         [
@@ -1077,12 +1076,13 @@ class TestSamples:
             ["cover", "--samples", "1000000000000000"],
             ["construct", "--seed", "1", "--samples", "1000000000000000"],
             ["render", "--samples", "1000000000000000"],
+            ["radius-table", "--samples", "1000000000000000"],
         ],
         ids=lambda argv: argv[0],
     )
     def test_too_large_to_allocate_rejected(self, argv, example_path, tmp_path, capsys):
         out = tmp_path / "out.json"
-        if argv[0] != "construct":
+        if argv[0] not in ("construct", "radius-table"):
             argv = [*argv, "-i", example_path]
         assert main([*argv, "-o", str(out)]) == 2
         assert not out.exists()
@@ -1134,7 +1134,8 @@ class TestRadiusTable:
 
     def test_disagreeing_columns_fail(self, tmp_path, capsys, monkeypatch):
         # a numeric minimum 1e-6 off the closed form: the table is written and the run fails
-        monkeypatch.setattr(cli, "minimize_boundary_gap", lambda s: (0.0, (cli.covering_radius(s) + 1e-6) ** 2))
+        gap = lambda s, t: np.full_like(t, (cli.covering_radius(s) + 1e-6) ** 2)
+        monkeypatch.setattr(cli, "boundary_gap_profile", gap)
         out = tmp_path / "t.csv"
         assert main(["radius-table", "-o", str(out), "--samples", "4"]) == 1
         assert "radius columns disagree by 1e-06" in capsys.readouterr().err

@@ -27,13 +27,15 @@ from spiralcover import (
     evaluate,
     extremal,
     make_measure,
-    minimize_boundary_gap,
     random_measure,
     wedge_margin,
     wedge_spirals,
     winding_numbers,
 )
+from spiralcover.geometry import GAP_SCAN_T
 from spiralcover.serialize import curve_csv
+
+from conftest import bit_equal
 
 
 def regular_ngon(n=256, center=0.0, radius=1.0):
@@ -622,39 +624,48 @@ class TestBoundaryGap:
         assert boundary_gap_profile(0.5, math.pi - 1e-9) == pytest.approx(1.0, abs=1e-4)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            boundary_gap_profile(0.5, 4.0)
-        with pytest.raises(DomainError):
-            boundary_gap_profile(0.0, 0.5)
+        for s, t in (
+            (0.5, 4.0), (0.0, 0.5), (0.5, math.nan), (0.5, -math.inf), (0.5, [0.0, 4.0]), (0.5, [0.0, math.nan]),
+        ):
+            with pytest.raises(DomainError):
+                boundary_gap_profile(s, t)
+
+    @given(st.floats(min_value=1e-6, max_value=2.0), st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=40))
+    def test_scalar_and_array_agree(self, s, ts):
+        values = boundary_gap_profile(s, np.array(ts))
+        assert values.shape == (len(ts),)
+        for t, value in zip(ts, values.tolist()):
+            scalar = boundary_gap_profile(s, t)
+            assert type(scalar) is float and bit_equal(scalar, value)
 
 
-class TestMinimizeBoundaryGap:
+class TestGapScan:
+    """The scan radius-table takes: the gap profile's minimum over GAP_SCAN_T."""
+
     def test_small_s_minimum_at_zero(self):
-        # the profile is flat to machine precision near its boundary
-        # minimum, so the abscissa is only located to ~1e-7
-        t_min, value = minimize_boundary_gap(0.5)
-        assert t_min == pytest.approx(0.0, abs=1e-6)
-        assert value == pytest.approx((math.sqrt(2.0) - 1.0) ** 2, abs=1e-10)
+        assert GAP_SCAN_T[0] == 0.0
+        for s in (0.01, 0.25, 0.5, 0.75, 0.99):
+            gaps = boundary_gap_profile(s, GAP_SCAN_T)
+            assert gaps.argmin() == 0 and gaps.min() == boundary_gap_profile(s, 0.0)
 
     def test_large_s_minimum_at_pi(self):
-        t_min, value = minimize_boundary_gap(1.5)
-        assert t_min == pytest.approx(math.pi, abs=1e-8)
-        assert value == pytest.approx(1.0, abs=1e-8)
+        assert GAP_SCAN_T[-1] == math.pi and GAP_SCAN_T.size == 4097
+        for s in (1.01, 1.03125, 1.5, 2.0):
+            gaps = boundary_gap_profile(s, GAP_SCAN_T)
+            assert gaps.argmin() == GAP_SCAN_T.size - 1 and gaps.min() == 1.0
 
     def test_branch_agreement_at_one(self):
-        _, value = minimize_boundary_gap(1.0)
-        assert value == pytest.approx(1.0, abs=1e-12)
+        gaps = boundary_gap_profile(1.0, GAP_SCAN_T)
+        assert np.all(np.abs(gaps - 1.0) <= 4 * np.finfo(float).eps)
 
-    def test_matches_closed_form_on_grid(self):
-        for k in range(1, 65):
-            s = 2.0 * k / 64.0
-            _, value = minimize_boundary_gap(s)
-            assert abs(math.sqrt(value) - covering_radius(s)) <= 1e-8
+    @given(st.floats(min_value=0.0, max_value=2.0, exclude_min=True))
+    def test_matches_closed_form(self, s):
+        assert abs(math.sqrt(boundary_gap_profile(s, GAP_SCAN_T).min()) - covering_radius(s)) <= 1e-8
 
     def test_domain(self):
-        for s in (0.0, 2.1):
+        for s in (0.0, 2.1, math.nan):
             with pytest.raises(DomainError):
-                minimize_boundary_gap(s)
+                boundary_gap_profile(s, GAP_SCAN_T)
 
 
 class TestWedgeSpirals:

@@ -11,7 +11,7 @@ def test_all_is_the_module_lists_in_order():
 
 
 def test_public_name_count():
-    assert len(spiralcover.__all__) == 49
+    assert len(spiralcover.__all__) == 48
 
 
 def test_each_name_is_its_module_object():

@@ -73,6 +73,23 @@ class TestGrid:
         with pytest.raises(dataclasses.FrozenInstanceError):
             grid.angles_per_ring = 8
 
+    @pytest.mark.parametrize("radii", [[0.5, 0.9], np.array([0.5, 0.9])], ids=["list", "array"])
+    def test_radii_kept_as_a_tuple_of_floats(self, radii):
+        grid = GridSpec(radii, np.int64(16))
+        tuple_grid = GridSpec((0.5, 0.9), 16)
+        assert grid == tuple_grid and hash(grid) == hash(tuple_grid) and repr(grid) == repr(tuple_grid)
+        assert all(type(r) is float for r in grid.radii) and type(grid.angles_per_ring) is int
+        assert bit_equal(grid.points(), tuple_grid.points())
+
+    def test_non_integer_angle_count_rejected(self):
+        with pytest.raises(ValueError, match="angles per ring must be an integer"):
+            GridSpec((0.5, 0.9), 2.5)
+
+    def test_default_grid_unchanged(self):
+        radii = (0.1, 0.3, 0.5, 0.7, 0.9, 0.97, 0.995)
+        assert repr(sc.DEFAULT_GRID) == f"GridSpec(radii={radii!r}, angles_per_ring=128)"
+        assert hash(sc.DEFAULT_GRID) == hash((radii, 128))
+
 
 class TestReport:
     @pytest.mark.parametrize(
