@@ -19,7 +19,7 @@ import numpy as np
 from .kernel import DomainError
 from .functions import boundary_exponent, boundary_rotation
 from .measures import random_measure
-from .verification import _GRID_CHECKS, DEFAULT_GRID, PASS_TOL, GridEvaluation, GridSpec
+from .verification import DEFAULT_GRID, PASS_TOL, GridSpec, _run_checks
 from .geometry import GAP_SCAN_T, boundary_curve, boundary_gap_profile, check_covering, covering_radius, wedge_spirals
 from .render import render_svg
 from .serialize import (
@@ -63,25 +63,7 @@ def cmd_construct(args) -> int:
 
 def cmd_check(args) -> int:
     f, params = load_function_spec(load_json(args.input))
-    if args.checks == "all":
-        checks = [check for check in _GRID_CHECKS.values() if check.applies(params)]
-    else:
-        names = [n.strip() for n in args.checks.split(",") if n.strip()]
-        if not names:
-            raise ValueError("no checks named")
-        for name in names:
-            if name not in _GRID_CHECKS:
-                raise ValueError(f"unknown check {name!r}")
-        checks = [_GRID_CHECKS[name] for name in names]
-    # one evaluation per set of points a named check reads: the invocation's grid, or a check's own,
-    # which is read for log f alone, so f'/f is taken only on the grid and only if a check reads it
-    grid = _grid_from_args(args)
-    on_grid = any(c.grid is None for c in checks)
-    evs = {
-        spec: GridEvaluation(f, spec, dlog=on_grid and spec == grid)
-        for spec in dict.fromkeys(c.grid or grid for c in checks)
-    }
-    reports = [check.run(evs[check.grid or grid], params, args.tolerance) for check in checks]
+    reports = _run_checks(args.checks, f, params, _grid_from_args(args), args.tolerance)
     _write(args.output, dumps(reports))
     return 0 if all(r.passed for r in reports) else 1
 

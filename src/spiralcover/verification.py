@@ -19,11 +19,12 @@ the ratio log q (distortion, value-bounds), |f| and, for real mu, the
 envelope powers |1-z|^mu and (1 +- |z|)^(mu*(1-beta)) (value-bounds,
 derivative-bounds).  Each check is one entry of the table _GRID_CHECKS:
 the name of its report, its margin (one function of a GridEvaluation),
-the parameters it applies to and, for wedge-containment, the points it
-is sampled at, whose pass takes no f'/f, as its margin reads none.  One
-scan turns an entry into its report with numpy's floating-point
-warnings off: a map that overflows leaves a non-finite margin, which
-raises DomainError whatever the warning filters.
+the parameters it applies to and, for wedge-containment, points of its
+own.  `check` runs the named entries (for 'all', those that apply) with
+one evaluation per set of points they read, taking f'/f on its grid
+alone; one scan turns an entry into its report with numpy's
+floating-point warnings off: a map that overflows leaves a non-finite
+margin, which raises DomainError whatever the warning filters.
 """
 
 from __future__ import annotations
@@ -449,8 +450,8 @@ def wedge_margin(exponent: complex, rotation: float, log_w) -> np.ndarray | floa
 class _GridCheck(NamedTuple):
     """A check_*, its report's name, its margin (one value per point, nonnegative where the statement holds),
     the params it applies to, a tolerance of its own, if any, and the points `check` samples it at, if not
-    the invocation's grid.  A margin on points of its own reads log f and Log(1-z) alone, not f'/f, so
-    `check` evaluates those points with dlog false."""
+    the invocation's grid.  f'/f is taken on the invocation's grid alone, never on an entry's own points,
+    whose margin reads log f and Log(1-z) alone."""
 
     function: str
     report: str
@@ -458,11 +459,6 @@ class _GridCheck(NamedTuple):
     applies: Callable[[ClassParams], bool] = lambda p: True
     tolerance: float | None = None
     grid: GridSpec | None = None
-
-    def run(self, ev: GridEvaluation, params: ClassParams, tolerance: float) -> VerificationReport:
-        """check_*'s report, looked up when called, so wrappers put on it (spiralbench's tracer) see every call."""
-        check = globals()[self.function]
-        return check(ev, params) if self.tolerance is not None else check(ev, params, tolerance)
 
 
 # CLI name -> grid check, in `--checks all` order; the |f'| envelopes are stated for real mu in (0, 2] only
@@ -490,6 +486,27 @@ _GRID_CHECKS = {
         grid=GridSpec((0.999,), 512),
     ),
 }
+
+
+def _run_checks(
+    names: str, f: ProductForm, params: ClassParams, grid: GridSpec, tolerance: float
+) -> list[VerificationReport]:
+    """`check`'s reports: check_* is looked up when called, so wrappers on it (spiralbench's tracer) see each call."""
+    if names == "all":
+        checks = [check for check in _GRID_CHECKS.values() if check.applies(params)]
+    else:
+        named = [n.strip() for n in names.split(",") if n.strip()]
+        if not named:
+            raise ValueError("no checks named")
+        if unknown := [name for name in named if name not in _GRID_CHECKS]:
+            raise ValueError(f"unknown check {unknown[0]!r}")
+        checks = [_GRID_CHECKS[name] for name in named]
+    evs = {spec: GridEvaluation(f, spec, dlog=spec == grid) for spec in dict.fromkeys(c.grid or grid for c in checks)}
+    reports = []
+    for c in checks:
+        check, ev = globals()[c.function], evs[c.grid or grid]
+        reports.append(check(ev, params) if c.tolerance is not None else check(ev, params, tolerance))
+    return reports
 
 
 @np.errstate(all="ignore")

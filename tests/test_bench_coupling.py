@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from spiralcover import VerificationReport
+from spiralcover import VerificationReport, verification
 from spiralcover.cli import main
 from spiralcover.verification import _GRID_CHECKS as CHECKS
 from spiralcover.serialize import dumps, dumps_spec, function_spec
@@ -51,6 +51,20 @@ def report_names(checks: str, example, tmp_path) -> list[str]:
 def test_traced_functions_resolve(tracer):
     for module, name, _hook in tracer.TRACED:
         assert callable(getattr(importlib.import_module(f"spiralcover.{module}"), name)), f"{module}.{name}"
+
+
+def test_check_calls_each_check_through_its_module_name(monkeypatch, worked_example, tmp_path):
+    # the tracer rebinds verification's names, so `check` must call each check_* through them, once
+    calls = []
+    for name in ("check_membership", "check_wedge_containment"):
+
+        def counted(*args, _fn=getattr(verification, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(verification, name, counted)
+    report_names("all", worked_example, tmp_path)
+    assert sorted(calls) == ["check_membership", "check_wedge_containment"]
 
 
 def test_wide_checks_are_cli_checks(workloads):

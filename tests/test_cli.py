@@ -773,25 +773,31 @@ class TestSharedEvaluation:
         monkeypatch.setattr(verification, "_factor_sums", spy)
         return seen
 
+    WEDGE_RING = ("--grid-radii", "0.999", "--grid-angles", "512")
+
     @pytest.mark.parametrize(
-        "kind, checks, grids",
+        "kind, checks, flags, grids",
         [
-            ("wide-64", WIDE_CHECKS, [(896, True)]),
-            ("readme-example", "membership", [(896, True)]),
+            ("wide-64", WIDE_CHECKS, (), [(896, True)]),
+            ("readme-example", "membership", (), [(896, True)]),
             # wedge-containment takes log f alone on its own 512-point ring
-            ("readme-example", "all", [(896, True), (512, False)]),
-            ("readme-example", "distortion", [(896, True)]),
+            ("readme-example", "all", (), [(896, True), (512, False)]),
+            ("readme-example", "distortion", (), [(896, True)]),
             # growth reads the class margin, so the grid's one pass is all it takes
-            ("readme-example", "growth", [(896, True)]),
+            ("readme-example", "growth", (), [(896, True)]),
             # wedge-containment alone reads only its ring, so the grid is not evaluated
-            ("readme-example", "wedge-containment", [(512, False)]),
+            ("readme-example", "wedge-containment", (), [(512, False)]),
+            # a grid that is the wedge ring is evaluated once, as the grid, with f'/f
+            ("readme-example", "membership,wedge-containment", WEDGE_RING, [(512, True)]),
+            ("readme-example", "wedge-containment", WEDGE_RING, [(512, True)]),
         ],
-        ids=["wide-measure-checks", "membership", "all", "distortion", "growth", "wedge-containment"],
+        ids=["wide-measure-checks", "membership", "all", "distortion", "growth", "wedge-containment",
+             "ring-grid-membership-wedge", "ring-grid-wedge"],
     )
-    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, grids):
+    def test_kernel_call_counts(self, passes, tmp_path, kind, checks, flags, grids):
         src = tmp_path / "in.json"
         src.write_text(report_json(wide_specs()[0] if kind == "wide-64" else EXAMPLE_SPEC))
-        assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
+        assert main(["check", "-i", str(src), "--checks", checks, *flags, "-o", str(tmp_path / "out.json")]) == 0
         # one pass over the factors per set of points a named check reads, with f'/f on the grid alone
         assert passes == [((n,), dlog) for n, dlog in grids]
 
@@ -836,7 +842,7 @@ class TestSharedEvaluation:
             for f, params in ((entry.f, entry.params), (entry.real_f, entry.real_params)):
                 evs = [GridEvaluation(f, check.grid.points(), dlog=dlog) for dlog in (True, False)]
                 assert evs[1].dlog_f is None
-                reports = [dumps(check.run(ev, params, verification.PASS_TOL)) for ev in evs]
+                reports = [dumps(getattr(verification, check.function)(ev, params)) for ev in evs]
                 assert reports[0] == reports[1]
 
     def test_no_flag_is_the_default_grid(self):
@@ -856,7 +862,8 @@ class TestSharedEvaluation:
     @pytest.mark.parametrize("checks", ["wedge-containment", "all"])
     def test_wedge_report_ignores_the_grid_flags(self, checks, example_path, tmp_path):
         reports = []
-        for k, grid in enumerate([[], ["--grid-radii", "0.5"], ["--grid-angles", "3"], SMALL_GRID]):
+        # the last grid is the wedge ring itself, whose one pass takes f'/f as the grid's
+        for k, grid in enumerate([[], ["--grid-radii", "0.5"], ["--grid-angles", "3"], SMALL_GRID, self.WEDGE_RING]):
             out = tmp_path / f"out{k}.json"
             assert main(["check", "-i", example_path, "--checks", checks, *grid, "-o", str(out)]) == 0
             reports.append(json.loads(out.read_text())["checks"][-1])

@@ -118,3 +118,34 @@ class TestReadmeMapNearMiss:
         src = tmp_path / "in.json"
         src.write_text(report_json(README_NEAR_MISS_SPEC))
         assert main(["check", "-i", str(src), "--checks", "membership", "-o", str(tmp_path / "out.json")]) != 0
+
+
+# the README worked example declared with beta = 0.6171 in place of 0.6: on the default grid
+# the worst margin of 1 - |lambda|, +1.352e-4 at its outer ring z = -0.995, hides |lambda| > 1
+# nearer the circle, where the map's own distortion coefficient leaves the closed disk
+DISTORTION_NEAR_MISS_SPEC = {**README_NEAR_MISS_SPEC, "beta": 0.6171}
+
+
+def run_distortion(tmp_path, *grid) -> tuple[int, dict]:
+    src, out = tmp_path / "in.json", tmp_path / "out.json"
+    src.write_text(report_json(DISTORTION_NEAR_MISS_SPEC))
+    code = main(["check", "-i", str(src), "--checks", "distortion", *grid, "-o", str(out)])
+    return code, json.loads(out.read_text())["checks"][0]
+
+
+class TestReadmeMapDistortionNearMiss:
+    F, PARAMS = load_function_spec(DISTORTION_NEAR_MISS_SPEC)
+
+    def test_coefficient_leaves_the_disk_near_minus_one(self):
+        margin = 1.0 - abs(sc.distortion_coefficient(sc.GridEvaluation(self.F, -0.9999), self.PARAMS).item())
+        assert -4.32e-5 < margin < -4.30e-5
+
+    def test_fine_ring_finds_the_coefficient_outside_the_disk(self, tmp_path):
+        code, report = run_distortion(tmp_path, "--grid-radii", "0.999", "--grid-angles", "4096")
+        assert (code, report["passed"]) == (1, False)
+        assert report["worst_z"][0] == -0.999
+        assert -1.04e-5 < report["worst_margin"] < -1.03e-5
+
+    @pytest.mark.xfail(strict=True, reason="the default grid passes a map whose |lambda| exceeds 1 outside its outer ring")
+    def test_distortion_check_does_not_pass(self, tmp_path):
+        assert run_distortion(tmp_path)[0] != 0
