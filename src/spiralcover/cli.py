@@ -103,9 +103,9 @@ def cmd_render(args) -> int:
     if args.output and args.output.endswith(".csv"):
         if len(loaded) != 1 or covering_disk or wedge or labels:
             raise ValueError("CSV output takes exactly one curve and no covering_disk, wedge or labels")
-        _write(args.output, curve_csv(boundary_curve(loaded[0][0], args.rho, n=args.samples)))
+        _write(args.output, curve_csv(boundary_curve(loaded[0][0], args.rho, n=args.samples).points))
         return 0
-    curves = [boundary_curve(f, args.rho, n=args.samples) for f, _ in loaded]
+    curves = [boundary_curve(f, args.rho, n=args.samples).points for f, _ in loaded]
 
     disk_radius = None
     if covering_disk:
@@ -117,10 +117,10 @@ def cmd_render(args) -> int:
             raise ValueError("covering disk needs real mu*beta")
         disk_radius = covering_radius(s.real)
 
-    spirals = []
+    spirals = ()
     if wedge:
         f0, _ = loaded[0]
-        spirals = list(wedge_spirals(boundary_exponent(f0), boundary_rotation(f0)))
+        spirals = wedge_spirals(boundary_exponent(f0), boundary_rotation(f0))
 
     _write(args.output, render_svg(curves, disk_radius, spirals, labels))
     return 0

@@ -53,21 +53,19 @@ GAP_SCAN_T.setflags(write=False)
 
 @dataclass(frozen=True, eq=False)
 class PolyLine:
-    """Ordered sample of a curve in the image plane."""
+    """Closed polygon through an ordered sample of a curve in the image plane.
+
+    The last point joins the first.  It needs at least 16 points and no
+    two consecutive points, the last and first included, may coincide.
+    """
 
     points: np.ndarray
-    closed: bool
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.complex128).ravel()
-        if self.closed and pts.size < 16:
+        if pts.size < 16:
             raise ValueError("closed polyline needs at least 16 points")
-        if pts.size < 2:
-            raise ValueError("polyline needs at least 2 points")
-        seg = np.diff(pts)
-        if self.closed:
-            seg = np.concatenate([seg, [pts[0] - pts[-1]]])
-        if np.any(seg == 0):
+        if np.any(_next(pts) == pts):
             raise ValueError("consecutive polyline points coincide")
         object.__setattr__(self, "points", pts)
         self.points.setflags(write=False)
@@ -146,7 +144,7 @@ def _adaptive_closed_curve(
         raise DomainError("degenerate boundary curve (constant map?)")
     # drop exact duplicates so the polyline invariant holds
     keep = np.concatenate([[True], chords[:-1] > 0])
-    return PolyLine(values[keep], closed=True)
+    return PolyLine(values[keep])
 
 
 def boundary_curve(f: ProductForm, rho: float, n: int = 256) -> PolyLine:
@@ -283,8 +281,6 @@ def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.
     blocks, not points x vertices.  A curve too large for float
     arithmetic raises DomainError.
     """
-    if not poly.closed:
-        raise ValueError("winding numbers need a closed polyline")
     pts, wn, blocks, guard = _windings(poly, points)
     dists = _index_distances(blocks, pts, guard)
     return wn, dists < guard, dists
@@ -400,18 +396,16 @@ def boundary_gap_profile(s: float, t: float | np.ndarray) -> float | np.ndarray:
     return float(gap) if gap.ndim == 0 else gap
 
 
-def wedge_spirals(exponent: complex, rotation: float) -> tuple[PolyLine, PolyLine]:
-    """The two bounding spirals e^{-exponent*t} * e^{i*exponent*(rotation +- pi/2)}.
+def wedge_spirals(exponent: complex, rotation: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two bounding spirals e^{-exponent*t} * e^{i*exponent*(rotation +- pi/2)}, as complex arrays.
 
-    Each is sampled at 200 equally spaced t in [-1, 5].
+    Each is sampled at 200 equally spaced t in [-1, 5]; the spirals are
+    open curves, drawn but never wound around.
     """
     exponent = _wedge_exponent(exponent, rotation)
-    ts = np.linspace(-1.0, 5.0, 200)
-    curves = []
-    for sign in (+1.0, -1.0):
-        anchor = cmath.exp(1j * exponent * (rotation + sign * math.pi / 2.0))
-        curves.append(PolyLine(np.exp(-exponent * ts) * anchor, closed=False))
-    return curves[0], curves[1]
+    radial = np.exp(-exponent * np.linspace(-1.0, 5.0, 200))
+    up, down = (radial * cmath.exp(1j * exponent * (rotation + sign * math.pi / 2.0)) for sign in (1.0, -1.0))
+    return up, down
 
 
 @dataclass(frozen=True)

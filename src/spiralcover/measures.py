@@ -66,7 +66,7 @@ class AtomicCircleMeasure:
             raise ValueError("atom off the unit circle")
         if (wts < 0).any():
             raise ValueError("negative atom weight")
-        if abs(wts.sum() - 1.0) > MERGE_TOL:
+        if abs(wts.sum() - 1.0) > SUM_EXACT_TOL:
             raise ValueError("weights do not sum to 1")
         if (_angular_neighbours(pts)[1] <= MERGE_TOL).any():
             raise ValueError("duplicate atoms not merged")

@@ -11,8 +11,9 @@ from __future__ import annotations
 from html import escape
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
-from .geometry import PolyLine
 from .serialize import fmt
 
 __all__ = ["render_svg"]
@@ -24,12 +25,12 @@ DISK_COLOR = "#555555"
 DISK_CENTER = 1.0 + 0.0j  # f(0) = 1, the center of the covering disk
 
 
-def _bounds(curves: Sequence[PolyLine], disk_radius: float | None) -> tuple[float, float, float, float]:
+def _bounds(curves: Sequence[np.ndarray], disk_radius: float | None) -> tuple[float, float, float, float]:
     xs: list[float] = []
     ys: list[float] = []
     for c in curves:
-        xs += [float(c.points.real.min()), float(c.points.real.max())]
-        ys += [float(c.points.imag.min()), float(c.points.imag.max())]
+        xs += [float(c.real.min()), float(c.real.max())]
+        ys += [float(c.imag.min()), float(c.imag.max())]
     if disk_radius is not None:
         xs += [DISK_CENTER.real - disk_radius, DISK_CENTER.real + disk_radius]
         ys += [DISK_CENTER.imag - disk_radius, DISK_CENTER.imag + disk_radius]
@@ -39,12 +40,15 @@ def _bounds(curves: Sequence[PolyLine], disk_radius: float | None) -> tuple[floa
 
 
 def render_svg(
-    curves: Sequence[PolyLine],
+    curves: Sequence[np.ndarray],
     disk_radius: float | None = None,
-    open_curves: Sequence[PolyLine] = (),
+    open_curves: Sequence[np.ndarray] = (),
     labels: Sequence[str] = (),
 ) -> str:
-    """SVG document for closed image curves, an optional covering disk about 1, and spirals."""
+    """SVG document for closed image curves, an optional covering disk about 1, and open spirals.
+
+    Each curve or spiral is a complex array of its points.
+    """
     everything = list(curves) + list(open_curves)
     x0, x1, y0, y1 = _bounds(everything, disk_radius)
     span = max(x1 - x0, y1 - y0, 1e-30)
@@ -57,18 +61,11 @@ def render_svg(
         # image plane is y-up, SVG is y-down
         return fmt((p.real - x0) * scale), fmt(CANVAS - (p.imag - y0) * scale)
 
-    def path(poly: PolyLine, color: str, width: float, dashed: bool = False) -> str:
-        cmds = []
-        for i, p in enumerate(poly.points):
-            x, y = toxy(complex(p))
-            cmds.append(f"{'M' if i == 0 else 'L'} {x} {y}")
-        if poly.closed:
-            cmds.append("Z")
-        dash = ' stroke-dasharray="6 4"' if dashed else ""
-        return (
-            f'<path d="{" ".join(cmds)}" fill="none" stroke="{color}" '
-            f'stroke-width="{fmt(width)}"{dash} />'
-        )
+    def path(points: np.ndarray, color: str, closed: bool) -> str:
+        """A closed curve drawn solid, its path ending in Z, or an open spiral drawn thinner and dashed."""
+        d = " ".join(f"{'M' if i == 0 else 'L'} {x} {y}" for i, (x, y) in enumerate(map(toxy, points)))
+        style = 'stroke-width="2"' if closed else 'stroke-width="1" stroke-dasharray="6 4"'
+        return f'<path d="{d}{" Z" if closed else ""}" fill="none" stroke="{color}" {style} />'
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -83,10 +80,10 @@ def render_svg(
             f'<circle cx="{cx}" cy="{cy}" r="{fmt(disk_radius * scale)}" fill="none" '
             f'stroke="{DISK_COLOR}" stroke-width="1.5" stroke-dasharray="6 4" />'
         )
-    for i, poly in enumerate(curves):
-        parts.append(path(poly, PALETTE[i % len(PALETTE)], 2.0))
-    for i, poly in enumerate(open_curves):
-        parts.append(path(poly, PALETTE[(i + len(curves)) % len(PALETTE)], 1.0, dashed=True))
+    for i, points in enumerate(curves):
+        parts.append(path(points, PALETTE[i % len(PALETTE)], closed=True))
+    for i, points in enumerate(open_curves):
+        parts.append(path(points, PALETTE[(i + len(curves)) % len(PALETTE)], closed=False))
     for i, text in enumerate(labels):
         parts.append(
             f'<text x="12" y="{fmt(24.0 + 20.0 * i)}" font-family="monospace" '

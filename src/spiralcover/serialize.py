@@ -18,7 +18,6 @@ from typing import Any
 import numpy as np
 
 from .functions import ClassParams, ProductForm, construct
-from .geometry import PolyLine
 from .measures import AtomicCircleMeasure, _measure
 from .verification import VerificationReport
 
@@ -216,6 +215,6 @@ def measure_spec(sigma: AtomicCircleMeasure) -> dict:
     return {"atoms": [{"angle": float(np.angle(p)), "weight": float(w)} for p, w in atoms]}
 
 
-def curve_csv(poly: PolyLine) -> str:
-    """The points of poly as CSV rows re,im at 12 significant digits, under a header."""
-    return "re,im\n" + "".join(f"{fmt(p.real)},{fmt(p.imag)}\n" for p in poly.points)
+def curve_csv(points: np.ndarray) -> str:
+    """The complex points as CSV rows re,im at 12 significant digits, under a header."""
+    return "re,im\n" + "".join(f"{fmt(p.real)},{fmt(p.imag)}\n" for p in points)

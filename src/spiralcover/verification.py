@@ -327,7 +327,8 @@ class DerivativeBounds(NamedTuple):
 def derivative_bounds(params: ClassParams, z):
     """|f'| envelopes for real mu in (0, 2], at a point or an array of points.
 
-    lower <= |f'(z)| <= upper <= simple_upper.  The lower bracket
+    lower <= |f'(z)| <= upper, and upper <= simple_upper in exact
+    arithmetic, with equality at beta = 0.  The lower bracket
     |(1-conj(z))/(1-z) + beta*conj(z)| - 1 + beta is >= beta*(1-|z|),
     hence never truly negative; it is still clamped at 0 and the raw
     value reported alongside.
@@ -363,7 +364,7 @@ def _value_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
 def _derivative_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     fd = _f_modulus(ev) * np.abs(ev.dlog_f)
     b = _derivative_envelopes(params, ev._arrays, ev._memo)
-    return np.min([fd - b.lower, b.upper - fd, b.simple_upper - b.upper], axis=0)
+    return np.minimum(fd - b.lower, b.upper - fd)
 
 
 def schwarz_function(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
@@ -545,7 +546,7 @@ def check_value_bounds(ev: GridEvaluation, params: ClassParams, tolerance: float
 def check_derivative_value_bounds(
     ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL
 ) -> VerificationReport:
-    """Worst margin of lower <= |f'| <= upper <= simple_upper over the points."""
+    """Worst margin of lower <= |f'| <= upper over the points."""
     return _scan("derivative-bounds", ev, params, tolerance)
 
 

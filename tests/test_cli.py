@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spiralcover import (
-    ClassParams, GridEvaluation, GridSpec, PolyLine, VerificationReport, check_derivative_disk, cli, functions, kernel,
+    ClassParams, GridEvaluation, GridSpec, VerificationReport, check_derivative_disk, cli, functions, kernel,
     random_measure, verification,
 )
 from spiralcover.cli import main
@@ -600,6 +600,16 @@ class TestCheck:
         names = [c["check"] for c in json.loads(out.read_text())["checks"]]
         assert "derivative-bounds" not in names
 
+    def test_beta_zero_member_passes_all(self, tmp_path):
+        # mu = 2 at beta = 0, a member: every entry passes, derivative-bounds among them
+        spec = {"mu": [2.0, 0.0], "beta": 0.0,
+                "measure": {"atoms": [{"angle": 0.4, "weight": 0.6}, {"angle": -2.1, "weight": 0.4}]}}
+        path, out = tmp_path / "beta-zero.json", tmp_path / "report.json"
+        path.write_text(report_json(spec))
+        assert main(["check", "-i", str(path), "--checks", "all", "-o", str(out)]) == 0
+        checks = json.loads(out.read_text())["checks"]
+        assert "derivative-bounds" in [c["check"] for c in checks] and all(c["passed"] for c in checks)
+
     # the checks whose margins overflow on the grid for OVERFLOW_SPEC, and their report names
     OVERFLOWING = {
         "all": "distortion-coefficient",
@@ -705,16 +715,19 @@ class TestCheck:
     # complex Log for every nonzero prefactor and to choose ln|base| alone once per map.
     # Every case kept its bytes when growth came to report its t -> 0+ row alone, with
     # no shifted grids: where growth passes, that row was already its worst rate.
+    # real-population-20 and fine-grid-population-5 were re-recorded, on the same build,
+    # when derivative-bounds stopped taking the margin simple_upper - upper, which reads
+    # no map; only their derivative-bounds entries changed.
     CHECK_DIGESTS = {
         "readme-example": "231a7b88856c2897b758a7608085d173f45eb9dcfa00af0760630a277b30710e",
         "core-map": "9618766e3b7bf7b1afd2c60a70890238c7b947a119d98a2a04f04cdc3de68d8b",
         "mixed-exponents": "4fde75fce62f4071aceb34a1d1b6064565aafc26d839a8930c136a39a61a0de5",
         "population-20": "981bbce4ae0d2a43198acd2fa04c300ae306ab4b71d2110e599c1054eb69d475",
-        "real-population-20": "6bf3ed8db770929ab5d6994be0435847432794d2f0968bca7c636724a41d6abe",
+        "real-population-20": "bee036b04faa12d56bfa69334bb5f10c3cfdf9c7577947374a420fd147810324",
         "distort-readme-example": "da3bc43b04818d05c9538e7b7b4452c11b21b712b6f72baca983c7355cb8ef41",
         "wide-3": "3c799146ccd3e20f621bcabf4b85093299d307fc3cba4b7172b6ced7083b493a",
         "custom-grid-population-20": "a6e6b76ff1dd6c8a03625399a056fd7dacce7c9f69f76d474e9eb28999212cf0",
-        "fine-grid-population-5": "1553b44a9f818821430549e0d936331e73f2b42bd69a42c415c7cd20a06ff136",
+        "fine-grid-population-5": "ce12f677557ae1795dbcdf41b48ee1aa8cfd683d2443d5f27885b2df48c4eb9d",
     }
 
     @staticmethod
@@ -1186,7 +1199,7 @@ class TestRender:
 
     def test_disk_about_one(self):
         # the circle sits at f(0) = 1 with the given radius, in the viewport of the curve and the disk
-        curve = PolyLine(0.5 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)), closed=True)
+        curve = 0.5 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
         svg = render_svg([curve], 0.25)
         circle = ElementTree.fromstring(svg.encode()).find("{http://www.w3.org/2000/svg}circle")
         # the viewport spans [-0.5, 1.25] plus a 5% margin each side on the 1024-pixel canvas
@@ -1195,6 +1208,16 @@ class TestRender:
         assert cx == pytest.approx((1.0 + 0.5 + 0.0875) * scale)
         assert cy == pytest.approx(1024.0 - (0.0 + 0.5 + 0.0875) * scale)
         assert r == pytest.approx(0.25 * scale)
+
+    def test_closed_curves_solid_and_spirals_dashed(self):
+        # a closed curve's path ends in Z and is solid; a spiral's is open and dashed
+        curve = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False))
+        closed, spiral = ElementTree.fromstring(render_svg([curve], None, [0.5 * curve[:4]]).encode()).iter(
+            "{http://www.w3.org/2000/svg}path"
+        )
+        assert closed.get("d").endswith(" Z") and closed.get("stroke-dasharray") is None
+        assert not spiral.get("d").endswith("Z") and spiral.get("stroke-dasharray") == "6 4"
+        assert closed.get("d").count("L") == 15 and spiral.get("d").count("L") == 3
 
     def test_nothing_to_render(self):
         with pytest.raises(ValueError, match="nothing to render"):

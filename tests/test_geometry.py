@@ -40,27 +40,25 @@ from conftest import bit_equal
 
 def regular_ngon(n=256, center=0.0, radius=1.0):
     theta = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    return PolyLine(center + radius * np.exp(1j * theta), closed=True)
+    return PolyLine(center + radius * np.exp(1j * theta))
 
 
 class TestPolyLine:
     def test_too_few_closed_points(self):
         with pytest.raises(ValueError):
-            PolyLine(np.exp(1j * np.linspace(0, 6, 8)), closed=True)
-
-    def test_too_few_open_points(self):
-        with pytest.raises(ValueError, match="at least 2 points"):
-            PolyLine([0.5j], closed=False)
+            PolyLine(np.exp(1j * np.linspace(0, 6, 8)))
 
     def test_duplicate_points_rejected(self):
-        pts = np.exp(1j * np.linspace(0, 2 * np.pi, 32, endpoint=False))
-        pts[5] = pts[6]
-        with pytest.raises(ValueError):
-            PolyLine(pts, closed=True)
+        # the segment from the last point back to the first (k = -1) is a segment too
+        for k in (5, -1):
+            pts = np.exp(1j * np.linspace(0, 2 * np.pi, 32, endpoint=False))
+            pts[k] = pts[k + 1]
+            with pytest.raises(ValueError, match="coincide"):
+                PolyLine(pts)
 
     def test_csv_round_trip_shape(self):
         poly = regular_ngon(16)
-        csv = curve_csv(poly)
+        csv = curve_csv(poly.points)
         lines = csv.strip().split("\n")
         assert lines[0] == "re,im"
         assert len(lines) == 17
@@ -81,7 +79,7 @@ class TestWindingNumber:
         theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         left = -1.0 + np.exp(1j * theta)
         right = 1.0 - np.exp(-1j * theta)
-        eight = PolyLine(np.concatenate([left, right]), closed=True)
+        eight = PolyLine(np.concatenate([left, right]))
         wn, indet, _ = winding_numbers(eight, [-1.0, 1.0, 3.0])
         assert list(wn) == [1, -1, 0]
         assert not indet.any()
@@ -91,11 +89,6 @@ class TestWindingNumber:
         edge_mid = (poly.points[0] + poly.points[1]) / 2.0
         assert winding_numbers(poly, [edge_mid])[1][0]
 
-    def test_requires_closed(self):
-        poly = PolyLine(np.linspace(0, 1, 8) + 0.0j, closed=False)
-        with pytest.raises(ValueError):
-            winding_numbers(poly, [0.5 + 0.5j])
-
     @given(st.integers(min_value=0, max_value=63), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=25, deadline=None)
     def test_cyclic_rotation_invariance(self, shift, seed):
@@ -103,14 +96,14 @@ class TestWindingNumber:
         radii = rng.uniform(0.5, 1.5, size=64)
         theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
         pts = radii * np.exp(1j * theta)
-        poly = PolyLine(pts, closed=True)
-        rolled = PolyLine(np.roll(pts, shift), closed=True)
+        poly = PolyLine(pts)
+        rolled = PolyLine(np.roll(pts, shift))
         w = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         base, indet, _ = winding_numbers(poly, [w])
         if indet[0]:
             return
         assert winding_numbers(rolled, [w])[0][0] == base[0]
-        assert winding_numbers(PolyLine(pts[::-1], closed=True), [w])[0][0] == -base[0]
+        assert winding_numbers(PolyLine(pts[::-1]), [w])[0][0] == -base[0]
 
     def test_vectorized_matches_scalar(self):
         poly = regular_ngon(128)
@@ -177,7 +170,7 @@ class TestWindingAgainstDense:
         rng = np.random.default_rng(seed)
         theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
         center = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        poly = PolyLine(scale * (center + rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta)), closed=True)
+        poly = PolyLine(scale * (center + rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta)))
         assert_matches_dense(poly, probe_points(poly, rng, count))
 
     @given(
@@ -191,7 +184,7 @@ class TestWindingAgainstDense:
         # winds `turns` times round 0 while its modulus swings once between
         # 1 - depth and 1 + depth: many crossings per horizontal line
         t = np.linspace(0.0, 2.0 * np.pi, turns * per_turn, endpoint=False)
-        poly = PolyLine(np.exp(1j * turns * t) * (1.0 + depth * np.cos(t)), closed=True)
+        poly = PolyLine(np.exp(1j * turns * t) * (1.0 + depth * np.cos(t)))
         assert_matches_dense(poly, probe_points(poly, np.random.default_rng(seed), 100))
         assert winding_numbers(poly, [0.0])[0][0] == turns
 
@@ -199,7 +192,7 @@ class TestWindingAgainstDense:
     @settings(max_examples=30, deadline=None)
     def test_figure_eight(self, seed):
         theta = np.linspace(0, 2 * np.pi, 64, endpoint=False)
-        eight = PolyLine(np.concatenate([-1.0 + np.exp(1j * theta), 1.0 - np.exp(-1j * theta)]), closed=True)
+        eight = PolyLine(np.concatenate([-1.0 + np.exp(1j * theta), 1.0 - np.exp(-1j * theta)]))
         wn, indet = assert_matches_dense(eight, probe_points(eight, np.random.default_rng(seed), 150))
         assert set(wn[~indet]) <= {-1, 0, 1}
 
@@ -208,7 +201,7 @@ class TestWindingAgainstDense:
     def test_vertices_and_edge_midpoints_indeterminate(self, n, seed):
         rng = np.random.default_rng(seed)
         theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=n))
-        poly = PolyLine(rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta), closed=True)
+        poly = PolyLine(rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta))
         mids = (poly.points + np.roll(poly.points, -1)) / 2.0
         _, indet = assert_matches_dense(poly, np.concatenate([poly.points, mids]))
         assert indet.all()
@@ -270,7 +263,7 @@ def edge_samples(n, seed, scale, layout):
     """
     rng = np.random.default_rng(seed)
     verts = scale * np.exp(1j * (rng.uniform(0.0, 2.0 * np.pi) + np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)))
-    poly = PolyLine(verts - (verts[0] + rng.uniform(0.1, 0.9) * (verts[1] - verts[0])), closed=True)
+    poly = PolyLine(verts - (verts[0] + rng.uniform(0.1, 0.9) * (verts[1] - verts[0])))
     a = poly.points
     b = np.roll(a, -1)
     along = (b - a) / np.abs(b - a)
@@ -302,7 +295,7 @@ class TestWindingReportAgainstReference:
         rng = np.random.default_rng(seed)
         theta = (np.arange(n) + rng.uniform(0.0, 0.5, size=n)) * (2.0 * np.pi / n)
         center = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        poly = PolyLine(shift + scale * (center + rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta)), closed=True)
+        poly = PolyLine(shift + scale * (center + rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta)))
         if layout == "ring":
             # a covering sample: one ring in angle order, inside the curve or crossing it
             radius = scale * rng.choice([0.15, rng.uniform(0.1, 2.5)])
@@ -672,12 +665,12 @@ class TestWedgeSpirals:
     def test_axis_anchors(self):
         # t runs from -1, where e^{-t} = e
         up, down = wedge_spirals(1.0, 0.0)
-        assert up.points[0] == pytest.approx(math.e * 1.0j)
-        assert down.points[0] == pytest.approx(-math.e * 1.0j)
+        assert up[0] == pytest.approx(math.e * 1.0j)
+        assert down[0] == pytest.approx(-math.e * 1.0j)
 
     def test_real_exponent_constant_argument(self):
         up, _ = wedge_spirals(1.3, 0.2)
-        args = np.angle(up.points)
+        args = np.angle(up)
         assert np.max(np.abs(args - args[0])) <= 1e-12
 
     def test_parameter_validation(self):
