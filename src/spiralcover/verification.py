@@ -8,23 +8,23 @@ default tolerance PASS_TOL sits orders of magnitude above
 double-precision round-off.
 
 Every margin is built from log f and f'/f at the points and from
-quantities of the points alone: Log(1-z), 1-z, |z|, (1+z)/(1-z),
-1/(1-z) and 1-|z|^2, one read-only record that a GridSpec builds on
-first use and keeps; raw points get a record of their own.  A
-GridEvaluation takes a GridSpec or raw points, computes log f and f'/f
-in one pass over the factors that reads Log(1-z) from the record, and
-keeps each quantity of the map that several margins share, formed once
-per params: the class margin (membership, growth, interior-identity),
-the ratio log q (distortion, value-bounds), |f| and, for real mu, the
-envelope powers |1-z|^mu and (1 +- |z|)^(mu*(1-beta)) (value-bounds,
-derivative-bounds).  Each check is one entry of the table _GRID_CHECKS:
-the name of its report, its margin (one function of a GridEvaluation),
-the parameters it applies to and, for wedge-containment, points of its
-own.  `check` runs the named entries (for 'all', those that apply) with
-one evaluation per set of points they read, taking f'/f on its grid
-alone; one scan turns an entry into its report with numpy's
-floating-point warnings off: a map that overflows leaves a non-finite
-margin, which raises DomainError whatever the warning filters.
+quantities of the points alone: Log(1-z), 1-z, |z|, (1+z)/(1-z), 1/(1-z)
+and 1-|z|^2, one read-only record that a GridSpec builds on first use
+and keeps; raw points get a record of their own.  A GridEvaluation takes
+a GridSpec or raw points, computes log f and f'/f in one pass over the
+factors that reads Log(1-z) from the record, and keeps each quantity of
+the map that several margins share, formed once per params: the class
+margin (membership, growth, interior-identity), the ratio log q
+(distortion, value-bounds) and exp(q/(1-beta)), which is 1 + lambda*z
+and 1 - omega (distortion, schwarz).  Each check is one entry of the
+table _GRID_CHECKS: the name of its report, its margin (one function of
+a GridEvaluation), the parameters it applies to and, for
+wedge-containment, points of its own.  `check` runs the named entries
+(for 'all', those that apply) with one evaluation per set of points they
+read, taking f'/f on its grid alone; one scan turns an entry into its
+report with numpy's floating-point warnings off: a map that overflows
+leaves a non-finite margin, which raises DomainError whatever the
+warning filters.
 """
 
 from __future__ import annotations
@@ -140,18 +140,17 @@ class GridEvaluation:
     """One map at a set of points, with log f, f'/f and Log(1-z) there, computed when it is built.
 
     The points are a GridSpec's (DEFAULT_GRID unless given), kept as it
-    keeps them with the arrays of the points alone, Log(1-z) among them;
-    or raw points (a scalar is one point), kept as a flat, checked,
-    read-only complex copy with arrays of their own.  There must be at
-    least one: a scan of no points has no worst margin.  log f and f'/f
-    come from one pass over the factors, with numpy's floating-point
-    warnings off as in the checks: a value that overflows is left
-    non-finite, for the margin that reads it to report.  With dlog false
-    the pass takes no f'/f and dlog_f is None, for checks that read log f
-    and Log(1-z) alone.  The arrays are read-only, because every margin
-    reads the same ones; so are the quantities of the map that several
-    margins share (the class margin, the ratio log, |f| and the real-mu
-    envelope powers), each formed on its first read and kept per params.
+    keeps them with the arrays of the points alone, Log(1-z) among them; or
+    raw points (a scalar is one point), kept as a flat, checked, read-only
+    complex copy with arrays of their own.  There must be at least one: a
+    scan of no points has no worst margin.  log f and f'/f come from one
+    pass over the factors, with numpy's floating-point warnings off as in
+    the checks: a value that overflows is left non-finite, for the margin
+    that reads it to report.  With dlog false the pass takes no f'/f and
+    dlog_f is None, for checks that read log f and Log(1-z) alone.  The
+    arrays are read-only, because every margin reads the same ones; so are
+    the quantities of the map that several margins share (the class margin,
+    q and exp(q/(1-beta))), each formed on its first read, once per params.
     """
 
     f: ProductForm
@@ -240,9 +239,9 @@ def _ratio_log(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     return _once(ev._memo, "q", params, lambda: ev.log_1mz - ev.log_f / params.mu)
 
 
-def _f_modulus(ev: GridEvaluation) -> np.ndarray:
-    """|f| = exp(Re log f)."""
-    return _once(ev._memo, "|f|", None, lambda: np.exp(ev.log_f.real))
+def _ratio_exp(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
+    """exp(q/(1-beta)) = 1 + lambda*z = 1 - omega, which distortion and schwarz read."""
+    return _once(ev._memo, "e", params, lambda: np.exp(_ratio_log(ev, params) / (1.0 - params.beta)))
 
 
 def distortion_coefficient(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
@@ -254,7 +253,7 @@ def distortion_coefficient(ev: GridEvaluation, params: ClassParams) -> np.ndarra
     """
     if np.any(ev.points == 0):
         raise DomainError("lambda is undefined at z = 0")
-    return (np.exp(_ratio_log(ev, params) / (1.0 - params.beta)) - 1.0) / ev.points
+    return (_ratio_exp(ev, params) - 1.0) / ev.points
 
 
 def derivative_functional(ev: GridEvaluation, params: ClassParams):
@@ -281,8 +280,8 @@ class ValueBounds(NamedTuple):
     mod_lo: float
     mod_hi: float
     arg_cap: float
-    f_lo: float | None
-    f_hi: float | None
+    f_lo: float | None = None
+    f_hi: float | None = None
 
 
 def modulus_arg_bounds(params: ClassParams, z):
@@ -292,29 +291,23 @@ def modulus_arg_bounds(params: ClassParams, z):
     |arg| <= (1-beta)*arcsin|z| for every class member.  The |f|
     envelopes only make sense for real mu and are None otherwise.
     """
-    out = _value_envelopes(params, _point_arrays(_as_points(z).copy()), {})
-    return ValueBounds(*(None if b is None else _like(z, b) for b in out))
-
-
-def _envelope_powers(params: ClassParams, arrays: _PointArrays, memo: dict):
-    """|1-z|**mu, (1+|z|)**k and (1-|z|)**k with k = mu*(1-beta), for real mu: the powers the |f| and |f'|
-    envelopes share, each formed once per memo and params."""
-    m = params.mu.real
-    k = m * (1.0 - params.beta)
-    return (
-        _once(memo, "|1-z|**mu", params, lambda: np.abs(arrays.one_m_z) ** m),
-        _once(memo, "(1+|z|)**k", params, lambda: (1.0 + arrays.abs_z) ** k),
-        _once(memo, "(1-|z|)**k", params, lambda: (1.0 - arrays.abs_z) ** k),
-    )
-
-
-def _value_envelopes(params: ClassParams, arrays: _PointArrays, memo: dict) -> ValueBounds:
-    az, one_m_b = arrays.abs_z, 1.0 - params.beta
-    f_lo = f_hi = None
+    arrays = _point_arrays(_as_points(z).copy())
+    out = _value_envelopes(params, arrays)
     if params.mu.imag == 0.0:
-        power, lo, hi = _envelope_powers(params, arrays, memo)
-        f_lo, f_hi = power / lo, power / hi
-    return ValueBounds((1.0 - az) ** one_m_b, (1.0 + az) ** one_m_b, one_m_b * np.arcsin(az), f_lo, f_hi)
+        power, lo, hi = _envelope_powers(params, arrays)
+        out = (*out, power / lo, power / hi)
+    return ValueBounds(*(_like(z, b) for b in out))
+
+
+def _envelope_powers(params: ClassParams, arrays: _PointArrays):
+    """|1-z|**mu, (1+|z|)**k and (1-|z|)**k with k = mu*(1-beta): the powers of the real-mu |f| and |f'| bounds."""
+    m, k = params.mu.real, params.mu.real * (1.0 - params.beta)
+    return np.abs(arrays.one_m_z) ** m, (1.0 + arrays.abs_z) ** k, (1.0 - arrays.abs_z) ** k
+
+
+def _value_envelopes(params: ClassParams, arrays: _PointArrays):
+    az, one_m_b = arrays.abs_z, 1.0 - params.beta
+    return (1.0 - az) ** one_m_b, (1.0 + az) ** one_m_b, one_m_b * np.arcsin(az)
 
 
 class DerivativeBounds(NamedTuple):
@@ -333,49 +326,47 @@ def derivative_bounds(params: ClassParams, z):
     hence never truly negative; it is still clamped at 0 and the raw
     value reported alongside.
     """
-    out = _derivative_envelopes(params, _point_arrays(_as_points(z).copy()), {})
-    return DerivativeBounds(*(_like(z, b) for b in out))
+    arrays = _point_arrays(_as_points(z).copy())
+    lower, upper, raw_lower = _derivative_envelopes(params, arrays)
+    power, _, hi = _envelope_powers(params, arrays)
+    simple_upper = 2.0 * params.mu.real * power / (arrays.one_m_abs2 * hi)
+    return DerivativeBounds(*(_like(z, b) for b in (lower, upper, simple_upper, raw_lower)))
 
 
-def _derivative_envelopes(params: ClassParams, arrays: _PointArrays, memo: dict) -> DerivativeBounds:
+def _derivative_envelopes(params: ClassParams, arrays: _PointArrays):
+    """lower, upper and raw_lower, the |f'| envelopes of derivative-bounds; no margin reads simple_upper."""
     if not _GRID_CHECKS["derivative-bounds"].applies(params):
         raise DomainError("derivative bounds need real mu in (0, 2]")
     m, beta, zc = params.mu.real, params.beta, np.conj(arrays.points)
-    power, lo, hi = _envelope_powers(params, arrays, memo)
+    power, lo, hi = _envelope_powers(params, arrays)
     base = m * power / arrays.one_m_abs2
     bracket = np.abs((1.0 - zc) / arrays.one_m_z + beta * zc)
     raw_lower = base / lo * (bracket - 1.0 + beta)
-    upper = base / hi * (bracket + 1.0 - beta)
-    simple_upper = 2.0 * m * power / (arrays.one_m_abs2 * hi)
-    return DerivativeBounds(np.maximum(raw_lower, 0.0), upper, simple_upper, raw_lower)
+    return np.maximum(raw_lower, 0.0), base / hi * (bracket + 1.0 - beta), raw_lower
 
 
 def _value_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     q = _ratio_log(ev, params)
     ratio_mod = np.exp(q.real)
-    b = _value_envelopes(params, ev._arrays, ev._memo)
-    margins = [ratio_mod - b.mod_lo, b.mod_hi - ratio_mod, b.arg_cap - np.abs(q.imag)]
-    if b.f_lo is not None:
-        fmod = _f_modulus(ev)
-        margins += [fmod - b.f_lo, b.f_hi - fmod]
-    return np.min(margins, axis=0)
+    mod_lo, mod_hi, arg_cap = _value_envelopes(params, ev._arrays)
+    return np.min([ratio_mod - mod_lo, mod_hi - ratio_mod, arg_cap - np.abs(q.imag)], axis=0)
 
 
 def _derivative_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
-    fd = _f_modulus(ev) * np.abs(ev.dlog_f)
-    b = _derivative_envelopes(params, ev._arrays, ev._memo)
-    return np.minimum(fd - b.lower, b.upper - fd)
+    fd = np.exp(ev.log_f.real) * np.abs(ev.dlog_f)
+    lower, upper, _ = _derivative_envelopes(params, ev._arrays)
+    return np.minimum(fd - lower, upper - fd)
 
 
 def schwarz_function(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     """The Schwarz function of the subordination f/(1-z)**mu < (1-z)**(-mu*(1-beta)).
 
-    omega(z) = 1 - exp(-(eval_log(f,z) - mu*Log(1-z))/(mu*(1-beta)));
-    |omega(z)| <= |z| and omega(0) = 0 certify the subordination, with
-    |omega| = |z| exactly for single-atom members.
+    omega(z) = 1 - exp(q/(1-beta)) with q = Log(1-z) - eval_log(f,z)/mu,
+    which is -lambda(z)*z, from the exponential distortion_coefficient
+    reads; |omega(z)| <= |z| and omega(0) = 0 certify the subordination,
+    with |omega| = |z| exactly for single-atom members.
     """
-    inner = (ev.log_f - params.mu * ev.log_1mz) / (params.mu * (1.0 - params.beta))
-    return 1.0 - np.exp(-inner)
+    return 1.0 - _ratio_exp(ev, params)
 
 
 @dataclass(frozen=True)
@@ -392,9 +383,7 @@ class InteriorSpirallikeMap:
     params: ClassParams
 
     def __post_init__(self):
-        if self.order < -1e-12:
-            # |mu - 1| <= 1 forces cos(phi) >= r/2 >= r*(1-beta)/2; only the OMEGA_TOL
-            # slack on it, at tiny r, leaves cos(phi) below 0
+        if not _GRID_CHECKS["interior-identity"].applies(self.params):
             raise DomainError("negative spirallike order: cos(arg mu) < |mu|*(1-beta)/2")
 
     @property
@@ -405,7 +394,7 @@ class InteriorSpirallikeMap:
     @property
     def order(self) -> float:
         """cos(phi) - r*(1-beta)/2."""
-        return math.cos(self.phi) - self.params.radius * (1.0 - self.params.beta) / 2.0
+        return _spiral_order(self.params)
 
     def _log_parts(self, z):
         """(Log(1-z), log of s(z)/z) at the points z, from one pass over the factors."""
@@ -429,6 +418,10 @@ class InteriorSpirallikeMap:
         z = ev.points
         zs = 1.0 + z * ev.dlog_f + self.params.mu * z / ev._arrays.one_m_z
         return (cmath.exp(-1j * self.phi) * zs).real - self.order
+
+
+def _spiral_order(params: ClassParams) -> float:
+    return math.cos(params.phi) - params.radius * (1.0 - params.beta) / 2.0
 
 
 def _identity_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
@@ -462,7 +455,8 @@ class _GridCheck(NamedTuple):
     grid: GridSpec | None = None
 
 
-# CLI name -> grid check, in `--checks all` order; the |f'| envelopes are stated for real mu in (0, 2] only
+# CLI name -> grid check, in `--checks all` order; the |f'| envelopes are stated for real mu in (0, 2] only, and the
+# interior map for cos(phi) >= r*(1-beta)/2, which |mu - 1| <= 1 forces but for its OMEGA_TOL slack at tiny r
 _GRID_CHECKS = {
     "membership": _GridCheck("check_membership", "membership", class_margin),
     "distortion": _GridCheck(
@@ -478,7 +472,8 @@ _GRID_CHECKS = {
         applies=lambda p: p.mu.imag == 0.0 and 0.0 < p.mu.real <= 2.0,
     ),
     "interior-identity": _GridCheck(
-        "check_interior_identity", "interior-identity", _identity_margin, tolerance=INTERIOR_IDENTITY_TOL
+        "check_interior_identity", "interior-identity", _identity_margin,
+        applies=lambda p: _spiral_order(p) >= -1e-12, tolerance=INTERIOR_IDENTITY_TOL,
     ),
     "growth": _GridCheck("check_growth", "growth", lambda ev, p: 0.5 * p.radius * class_margin(ev, p)),
     "wedge-containment": _GridCheck(
@@ -539,7 +534,8 @@ def check_schwarz(ev: GridEvaluation, params: ClassParams, tolerance: float = PA
 
 
 def check_value_bounds(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
-    """Worst margin over all applicable modulus/argument envelopes at the points."""
+    """Worst margin of the modulus/argument envelopes of (1-z)/f**(1/mu) over the points; for real mu the |f|
+    envelopes are the modulus ones to the power mu, |f| = (|1-z|/|(1-z)/f**(1/mu)|)**mu, and hold with them."""
     return _scan("value-bounds", ev, params, tolerance)
 
 

@@ -589,6 +589,20 @@ class TestCheck:
         assert main(["check", "-i", example_path, flag, "-o", str(out)]) == 2
         assert not out.exists()
 
+    def test_negative_order_spec_skips_interior_identity(self, tmp_path, capsys):
+        # mu = 1e-9*exp(i*acos(-4e-4)) is admitted, |mu - 1| - 1 = 4e-13 being within OMEGA_TOL, but the
+        # interior map's order cos(arg mu) - |mu|*(1-beta)/2 is below 0: `all` skips interior-identity, as
+        # it skips derivative-bounds for complex mu, and naming it exits 2
+        spec = {"mu": [-4.000000000000281e-13, 9.999999199999968e-10], "beta": 0.5, "factors": []}
+        path, out, named = tmp_path / "order.json", tmp_path / "report.json", tmp_path / "named.json"
+        path.write_text(json.dumps(spec))
+        assert main(["check", "-i", str(path), "--checks", "all", "-o", str(out)]) == 0
+        names = [c["check"] for c in json.loads(out.read_text())["checks"]]
+        assert len(names) == 7 and "interior-identity" not in names
+        capsys.readouterr()
+        assert main(["check", "-i", str(path), "--checks", "interior-identity", "-o", str(named)]) == 2
+        assert "negative spirallike order" in capsys.readouterr().err and not named.exists()
+
     def test_derivative_bounds_on_complex_mu(self, population, tmp_path):
         entry = population[0]
         assert entry.params.mu.imag != 0.0
@@ -718,16 +732,20 @@ class TestCheck:
     # real-population-20 and fine-grid-population-5 were re-recorded, on the same build,
     # when derivative-bounds stopped taking the margin simple_upper - upper, which reads
     # no map; only their derivative-bounds entries changed.
+    # readme-example, core-map, population-20, real-population-20, custom-grid-population-20 and
+    # fine-grid-population-5 were re-recorded, on the same build, when schwarz came to read distortion's
+    # exponential exp(q/(1-beta)) and value-bounds stopped restating its two modulus envelopes as |f|
+    # envelopes; only their schwarz and value-bounds entries changed, and no verdict.
     CHECK_DIGESTS = {
-        "readme-example": "231a7b88856c2897b758a7608085d173f45eb9dcfa00af0760630a277b30710e",
-        "core-map": "9618766e3b7bf7b1afd2c60a70890238c7b947a119d98a2a04f04cdc3de68d8b",
+        "readme-example": "9eac1c39ffaec28240f85e8c322795349589eee6d8bd4a178320834fd2c2f72f",
+        "core-map": "3ee0a56ce9d38b5ec1fc4eacd684b570551b415d6a487e87ec002d2820a42f59",
         "mixed-exponents": "4fde75fce62f4071aceb34a1d1b6064565aafc26d839a8930c136a39a61a0de5",
-        "population-20": "981bbce4ae0d2a43198acd2fa04c300ae306ab4b71d2110e599c1054eb69d475",
-        "real-population-20": "bee036b04faa12d56bfa69334bb5f10c3cfdf9c7577947374a420fd147810324",
+        "population-20": "c9e58403196c189eb6a51e851f729758cc9acdf26f5676c1c2d4e6851de7796c",
+        "real-population-20": "6d104b8c493ac16c286e3468d3881feec0796ca4f91e3cb05e0ced95513a5741",
         "distort-readme-example": "da3bc43b04818d05c9538e7b7b4452c11b21b712b6f72baca983c7355cb8ef41",
         "wide-3": "3c799146ccd3e20f621bcabf4b85093299d307fc3cba4b7172b6ced7083b493a",
-        "custom-grid-population-20": "a6e6b76ff1dd6c8a03625399a056fd7dacce7c9f69f76d474e9eb28999212cf0",
-        "fine-grid-population-5": "ce12f677557ae1795dbcdf41b48ee1aa8cfd683d2443d5f27885b2df48c4eb9d",
+        "custom-grid-population-20": "5ccca29b9164194eede61ae0693f307f04eb5553f8a8f7e146d73868917b2e75",
+        "fine-grid-population-5": "65991ed1d30bd50226c2b3c1e2fa6ae1353b314c66c978f0e55c6502ce586271",
     }
 
     @staticmethod
@@ -815,18 +833,30 @@ class TestSharedEvaluation:
         assert passes == [((n,), dlog) for n, dlog in grids]
 
     def test_class_margin_formed_once(self, monkeypatch, tmp_path):
-        # membership, interior-identity and growth read one class margin
-        formed = []
+        # membership, interior-identity and growth read one class margin, distortion and schwarz one
+        # exp(q/(1-beta)), and distortion and value-bounds one q; nothing else is kept
+        formed, kept = [], []
 
         def spy(ev, params, _fn=verification._class_margin):
             formed.append(ev.points.size)
             return _fn(ev, params)
 
+        def once(memo, key, params, compute, _fn=verification._once):
+            def record():
+                kept.append((key, compute()))
+                return kept[-1][1]
+
+            return _fn(memo, key, params, record)
+
         monkeypatch.setattr(verification, "_class_margin", spy)
+        monkeypatch.setattr(verification, "_once", once)
         src = tmp_path / "in.json"
         src.write_text(report_json(EXAMPLE_SPEC))
-        assert main(["check", "-i", str(src), "--checks", "all", "-o", str(tmp_path / "out.json")]) == 0
-        assert formed == [896]
+        for checks, margins, quantities in [("all", [896], ["class", "e", "q"]), ("distortion,schwarz", [], ["e", "q"])]:
+            del formed[:], kept[:]
+            assert main(["check", "-i", str(src), "--checks", checks, "-o", str(tmp_path / "out.json")]) == 0
+            assert formed == margins
+            assert sorted(key for key, _ in kept) == quantities and all(a.size == 896 for _, a in kept)
 
     def test_point_arrays_computed_once_per_process(self, monkeypatch, tmp_path):
         # the GridSpecs of the default grid and of the wedge ring keep Log(1-z) of their points, so a

@@ -42,7 +42,7 @@ from spiralcover import (
 )
 from spiralcover.serialize import dumps, load_function_spec
 
-from conftest import bit_equal, growth_shifts, reference_growth_margin
+from conftest import MASTER_SEED, bit_equal, build_population, growth_shifts, reference_growth_margin
 
 
 class TestGrid:
@@ -370,6 +370,44 @@ class TestModulusArgBounds:
         for entry in population[:10]:
             assert check_value_bounds(GridEvaluation(entry.f), entry.params).passed
 
+    @given(
+        st.floats(1e-12, 2.0, exclude_min=True), st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_max=True), st.floats(-math.pi, math.pi),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_f_envelopes_are_modulus_envelopes_to_the_mu(self, mu, beta, r, theta):
+        # for real mu in (0, 2] (the class takes |mu| > 1e-12), |f| = (|1-z|/|(1-z)/f**(1/mu)|)**mu:
+        # f_lo restates mod_hi and f_hi restates mod_lo
+        z = r * cmath.exp(1j * theta)
+        assume(np.abs(z) < 1.0)  # numpy's modulus, which the envelopes hold the points to
+        b = modulus_arg_bounds(ClassParams(mu, beta), z)
+        power = abs(1.0 - z) ** mu
+        assert b.f_lo == pytest.approx(power / b.mod_hi**mu, rel=1e-12, abs=0.0)
+        assert b.f_hi == pytest.approx(power / b.mod_lo**mu, rel=1e-12, abs=0.0)
+
+    LADDER = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.3)
+
+    @pytest.mark.parametrize("seed", [1, MASTER_SEED])
+    def test_f_envelopes_add_no_verdict(self, seed, population):
+        # value-bounds tests the two modulus envelopes and the argument cap; its verdict is the one the
+        # |f| envelopes give added back, on both parameter sets at beta + delta
+        entries = population if seed == MASTER_SEED else build_population(seed=seed)
+        pts, cases, failed = sc.DEFAULT_GRID.points(), 0, 0
+        for entry in entries:
+            for f, declared in ((entry.f, entry.params), (entry.real_f, entry.real_params)):
+                ev, fmod = GridEvaluation(f, pts), np.abs(evaluate(f, pts))
+                for delta in self.LADDER:
+                    if declared.beta + delta >= 1.0:
+                        continue
+                    params = ClassParams(declared.mu, declared.beta + delta)
+                    rep, b = check_value_bounds(ev, params), modulus_arg_bounds(params, pts)
+                    worst = rep.worst_margin
+                    if b.f_lo is not None:
+                        worst = min(worst, np.min(fmod - b.f_lo), np.min(b.f_hi - fmod))
+                    assert rep.passed == (worst >= -rep.tolerance)
+                    cases, failed = cases + 1, failed + (not rep.passed)
+        assert cases > 1000 and 0 < failed < cases
+
     def test_rejects_outside_disk(self):
         with pytest.raises(DomainError):
             modulus_arg_bounds(ClassParams(1.0, 0.0), 1.0)
@@ -518,6 +556,19 @@ class TestSchwarz:
     def test_population_contraction(self, population):
         for entry in population[:10]:
             assert check_schwarz(GridEvaluation(entry.f), entry.params).passed
+
+    def test_omega_is_minus_lambda_z(self, population):
+        # omega = 1 - exp(q/(1-beta)) and lambda = (exp(q/(1-beta)) - 1)/z read one exponential, so
+        # omega = -lambda*z to the rounding of lambda's division and of its product with z
+        cases = [case for e in population for case in ((e.f, e.params), (e.real_f, e.real_params))]
+        for mu, beta, angle in [(0.3, 0.0, 0.0), (1.0, 0.5, 1.1), (1.3 - 0.4j, 0.9, 3.0), (2.0, 0.2, -2.0)]:
+            params = ClassParams(mu, beta)
+            cases.append((extremal(params, cmath.exp(1j * angle)), params))
+        for f, params in cases:
+            ev = GridEvaluation(f)
+            omega = schwarz_function(ev, params)
+            lam_z = distortion_coefficient(ev, params) * ev.points
+            assert np.all(np.abs(omega + lam_z) <= 4 * np.finfo(float).eps * np.abs(omega))
 
 
 class TestInteriorSpirallike:
