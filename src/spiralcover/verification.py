@@ -280,8 +280,8 @@ class ValueBounds(NamedTuple):
     mod_lo: float
     mod_hi: float
     arg_cap: float
-    f_lo: float | None = None
-    f_hi: float | None = None
+    f_lo: float | None
+    f_hi: float | None
 
 
 def modulus_arg_bounds(params: ClassParams, z):
@@ -291,12 +291,8 @@ def modulus_arg_bounds(params: ClassParams, z):
     |arg| <= (1-beta)*arcsin|z| for every class member.  The |f|
     envelopes only make sense for real mu and are None otherwise.
     """
-    arrays = _point_arrays(_as_points(z).copy())
-    out = _value_envelopes(params, arrays)
-    if params.mu.imag == 0.0:
-        power, lo, hi = _envelope_powers(params, arrays)
-        out = (*out, power / lo, power / hi)
-    return ValueBounds(*(_like(z, b) for b in out))
+    out = _value_envelopes(params, _point_arrays(_as_points(z).copy()))
+    return ValueBounds(*(None if b is None else _like(z, b) for b in out))
 
 
 def _envelope_powers(params: ClassParams, arrays: _PointArrays):
@@ -305,9 +301,13 @@ def _envelope_powers(params: ClassParams, arrays: _PointArrays):
     return np.abs(arrays.one_m_z) ** m, (1.0 + arrays.abs_z) ** k, (1.0 - arrays.abs_z) ** k
 
 
-def _value_envelopes(params: ClassParams, arrays: _PointArrays):
+def _value_envelopes(params: ClassParams, arrays: _PointArrays) -> ValueBounds:
     az, one_m_b = arrays.abs_z, 1.0 - params.beta
-    return (1.0 - az) ** one_m_b, (1.0 + az) ** one_m_b, one_m_b * np.arcsin(az)
+    f_lo = f_hi = None
+    if params.mu.imag == 0.0:
+        power, lo, hi = _envelope_powers(params, arrays)
+        f_lo, f_hi = power / lo, power / hi
+    return ValueBounds((1.0 - az) ** one_m_b, (1.0 + az) ** one_m_b, one_m_b * np.arcsin(az), f_lo, f_hi)
 
 
 class DerivativeBounds(NamedTuple):
@@ -326,35 +326,37 @@ def derivative_bounds(params: ClassParams, z):
     hence never truly negative; it is still clamped at 0 and the raw
     value reported alongside.
     """
-    arrays = _point_arrays(_as_points(z).copy())
-    lower, upper, raw_lower = _derivative_envelopes(params, arrays)
-    power, _, hi = _envelope_powers(params, arrays)
-    simple_upper = 2.0 * params.mu.real * power / (arrays.one_m_abs2 * hi)
-    return DerivativeBounds(*(_like(z, b) for b in (lower, upper, simple_upper, raw_lower)))
+    lower, upper, raw_lower, half_simple = _derivative_envelopes(params, _point_arrays(_as_points(z).copy()))
+    return DerivativeBounds(*(_like(z, b) for b in (lower, upper, 2.0 * half_simple, raw_lower)))
 
 
 def _derivative_envelopes(params: ClassParams, arrays: _PointArrays):
-    """lower, upper and raw_lower, the |f'| envelopes of derivative-bounds; no margin reads simple_upper."""
+    """lower, upper, raw_lower and simple_upper/2, a factor of upper; the margin reads lower and upper alone."""
     if not _GRID_CHECKS["derivative-bounds"].applies(params):
         raise DomainError("derivative bounds need real mu in (0, 2]")
     m, beta, zc = params.mu.real, params.beta, np.conj(arrays.points)
     power, lo, hi = _envelope_powers(params, arrays)
     base = m * power / arrays.one_m_abs2
+    half_simple = base / hi
     bracket = np.abs((1.0 - zc) / arrays.one_m_z + beta * zc)
     raw_lower = base / lo * (bracket - 1.0 + beta)
-    return np.maximum(raw_lower, 0.0), base / hi * (bracket + 1.0 - beta), raw_lower
+    return np.maximum(raw_lower, 0.0), half_simple * (bracket + 1.0 - beta), raw_lower, half_simple
 
 
 def _value_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     q = _ratio_log(ev, params)
     ratio_mod = np.exp(q.real)
-    mod_lo, mod_hi, arg_cap = _value_envelopes(params, ev._arrays)
-    return np.min([ratio_mod - mod_lo, mod_hi - ratio_mod, arg_cap - np.abs(q.imag)], axis=0)
+    b = _value_envelopes(params, ev._arrays)
+    margins = [ratio_mod - b.mod_lo, b.mod_hi - ratio_mod, b.arg_cap - np.abs(q.imag)]
+    if b.f_lo is not None:
+        fmod = np.exp(ev.log_f.real)
+        margins += [fmod - b.f_lo, b.f_hi - fmod]
+    return np.min(margins, axis=0)
 
 
 def _derivative_bounds_margin(ev: GridEvaluation, params: ClassParams) -> np.ndarray:
     fd = np.exp(ev.log_f.real) * np.abs(ev.dlog_f)
-    lower, upper, _ = _derivative_envelopes(params, ev._arrays)
+    lower, upper, *_ = _derivative_envelopes(params, ev._arrays)
     return np.minimum(fd - lower, upper - fd)
 
 
@@ -534,8 +536,8 @@ def check_schwarz(ev: GridEvaluation, params: ClassParams, tolerance: float = PA
 
 
 def check_value_bounds(ev: GridEvaluation, params: ClassParams, tolerance: float = PASS_TOL) -> VerificationReport:
-    """Worst margin of the modulus/argument envelopes of (1-z)/f**(1/mu) over the points; for real mu the |f|
-    envelopes are the modulus ones to the power mu, |f| = (|1-z|/|(1-z)/f**(1/mu)|)**mu, and hold with them."""
+    """Worst margin of the modulus/argument envelopes and, for real mu, of the |f| ones, which restate the modulus
+    ones in exact arithmetic but keep margins of their own: the tolerance is absolute and |f| nears 1e5 at z = -1."""
     return _scan("value-bounds", ev, params, tolerance)
 
 

@@ -386,27 +386,44 @@ class TestModulusArgBounds:
         assert b.f_hi == pytest.approx(power / b.mod_lo**mu, rel=1e-12, abs=0.0)
 
     LADDER = (0.0, 1e-4, 1e-3, 1e-2, 0.1, 0.3)
+    # (1-z)**2/(1+z)**2, extremal at beta = 0, checked just past it: its worst |f| margin sits on the default
+    # grid at z = -0.995, where |f| is 1.6e5
+    EDGE = [(extremal(ClassParams(2.0, 0.0), -1.0), ClassParams(2.0, delta)) for delta in (2e-10, 5e-10, 2e-8)]
 
     @pytest.mark.parametrize("seed", [1, MASTER_SEED])
-    def test_f_envelopes_add_no_verdict(self, seed, population):
-        # value-bounds tests the two modulus envelopes and the argument cap; its verdict is the one the
-        # |f| envelopes give added back, on both parameter sets at beta + delta
+    def test_f_envelopes_are_margins_of_value_bounds(self, seed, population):
+        # value-bounds' worst margin is at most its worst |f| margin, on both parameter sets at beta + delta
+        # and on the edge extremals
         entries = population if seed == MASTER_SEED else build_population(seed=seed)
-        pts, cases, failed = sc.DEFAULT_GRID.points(), 0, 0
-        for entry in entries:
-            for f, declared in ((entry.f, entry.params), (entry.real_f, entry.real_params)):
-                ev, fmod = GridEvaluation(f, pts), np.abs(evaluate(f, pts))
-                for delta in self.LADDER:
-                    if declared.beta + delta >= 1.0:
-                        continue
-                    params = ClassParams(declared.mu, declared.beta + delta)
-                    rep, b = check_value_bounds(ev, params), modulus_arg_bounds(params, pts)
-                    worst = rep.worst_margin
-                    if b.f_lo is not None:
-                        worst = min(worst, np.min(fmod - b.f_lo), np.min(b.f_hi - fmod))
-                    assert rep.passed == (worst >= -rep.tolerance)
-                    cases, failed = cases + 1, failed + (not rep.passed)
-        assert cases > 1000 and 0 < failed < cases
+        cases = [
+            (f, ClassParams(declared.mu, declared.beta + delta))
+            for entry in entries
+            for f, declared in ((entry.f, entry.params), (entry.real_f, entry.real_params))
+            for delta in self.LADDER
+            if declared.beta + delta < 1.0
+        ]
+        pts, failed = sc.DEFAULT_GRID.points(), 0
+        for f, params in cases + self.EDGE:
+            rep, b = check_value_bounds(GridEvaluation(f, pts), params), modulus_arg_bounds(params, pts)
+            if b.f_lo is not None:
+                fmod = np.abs(evaluate(f, pts))
+                worst = min(np.min(fmod - b.f_lo), np.min(b.f_hi - fmod))
+                assert rep.worst_margin <= worst + 1e-13 * np.max(fmod)
+            failed += not rep.passed
+        assert len(cases) > 1000 and 0 < failed < len(cases)
+
+    def test_f_margin_fails_where_modulus_margin_passes(self):
+        # f_hi restates mod_lo, but the tolerance is absolute: at z = -0.995 the modulus margin of the
+        # edge extremal at beta = 5e-10 is within it and the |f| margin, 1.6e5 times larger, is not
+        f, params = self.EDGE[1]
+        ev, z = GridEvaluation(f), -0.995
+        b = modulus_arg_bounds(params, z)
+        q = sc.log_principal(1 - z) - eval_log(f, z) / params.mu
+        assert -verification.PASS_TOL < math.exp(q.real) - b.mod_lo < 0.0
+        assert b.f_hi - abs(evaluate(f, z)) < -1e5 * verification.PASS_TOL
+        assert check_schwarz(ev, params).passed and check_distortion(ev, params).passed
+        rep = check_value_bounds(ev, params)
+        assert not rep.passed and rep.worst_location == pytest.approx(z)
 
     def test_rejects_outside_disk(self):
         with pytest.raises(DomainError):
