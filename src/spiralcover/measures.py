@@ -2,7 +2,9 @@
 
 An atomic measure is the universal input here: finite sums of point
 masses are dense in the function class being modelled, so nothing more
-general is represented.
+general is represented.  The AtomicCircleMeasure constructor is the one
+place a measure is checked and put in canonical form; it copies the
+points and weights it is given, so the caller's arrays stay as they were.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ CIRCLE_TOL = 1e-9       # admissible distance from the unit circle on input
 MERGE_TOL = 1e-12       # atoms closer than this are merged by weight addition
 SUM_EXACT_TOL = 1e-12   # weight sums within this of 1 are accepted as-is
 SUM_RESCALE_TOL = 1e-6  # deviations up to this are renormalized, beyond is an error
-# admissible ||p| - 1| of a stored atom.  make_measure's projection leaves at most
-# 2 eps and exp(1j*angle) 1 eps; a MERGE_TOL-sized offset would let an atom between
-# two near-duplicates hide them from the neighbour-gap check
-ON_CIRCLE_TOL = 4 * np.finfo(np.float64).eps
 
 
 def _angular_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -45,97 +43,74 @@ def _angular_neighbours(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class AtomicCircleMeasure:
-    """Nonnegative point masses on |zeta| = 1 with total mass 1.
+    """Nonnegative point masses on |zeta| = 1 with total mass 1, in read-only arrays.
 
-    Instances are produced by :func:`make_measure`, or by its checks on
-    arrays (random_measure, and the measure reader in serialize), and are
-    immutable: the arrays are read-only.
+    The constructor copies the points and weights, rejects empty or mismatched arrays, non-finite values,
+    negative weights, points more than 1e-9 off the circle, zero mass and sums off 1 by more than 1e-6, then
+    projects the points onto the circle and rescales a sum off 1 by more than 1e-12.  An atom within MERGE_TOL
+    of its angular predecessor (wrapping at +-pi) joins its cluster, which keeps its first atom's position and
+    place in the input order and the sum of its weights in input order; the merged sum is rescaled likewise.
     """
 
     points: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128)
-        wts = np.asarray(self.weights, dtype=np.float64)
-        if pts.ndim != 1 or wts.shape != pts.shape or pts.size == 0:
+        pts = np.array(self.points, dtype=np.complex128)
+        wts = np.array(self.weights, dtype=np.float64)
+        if pts.ndim != 1 or wts.shape != pts.shape:
             raise ValueError("points and weights must be matching 1-d arrays")
+        if pts.size == 0:
+            raise ValueError("measure needs at least one atom")
         if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
             raise ValueError("non-finite atom point or weight")
-        if (np.abs(np.abs(pts) - 1.0) > ON_CIRCLE_TOL).any():
-            raise ValueError("atom off the unit circle")
         if (wts < 0).any():
             raise ValueError("negative atom weight")
-        if abs(wts.sum() - 1.0) > SUM_EXACT_TOL:
-            raise ValueError("weights do not sum to 1")
-        if (_angular_neighbours(pts)[1] <= MERGE_TOL).any():
-            raise ValueError("duplicate atoms not merged")
+        mods = np.abs(pts)
+        if (np.abs(mods - 1.0) > CIRCLE_TOL).any():
+            raise ValueError("atom further than 1e-9 from the unit circle")
+        pts = pts / mods
+
+        total = wts.sum()
+        if total <= 0:
+            raise ValueError("zero total mass")
+        dev = abs(total - 1.0)
+        if dev > SUM_RESCALE_TOL:
+            raise ValueError(f"weight sum {total} deviates from 1 by {dev:.3g} (> 1e-6)")
+        if dev > SUM_EXACT_TOL:
+            wts = wts / total
+
+        # merging prevents catastrophic cancellation in downstream log sums
+        order, gaps = _angular_neighbours(pts)
+        joins = gaps <= MERGE_TOL  # sorted atom k + 1 (cyclically) joins the cluster of atom k
+        if joins.any():
+            idx = np.arange(pts.size)
+            # cluster name: sorted position of its start; atoms ahead of the first start
+            # close the cluster that wraps round pi (with no start, all atoms are one)
+            head = np.maximum.accumulate(np.where(joins[idx - 1], -1, idx))
+            head[head < 0] = max(head[-1], 0)
+            first = np.full(pts.size, pts.size)
+            np.minimum.at(first, head, order)
+            root = first[head][np.argsort(order)]  # input index of the first atom of its cluster
+            keep = root == idx
+            pts, wts = pts[keep], np.bincount((np.cumsum(keep) - 1)[root], weights=wts)
+
+        s = wts.sum()
+        if abs(s - 1.0) > SUM_EXACT_TOL:
+            wts = wts / s
+        pts.setflags(write=False)
+        wts.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
 
     def __len__(self) -> int:
         return self.points.size
 
 
 def make_measure(atoms: Iterable[Tuple[complex, float]]) -> AtomicCircleMeasure:
-    """Validate, project onto the circle, merge near-duplicates, normalize.
-
-    Points may sit up to 1e-9 off the circle and are radially projected
-    back.  Weight sums off 1 by more than 1e-12 but less than 1e-6 are
-    rescaled; larger deviations are treated as caller bugs and rejected.
-    An atom within MERGE_TOL of its angular predecessor (wrapping at +-pi)
-    joins its cluster, which keeps its first atom's position and place in
-    the input order and the sum of its weights taken in input order.
-    """
+    """The measure of (point, weight) atoms, checked and put in canonical form by AtomicCircleMeasure."""
     items = list(atoms)
-    pts = np.asarray([complex(p) for p, _ in items], dtype=np.complex128)
-    wts = np.asarray([float(w) for _, w in items], dtype=np.float64)
-    return _measure(pts, wts)
-
-
-def _measure(pts: np.ndarray, wts: np.ndarray) -> AtomicCircleMeasure:
-    """make_measure on the atoms' points and weights as matching 1-d arrays."""
-    if pts.size == 0:
-        raise ValueError("measure needs at least one atom")
-    if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
-        raise ValueError("non-finite atom point or weight")
-    if (wts < 0).any():
-        raise ValueError("negative atom weight")
-    mods = np.abs(pts)
-    if (np.abs(mods - 1.0) > CIRCLE_TOL).any():
-        raise ValueError("atom further than 1e-9 from the unit circle")
-    pts = pts / mods
-
-    total = wts.sum()
-    if total <= 0:
-        raise ValueError("zero total mass")
-    dev = abs(total - 1.0)
-    if dev > SUM_RESCALE_TOL:
-        raise ValueError(f"weight sum {total} deviates from 1 by {dev:.3g} (> 1e-6)")
-    if dev > SUM_EXACT_TOL:
-        wts = wts / total
-
-    # merging prevents catastrophic cancellation in downstream log sums
-    order, gaps = _angular_neighbours(pts)
-    joins = gaps <= MERGE_TOL  # sorted atom k + 1 (cyclically) joins the cluster of atom k
-    if joins.any():
-        idx = np.arange(pts.size)
-        # cluster name: sorted position of its start; atoms ahead of the first start
-        # close the cluster that wraps round pi (with no start, all atoms are one)
-        head = np.maximum.accumulate(np.where(joins[idx - 1], -1, idx))
-        head[head < 0] = max(head[-1], 0)
-        first = np.full(pts.size, pts.size)
-        np.minimum.at(first, head, order)
-        root = first[head][np.argsort(order)]  # input index of the first atom of its cluster
-        keep = root == idx
-        pts, wts = pts[keep], np.bincount((np.cumsum(keep) - 1)[root], weights=wts)
-
-    s = wts.sum()
-    if abs(s - 1.0) > SUM_EXACT_TOL:
-        wts = wts / s
-    return AtomicCircleMeasure(pts, wts)
+    return AtomicCircleMeasure(np.asarray([complex(p) for p, _ in items]), np.asarray([float(w) for _, w in items]))
 
 
 def dirac_reweight(sigma: AtomicCircleMeasure, r: float, beta1: float) -> AtomicCircleMeasure:
@@ -153,7 +128,7 @@ def dirac_reweight(sigma: AtomicCircleMeasure, r: float, beta1: float) -> Atomic
     pts, wts = sigma.points, scale * sigma.weights
     if dirac > 0:
         pts, wts = np.append(pts, 1.0 + 0.0j), np.append(wts, dirac)
-    return _measure(pts, wts)
+    return AtomicCircleMeasure(pts, wts)
 
 
 def random_measure(n: int, seed: int) -> AtomicCircleMeasure:
@@ -167,5 +142,5 @@ def random_measure(n: int, seed: int) -> AtomicCircleMeasure:
     angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
     weights = rng.uniform(size=n)
     weights = weights / weights.sum()
-    return _measure(np.exp(1j * angles), weights)
+    return AtomicCircleMeasure(np.exp(1j * angles), weights)
 

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from .functions import ClassParams, ProductForm, construct
-from .measures import AtomicCircleMeasure, _measure
+from .measures import AtomicCircleMeasure
 from .verification import VerificationReport
 
 __all__ = [
@@ -154,7 +154,7 @@ def load_measure(data: Any) -> AtomicCircleMeasure:
     angles, weights = np.array(atoms, dtype=np.float64).reshape(-1, 2).T.copy()
     if not np.isfinite(angles).all():
         raise ValueError("non-finite atom angle")
-    return _measure(np.exp(1j * angles), weights)
+    return AtomicCircleMeasure(np.exp(1j * angles), weights)
 
 
 def load_function_spec(data: Any) -> tuple[ProductForm, ClassParams]:

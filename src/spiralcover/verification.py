@@ -18,7 +18,7 @@ margin (membership, growth, interior-identity), the ratio log q
 (distortion, value-bounds) and exp(q/(1-beta)), which is 1 + lambda*z
 and 1 - omega (distortion, schwarz).  Each check is one entry of the
 table _GRID_CHECKS: the name of its report, its margin (one function of
-a GridEvaluation), the parameters it applies to and, for
+a GridEvaluation), the params and map it applies to and, for
 wedge-containment, points of its own.  `check` runs the named entries
 (for 'all', those that apply) with one evaluation per set of points they
 read, taking f'/f on its grid alone; one scan turns an entry into its
@@ -40,7 +40,7 @@ import numpy as np
 
 from .kernel import DomainError, log_principal
 from .functions import (
-    ClassParams, ProductForm, _as_points, _factor_sums, _like, boundary_exponent, boundary_rotation,
+    NODE_TOL, ClassParams, ProductForm, _as_points, _factor_sums, _like, boundary_exponent, boundary_rotation,
 )
 
 __all__ = [
@@ -332,7 +332,7 @@ def derivative_bounds(params: ClassParams, z):
 
 def _derivative_envelopes(params: ClassParams, arrays: _PointArrays):
     """lower, upper, raw_lower and simple_upper/2, a factor of upper; the margin reads lower and upper alone."""
-    if not _GRID_CHECKS["derivative-bounds"].applies(params):
+    if not _GRID_CHECKS["derivative-bounds"].applies(params, None):
         raise DomainError("derivative bounds need real mu in (0, 2]")
     m, beta, zc = params.mu.real, params.beta, np.conj(arrays.points)
     power, lo, hi = _envelope_powers(params, arrays)
@@ -385,7 +385,7 @@ class InteriorSpirallikeMap:
     params: ClassParams
 
     def __post_init__(self):
-        if not _GRID_CHECKS["interior-identity"].applies(self.params):
+        if not _GRID_CHECKS["interior-identity"].applies(self.params, self.source):
             raise DomainError("negative spirallike order: cos(arg mu) < |mu|*(1-beta)/2")
 
     @property
@@ -445,20 +445,21 @@ def wedge_margin(exponent: complex, rotation: float, log_w) -> np.ndarray | floa
 
 class _GridCheck(NamedTuple):
     """A check_*, its report's name, its margin (one value per point, nonnegative where the statement holds),
-    the params it applies to, a tolerance of its own, if any, and the points `check` samples it at, if not
-    the invocation's grid.  f'/f is taken on the invocation's grid alone, never on an entry's own points,
-    whose margin reads log f and Log(1-z) alone."""
+    the params and map it applies to (the map is None for a map-free caller), a tolerance of its own, if any,
+    and the points `check` samples it at, if not the invocation's grid.  f'/f is taken on the invocation's
+    grid alone, never on an entry's own points, whose margin reads log f and Log(1-z) alone."""
 
     function: str
     report: str
     margin: Callable[[GridEvaluation, ClassParams], np.ndarray]
-    applies: Callable[[ClassParams], bool] = lambda p: True
+    applies: Callable[[ClassParams, ProductForm | None], bool] = lambda p, f: True
     tolerance: float | None = None
     grid: GridSpec | None = None
 
 
-# CLI name -> grid check, in `--checks all` order; the |f'| envelopes are stated for real mu in (0, 2] only, and the
-# interior map for cos(phi) >= r*(1-beta)/2, which |mu - 1| <= 1 forces but for its OMEGA_TOL slack at tiny r
+# CLI name -> grid check, in `--checks all` order; the |f'| envelopes are stated for real mu in (0, 2] only, the
+# interior map for cos(phi) >= r*(1-beta)/2, which |mu - 1| <= 1 forces but for its OMEGA_TOL slack at tiny r, and
+# the wedge for a boundary exponent off 0, where its rotation is defined (not for the constant member f = 1)
 _GRID_CHECKS = {
     "membership": _GridCheck("check_membership", "membership", class_margin),
     "distortion": _GridCheck(
@@ -471,17 +472,17 @@ _GRID_CHECKS = {
     "value-bounds": _GridCheck("check_value_bounds", "value-bounds", _value_bounds_margin),
     "derivative-bounds": _GridCheck(
         "check_derivative_value_bounds", "derivative-bounds", _derivative_bounds_margin,
-        applies=lambda p: p.mu.imag == 0.0 and 0.0 < p.mu.real <= 2.0,
+        applies=lambda p, f: p.mu.imag == 0.0 and 0.0 < p.mu.real <= 2.0,
     ),
     "interior-identity": _GridCheck(
         "check_interior_identity", "interior-identity", _identity_margin,
-        applies=lambda p: _spiral_order(p) >= -1e-12, tolerance=INTERIOR_IDENTITY_TOL,
+        applies=lambda p, f: _spiral_order(p) >= -1e-12, tolerance=INTERIOR_IDENTITY_TOL,
     ),
     "growth": _GridCheck("check_growth", "growth", lambda ev, p: 0.5 * p.radius * class_margin(ev, p)),
     "wedge-containment": _GridCheck(
         "check_wedge_containment", "wedge-containment",
         lambda ev, p: wedge_margin(boundary_exponent(ev.f), boundary_rotation(ev.f), ev.log_f),
-        grid=GridSpec((0.999,), 512),
+        applies=lambda p, f: abs(boundary_exponent(f)) > NODE_TOL, grid=GridSpec((0.999,), 512),
     ),
 }
 
@@ -491,7 +492,7 @@ def _run_checks(
 ) -> list[VerificationReport]:
     """`check`'s reports: check_* is looked up when called, so wrappers on it (spiralbench's tracer) see each call."""
     if names == "all":
-        checks = [check for check in _GRID_CHECKS.values() if check.applies(params)]
+        checks = [check for check in _GRID_CHECKS.values() if check.applies(params, f)]
     else:
         named = [n.strip() for n in names.split(",") if n.strip()]
         if not named:

@@ -935,13 +935,14 @@ class TestSharedEvaluation:
         ids=["two", "half", "past-two", "upper", "lower"],
     )
     def test_derivative_bounds_condition(self, mu, applies, tmp_path):
-        params = ClassParams(mu, 0.5)
-        assert [name for name, c in verification._GRID_CHECKS.items() if not c.applies(params)] == (
+        spec = {"mu": [complex(mu).real, complex(mu).imag], "beta": 0.5, "factors": []}
+        f, params = load_function_spec(spec)
+        assert [name for name, c in verification._GRID_CHECKS.items() if not c.applies(params, f)] == (
             [] if applies else ["derivative-bounds"]
         )
         # `--checks all` reports in table order, wedge-containment last, and only what applies
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        src.write_text(dumps_spec({"mu": [complex(mu).real, complex(mu).imag], "beta": 0.5, "factors": []}))
+        src.write_text(dumps_spec(spec))
         assert main(["check", "-i", str(src), "--checks", "all", *SMALL_GRID, "-o", str(out)]) in (0, 1)
         expected = [c.report for name, c in verification._GRID_CHECKS.items() if applies or name != "derivative-bounds"]
         assert [c["check"] for c in json.loads(out.read_text())["checks"]] == expected
@@ -950,6 +951,25 @@ class TestSharedEvaluation:
         out.unlink()
         code = main(["check", "-i", str(src), "--checks", "derivative-bounds", *SMALL_GRID, "-o", str(out)])
         assert (code, out.exists()) == ((0, True) if applies else (2, False))
+
+    # the constant member f = 1 (a unit mass at 1, at beta = 0): its boundary exponent is 0, so the wedge's
+    # rotation is undefined; `--checks all` passes the rest without wedge-containment, and naming it exits 2
+    @pytest.mark.parametrize("mu", [[1.0, 0.0], [0.8, 0.5]], ids=["real-mu", "complex-mu"])
+    def test_wedge_containment_condition(self, mu, tmp_path, capsys):
+        spec = {"mu": mu, "beta": 0.0, "measure": {"atoms": [{"angle": 0.0, "weight": 1.0}]}}
+        f, params = load_function_spec(spec)
+        assert [name for name, c in verification._GRID_CHECKS.items() if not c.applies(params, f)] == (
+            ["wedge-containment"] if mu[1] == 0.0 else ["derivative-bounds", "wedge-containment"]
+        )
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(dumps_spec(spec))
+        assert main(["check", "-i", str(src), "--checks", "all", "-o", str(out)]) == 0
+        reports = json.loads(out.read_text())["checks"]
+        assert "wedge-containment" not in [c["check"] for c in reports] and all(c["passed"] for c in reports)
+        out.unlink()
+        assert main(["check", "-i", str(src), "--checks", "wedge-containment", "-o", str(out)]) == 2
+        assert not out.exists()
+        assert "boundary exponent is 0; rotation undefined" in capsys.readouterr().err
 
 
 class TestDistort:

@@ -144,33 +144,48 @@ class TestMergeAgainstGreedy:
             angles = np.concatenate([angles, [np.pi, np.pi - 2e-13, -np.pi + 2e-13]])
         rng.shuffle(angles)
         weights = rng.uniform(0.0, 1.0, size=angles.size) + 1e-3
-        atoms = list(zip(np.exp(1j * angles), weights / weights.sum()))
-        sigma = make_measure(atoms)
+        pts, wts = np.exp(1j * angles), weights / weights.sum()
+        atoms = list(zip(pts, wts))
         points, weights = greedy_merge(atoms)
-        assert np.array_equal(sigma.points, points)
-        assert np.array_equal(sigma.weights, weights)
-        assert_valid(sigma)
+        for sigma in (make_measure(atoms), AtomicCircleMeasure(pts, wts)):
+            assert np.array_equal(sigma.points, points)
+            assert np.array_equal(sigma.weights, weights)
+            assert_valid(sigma)
 
 
 class TestAtomicCircleMeasure:
-    def test_duplicates_across_pi_rejected(self):
+    def test_duplicates_across_pi_merged(self):
         # adjacent only through the wrap-around from the largest angle to the smallest
         pts = np.exp(1j * np.array([np.pi - 1e-13, 0.5, -np.pi + 1e-13]))
-        with pytest.raises(ValueError, match="duplicate"):
-            AtomicCircleMeasure(pts, np.array([0.25, 0.5, 0.25]))
+        sigma = AtomicCircleMeasure(pts, np.array([0.25, 0.5, 0.25]))
+        assert np.allclose(sigma.points, pts[:2], rtol=0.0, atol=1e-15)
+        assert sigma.weights.tolist() == [0.5, 0.5]
+        assert_valid(sigma)
 
-    def test_near_duplicates_hidden_by_off_circle_atom_rejected(self):
-        # the middle atom, 0.99e-12 off the circle, sits between two atoms 6e-13 apart
+    def test_near_duplicates_beside_off_circle_atom_merged(self):
+        # the middle atom, 0.99e-12 off the circle, sits between two atoms 6e-13 apart:
+        # it is projected first, so the gaps are measured on the circle and all three merge
         pts = np.array([1.0, np.exp(0.6e-12j), (1.0 + 0.99e-12) * np.exp(0.3e-12j), -1.0])
-        with pytest.raises(ValueError, match="off the unit circle"):
-            AtomicCircleMeasure(pts, np.full(4, 0.25))
+        sigma = AtomicCircleMeasure(pts, np.full(4, 0.25))
+        assert sigma.points.tolist() == [1.0, -1.0]
+        assert sigma.weights.tolist() == [0.75, 0.25]
+        assert_valid(sigma)
+
+    def test_input_arrays_stay_writable(self):
+        # the constructor copies: the caller's arrays are neither frozen nor shared
+        pts, wts = np.array([1.0, -1.0], dtype=complex), np.array([0.5, 0.5])
+        sigma = AtomicCircleMeasure(pts, wts)
+        assert pts.flags.writeable and wts.flags.writeable
+        assert not (sigma.points.flags.writeable or sigma.weights.flags.writeable)
+        pts[0], wts[0] = 1.0j, 0.25
+        assert sigma.points.tolist() == [1.0, -1.0] and sigma.weights.tolist() == [0.5, 0.5]
 
     @pytest.mark.parametrize(
         "points, weights, message",
         [
             ([1.0, -1.0], [1.0], "matching 1-d arrays"),
             ([1.0, -1.0], [1.5, -0.5], "negative atom weight"),
-            ([1.0, -1.0], [0.5, 0.4], "do not sum to 1"),
+            ([1.0, -1.0], [0.5, 0.4], "deviates from 1"),
         ],
         ids=["mismatched-shapes", "negative-weight", "sum-off-one"],
     )
