@@ -57,12 +57,13 @@ class PolyLine:
 
     The last point joins the first.  It needs at least 16 points and no
     two consecutive points, the last and first included, may coincide.
+    It keeps a read-only copy, which later writes to the input cannot reach.
     """
 
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.complex128).ravel()
+        pts = np.array(self.points, dtype=np.complex128).ravel()
         if pts.size < 16:
             raise ValueError("closed polyline needs at least 16 points")
         if np.any(_next(pts) == pts):

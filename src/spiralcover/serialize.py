@@ -151,7 +151,7 @@ def _as_complex(v) -> complex:
 def load_measure(data: Any) -> AtomicCircleMeasure:
     """A measure from its JSON form {"atoms": [{"angle", "weight"}, ...]}."""
     atoms = _pairs(_fields(data, "measure", ("atoms",))["atoms"], "atoms", "atom", ("angle", "weight"), _as_float)
-    angles, weights = np.array(atoms, dtype=np.float64).reshape(-1, 2).T.copy()
+    angles, weights = np.array(atoms, dtype=np.float64).reshape(-1, 2).T
     if not np.isfinite(angles).all():
         raise ValueError("non-finite atom angle")
     return AtomicCircleMeasure(np.exp(1j * angles), weights)

@@ -125,8 +125,9 @@ class _PointArrays(NamedTuple):
     one_m_abs2: np.ndarray  # 1 - |z|**2
 
 
-def _point_arrays(points: np.ndarray) -> _PointArrays:
-    """The record of points inside the disk, an array it takes over and makes read-only, as are the others."""
+def _point_arrays(points) -> _PointArrays:
+    """The record of raw points (a scalar is one point), checked by _as_points and kept as a read-only copy."""
+    points = _as_points(points).copy()
     one_m_z, abs_z = 1.0 - points, np.abs(points)
     arrays = points, one_m_z, log_principal(one_m_z), abs_z, (1.0 + points) / one_m_z, 1.0 / one_m_z, 1.0 - abs_z**2
     return _PointArrays(*map(_read_only, arrays))
@@ -162,13 +163,9 @@ class GridEvaluation:
 
     @np.errstate(all="ignore")
     def __post_init__(self):
-        if isinstance(self.points, GridSpec):
-            arrays = self.points._arrays
-        else:
-            points = np.array(self.points, dtype=np.complex128).ravel()
-            if not points.size:
-                raise ValueError("need at least one point")
-            arrays = _point_arrays(_as_points(points))
+        arrays = self.points._arrays if isinstance(self.points, GridSpec) else _point_arrays(np.ravel(self.points))
+        if not arrays.points.size:
+            raise ValueError("need at least one point")
         _, log_f, dlog_f = _factor_sums(self.f, arrays.points, self.dlog, arrays.log_1mz)
         kept = {"points": arrays.points, "log_1mz": arrays.log_1mz, "log_f": _read_only(log_f),
                 "dlog_f": dlog_f if dlog_f is None else _read_only(dlog_f), "_arrays": arrays, "_memo": {}}
@@ -291,7 +288,7 @@ def modulus_arg_bounds(params: ClassParams, z):
     |arg| <= (1-beta)*arcsin|z| for every class member.  The |f|
     envelopes only make sense for real mu and are None otherwise.
     """
-    out = _value_envelopes(params, _point_arrays(_as_points(z).copy()))
+    out = _value_envelopes(params, _point_arrays(z))
     return ValueBounds(*(None if b is None else _like(z, b) for b in out))
 
 
@@ -326,7 +323,7 @@ def derivative_bounds(params: ClassParams, z):
     hence never truly negative; it is still clamped at 0 and the raw
     value reported alongside.
     """
-    lower, upper, raw_lower, half_simple = _derivative_envelopes(params, _point_arrays(_as_points(z).copy()))
+    lower, upper, raw_lower, half_simple = _derivative_envelopes(params, _point_arrays(z))
     return DerivativeBounds(*(_like(z, b) for b in (lower, upper, 2.0 * half_simple, raw_lower)))
 
 
@@ -399,9 +396,10 @@ class InteriorSpirallikeMap:
         return _spiral_order(self.params)
 
     def _log_parts(self, z):
-        """(Log(1-z), log of s(z)/z) at the points z, from one pass over the factors."""
-        log_1mz, log_f, _ = _factor_sums(self.source, _as_points(z))
-        return log_1mz, log_f - self.params.mu * log_1mz
+        """(Log(1-z), log of s(z)/z) at the points z: one pass over the factors reads Log(1-z) from their record."""
+        arrays = _point_arrays(z)
+        log_f = _factor_sums(self.source, arrays.points, log_1mz=arrays.log_1mz)[1]
+        return arrays.log_1mz, log_f - self.params.mu * arrays.log_1mz
 
     def __call__(self, z):
         return _like(z, np.asarray(z, dtype=np.complex128) * np.exp(self._log_parts(z)[1]))

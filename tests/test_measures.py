@@ -171,15 +171,6 @@ class TestAtomicCircleMeasure:
         assert sigma.weights.tolist() == [0.75, 0.25]
         assert_valid(sigma)
 
-    def test_input_arrays_stay_writable(self):
-        # the constructor copies: the caller's arrays are neither frozen nor shared
-        pts, wts = np.array([1.0, -1.0], dtype=complex), np.array([0.5, 0.5])
-        sigma = AtomicCircleMeasure(pts, wts)
-        assert pts.flags.writeable and wts.flags.writeable
-        assert not (sigma.points.flags.writeable or sigma.weights.flags.writeable)
-        pts[0], wts[0] = 1.0j, 0.25
-        assert sigma.points.tolist() == [1.0, -1.0] and sigma.weights.tolist() == [0.5, 0.5]
-
     @pytest.mark.parametrize(
         "points, weights, message",
         [
