@@ -396,10 +396,9 @@ class InteriorSpirallikeMap:
         return _spiral_order(self.params)
 
     def _log_parts(self, z):
-        """(Log(1-z), log of s(z)/z) at the points z: one pass over the factors reads Log(1-z) from their record."""
-        arrays = _point_arrays(z)
-        log_f = _factor_sums(self.source, arrays.points, log_1mz=arrays.log_1mz)[1]
-        return arrays.log_1mz, log_f - self.params.mu * arrays.log_1mz
+        """(Log(1-z), log of s(z)/z) at the points z, from one pass over the factors."""
+        log_1mz, log_f, _ = _factor_sums(self.source, _as_points(z))
+        return log_1mz, log_f - self.params.mu * log_1mz
 
     def __call__(self, z):
         return _like(z, np.asarray(z, dtype=np.complex128) * np.exp(self._log_parts(z)[1]))
