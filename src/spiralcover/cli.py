@@ -72,7 +72,7 @@ def cmd_cover(args) -> int:
     f, params = load_function_spec(load_json(args.input))
     report = check_covering(f, params, args.r_inner, args.rho, m=args.samples)
     if report.indeterminate:
-        print(f"warning: {report.indeterminate} indeterminate winding sample(s)", file=sys.stderr)
+        print(f"warning: {report.indeterminate} undecided arc(s)", file=sys.stderr)
     _write(args.output, dumps(report))
     return 0 if report.passed else 1
 
@@ -136,9 +136,10 @@ def build_parser() -> argparse.ArgumentParser:
         "grid-angles": (("--grid-angles",), dict(type=int, help="angles per grid ring")),
         "tolerance": (("--tolerance",), dict(type=float, default=PASS_TOL, help="pass tolerance")),
         "checks": (("--checks",), dict(default="membership", help="comma list or 'all'")),
-        "rho": (("--rho",), dict(type=float, default=0.99, help="boundary curve radius")),
-        "r-inner": (("--r-inner",), dict(type=float, default=0.9, help="inner sample radius")),
+        "rho": (("--rho",), dict(type=float, default=0.99, help="boundary circle radius")),
+        "r-inner": (("--r-inner",), dict(type=float, default=0.9, help="radius of the core disk to cover")),
         "samples": (("--samples",), dict(type=int, help="sample count (default %(default)s)")),
+        "arcs": (("--samples",), dict(type=int, help="equal start arcs on |z| = rho (default %(default)s)")),
         "seed": (("--seed",), dict(type=int, help="random seed")),
     }
     grid = ("grid-radii", "grid-angles", "tolerance")
@@ -150,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check": (cmd_check, "run verification checks on a function spec",
                   ("input", "output", *grid, "checks"), {}),
         "cover": (cmd_cover, "covering check against the core map",
-                  ("input", "output", "rho", "r-inner", "samples"), dict(samples=256)),
+                  ("input", "output", "rho", "r-inner", "arcs"), dict(samples=256)),
         "radius-table": (cmd_radius_table, "covering radius table (CSV)", ("output", "samples"), dict(samples=64)),
         "render": (cmd_render, "render image boundary curves to SVG",
                    ("input", "output", "rho", "samples"), dict(samples=256)),

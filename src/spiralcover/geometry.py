@@ -1,10 +1,12 @@
-"""Image-domain geometry: boundary curves, winding tests, covering checks.
+"""Image-domain geometry: boundary curves, winding numbers, covering checks.
 
-Containment of image domains is certified on compact exhaustions
-(samples of an inner curve tested against the image boundary at a
-larger radius): the maps are unbounded near boundary atoms, so the
-honest desk-scale statement is nested-compact containment, which the
-subordination theorems imply and a winding test decides.
+Covering is decided on compact exhaustions from the map's values on a
+circle: the maps are unbounded near boundary atoms, so the honest
+desk-scale statement is nested-compact containment, which the
+subordination theorems imply.  Through the core map's explicit inverse,
+the open mapping theorem turns it into a margin on |z| = rho, certified
+arc by arc.  The boundary polygon and its winding numbers serve
+`render` and the tests.
 """
 
 from __future__ import annotations
@@ -18,15 +20,16 @@ import numpy as np
 
 from .kernel import DomainError
 from .functions import (
+    BLOCK_ELEMENTS,
     ClassParams,
     ProductForm,
-    core_function,
     evaluate,
+    _factor_sums,
     _like,
     _wedge_exponent,
 )
 # spiralbench/tracer.py wraps check_wedge_containment under geometry's name until it takes the checks from the table
-from .verification import InteriorSpirallikeMap, VerificationReport, _report, check_wedge_containment
+from .verification import InteriorSpirallikeMap, VerificationReport, check_wedge_containment
 
 __all__ = [
     "PolyLine",
@@ -43,9 +46,8 @@ __all__ = [
 GUARD_FACTOR = 1e-12  # of the curve diameter; closer points are indeterminate
 MAX_TURN = 0.2        # radians of turning per segment before bisection
 REFINE_TOL = 0.05     # chord length, relative to the local modulus, before bisection
-DISTANCE_BLOCK = 16   # segments per bounding box in the curve-distance search
-PRUNE_SLACK = 1e-9    # relative slack on distance bounds, for rounding
-ANCHOR_EVERY = 16     # samples per exact distance that bounds its neighbours in a winding report
+DENSE_PAIRS = 65536   # (point, segment) pairs per chunk of the winding distances
+CLIP_RE = 700.0       # Re v at which the covering margin takes e^v: |1 - e^v| > 1e304 there
 # the t at which radius-table scans the gap profile: [0, pi] with both ends, where a real s has its minimum
 GAP_SCAN_T = np.linspace(0.0, np.pi, 4097)
 GAP_SCAN_T.setflags(write=False)
@@ -196,139 +198,138 @@ def _require_finite(values: np.ndarray) -> None:
         raise DomainError("winding test overflows: the curve is too large for float arithmetic")
 
 
-def _distance_index(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Segment blocks of the polyline a[k] -> b[k], built once per curve for _index_distances.
-
-    Segments are grouped DISTANCE_BLOCK at a time, each block with its
-    bounding box and its start vertex, a point on the curve.
-    """
-    n_blocks = -(-a.size // DISTANCE_BLOCK)
-    # the last block repeats the final segment; a repeat leaves the minimum unchanged
-    seg = np.minimum(np.arange(n_blocks * DISTANCE_BLOCK), a.size - 1).reshape(n_blocks, DISTANCE_BLOCK)
-    start, end = a[seg], b[seg]
-    edge = end - start
-    edge_sq = np.abs(edge) ** 2
-    _require_finite(edge_sq)
-    edge_sq = np.where(edge_sq > 0, edge_sq, 1.0)
-    x_lo = np.minimum(start.real, end.real).min(axis=1)
-    x_hi = np.maximum(start.real, end.real).max(axis=1)
-    y_lo = np.minimum(start.imag, end.imag).min(axis=1)
-    y_hi = np.maximum(start.imag, end.imag).max(axis=1)
-    return start, edge, edge_sq, x_lo, x_hi, y_lo, y_hi
-
-
 @np.errstate(all="ignore")
-def _index_distances(blocks: tuple[np.ndarray, ...], pts: np.ndarray, guard: float) -> np.ndarray:
-    """Distance from each of pts to the polyline of a _distance_index.
+def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Winding numbers of a closed polyline around many points at once.
 
-    A (point, block) pair is searched only when the block's bounding box
-    is no farther than the point's distance to the nearest block start
-    vertex; the relative slack and the guard absorb rounding in the
-    bounds and in the segment formula.  Searched pairs get the same
-    per-segment formula as a dense scan, so the minimum is the same float.
-    A distance that overflows raises DomainError.
-    """
-    start, edge, edge_sq, x_lo, x_hi, y_lo, y_hi = blocks
-    dists = np.empty(pts.size, dtype=np.float64)
-    # bounds the (point, segment) pairs of one pass even when nothing is pruned
-    chunk = max(1, 2_000_000 // start.size)
-    for lo in range(0, pts.size, chunk):
-        w = pts[lo : lo + chunk]
-        px, py = w.real[:, None], w.imag[:, None]
-        # np.minimum(np.maximum(...)) is np.clip without its wrapper's cost
-        dx = np.minimum(np.maximum(px, x_lo), x_hi) - px
-        dy = np.minimum(np.maximum(py, y_lo), y_hi) - py
-        box_sq = dx * dx + dy * dy
-        ux, uy = start[:, 0].real - px, start[:, 0].imag - py
-        vertex_sq = ux * ux + uy * uy
-        upper = np.sqrt(vertex_sq.min(axis=1)) * (1.0 + PRUNE_SLACK) + guard
-        # a point's nearest start vertex lies in its own block's box, so every
-        # point keeps a block and reduceat sees no empty run
-        keep = box_sq <= (upper * upper)[:, None]
-        pt_k, blk_k = np.nonzero(keep)
-        va = start[blk_k] - w[pt_k, None]
-        e = edge[blk_k]
-        t = -(va.real * e.real + va.imag * e.imag) / edge_sq[blk_k]
-        t = np.minimum(np.maximum(t, 0.0), 1.0)
-        near = np.abs(va + t * e).min(axis=1)
-        dists[lo : lo + chunk] = np.minimum.reduceat(near, np.searchsorted(pt_k, np.arange(w.size)))
-    _require_finite(dists)
-    return dists
-
-
-@np.errstate(all="ignore")
-def _windings(curve: PolyLine, points) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], float]:
-    """Checked samples, their winding numbers around curve, its distance index and guard.
-
-    The one entry of winding_numbers and _winding_report: a non-finite
-    sample, or a curve whose cross products or segment lengths overflow,
-    raises DomainError, with or without a warning.
+    Returns (windings, indeterminate, distances); a point within the guard
+    distance of the curve is marked indeterminate.  Windings take the
+    crossing (edge, point) pairs, distances every pair, DENSE_PAIRS at a
+    time.  A non-finite point, or a curve whose cross products or segment
+    lengths overflow, raises DomainError, with or without a warning.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
     if not np.all(np.isfinite(pts)):
         raise DomainError("non-finite point")
-    a = curve.points
+    a = poly.points
     b = _next(a)
-    return pts, _crossing_windings(a, b, pts), _distance_index(a, b), GUARD_FACTOR * curve.diameter()
+    windings = _crossing_windings(a, b, pts)
+    a, edge = a[None, :], (b - a)[None, :]
+    edge_sq = np.abs(edge) ** 2
+    _require_finite(edge_sq)
+    edge_sq = np.where(edge_sq > 0, edge_sq, 1.0)
+    dists = np.empty(pts.size)
+    chunk = max(1, DENSE_PAIRS // a.size)
+    for lo in range(0, pts.size, chunk):
+        va = a - pts[lo : lo + chunk, None]
+        t = -(va.real * edge.real + va.imag * edge.imag) / edge_sq
+        dists[lo : lo + chunk] = np.abs(va + np.clip(t, 0.0, 1.0) * edge).min(axis=1)
+    _require_finite(dists)
+    return windings, dists < GUARD_FACTOR * poly.diameter(), dists
 
 
-def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Winding numbers of a closed polyline around many points at once.
+def _arc_steps(F: ProductForm, rho: float, z: np.ndarray, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """L*h on the arcs between consecutive points of each row of z (angles theta in [0, 2*pi)), of length h[row].
 
-    Returns (windings, indeterminate, distances); a point closer to the
-    curve than the guard distance cannot be classified at the curve's
-    own resolution and is marked indeterminate instead.  The cost is the
-    crossing (edge, point) pairs plus the segments of the pruned distance
-    blocks, not points x vertices.  A curve too large for float
-    arithmetic raises DomainError.
+    L = rho*(|P - sum of E_k at c_k = 1|/d(arc, 1) + sum over the other
+    c_k != 0 of |E_k|/d(arc, 1/c_k)) bounds |dv/dtheta| on the arc; d is
+    the pole's distance to the circle if its angle lies in the arc, else
+    to the nearer end.  Factors at 1 share the pole of (1-z)**P, so the
+    core's exponents cancel there.  Poles go a block at a time, so no work
+    array exceeds max(BLOCK_ELEMENTS, z.size) elements.
     """
-    pts, wn, blocks, guard = _windings(poly, points)
-    dists = _index_distances(blocks, pts, guard)
-    return wn, dists < guard, dists
+    at_one = F.nodes == 1.0
+    keep = ~at_one & (F.nodes != 0) & (F.exponents != 0)
+    poles = np.concatenate([[1.0 + 0.0j], 1.0 / F.nodes[keep]])
+    weights = rho * np.concatenate([[abs(F.prefactor - F.exponents[at_one].sum())], np.abs(F.exponents[keep])])
+    angles, gaps = np.angle(poles) % (2.0 * np.pi), np.abs(np.abs(poles) - rho)
+    starts, h = theta[:, :-1], h[:, None]
+    total = np.zeros(starts.shape)
+    rows = max(1, BLOCK_ELEMENTS // z.size)
+    for k in range(0, poles.size, rows):
+        block = slice(k, k + rows)
+        ends = np.abs(poles[block, None, None] - z)
+        delta = angles[block, None, None] - starts
+        inside = ((delta >= 0.0) & (delta <= h)) | (delta <= h - 2.0 * np.pi)
+        d = np.where(inside, gaps[block, None, None], np.minimum(ends[..., :-1], ends[..., 1:]))
+        total += (weights[block, None, None] / d).sum(axis=0)
+    return (total * h).ravel()
 
 
-def _winding_report(check: str, curve: PolyLine, pts: np.ndarray) -> VerificationReport:
-    """Winding test of pts against curve, reported at tolerance 0.
+@np.errstate(all="ignore")
+def _boundary_cover(check: str, F: ProductForm, scale: complex, r: float, rho: float, m: int) -> VerificationReport:
+    """Decide r*closed(D) in (1 - e^v)(rho*D), v = log F, from v on |z| = rho; tolerance 0.
 
-    A sample passes when it winds once and is determinate; its margin is
-    its distance to the curve.  Failing samples carry margin <= -guard,
-    so pass/fail follows the sign of the worst margin.  The report counts
-    the indeterminate samples.
+    v(0) = 0 lies in the connected set R_r = Log(1 - r*closed(D)).  If
+    v(rho*circle) avoids R_r, it winds about each point of R_r as about
+    v(0), at least once, so R_r lies in v(rho*D) by the open mapping
+    theorem.  v is off R_r where M = max(|1 - e^v| - r, |Im v| - pi/2) > 0;
+    e^v is taken at Re v clipped to CLIP_RE.  DomainError unless the map
+    exp(scale*v) is finite wherever v is evaluated.
 
-    Exact distances, from the one distance index built with the
-    windings, are taken every ANCHOR_EVERY-th sample and where they can
-    decide the report.  The distance is 1-Lipschitz, so the anchors on
-    either side bound each sample, each bound widened by at least the
-    guard for rounding: a sample's bounds meet only where it is exact.
-    Samples that may be indeterminate or may hold the worst margin (a
-    margin lower bound at most the smallest upper bound) get exact
-    distances; every other margin stays strictly above the worst, so
-    the report equals the one with exact distances everywhere.
+    The ends of m equal start arcs are evaluated in one pass over the
+    factors; a value with M < 0 fails, the witness.  With Lh from
+    _arc_steps, M on an arc is at least the largest of
+    (|Im v_a| + |Im v_b| - pi - Lh)/2, e^{min Re v} - 1 - r,
+    1 - r - e^{max Re v} and (|zeta_a| + |zeta_b| - 2r - e^{max Re v}*Lh)/2,
+    with zeta = 1 - e^v and min, max Re v = (Re v_a + Re v_b -+ Lh)/2.
+    Each pass bisects, in one pass over the factors, every arc whose bound
+    is below half the least M so far (NaN too), lowest first, within
+    16*max(m, 64) evaluations.  The report gives the least M and its
+    point, or the count of arcs left below 0 as indeterminate and the
+    least bound, at its arc's start.  Rounding is not counted.
     """
-    pts, wn, blocks, guard = _windings(curve, pts)
-    lo, hi = np.full(pts.size, -np.inf), np.full(pts.size, np.inf)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    # a pass evaluates the new points of rows of consecutive arc ends; the arcs of a row have length h[row]
+    rows, h = np.append(np.arange(m), 0)[None, :], np.array([2.0 * np.pi / m])
+    z = re = im = mod = arc_h = bound = np.empty(0)
+    arc_a = arc_b = np.empty(0, dtype=np.intp)
+    best, where = math.inf, 0j
+    while True:
+        new_z = rho * np.exp(1j * theta[z.size :])
+        v = _factor_sums(F, new_z)[1]
+        # Re(scale*v) below 709 settles that the map is finite without forming it
+        if not (scale.real * v.real - scale.imag * v.imag).max() < 709.0 and not np.all(np.isfinite(np.exp(scale * v))):
+            raise DomainError("boundary curve overflows: the map is not finite on |z| = rho")
+        z, re, im = np.append(z, new_z), np.append(re, v.real), np.append(im, np.abs(v.imag))
+        np.minimum(v.real, CLIP_RE, out=v.real)
+        mod = np.append(mod, np.abs(1.0 - np.exp(v)))
+        margins = np.maximum(mod[-v.size :] - r, im[-v.size :] - np.pi / 2.0)
+        i = int(margins.argmin())
+        if margins[i] < best:
+            best, where = float(margins[i]), complex(new_z[i])
+        if best < 0.0:
+            break
+        a, b = rows[:, :-1].ravel(), rows[:, 1:].ravel()
+        lh = _arc_steps(F, rho, z[rows], theta[rows], h)
+        pair = re[a] + re[b]
+        e_max = np.exp((pair + lh) / 2.0)
+        new_bound = np.fmax(
+            np.fmax((im[a] + im[b] - np.pi - lh) / 2.0, (mod[a] + mod[b] - 2.0 * r - e_max * lh) / 2.0),
+            np.fmax(np.exp((pair - lh) / 2.0) - 1.0, 1.0 - e_max) - r,
+        )
+        # an arc certified at half the least M stays certified: the least M only falls
+        arc_a, arc_b, arc_h = np.append(arc_a, a), np.append(arc_b, b), np.append(arc_h, np.repeat(h, a.size // h.size))
+        bound = np.append(bound, new_bound)
+        keep = ~(bound >= best / 2.0)
+        arc_a, arc_b, arc_h, bound = arc_a[keep], arc_b[keep], arc_h[keep], bound[keep]
+        room = 16 * max(m, 64) - z.size
+        if not bound.size or room <= 0:
+            break
+        order = np.argsort(bound, kind="stable")
+        cut, rest = order[:room], order[room:]
+        theta = np.append(theta, theta[arc_a[cut]] + arc_h[cut] / 2.0)
+        rows = np.stack([arc_a[cut], np.arange(z.size, theta.size), arc_b[cut]], axis=1)
+        h = arc_h[cut] / 2.0
+        arc_a, arc_b, arc_h, bound = arc_a[rest], arc_b[rest], arc_h[rest], bound[rest]
 
-    def settle(mask):
-        idx = np.flatnonzero(mask & (lo < hi))
-        if idx.size:
-            lo[idx] = hi[idx] = _index_distances(blocks, pts[idx], guard)
-
-    index = np.arange(pts.size)
-    settle(index % ANCHOR_EVERY == 0)
-    anchors, anchor_dists = pts[::ANCHOR_EVERY], lo[::ANCHOR_EVERY]
-    left = index // ANCHOR_EVERY
-    for j in (left, (left + 1) % anchors.size):
-        reach = np.abs(pts - anchors[j])
-        spread = (anchor_dists[j] + reach) * PRUNE_SLACK + guard
-        lo = np.maximum(lo, anchor_dists[j] - reach - spread)
-        hi = np.minimum(hi, anchor_dists[j] + reach + spread)
-
-    settle(lo < guard)  # may be indeterminate
-    fail = (wn != 1) | (hi < guard)
-    # a failing margin is -max(d, guard): settle every sample whose margin may be the smallest
-    settle(np.where(fail, -np.maximum(hi, guard), lo) <= np.where(fail, -np.maximum(lo, guard), hi).min())
-    margins = np.where(fail, -np.maximum(hi, guard), lo)
-    return _report(check, margins, pts, 0.0, int(np.count_nonzero(hi < guard)))
+    undecided = ~(bound >= 0.0) & (best >= 0.0)
+    if undecided.any():
+        k = int(np.argmin(np.where(undecided, bound, np.inf)))
+        best, where = float(bound[k]), complex(z[arc_a[k]])
+    if not math.isfinite(best):
+        raise DomainError(f"{check}: margin not finite (the map overflows)")
+    return VerificationReport(check, best, where, 0.0, m, int(np.count_nonzero(undecided)))
 
 
 def check_covering(
@@ -338,25 +339,24 @@ def check_covering(
     rho_outer: float,
     m: int = 256,
 ) -> VerificationReport:
-    """Certify the covering theorem on a compact exhaustion.
+    """Certify core(|z| <= r_inner) in f(|z| < rho_outer), the covering theorem on a compact exhaustion.
 
-    Samples m points of the covered core map on |z| = r_inner and
-    requires each to wind once inside f(|z| = rho_outer), sampled by
-    boundary_curve from 512 initial points.  The signed
-    distance to the curve is the reported margin; indeterminate samples
-    fail the check rather than passing silently.  Exact distances are
-    taken at every ANCHOR_EVERY-th sample and wherever the 1-Lipschitz
-    bounds from those cannot rule a sample out (_winding_report); the
-    report is the one exact distances at every sample give.
+    The core's inverse takes f(z) to 1 - e^v, v = log f/(mu*beta), of
+    modulus at least |z| for a member by subordination.  _boundary_cover
+    decides it from m start arcs on |z| = rho_outer: a member's margin is
+    at least rho_outer - r_inner, the core's exactly that, and a failing
+    worst_z is a point where f equals core(zeta), |zeta| <= r_inner.
+    beta = 0, where the core is constant, raises DomainError.
     """
     if not 0.0 < r_inner < rho_outer < 1.0:
         raise DomainError("need 0 < r_inner < rho_outer < 1")
     if m < 1:
         raise ValueError("need at least one sample")
-    curve = boundary_curve(f, rho_outer, n=512)
-    theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
-    ws = evaluate(core_function(params), r_inner * np.exp(1j * theta))
-    return _winding_report("covering", curve, ws)
+    if params.beta == 0.0:
+        raise DomainError("cover needs beta > 0: at beta = 0 the core map (1-z)**(mu*beta) is constant")
+    mb = params.mu * params.beta
+    F = ProductForm(f.prefactor / mb, np.column_stack([f.nodes, f.exponents / mb]))
+    return _boundary_cover("covering", F, mb, r_inner, rho_outer, m)
 
 
 def covering_radius(s: float) -> float:
@@ -461,16 +461,14 @@ def covering_composition(
     alpha: float,
     beta: float,
 ) -> tuple[CoveringComposition, VerificationReport]:
-    """Build the unit-disk covering composition and verify coverage by winding.
+    """Build the unit-disk covering composition and certify that g(|z| < 0.999) covers |w| <= 0.95.
 
-    CoveringComposition rejects parameters outside its rules.  256
-    samples of the open unit disk (4 radii from 0.2 to 0.95, 64 angles
-    each) must wind once inside g(|z| = 0.999).
+    CoveringComposition rejects parameters outside its rules.  1 - g is
+    e^v, v = log F with F = (1-z)**(1/beta + (p - mu_s)/(mu*beta)) times
+    the factors of s's source (prefactor p, class mu_s), their exponents
+    over mu*beta; _boundary_cover decides it from 256 start arcs.
     """
     g = CoveringComposition(s=s, alpha=alpha, beta=beta)
-
-    curve = _adaptive_closed_curve(g, 0.999, 512)
-    radii = np.linspace(0.2, 0.95, 4)
-    theta = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-    pts = (radii[:, None] * np.exp(1j * theta)[None, :]).ravel()
-    return g, _winding_report("disk-coverage", curve, pts)
+    src, mb = s.source, g.mu * g.beta
+    F = ProductForm(1.0 / g.beta + (src.prefactor - s.params.mu) / mb, np.column_stack([src.nodes, src.exponents / mb]))
+    return g, _boundary_cover("disk-coverage", F, 1.0, 0.95, 0.999, 256)

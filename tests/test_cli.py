@@ -49,7 +49,7 @@ MIXED_EXPONENTS_SPEC = {
 # f = (1-z)/(1-z/2)**1e300: finite exponent data whose values overflow on every curve
 OVERFLOW_SPEC = {"mu": 1, "beta": 0.5, "factors": [{"node": [0.5, 0], "exponent": [1e300, 0]}]}
 
-# f = (1-z)**-60: finite on |z| = 0.999, up to 1e180, too large for the winding test's products
+# f = (1-z)**-60: finite on |z| = 0.999, up to 1e180, too large for a boundary polygon's winding products
 WINDING_OVERFLOW_SPEC = {"mu": [1, 0], "beta": 0.5, "prefactor": [-60, 0], "factors": []}
 
 # the `--checks all` order: the entries of verification's table, wedge-containment last
@@ -994,13 +994,16 @@ class TestDistort:
 class TestCover:
     def test_overflowing_turn_ratio_is_no_warning(self, tmp_path):
         # a factor of exponent -192 at |c| = 0.985: on |z| = 0.99, |f| runs from ~1e-308 to ~1e57,
-        # so two adjacent curve segments differ in length by more than the float range
+        # so two adjacent segments of the boundary polygon differ in length by more than the float
+        # range.  The decision takes no polygon: where e^v vanishes the margin is 1 - r_inner = 0.1,
+        # the least of a 2**22-angle scan
         src, out = tmp_path / "in.json", tmp_path / "out.json"
         src.write_text(report_json({**EXAMPLE_SPEC, "factors": [{"node": [0.9, 0.4], "exponent": [-192, 0.0]}]}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["cover", "-i", str(src), "--samples", "32", "-o", str(out)]) == 1
-        assert json.loads(out.read_text())["passed"] is False
+            assert main(["cover", "-i", str(src), "--samples", "32", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["passed"] is True and report["worst_margin"] == pytest.approx(0.1, abs=1e-9)
 
     def test_example_covering(self, example_path, tmp_path):
         out = tmp_path / "c.json"
@@ -1013,13 +1016,13 @@ class TestCover:
         assert data["passed"] is True
         assert data["samples"] == 128
 
-    # sha256 over the concatenated `cover` reports at the README settings,
-    # recorded with the dense winding test (numpy 2.4, x86_64): the pruned
-    # winding test must reproduce them byte for byte
+    # sha256 over the concatenated `cover` reports at the README settings, recorded
+    # when the decision moved from the winding test to the margin on |z| = rho
+    # (numpy 2.4, x86_64); the exit codes stay those of the winding test
     COVER_DIGESTS = {
-        "readme-example": "e97c98b87ada63013b2c209f24f9f8adb067a55f2744d4777c90c2b348382e19",
-        "population-20": "57a36c311e99130118be46f80fccc40ffeacbdcbc7cc828105220872c7cfcb4b",
-        "bare-power-5": "a51b0c60217ef484d70eca46be457302a982cfa99f3925e1ccecbb890f0d026f",
+        "readme-example": "8f098e782df6ae31ff2e27f522f2d7e6ecbc18f8db89c6a5dda520148588ebee",
+        "population-20": "4b903b0af80de2753578a24ce447164e987820e7dad1261352f9bfc32af3ecd8",
+        "bare-power-5": "aa35b6730525f970ebc1b935c0a3a415d69c158f45d4252b036deb190f217f52",
     }
 
     @staticmethod
@@ -1067,15 +1070,25 @@ class TestCover:
         assert capsys.readouterr().err.startswith("error: boundary curve overflows")
 
     @pytest.mark.parametrize("warning_action", ["default", "error"])
-    def test_overflowing_winding_rejected(self, tmp_path, capsys, warning_action):
-        # the curve is finite, its cross products are not: exit 2, no file, no RuntimeWarning
+    def test_overflowing_winding_decided(self, tmp_path, capsys, warning_action):
+        # the boundary polygon's cross products overflow, but the decision takes none: where
+        # e^v vanishes the margin is 1 - r_inner = 0.05, the least of a 2**20-angle scan
         src, out = tmp_path / "in.json", tmp_path / "out.json"
         src.write_text(report_json(WINDING_OVERFLOW_SPEC))
         with warnings.catch_warnings():
             warnings.simplefilter(warning_action, RuntimeWarning)
-            assert main(["cover", "-i", str(src), "-o", str(out), "--rho", "0.999", "--r-inner", "0.95"]) == 2
+            assert main(["cover", "-i", str(src), "-o", str(out), "--rho", "0.999", "--r-inner", "0.95"]) == 0
+        report = json.loads(out.read_text())
+        assert report["passed"] is True and report["worst_margin"] == pytest.approx(0.05, abs=1e-9)
+        assert capsys.readouterr().err == ""
+
+    def test_beta_zero_rejected(self, tmp_path, capsys):
+        # at beta = 0 the core map (1-z)**(mu*beta) is the constant 1, which covers no disk
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(report_json({**EXAMPLE_SPEC, "beta": 0.0}))
+        assert main(["cover", "-i", str(src), "-o", str(out)]) == 2
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("error: winding test overflows")
+        assert "cover needs beta > 0" in capsys.readouterr().err
 
     def test_indeterminate_count_warned_not_written(self, example_path, tmp_path, capsys, monkeypatch):
         plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
@@ -1086,7 +1099,7 @@ class TestCover:
             cli, "check_covering", lambda *a, **k: dataclasses.replace(covering(*a, **k), indeterminate=3)
         )
         assert main(["cover", "-i", example_path, "-o", str(marked)]) == 0
-        assert capsys.readouterr().err == "warning: 3 indeterminate winding sample(s)\n"
+        assert capsys.readouterr().err == "warning: 3 undecided arc(s)\n"
         assert marked.read_bytes() == plain.read_bytes()
 
 

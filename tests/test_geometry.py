@@ -229,157 +229,112 @@ class TestWindingAgainstDense:
         assert (wn.dtype, indet.dtype, dists.dtype) == (np.int64, np.bool_, np.float64)
 
 
-def reference_winding_report(curve, pts):
-    """The covering report with exact distances at every sample: the oracle for _winding_report."""
-    wn, indet, dists = winding_numbers(curve, pts)
-    guard = sc.geometry.GUARD_FACTOR * curve.diameter()
-    margins = np.where((wn == 1) & ~indet, dists, -np.maximum(dists, guard))
-    return sc.verification._report("winding", margins, pts, 0.0, int(np.count_nonzero(indet)))
+def winding_oracle(f, params, r, rho, m):
+    """The covering verdict of the winding test: m core samples on |z| = r each wind once, determinately,
+    inside boundary_curve(f, rho, 512)."""
+    theta = np.linspace(0.0, 2.0 * np.pi, m, endpoint=False)
+    ws = evaluate(core_function(params), r * np.exp(1j * theta))
+    wn, indet, _ = winding_numbers(boundary_curve(f, rho, n=512), ws)
+    return bool(np.all(wn == 1) and not indet.any())
 
 
-def assert_same_report(got, ref):
-    assert np.float64(got.worst_margin).tobytes() == np.float64(ref.worst_margin).tobytes()
-    assert got.worst_location == ref.worst_location
-    assert (got.indeterminate, got.samples) == (ref.indeterminate, ref.samples)
+def bare_powers(population):
+    """(1-z)**(0.3*mu) declared with beta = 0.6: part of the declared core (1-z)**(0.6*mu) is not covered."""
+    return [(ProductForm(0.3 * e.params.mu), ClassParams(e.params.mu, 0.6)) for e in population[:10]]
 
 
-def assert_report_matches_reference(curve, pts):
-    assert_same_report(sc.geometry._winding_report("winding", curve, pts), reference_winding_report(curve, pts))
+# (r_inner, rho, start arcs): cover's defaults, and the benchmark's radii
+SETTINGS = [(0.9, 0.99, 256), (0.95, 0.999, 512)]
 
 
-def edge_samples(n, seed, scale, layout):
-    """A regular n-gon and samples about its edges whose bounds are tight to rounding.
+class TestBoundaryCovering:
+    """check_covering decides core(|z| <= r) in f(|z| < rho) from v = log f/(mu*beta) on |z| = rho."""
 
-    The polygon is moved so that a point of its first edge is the origin,
-    where sample coordinates can step by far less than an ulp of the edge.
-    "parallel": 128 samples inside, in a row along that edge at one offset
-    of 1 to 1000 guards; their distances differ by rounding only.
-    "normal": on the outward normals of 8 random edges, a sample 1e4 to
-    1e7 diameters out (4 times farther on each normal) and 15 samples
-    within one guard of the curve, then one sample farther than all.
-    Each far sample lies on the line from the near samples to their
-    nearest point, so its exact distance minus the reach is their
-    distance up to rounding of the far distance.
-    """
-    rng = np.random.default_rng(seed)
-    verts = scale * np.exp(1j * (rng.uniform(0.0, 2.0 * np.pi) + np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)))
-    poly = PolyLine(verts - (verts[0] + rng.uniform(0.1, 0.9) * (verts[1] - verts[0])))
-    a = poly.points
-    b = np.roll(a, -1)
-    along = (b - a) / np.abs(b - a)
-    guard = sc.geometry.GUARD_FACTOR * poly.diameter()
-    if layout == "parallel":
-        step = np.spacing(scale) * 10.0 ** rng.uniform(-3.0, -2.0)
-        return poly, 1j * along[0] * guard * 10.0 ** rng.uniform(0.0, 3.0) + along[0] * step * np.arange(128)
-    far = poly.diameter() * 10.0 ** rng.uniform(4.0, 7.0)
-    rows = []
-    for k, e in enumerate(rng.integers(n, size=8)):
-        foot = a[e] + rng.uniform(0.1, 0.9) * (b[e] - a[e])
-        offsets = np.concatenate([[far * 4.0**k], guard * rng.uniform(0.1, 1.0, size=15)])
-        rows.append(foot - 1j * along[e] * offsets)
-    return poly, np.concatenate(rows + [[far * 4.0**8]])
-
-
-class TestWindingReportAgainstReference:
-    @given(
-        st.integers(min_value=16, max_value=120),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from([1e-3, 1.0, 1e3]),
-        st.sampled_from([0.0, 3.0, 1e4, 1e8]),
-        st.sampled_from(["ring", "probe"]),
-        st.sampled_from(["given", "shuffled", "repeated", "one", "few"]),
-        st.integers(min_value=1, max_value=400),
-    )
-    @settings(max_examples=150, deadline=None)
-    def test_star_polygons(self, n, seed, scale, shift, layout, order, count):
-        rng = np.random.default_rng(seed)
-        theta = (np.arange(n) + rng.uniform(0.0, 0.5, size=n)) * (2.0 * np.pi / n)
-        center = complex(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
-        poly = PolyLine(shift + scale * (center + rng.uniform(0.2, 2.0, size=n) * np.exp(1j * theta)))
-        if layout == "ring":
-            # a covering sample: one ring in angle order, inside the curve or crossing it
-            radius = scale * rng.choice([0.15, rng.uniform(0.1, 2.5)])
-            pts = shift + scale * center + radius * np.exp(2j * np.pi * np.arange(count) / count)
-        else:
-            pts = probe_points(poly, rng, count)
-        if order == "shuffled":
-            pts = rng.permutation(pts)
-        elif order == "repeated":
-            pts = np.repeat(pts, 3)
-        elif order == "one":
-            pts = pts[rng.integers(pts.size, size=1)]
-        elif order == "few":
-            pts = pts[: sc.geometry.ANCHOR_EVERY - 1]
-        assert_report_matches_reference(poly, pts)
+    @pytest.mark.parametrize("r,rho,m", SETTINGS)
+    def test_members_meet_the_schwarz_bound(self, population, r, rho, m):
+        # by subordination |1 - e^v| = |core^-1(f(z))| >= |z| = rho for every member
+        for e in population:
+            report = check_covering(e.f, e.params, r, rho, m)
+            assert report.worst_margin >= rho - r - 1e-12, e.params
+            assert report.passed and report.indeterminate == 0 and report.samples == m
+            assert abs(abs(report.worst_location) - rho) <= 1e-12
 
     @given(
-        st.integers(min_value=16, max_value=120),
-        st.integers(min_value=0, max_value=2**32 - 1),
-        st.sampled_from([1e-3, 1.0, 1e3]),
-        st.sampled_from(["parallel", "normal"]),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**31),
+        st.complex_numbers(max_magnitude=1.0),
+        st.floats(min_value=0.01, max_value=0.95),
     )
-    @settings(max_examples=100, deadline=None)
-    def test_bounds_tight_to_rounding(self, n, seed, scale, layout):
-        # without the guard the parallel rows, and without the relative slack the
-        # normal rows, prune the sample that decides the report
-        assert_report_matches_reference(*edge_samples(n, seed, scale, layout))
+    @settings(max_examples=40, deadline=None)
+    def test_random_members_meet_the_schwarz_bound(self, atoms, seed, offset, beta):
+        params = ClassParams(1.0 + offset if abs(1.0 + offset) >= 0.05 else 1.0, beta)
+        report = check_covering(construct(params, random_measure(atoms, seed)), params, 0.95, 0.999, 512)
+        assert report.worst_margin >= 0.049 - 1e-12 and report.indeterminate == 0
 
-    def test_population_covering_at_2048_samples(self, population):
-        # members pass; the bare power (1-z)**(0.3*mu) declared with beta = 0.6 misses
-        # part of the declared core and fails
-        members = [(e.f, e.params, True) for e in population]
-        bare = [(ProductForm(0.3 * e.params.mu), ClassParams(e.params.mu, 0.6), False) for e in population[:10]]
-        theta = np.linspace(0.0, 2.0 * np.pi, 2048, endpoint=False)
-        for f, params, passed in members + bare:
-            ws = evaluate(core_function(params), 0.95 * np.exp(1j * theta))
-            ref = reference_winding_report(boundary_curve(f, 0.999, n=512), ws)
-            report = check_covering(f, params, 0.95, 0.999, m=2048)
-            assert_same_report(report, ref)
-            assert report.passed is passed
+    def test_core_margin_is_rho_minus_r(self, population):
+        # the core is the equality case: 1 - e^v = z on the circle
+        for e in population:
+            for r, rho, m in SETTINGS:
+                report = check_covering(core_function(e.params), e.params, r, rho, m)
+                assert abs(report.worst_margin - (rho - r)) <= 1e-12 and report.indeterminate == 0
+
+    @pytest.mark.parametrize("r,rho,m", SETTINGS)
+    def test_failing_bare_powers_give_a_witness(self, population, r, rho, m):
+        # at worst_z, f equals core(zeta) for a zeta in the closed r-disk
+        for f, params in bare_powers(population):
+            report = check_covering(f, params, r, rho, m)
+            assert not report.passed and report.worst_margin < 0.0
+            z = report.worst_location
+            assert abs(abs(z) - rho) <= 1e-12
+            zeta = 1.0 - np.exp(eval_log(f, z) / (params.mu * params.beta))
+            assert abs(zeta) <= r
+            assert evaluate(core_function(params), zeta) == pytest.approx(evaluate(f, z), rel=1e-9)
+
+    @pytest.mark.parametrize("r,rho,m", SETTINGS)
+    def test_verdicts_match_the_winding_oracle(self, population, r, rho, m):
+        cases = [(e.f, e.params) for e in population] + bare_powers(population)
+        for f, params in cases:
+            assert check_covering(f, params, r, rho, m).passed is winding_oracle(f, params, r, rho, m)
 
     def test_covering_composition(self, population):
-        params = ClassParams(2.0, 0.5)
-        s = InteriorSpirallikeMap(construct(params, population[0].measure), params)
-        g, report = covering_composition(s, 0.5, 0.5)
-        curve = sc.geometry._adaptive_closed_curve(g, 0.999, 512)
-        pts = (np.linspace(0.2, 0.95, 4)[:, None] * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))).ravel()
-        assert_same_report(report, reference_winding_report(curve, pts))
+        # the three maps of TestCoveringComposition cover |w| <= 0.95 from |z| < 0.999
+        starlike, spiral = ClassParams(2.0, 0.5), ClassParams(1.2 * np.exp(0.4j), 0.5)
+        for source, params in [(core_function(starlike), starlike), (construct(starlike, population[0].measure), starlike),
+                               (construct(spiral, population[0].measure), spiral)]:
+            _, report = covering_composition(InteriorSpirallikeMap(source, params), 0.5, 0.5)
+            assert report.check == "disk-coverage" and report.samples == 256 and report.indeterminate == 0
+            assert 0.049 - 1e-12 <= report.worst_margin <= 0.05
 
-    def test_exact_distances_only_where_they_decide(self, worked_example, population, monkeypatch):
-        # one distance index and one crossing pass per report; every exact distance is
-        # a query of that index, and only a subset of the samples gets one.  Unlike a
-        # timing, the count can be pinned, so a change that settles more samples fails here
+    def test_beta_zero_rejected(self):
+        params = ClassParams(1.0, 0.0)
+        with pytest.raises(DomainError, match="cover needs beta > 0"):
+            check_covering(core_function(params), params, 0.9, 0.99)
+
+    def test_evaluations_counted(self, worked_example, population, monkeypatch):
+        # the cost is margin evaluations, one pass over the factors each round of arcs; unlike a
+        # timing the count can be pinned, so a change that evaluates more fails here
         f, params = worked_example
         geometry = sc.geometry
-        calls = {"_distance_index": 0, "_crossing_windings": 0}
-        counted = []
+        points = []
 
-        def counting(name):
-            inner = getattr(geometry, name)
+        def counting(F, z, *args, **kwargs):
+            points.append(z.size)
+            return factor_sums(F, z, *args, **kwargs)
 
-            def wrapped(*args):
-                calls[name] += 1
-                return inner(*args)
+        def forbidden(*args, **kwargs):
+            raise AssertionError("check_covering takes no boundary polygon")
 
-            return wrapped
-
-        for name in calls:
-            monkeypatch.setattr(geometry, name, counting(name))
-        query = geometry._index_distances
-
-        def counting_query(blocks, pts, guard):
-            counted.append(pts.size)
-            return query(blocks, pts, guard)
-
-        monkeypatch.setattr(geometry, "_index_distances", counting_query)
+        factor_sums = geometry._factor_sums
+        monkeypatch.setattr(geometry, "_factor_sums", counting)
+        monkeypatch.setattr(geometry, "boundary_curve", forbidden)
+        monkeypatch.setattr(geometry, "winding_numbers", forbidden)
         report = check_covering(f, params, 0.95, 0.999, m=2048)
         assert report.passed and report.samples == 2048
-        assert calls == {"_distance_index": 1, "_crossing_windings": 1}
-        assert sum(counted) == 1008
-        counted.clear()
+        assert points == [2048]
+        points.clear()
         for e in population[:20]:
             check_covering(e.f, e.params, 0.95, 0.999, m=2048)
-        assert sum(counted) == 6198
+        assert (sum(points), len(points)) == (40976, 27)
 
 
 def reference_adaptive_curve(fn, rho, n):
@@ -531,7 +486,8 @@ class TestContainsPoint:
 
 class TestWindingOverflow:
     # f = (1-z)**-60 is finite on |z| = 0.999 (up to 1e180), but its cross products and
-    # segment lengths overflow float arithmetic; f(0) = 1 must not be reported outside
+    # segment lengths overflow float arithmetic; f(0) = 1 must not be reported outside.
+    # The covering check takes no polygon and decides the map
     F, PARAMS = ProductForm(-60.0), ClassParams(1.0, 0.5)
 
     @pytest.mark.parametrize("warning_action", ["default", "error"])
@@ -542,8 +498,15 @@ class TestWindingOverflow:
             warnings.simplefilter(warning_action, RuntimeWarning)
             with pytest.raises(DomainError, match="winding test overflows"):
                 winding_numbers(curve, [1.0, 2.0, 0.5])
-            with pytest.raises(DomainError, match="winding test overflows"):
-                check_covering(self.F, self.PARAMS, 0.95, 0.999)
+
+    @pytest.mark.parametrize("warning_action", ["default", "error"])
+    def test_covering_decided_from_the_circle(self, warning_action):
+        # v = -120*Log(1-z) stays finite; a scan of 2**20 angles puts the least margin at 0.05
+        with warnings.catch_warnings():
+            warnings.simplefilter(warning_action, RuntimeWarning)
+            report = check_covering(self.F, self.PARAMS, 0.95, 0.999)
+        assert report.passed and report.indeterminate == 0
+        assert report.worst_margin == pytest.approx(0.05, abs=1e-9)
 
 
 class TestCheckCovering:

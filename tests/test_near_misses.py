@@ -8,6 +8,7 @@ construction itself.
 import json
 import math
 
+import numpy as np
 import pytest
 
 import spiralcover as sc
@@ -149,3 +150,30 @@ class TestReadmeMapDistortionNearMiss:
     @pytest.mark.xfail(strict=True, reason="the default grid passes a map whose |lambda| exceeds 1 outside its outer ring")
     def test_distortion_check_does_not_pass(self, tmp_path):
         assert run_distortion(tmp_path)[0] != 0
+
+
+class TestReadmeMapCoveringNearMiss:
+    # the same map, declared with beta = 0.6171: core(D) is not inside f(D), yet `cover` tests the
+    # compact statement core(|z| <= r_inner) in f(|z| < rho), which holds at its defaults
+    F, PARAMS = load_function_spec(DISTORTION_NEAR_MISS_SPEC)
+    F_AT_MINUS_ONE = 2.0 / 3.77**0.2  # 2/|1 + c|**0.4 with c = 0.9 + 0.4i
+
+    def test_core_value_lies_outside_the_image(self):
+        # f has real coefficients and meets the class inequality of G(1, 0.6), so it is univalent and
+        # f(D) meets (0, inf) in f((-1, 1)) = (0, f(-1)), f decreasing on (-1, 1)
+        ring = sc.GridSpec((0.9, 0.99, 0.999), 1024).points()
+        assert sc.class_margin(sc.GridEvaluation(self.F, ring), sc.ClassParams(1.0, 0.6)).min() > 0.0
+        x = np.linspace(-1.0 + 1e-9, 1.0 - 1e-9, 2001)
+        values = sc.evaluate(self.F, x)
+        assert np.all(np.abs(values.imag) <= 1e-15 * np.abs(values)) and np.all(np.diff(values.real) < 0.0)
+        assert values[0].real == pytest.approx(self.F_AT_MINUS_ONE, rel=1e-8)
+        # core(-0.99999) = 1.99999**0.6171 = 1.5337842 lies beyond f(-1) = 1.5337753
+        core = sc.evaluate(sc.core_function(self.PARAMS), -0.99999)
+        assert core.imag == 0.0 and core.real == pytest.approx(1.99999**0.6171, rel=1e-14)
+        assert core.real - self.F_AT_MINUS_ONE > 8e-6
+
+    @pytest.mark.xfail(strict=True, reason="cover decides core(|z| <= 0.9) in f(|z| < 0.99), which holds, not core(D) in f(D)")
+    def test_cover_does_not_pass(self, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_text(report_json(DISTORTION_NEAR_MISS_SPEC))
+        assert main(["cover", "-i", str(src), "-o", str(tmp_path / "out.json")]) != 0
