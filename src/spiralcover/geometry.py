@@ -245,9 +245,9 @@ def _arc_steps(F: ProductForm, rho: float, z: np.ndarray, theta: np.ndarray, h: 
     angles, gaps = np.angle(poles) % (2.0 * np.pi), np.abs(np.abs(poles) - rho)
     starts, h = theta[:, :-1], h[:, None]
     total = np.zeros(starts.shape)
-    rows = max(1, BLOCK_ELEMENTS // z.size)
-    for k in range(0, poles.size, rows):
-        block = slice(k, k + rows)
+    per_block = max(1, BLOCK_ELEMENTS // z.size)
+    for k in range(0, poles.size, per_block):
+        block = slice(k, k + per_block)
         ends = np.abs(poles[block, None, None] - z)
         delta = angles[block, None, None] - starts
         inside = ((delta >= 0.0) & (delta <= h)) | (delta <= h - 2.0 * np.pi)
