@@ -5,8 +5,8 @@ circle: the maps are unbounded near boundary atoms, so the honest
 desk-scale statement is nested-compact containment, which the
 subordination theorems imply.  Through the core map's explicit inverse,
 the open mapping theorem turns it into a margin on |z| = rho, certified
-arc by arc.  The boundary polygon and its winding numbers serve
-`render` and the tests.
+arc by arc.  `render` draws the boundary polygon; the tests use it and
+its winding numbers.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ __all__ = [
 GUARD_FACTOR = 1e-12  # of the curve diameter; closer points are indeterminate
 MAX_TURN = 0.2        # radians of turning per segment before bisection
 REFINE_TOL = 0.05     # chord length, relative to the local modulus, before bisection
-DENSE_PAIRS = 65536   # (point, segment) pairs per chunk of the winding distances
+DENSE_PAIRS = 65536   # (point, segment) pairs per chunk of the winding pass
 CLIP_RE = 700.0       # Re v at which the covering margin takes e^v: |1 - e^v| > 1e304 there
 # the t at which radius-table scans the gap profile: [0, pi] with both ends, where a real s has its minimum
 GAP_SCAN_T = np.linspace(0.0, np.pi, 4097)
@@ -164,35 +164,6 @@ def boundary_curve(f: ProductForm, rho: float, n: int = 256) -> PolyLine:
     return _adaptive_closed_curve(lambda z: evaluate(f, z), rho, n)
 
 
-def _crossing_windings(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Winding numbers around pts of the closed polygon with edges a[k] -> b[k].
-
-    Crossing rule (Hormann & Agathos, Comput. Geom. 20, 2001): the
-    horizontal line through a point meets only the edges whose half-open
-    y-span holds its height.  An upward edge with the point on its left
-    adds +1, a downward edge with the point on its right adds -1.  The
-    samples are sorted by height, so each edge finds its points by
-    bisection and only crossing (edge, point) pairs are tested.
-    """
-    order = np.argsort(pts.imag)
-    heights = pts.imag[order]
-    first = np.searchsorted(heights, np.minimum(a.imag, b.imag))
-    counts = np.searchsorted(heights, np.maximum(a.imag, b.imag)) - first
-    edge_idx = np.repeat(np.arange(a.size), counts)
-    # sorted positions first[k], ..., first[k] + counts[k] - 1 of each edge k
-    pos = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - first, counts)
-    pt_idx = order[pos]
-    tail, head, w = a[edge_idx], b[edge_idx], pts[pt_idx]
-    va, vb = tail - w, head - w
-    # (a-w) x (b-w) > 0 when w is left of a -> b: the cross product of the
-    # dense angle sum, whose rounding error shrinks as w nears either vertex
-    cross = va.real * vb.imag - va.imag * vb.real
-    _require_finite(cross)
-    side = np.sign(cross)
-    signs = np.where(head.imag > tail.imag, np.maximum(side, 0.0), np.minimum(side, 0.0))
-    return np.bincount(pt_idx, weights=signs, minlength=pts.size).astype(np.int64)
-
-
 def _require_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
         raise DomainError("winding test overflows: the curve is too large for float arithmetic")
@@ -200,30 +171,39 @@ def _require_finite(values: np.ndarray) -> None:
 
 @np.errstate(all="ignore")
 def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Winding numbers of a closed polyline around many points at once.
+    """Winding numbers of a closed polyline around many points at once, the points taken flat.
 
     Returns (windings, indeterminate, distances); a point within the guard
-    distance of the curve is marked indeterminate.  Windings take the
-    crossing (edge, point) pairs, distances every pair, DENSE_PAIRS at a
-    time.  A non-finite point, or a curve whose cross products or segment
-    lengths overflow, raises DomainError, with or without a warning.
+    distance of the curve is marked indeterminate.  One pass over every
+    (point, segment) pair, DENSE_PAIRS at a time, takes both.  Windings
+    follow the crossing rule (Hormann & Agathos, Comput. Geom. 20, 2001):
+    an edge a -> b counts for w when min(Im a, Im b) <= Im w < max(Im a, Im b);
+    going up it adds +1 with w on its left, going down -1 with w on its
+    right.  A non-finite point, or a curve whose segment lengths, distances
+    or cross products on counted pairs overflow, raises DomainError, with
+    or without a warning.
     """
-    pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
+    pts = np.ravel(np.asarray(points, dtype=np.complex128))
     if not np.all(np.isfinite(pts)):
         raise DomainError("non-finite point")
-    a = poly.points
-    b = _next(a)
-    windings = _crossing_windings(a, b, pts)
-    a, edge = a[None, :], (b - a)[None, :]
+    a, b = poly.points[None, :], _next(poly.points)[None, :]
+    edge = b - a
     edge_sq = np.abs(edge) ** 2
     _require_finite(edge_sq)
     edge_sq = np.where(edge_sq > 0, edge_sq, 1.0)
+    low, high, up = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag), b.imag > a.imag
+    windings = np.empty(pts.size, dtype=np.int64)
     dists = np.empty(pts.size)
     chunk = max(1, DENSE_PAIRS // a.size)
     for lo in range(0, pts.size, chunk):
-        va = a - pts[lo : lo + chunk, None]
+        w = pts[lo : lo + chunk, None]
+        va, vb = a - w, b - w
         t = -(va.real * edge.real + va.imag * edge.imag) / edge_sq
         dists[lo : lo + chunk] = np.abs(va + np.clip(t, 0.0, 1.0) * edge).min(axis=1)
+        # (a-w) x (b-w) > 0 when w is left of a -> b; 0 on the edges that do not count
+        cross = np.where((low <= w.imag) & (w.imag < high), va.real * vb.imag - va.imag * vb.real, 0.0)
+        _require_finite(cross)
+        windings[lo : lo + chunk] = (up & (cross > 0.0)).sum(axis=1) - (~up & (cross < 0.0)).sum(axis=1)
     _require_finite(dists)
     return windings, dists < GUARD_FACTOR * poly.diameter(), dists
 

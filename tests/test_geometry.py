@@ -113,6 +113,14 @@ class TestWindingNumber:
         assert list(wn) == [winding_numbers(poly, [w])[0][0] for w in ws]
         assert np.all(dists > 0)
 
+    def test_points_taken_flat(self):
+        # a 2-D input gives the three arrays of its flattened input
+        poly = regular_ngon(64)
+        flat = winding_numbers(poly, [0, 0.1, 0.2, 5])
+        for got, want in zip(winding_numbers(poly, [[0, 0.1], [0.2, 5]]), flat):
+            assert got.dtype == want.dtype and got.shape == (4,) and got.tobytes() == want.tobytes()
+        assert list(flat[0]) == [1, 1, 1, 0]
+
 
 def dense_winding_numbers(poly, points):
     """Reference for winding_numbers: every point x segment pair.
@@ -290,7 +298,8 @@ class TestBoundaryCovering:
             assert abs(zeta) <= r
             assert evaluate(core_function(params), zeta) == pytest.approx(evaluate(f, z), rel=1e-9)
 
-    @pytest.mark.parametrize("r,rho,m", SETTINGS)
+    # and near the circle, where a decided pass must imply that the winding test passes too
+    @pytest.mark.parametrize("r,rho,m", SETTINGS + [(0.999, 0.99999, 512)])
     def test_verdicts_match_the_winding_oracle(self, population, r, rho, m):
         cases = [(e.f, e.params) for e in population] + bare_powers(population)
         for f, params in cases:
