@@ -191,7 +191,7 @@ def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.
     edge_sq = np.abs(edge) ** 2
     _require_finite(edge_sq)
     edge_sq = np.where(edge_sq > 0, edge_sq, 1.0)
-    low, high, up = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag), b.imag > a.imag
+    bottom, top, up = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag), b.imag > a.imag
     windings = np.empty(pts.size, dtype=np.int64)
     dists = np.empty(pts.size)
     chunk = max(1, DENSE_PAIRS // a.size)
@@ -201,7 +201,7 @@ def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.
         t = -(va.real * edge.real + va.imag * edge.imag) / edge_sq
         dists[lo : lo + chunk] = np.abs(va + np.clip(t, 0.0, 1.0) * edge).min(axis=1)
         # (a-w) x (b-w) > 0 when w is left of a -> b; 0 on the edges that do not count
-        cross = np.where((low <= w.imag) & (w.imag < high), va.real * vb.imag - va.imag * vb.real, 0.0)
+        cross = np.where((bottom <= w.imag) & (w.imag < top), va.real * vb.imag - va.imag * vb.real, 0.0)
         _require_finite(cross)
         windings[lo : lo + chunk] = (up & (cross > 0.0)).sum(axis=1) - (~up & (cross < 0.0)).sum(axis=1)
     _require_finite(dists)
