@@ -302,31 +302,35 @@ def transform_class(f: ProductForm, frm: ClassParams, to: ClassParams) -> Produc
     return ProductForm(new_pref, new_facs)
 
 
+def _at_one(f: ProductForm) -> np.ndarray:
+    """Mask of the factors at z = 1, |c_j - 1| <= NODE_TOL: one rule for the boundary asymptotics and cover."""
+    return np.abs(f.nodes - 1.0) <= NODE_TOL
+
+
 def boundary_exponent(f: ProductForm) -> complex:
     """Limit of f'(r)*(r-1)/f(r) as r -> 1-: the spiral-wedge exponent.
 
-    Closed form: prefactor minus the exponents of nodes at 1; factors
-    with nodes elsewhere in the closed disk vanish in the limit.  For a
-    measure-built map this is mu*(1 - (1-beta)*sigma({1})).
+    Closed form: prefactor minus the exponents of the nodes at 1 (_at_one), in factor
+    order; factors with nodes elsewhere in the closed disk vanish in the limit.  For
+    a measure-built map this is mu*(1 - (1-beta)*sigma({1})).
     """
-    at_one = sum((e for c, e in f.factors if abs(c - 1.0) <= NODE_TOL), 0.0 + 0.0j)
-    return complex(f.prefactor - at_one)
+    return complex(f.prefactor - sum(f.exponents[_at_one(f)].tolist(), 0.0 + 0.0j))
 
 
 def boundary_rotation(f: ProductForm) -> float:
     """Limit of arg(f(r)**(1/exponent)) as r -> 1-: the wedge midline rotation.
 
-    Closed form: -sum over nodes c != 1 of Im((e/exponent)*Log(1-c)).
+    Closed form: -sum over nodes c not at 1 (_at_one) of Im((e/exponent)*Log(1-c)).
     For a measure-built map with real exponent ratio this reduces to
     -(mu/exponent)*(1-beta)*sum w_j*arg(1-conj(zeta_j)).
     """
     nu = boundary_exponent(f)
     if abs(nu) <= NODE_TOL:
         raise DomainError("boundary exponent is 0; rotation undefined")
-    kept = [(c, e) for c, e in f.factors if abs(c - 1.0) > NODE_TOL]
+    kept = ~_at_one(f)
     # every log in one call; the sum stays in Python, in factor order
-    logs = log_principal(np.array([1.0 - c for c, _ in kept], dtype=np.complex128)).tolist()
+    logs = log_principal(1.0 - f.nodes[kept]).tolist()
     total = 0.0
-    for (_, e), log in zip(kept, logs):
+    for e, log in zip(f.exponents[kept].tolist(), logs):
         total += ((e / nu) * log).imag
     return -total

@@ -24,6 +24,7 @@ from .functions import (
     ClassParams,
     ProductForm,
     evaluate,
+    _at_one,
     _factor_sums,
     _like,
     _wedge_exponent,
@@ -208,32 +209,38 @@ def winding_numbers(poly: PolyLine, points) -> tuple[np.ndarray, np.ndarray, np.
     return windings, dists < GUARD_FACTOR * poly.diameter(), dists
 
 
-def _arc_steps(F: ProductForm, rho: float, z: np.ndarray, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """L*h on the arcs between consecutive points of each row of z (angles theta in [0, 2*pi)), of length h[row].
+def _arc_steps(F: ProductForm, rho: float) -> Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]:
+    """The map (z, theta, h) -> L*h on the arcs of length h[row] between consecutive points of each row of z.
 
-    L = rho*(|P - sum of E_k at c_k = 1|/d(arc, 1) + sum over the other
-    c_k != 0 of |E_k|/d(arc, 1/c_k)) bounds |dv/dtheta| on the arc; d is
-    the pole's distance to the circle if its angle lies in the arc, else
-    to the nearer end.  Factors at 1 share the pole of (1-z)**P, so the
-    core's exponents cancel there.  Poles go a block at a time, so no work
-    array exceeds max(BLOCK_ELEMENTS, z.size) elements.
+    theta in [0, 2*pi) are the points' angles; F's poles are taken once.  L = rho*(|P - sum of E_k at 1|/d(arc, 1)
+    + sum over the other c_k != 0 of |E_k|/d(arc, 1/c_k)) + R/d(arc, 1) bounds |dv/dtheta| on the arc; d is the
+    pole's distance to the circle if its angle lies in the arc, else to the nearer end.  Factors at 1
+    (functions._at_one) with eta_k = |1/c_k - 1| < 1 - rho share the pole of (1-z)**P, so the core's exponents
+    cancel there; R = rho*sum of |E_k|*eta_k/(1 - rho - eta_k) over them bounds what that leaves out,
+    E_k*(c_k - 1)/((1 - c_k*z)*(1 - z)), as |1 - z| >= 1 - rho.  Poles go a block at a time, so no work array
+    exceeds max(BLOCK_ELEMENTS, z.size) elements.
     """
-    at_one = F.nodes == 1.0
+    at_one = _at_one(F)
+    eta = np.abs(1.0 / F.nodes[at_one] - 1.0)
+    at_one[at_one], eta = eta < 1.0 - rho, eta[eta < 1.0 - rho]  # a factor that far from 1 keeps its own pole
     keep = ~at_one & (F.nodes != 0) & (F.exponents != 0)
     poles = np.concatenate([[1.0 + 0.0j], 1.0 / F.nodes[keep]])
-    weights = rho * np.concatenate([[abs(F.prefactor - F.exponents[at_one].sum())], np.abs(F.exponents[keep])])
+    rest = np.sum(np.abs(F.exponents[at_one]) * eta / (1.0 - rho - eta))
+    weights = rho * np.concatenate([[abs(F.prefactor - F.exponents[at_one].sum()) + rest], np.abs(F.exponents[keep])])
     angles, gaps = np.angle(poles) % (2.0 * np.pi), np.abs(np.abs(poles) - rho)
-    starts, h = theta[:, :-1], h[:, None]
-    total = np.zeros(starts.shape)
-    per_block = max(1, BLOCK_ELEMENTS // z.size)
-    for k in range(0, poles.size, per_block):
-        block = slice(k, k + per_block)
-        ends = np.abs(poles[block, None, None] - z)
-        delta = angles[block, None, None] - starts
-        inside = ((delta >= 0.0) & (delta <= h)) | (delta <= h - 2.0 * np.pi)
-        d = np.where(inside, gaps[block, None, None], np.minimum(ends[..., :-1], ends[..., 1:]))
-        total += (weights[block, None, None] / d).sum(axis=0)
-    return (total * h).ravel()
+    def steps(z: np.ndarray, theta: np.ndarray, h: np.ndarray) -> np.ndarray:
+        starts, h = theta[:, :-1], h[:, None]
+        total = np.zeros(starts.shape)
+        per_block = max(1, BLOCK_ELEMENTS // z.size)
+        for k in range(0, poles.size, per_block):
+            block = slice(k, k + per_block)
+            ends = np.abs(poles[block, None, None] - z)
+            delta = angles[block, None, None] - starts
+            inside = ((delta >= 0.0) & (delta <= h)) | (delta <= h - 2.0 * np.pi)
+            d = np.where(inside, gaps[block, None, None], np.minimum(ends[..., :-1], ends[..., 1:]))
+            total += (weights[block, None, None] / d).sum(axis=0)
+        return (total * h).ravel()
+    return steps
 
 
 @np.errstate(all="ignore")
@@ -264,7 +271,7 @@ def _boundary_cover(check: str, F: ProductForm, scale: complex, r: float, rho: f
     rows, h = np.append(np.arange(m), 0)[None, :], np.array([2.0 * np.pi / m])
     z = re = im = mod = arc_h = bound = np.empty(0)
     arc_a = arc_b = np.empty(0, dtype=np.intp)
-    best, where = math.inf, 0j
+    best, where, arc_steps = math.inf, 0j, _arc_steps(F, rho)
     while True:
         new_z = rho * np.exp(1j * theta[z.size :])
         v = _factor_sums(F, new_z)[1]
@@ -281,7 +288,7 @@ def _boundary_cover(check: str, F: ProductForm, scale: complex, r: float, rho: f
         if best < 0.0:
             break
         a, b = rows[:, :-1].ravel(), rows[:, 1:].ravel()
-        lh = _arc_steps(F, rho, z[rows], theta[rows], h)
+        lh = arc_steps(z[rows], theta[rows], h)
         pair = re[a] + re[b]
         e_max = np.exp((pair + lh) / 2.0)
         new_bound = np.fmax(

@@ -197,9 +197,7 @@ class VerificationReport:
         return bool(self.worst_margin >= -self.tolerance)
 
 
-def _report(
-    check: str, margins: np.ndarray, locations: np.ndarray, tol: float, indeterminate: int = 0
-) -> VerificationReport:
+def _report(check: str, margins: np.ndarray, locations: np.ndarray, tol: float) -> VerificationReport:
     margins = np.asarray(margins, dtype=np.float64)
     i = int(margins.argmin())
     worst = float(margins[i])
@@ -213,7 +211,6 @@ def _report(
         worst_location=complex(np.asarray(locations).ravel()[i]),
         tolerance=tol,
         samples=int(margins.size),
-        indeterminate=indeterminate,
     )
 
 

@@ -1005,6 +1005,16 @@ class TestCover:
         report = json.loads(out.read_text())
         assert report["passed"] is True and report["worst_margin"] == pytest.approx(0.1, abs=1e-9)
 
+    def test_atom_at_two_pi_covers_as_the_core(self, tmp_path, capsys):
+        # the core of G(1, 0.05) with its atom at angle 2*pi, node 1 + 2.4e-16i: the node is at 1 by the rule the
+        # wedge's boundary exponent uses, so it shares the pole of (1-z)**P in the arc bound and every arc decides
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        atom = {"angle": 6.283185307179586, "weight": 1}
+        src.write_text(json.dumps({"mu": [1, 0], "beta": 0.05, "measure": {"atoms": [atom]}}))
+        assert main(["cover", "-i", str(src), "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["worst_margin"] == 0.09
+        assert capsys.readouterr().err == ""
+
     def test_example_covering(self, example_path, tmp_path):
         out = tmp_path / "c.json"
         code = main(

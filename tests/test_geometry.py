@@ -32,10 +32,11 @@ from spiralcover import (
     wedge_spirals,
     winding_numbers,
 )
-from spiralcover.geometry import GAP_SCAN_T
+from spiralcover.functions import _factor_sums
+from spiralcover.geometry import GAP_SCAN_T, _arc_steps
 from spiralcover.serialize import curve_csv
 
-from conftest import bit_equal
+from conftest import bit_equal, draw_params
 
 
 def regular_ngon(n=256, center=0.0, radius=1.0):
@@ -255,6 +256,14 @@ def bare_powers(population):
 SETTINGS = [(0.9, 0.99, 256), (0.95, 0.999, 512)]
 
 
+def maps_at_one(beta):
+    """The single-atom member of G(1, beta) with its atom at angle 2*pi, node 1 + 2.4e-16i, and the
+    factor-form map with node 1 - 1e-13i and the same exponents: each within NODE_TOL of 1, not equal to it."""
+    params = ClassParams(1.0, beta)
+    member = construct(params, make_measure([(np.exp(2j * np.pi), 1.0)]))
+    return params, [member, ProductForm(member.prefactor, ((1.0 - 1e-13j, member.exponents[0]),))]
+
+
 class TestBoundaryCovering:
     """check_covering decides core(|z| <= r) in f(|z| < rho) from v = log f/(mu*beta) on |z| = rho."""
 
@@ -286,6 +295,32 @@ class TestBoundaryCovering:
                 report = check_covering(core_function(e.params), e.params, r, rho, m)
                 assert abs(report.worst_margin - (rho - r)) <= 1e-12 and report.indeterminate == 0
 
+    @pytest.mark.parametrize("beta", [0.01, 0.05])
+    @pytest.mark.parametrize("r,rho,m", SETTINGS + [(0.95, 0.999, 2048)])
+    def test_factors_near_one_share_its_pole(self, beta, r, rho, m):
+        # a node within NODE_TOL of 1 folds into the pole of (1-z)**P, as boundary_exponent counts it, so
+        # the core's exponents cancel in the arc bound and the map decides as the core does
+        params, maps = maps_at_one(beta)
+        for f in maps:
+            report = check_covering(f, params, r, rho, m)
+            assert report.indeterminate == 0 and abs(report.worst_margin - (rho - r)) <= 1e-12
+
+    @pytest.mark.parametrize("beta", [0.01, 0.05])
+    @pytest.mark.parametrize("r,rho,m", SETTINGS + [(0.95, 0.999, 2048)])
+    def test_arc_bound_holds_near_one(self, beta, r, rho, m):
+        # L*h bounds |v(theta) - v(theta_a)| on each start arc, the folded factors' remainder included;
+        # v at 64 equally spaced points of every arc comes from one pass over the factors
+        params, maps = maps_at_one(beta)
+        mb = params.mu * params.beta
+        theta, h = 2.0 * np.pi * np.arange(m) / m, 2.0 * np.pi / m
+        rows = np.append(np.arange(m), 0)[None, :]
+        along = theta[:, None] + h * np.linspace(0.0, 1.0, 64)
+        for f in maps:
+            F = ProductForm(f.prefactor / mb, np.column_stack([f.nodes, f.exponents / mb]))
+            lh = _arc_steps(F, rho)(rho * np.exp(1j * theta[rows]), theta[rows], np.array([h]))
+            v = _factor_sums(F, rho * np.exp(1j * along))[1]
+            assert np.all(lh >= np.abs(v - v[:, :1]).max(axis=1))
+
     @pytest.mark.parametrize("r,rho,m", SETTINGS)
     def test_failing_bare_powers_give_a_witness(self, population, r, rho, m):
         # at worst_z, f equals core(zeta) for a zeta in the closed r-disk
@@ -304,6 +339,15 @@ class TestBoundaryCovering:
         cases = [(e.f, e.params) for e in population] + bare_powers(population)
         for f, params in cases:
             assert check_covering(f, params, r, rho, m).passed is winding_oracle(f, params, r, rho, m)
+
+    @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_random_decided_passes_match_the_winding_oracle(self, atoms, seed):
+        # near the circle a decided pass must imply that the winding test passes, on members drawn as the population's
+        params = draw_params(np.random.default_rng(seed))
+        f = construct(params, random_measure(atoms, seed))
+        if check_covering(f, params, 0.999, 0.99999, 512).passed:
+            assert winding_oracle(f, params, 0.999, 0.99999, 512)
 
     def test_covering_composition(self, population):
         # the three maps of TestCoveringComposition cover |w| <= 0.95 from |z| < 0.999

@@ -177,3 +177,24 @@ class TestReadmeMapCoveringNearMiss:
         src = tmp_path / "in.json"
         src.write_text(report_json(DISTORTION_NEAR_MISS_SPEC))
         assert main(["cover", "-i", str(src), "-o", str(tmp_path / "out.json")]) != 0
+
+
+class TestCoreNearTheCircle:
+    # the core of G(1, 0.5), (1-z)**0.5, at r_inner = 0.999 and rho = 0.99999: on |z| = rho the core's inverse
+    # gives 1 - e^v = z, so M = rho - r_inner = 0.00099 on the whole circle.  From 512 start arcs no arc bound
+    # reaches half of it before the 16*max(m, 64) evaluations run out (passes of 512, 512, 1,024, 2,048 and
+    # 4,096), and 2 arcs are left undecided at bound -1.999
+    PARAMS = sc.ClassParams(1.0, 0.5)
+    CORE = sc.core_function(PARAMS)
+
+    def test_core_covers_itself_on_nested_disks(self):
+        # core(|zeta| <= 0.999) lies in core(|z| < 0.99999): the core's inverse takes core(z) back to z
+        z = 0.99999 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+        zeta = 1.0 - np.exp(sc.eval_log(self.CORE, z) / (self.PARAMS.mu * self.PARAMS.beta))
+        assert np.abs(zeta - z).max() <= 1e-12
+        report = sc.check_covering(self.CORE, self.PARAMS, 0.999, 0.99999, 4096)
+        assert report.passed and abs(report.worst_margin - 0.00099) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="from 512 start arcs the bisection budget runs out before M = 0.00099 is certified")
+    def test_cover_passes_from_512_start_arcs(self):
+        assert sc.check_covering(self.CORE, self.PARAMS, 0.999, 0.99999, 512).passed
