@@ -24,6 +24,7 @@ from .functions import (
     ClassParams,
     ProductForm,
     evaluate,
+    _as_points,
     _at_one,
     _factor_sums,
     _like,
@@ -400,12 +401,12 @@ def wedge_spirals(exponent: complex, rotation: float) -> tuple[np.ndarray, np.nd
 class CoveringComposition:
     """g(z) = 1 - (1-z)**(1/beta) * (s(z)/z)**(1/(mu*beta)); image covers the unit disk.
 
-    The log of s(z)/z comes from the canonical log of the backing
-    product form, never from Log of evaluated values.  The Moebius
-    companion (1-g)/(1+g) covers the right half-plane.  With phi the
-    spiral angle of s, it needs phi in (-pi/2, pi/2), alpha < cos(phi),
-    beta in (0, alpha/cos(phi)], and s of order at least alpha; other
-    parameters raise DomainError.
+    1 - g is one product form, built with g, whose canonical log g takes,
+    never Log of evaluated values; it is the form covering_composition
+    certifies.  The Moebius companion (1-g)/(1+g) covers the right
+    half-plane.  With phi the spiral angle of s, it needs phi in
+    (-pi/2, pi/2), alpha < cos(phi), beta in (0, alpha/cos(phi)], and s
+    of order at least alpha; other parameters raise DomainError.
     """
 
     s: InteriorSpirallikeMap
@@ -422,6 +423,9 @@ class CoveringComposition:
             raise DomainError("beta must lie in (0, alpha/cos(phi)]")
         if self.s.order < self.alpha - 1e-12:
             raise DomainError("s is not spirallike of order alpha")
+        ratio, mb = self.s._ratio, self.mu * self.beta
+        form = ProductForm(1.0 / self.beta + ratio.prefactor / mb, np.column_stack([ratio.nodes, ratio.exponents / mb]))
+        object.__setattr__(self, "_form", form)
 
     @property
     def mu(self) -> complex:
@@ -429,17 +433,12 @@ class CoveringComposition:
         phi = self.s.phi
         return cmath.exp(1j * phi) * 2.0 * (math.cos(phi) - self.alpha) / (1.0 - self.beta)
 
-    def _core(self, z) -> np.ndarray:
-        """1 - g at the points z; Log(1-z) and log s(z)/z from one pass."""
-        log_1mz, log_ratio = self.s._log_parts(z)
-        return np.exp(log_1mz / self.beta + log_ratio / (self.mu * self.beta))
-
     def __call__(self, z):
-        return _like(z, 1.0 - self._core(z))
+        return _like(z, 1.0 - evaluate(self._form, _as_points(z)))
 
     def half_plane_map(self, z):
         """(1-g)/(1+g); covers the right half-plane when g covers the disk."""
-        core = self._core(z)
+        core = evaluate(self._form, _as_points(z))
         return _like(z, core / (2.0 - core))
 
 
@@ -453,9 +452,7 @@ def covering_composition(
     CoveringComposition rejects parameters outside its rules.  1 - g is
     e^v, v = log F with F = (1-z)**(1/beta + (p - mu_s)/(mu*beta)) times
     the factors of s's source (prefactor p, class mu_s), their exponents
-    over mu*beta; _boundary_cover decides it from 256 start arcs.
+    over mu*beta, the form g keeps; _boundary_cover decides it from 256 start arcs.
     """
     g = CoveringComposition(s=s, alpha=alpha, beta=beta)
-    src, mb = s.source, g.mu * g.beta
-    F = ProductForm(1.0 / g.beta + (src.prefactor - s.params.mu) / mb, np.column_stack([src.nodes, src.exponents / mb]))
-    return g, _boundary_cover("disk-coverage", F, 1.0, 0.95, 0.999, 256)
+    return g, _boundary_cover("disk-coverage", g._form, 1.0, 0.95, 0.999, 256)

@@ -40,7 +40,7 @@ import numpy as np
 
 from .kernel import DomainError, log_principal
 from .functions import (
-    NODE_TOL, ClassParams, ProductForm, _as_points, _factor_sums, _like, boundary_exponent, boundary_rotation,
+    NODE_TOL, ClassParams, ProductForm, _as_points, _factor_sums, _like, boundary_exponent, boundary_rotation, eval_log,
 )
 
 __all__ = [
@@ -392,17 +392,17 @@ class InteriorSpirallikeMap:
         """cos(phi) - r*(1-beta)/2."""
         return _spiral_order(self.params)
 
-    def _log_parts(self, z):
-        """(Log(1-z), log of s(z)/z) at the points z, from one pass over the factors."""
-        log_1mz, log_f, _ = _factor_sums(self.source, _as_points(z))
-        return log_1mz, log_f - self.params.mu * log_1mz
+    @cached_property
+    def _ratio(self) -> ProductForm:
+        """The product form of s(z)/z = f(z)/(1-z)**mu: prefactor p - mu and the factors of f."""
+        return ProductForm(self.source.prefactor - self.params.mu, self.source.factors)
 
     def __call__(self, z):
-        return _like(z, np.asarray(z, dtype=np.complex128) * np.exp(self._log_parts(z)[1]))
+        return _like(z, (points := _as_points(z)) * np.exp(eval_log(self._ratio, points)))
 
     def log_ratio(self, z):
         """Canonical log of s(z)/z = f(z)/(1-z)**mu."""
-        return _like(z, self._log_parts(z)[1])
+        return eval_log(self._ratio, z)
 
     def spiral_margin(self, ev: GridEvaluation) -> np.ndarray:
         """Re(exp(-i*phi)*z*s'/s) - order via z*s'/s = 1 + z*f'/f + mu*z/(1-z).

@@ -62,6 +62,30 @@ def build_population(count: int = POPULATION_SIZE, seed: int = MASTER_SEED) -> l
     return entries
 
 
+def build_interior_population(count: int = POPULATION_SIZE, seed: int = MASTER_SEED) -> list[tuple]:
+    """(f, params) of class members whose measure has no atom: 1 to 4 nodes c_k inside the disk.
+
+    f = (1-z)**mu / prod (1 - c_k*z)**(mu*a_k), with a_k in [-0.15, 0.4] (in 30 % of the maps with
+    imaginary parts up to 0.05) and mu drawn as draw_params draws it.  Its class expression
+    (2/mu)*z*f'/f + (1+z)/(1-z) = 1 - sum a_k + sum a_k*(1 + c_k*z)/(1 - c_k*z) has a harmonic real
+    part, least on the circle; beta is 1e-3 below its least value B over 2**15 angles, and a draw
+    whose beta falls outside [0, 0.95) is drawn again.
+    """
+    rng = np.random.default_rng(seed)
+    circle = np.exp(2j * np.pi * np.arange(2**15) / 2**15)
+    members = []
+    while len(members) < count:
+        n = int(rng.integers(1, 5))
+        c = rng.uniform(0.55, 0.995, n) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+        a = rng.uniform(-0.15, 0.4, n) + (1j * rng.uniform(-0.05, 0.05, n) if rng.uniform() < 0.3 else 0.0)
+        mu = draw_params(rng).mu
+        w = c[:, None] * circle
+        beta = float(((1.0 - a.sum()) + (a[:, None] * (1.0 + w) / (1.0 - w)).sum(axis=0)).real.min()) - 1e-3
+        if 0.0 <= beta < 0.95:
+            members.append((sc.ProductForm(mu, np.column_stack([c, mu * a])), sc.ClassParams(mu, beta)))
+    return members
+
+
 def growth_shifts(params) -> list[float]:
     """The 32 shifts t = 2*cos(phi)*k/33, k = 1..32, spread over (0, 2*cos(phi))."""
     return [2.0 * math.cos(params.phi) * k / 33.0 for k in range(1, 33)]
@@ -132,6 +156,11 @@ def numpy_error_state_restored():
 @pytest.fixture(scope="session")
 def population() -> list[PopulationEntry]:
     return build_population()
+
+
+@pytest.fixture(scope="session")
+def interior_population() -> list[tuple]:
+    return build_interior_population()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -46,14 +47,19 @@ MIXED_EXPONENTS_SPEC = {
     ],
 }
 
+# the core of G(1, 0.05) written as a measure with its atom at angle 2*pi, node 1 + 2.4e-16i; written with
+# json.dumps, as 12 digits would move the node off 1
+TWO_PI_SPEC = {"mu": [1, 0], "beta": 0.05, "measure": {"atoms": [{"angle": 6.283185307179586, "weight": 1}]}}
+
 # f = (1-z)/(1-z/2)**1e300: finite exponent data whose values overflow on every curve
 OVERFLOW_SPEC = {"mu": 1, "beta": 0.5, "factors": [{"node": [0.5, 0], "exponent": [1e300, 0]}]}
 
 # f = (1-z)**-60: finite on |z| = 0.999, up to 1e180, too large for a boundary polygon's winding products
 WINDING_OVERFLOW_SPEC = {"mu": [1, 0], "beta": 0.5, "prefactor": [-60, 0], "factors": []}
 
-# the `--checks all` order: the entries of verification's table, wedge-containment last
+# the `--checks all` order: the entries of verification's table, wedge-containment last, and their report names
 ALL_CHECKS = list(verification._GRID_CHECKS)
+ALL_REPORTS = [c.report for c in verification._GRID_CHECKS.values()]
 
 # the six grid checks of spiralbench's wide-measure workload
 WIDE_CHECKS = "membership,distortion,derivative-disk,schwarz,value-bounds,interior-identity"
@@ -448,8 +454,19 @@ class TestConstruct:
         src.write_text(json.dumps(CORE_SPEC))
         assert main(["construct", "-i", str(src), "-o", str(out)]) == 0
         data = json.loads(out.read_text())
+        # a spec file is the standard library's indent=2 text of what it holds
+        assert out.read_text() == json.dumps(data, indent=2) + "\n"
         assert data["prefactor"] == [0.6, 0.0]
         assert load_function_spec(data) == load_function_spec(CORE_SPEC)
+
+    def test_near_duplicate_atoms_are_one_factor(self, tmp_path):
+        # two atoms 1e-13 rad apart are one atom of their summed weight: one factor of exponent mu*(1-beta)*1
+        atoms = [{"angle": 0.4, "weight": 0.25}, {"angle": 0.4000000000001, "weight": 0.75}]
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps({"mu": [1.0, 0.0], "beta": 0.5, "measure": {"atoms": atoms}}))
+        assert main(["construct", "-i", str(src), "-o", str(out)]) == 0
+        factors = json.loads(out.read_text())["factors"]
+        assert len(factors) == 1 and factors[0]["exponent"] == [0.5, 0.0]
 
     def test_random_measure_generation(self, tmp_path):
         out = tmp_path / "m.json"
@@ -921,6 +938,22 @@ class TestSharedEvaluation:
         entry = json.loads(every.read_text())["checks"][ALL_CHECKS.index(name)]
         assert alone.read_text() == report_json({"checks": [entry], "passed": entry["passed"]})
 
+    def test_measure_and_factor_forms_give_one_report(self, tmp_path):
+        # a 2,048-atom measure spec and its factor form from construct, which writes round-trip floats, give
+        # equal bytes; membership and distortion alone each take log f and f'/f in one pass of 228 blocks of
+        # 9 factors, as the run of four checks does, and report their entries of that run
+        measure, spec, factors, out = (tmp_path / f"{n}.json" for n in ("measure", "wide", "factors", "out"))
+        assert main(["construct", "--seed", "7", "--samples", "2048", "-o", str(measure)]) == 0
+        spec.write_text(json.dumps({"mu": [0.8, -0.5], "beta": 0.3, "measure": json.loads(measure.read_text())}))
+        assert main(["construct", "-i", str(spec), "-o", str(factors)]) == 0
+        four, reports = "membership,distortion,schwarz,value-bounds", []
+        for src, checks in [(spec, four), (factors, four), (spec, "membership"), (spec, "distortion")]:
+            assert main(["check", "-i", str(src), "--checks", checks, "-o", str(out)]) == 0
+            reports.append(out.read_text())
+        assert reports[0] == reports[1]
+        entries = json.loads(reports[0])["checks"]
+        assert [json.loads(r)["checks"] for r in reports[2:]] == [entries[:1], entries[1:2]]
+
     def test_cli_checks_are_the_table(self):
         # `check` keeps no list of its own: it runs the table's entries, each on the grid it names
         assert not hasattr(cli, "CHECKS")
@@ -965,7 +998,8 @@ class TestSharedEvaluation:
         src.write_text(dumps_spec(spec))
         assert main(["check", "-i", str(src), "--checks", "all", "-o", str(out)]) == 0
         reports = json.loads(out.read_text())["checks"]
-        assert "wedge-containment" not in [c["check"] for c in reports] and all(c["passed"] for c in reports)
+        applying = [c.report for c in verification._GRID_CHECKS.values() if c.applies(params, f)]
+        assert [c["check"] for c in reports] == applying and all(c["passed"] for c in reports)
         out.unlink()
         assert main(["check", "-i", str(src), "--checks", "wedge-containment", "-o", str(out)]) == 2
         assert not out.exists()
@@ -1009,8 +1043,7 @@ class TestCover:
         # the core of G(1, 0.05) with its atom at angle 2*pi, node 1 + 2.4e-16i: the node is at 1 by the rule the
         # wedge's boundary exponent uses, so it shares the pole of (1-z)**P in the arc bound and every arc decides
         src, out = tmp_path / "in.json", tmp_path / "out.json"
-        atom = {"angle": 6.283185307179586, "weight": 1}
-        src.write_text(json.dumps({"mu": [1, 0], "beta": 0.05, "measure": {"atoms": [atom]}}))
+        src.write_text(json.dumps(TWO_PI_SPEC))
         assert main(["cover", "-i", str(src), "-o", str(out)]) == 0
         assert json.loads(out.read_text())["worst_margin"] == 0.09
         assert capsys.readouterr().err == ""
@@ -1111,6 +1144,83 @@ class TestCover:
         assert main(["cover", "-i", example_path, "-o", str(marked)]) == 0
         assert capsys.readouterr().err == "warning: 3 undecided arc(s)\n"
         assert marked.read_bytes() == plain.read_bytes()
+
+
+def growth_reads_membership(mu):
+    """Whether growth's entry is membership's verdict at membership's worst point, its margin scaled by |mu|/2."""
+
+    def holds(report):
+        m, g = report["checks"]
+        return (g["passed"], g["worst_z"]) == (m["passed"], m["worst_z"]) and math.isclose(
+            g["worst_margin"], abs(mu) / 2 * m["worst_margin"], rel_tol=1e-11
+        )
+
+    return holds
+
+
+def entries(report, key) -> list:
+    """The values of key in each entry of a check document."""
+    return [c[key] for c in report["checks"]]
+
+
+COVER_AT = ["cover", "--r-inner", "0.95", "--rho", "0.999"]
+# id -> (argv, spec, exit code, None or what else the report holds); each spec is written by json.dumps
+CLI_CASES = {
+    # the flags' grid of 2 rings x 16 angles is the one every entry samples
+    "grid-flags": (
+        ["check", "--checks", "membership,growth,schwarz", "--grid-radii", "0.5,0.9", "--grid-angles", "16"],
+        EXAMPLE_SPEC, 0,
+        lambda r: entries(r, "check") == ["membership", "growth", "schwarz"] and entries(r, "samples") == [32] * 3,
+    ),
+    "complex-mu-growth": (["check", "--checks", "growth"], SMALL_MEASURE_SPEC, 0, None),
+    # the |f'| envelopes are stated for real mu in (0, 2] only: 8 entries, no derivative-bounds
+    "complex-mu-all": (
+        ["check", "--checks", "all"], SMALL_MEASURE_SPEC, 0,
+        lambda r: entries(r, "check") == [n for n in ALL_REPORTS if n != "derivative-bounds"],
+    ),
+    # the atom at 2*pi sits at 1 by the one rule of the boundary exponent, so every entry applies and passes
+    "two-pi-all": (["check", "--checks", "all"], TWO_PI_SPEC, 0, lambda r: entries(r, "check") == ALL_REPORTS),
+    # a complex prefactor that is not mu leaves the class
+    "complex-prefactor-growth": (
+        ["check", "--checks", "growth"],
+        {"mu": [1, 0], "beta": 0.5, "prefactor": [0.6, 0.3], "factors": [{"node": [0.9, 0], "exponent": [0.5, 0]}]},
+        1, None,
+    ),
+    # schwarz reads distortion's exponential, omega = -lambda*z, so the two verdicts agree, both failing on the
+    # distortion near-miss, the README map declared with beta = 0.6171, on a ring at 0.999
+    "distortion-schwarz-readme": (["check", "--checks", "distortion,schwarz"], EXAMPLE_SPEC, 0, None),
+    "distortion-schwarz-complex-mu": (["check", "--checks", "distortion,schwarz"], SMALL_MEASURE_SPEC, 0, None),
+    "distortion-schwarz-near-miss": (
+        ["check", "--checks", "distortion,schwarz", "--grid-radii", "0.999", "--grid-angles", "4096"],
+        {**EXAMPLE_SPEC, "beta": 0.6171}, 1, lambda r: entries(r, "passed") == [False, False],
+    ),
+    "membership-growth-readme": (
+        ["check", "--checks", "membership,growth"], EXAMPLE_SPEC, 0, growth_reads_membership(1.0),
+    ),
+    "membership-growth-complex-mu": (
+        ["check", "--checks", "membership,growth"], SMALL_MEASURE_SPEC, 0, growth_reads_membership(0.8 - 0.5j),
+    ),
+    "readme-cover-8192": ([*COVER_AT, "--samples", "8192"], EXAMPLE_SPEC, 0, None),
+    "complex-mu-cover-2048": ([*COVER_AT, "--samples", "2048"], SMALL_MEASURE_SPEC, 0, lambda r: r["samples"] == 2048),
+    # by subordination |core^-1(f(z))| >= |z| = rho on the circle: the core map meets it with equality, so its
+    # margin is rho - r_inner = 0.049, and a member meets it
+    "core-cover-margin": (COVER_AT, CORE_SPEC, 0, lambda r: abs(r["worst_margin"] - 0.049) <= 1e-12),
+    "complex-mu-cover-margin": (COVER_AT, SMALL_MEASURE_SPEC, 0, lambda r: r["worst_margin"] >= 0.049 - 1e-12),
+}
+
+
+class TestCases:
+    """CLI acceptance cases, one command on one input each: a new case is one more entry of CLI_CASES."""
+
+    @pytest.mark.parametrize("case", list(CLI_CASES))
+    def test_exit_code_and_report(self, case, tmp_path):
+        argv, spec, code, holds = CLI_CASES[case]
+        src, out = tmp_path / "in.json", tmp_path / "out.json"
+        src.write_text(json.dumps(spec))
+        assert main([*argv, "-i", str(src), "-o", str(out)]) == code
+        report = json.loads(out.read_text())
+        assert report["passed"] is (code == 0)
+        assert holds is None or holds(report)
 
 
 class TestEnvironment:
@@ -1215,6 +1325,8 @@ class TestRadiusTable:
         assert lines[0] == "s,r_closed,r_numeric,chen_owa,ratio"
         assert len(lines) == 65
         rows = {ln.split(",")[0]: ln.split(",") for ln in lines[1:]}
+        # r_numeric equals r_closed as text in every row
+        assert all(row[1] == row[2] for row in rows.values())
         s1 = rows["1"]
         assert float(s1[1]) == 1.0
         assert float(s1[3]) == 0.25

@@ -276,6 +276,13 @@ class TestBoundaryCovering:
             assert report.passed and report.indeterminate == 0 and report.samples == m
             assert abs(abs(report.worst_location) - rho) <= 1e-12
 
+    @pytest.mark.parametrize("r,rho,m", [(0.9, 0.99, 256), (0.95, 0.999, 2048)])
+    def test_interior_node_members_meet_the_schwarz_bound(self, interior_population, r, rho, m):
+        # the covering theorem beyond atomic measures: members whose nodes lie inside the disk
+        for f, params in interior_population:
+            report = check_covering(f, params, r, rho, m)
+            assert report.passed and report.worst_margin >= rho - r, (f, params)
+
     @given(
         st.integers(min_value=1, max_value=8),
         st.integers(min_value=0, max_value=2**31),
@@ -742,15 +749,16 @@ class TestCoveringComposition:
 
     @pytest.mark.parametrize("mu", [1.0, 0.8 - 0.5j], ids=["real-mu", "complex-mu"])
     def test_one_pass_matches_separate_logs(self, mu):
-        # log f and Log(1-z) from one pass give the bytes of eval_log and log_principal taken apart
+        # s and g each read eval_log of the one product form they keep: s(z)/z, prefactor p - mu with f's
+        # factors, and 1 - g, the form covering_composition certifies
         params = ClassParams(mu, 0.6)
         f = ProductForm(mu, ((0.9 + 0.4j, 0.2 * mu), (0.9 - 0.4j, 0.2 * mu)))
         s = InteriorSpirallikeMap(f, params)
         g, _ = covering_composition(s, 0.3, 0.3)
+        assert s._ratio == ProductForm(0.0, f.factors)
         z = (np.linspace(0.05, 0.99, 4)[:, None] * np.exp(1j * np.linspace(0.0, 6.0, 25))).ravel()
-        log_1mz = sc.log_principal(1.0 - z)
-        log_ratio = eval_log(f, z) - mu * log_1mz
-        core = np.exp(log_1mz / g.beta + log_ratio / (g.mu * g.beta))
+        log_ratio = eval_log(s._ratio, z)
+        core = np.exp(eval_log(g._form, z))
         for got, ref in [(s.log_ratio(z), log_ratio), (s(z), z * np.exp(log_ratio)),
                          (g(z), 1.0 - core), (g.half_plane_map(z), core / (2.0 - core))]:
             assert np.array_equal(got.view(np.int64), ref.view(np.int64))

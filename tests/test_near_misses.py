@@ -5,6 +5,7 @@ that mends it must flip the test.  Beside each stands a passing test of the
 construction itself.
 """
 
+import cmath
 import json
 import math
 
@@ -198,3 +199,43 @@ class TestCoreNearTheCircle:
     @pytest.mark.xfail(strict=True, reason="from 512 start arcs the bisection budget runs out before M = 0.00099 is certified")
     def test_cover_passes_from_512_start_arcs(self):
         assert sc.check_covering(self.CORE, self.PARAMS, 0.999, 0.99999, 512).passed
+
+
+class TestAtomNearAngleZero:
+    # the core of G(1, 0.05) written as a measure with its atom at angle 1e-11: its node 1 - 1e-11i lies outside
+    # NODE_TOL of 1, so it keeps its own pole in the arc bound, where P = 1/beta and the exponent no longer cancel,
+    # and 20 arcs are left undecided at worst margin -0.0944.  ROADMAP item 31's record, with its rounding rule for
+    # the node at 1, mends it
+    PARAMS = sc.ClassParams(1, 0.05)
+    SPEC = {"mu": [1, 0], "beta": 0.05, "measure": {"atoms": [{"angle": 1e-11, "weight": 1}]}}
+
+    def test_every_check_passes(self, tmp_path):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(self.SPEC))
+        assert main(["check", "-i", str(src), "--checks", "all", "-o", str(tmp_path / "out.json")]) == 0
+
+    def test_atom_at_angle_zero_covers(self):
+        f = sc.construct(self.PARAMS, sc.make_measure([(1.0, 1)]))
+        report = sc.check_covering(f, self.PARAMS, 0.9, 0.99, 256)
+        assert report.passed and abs(report.worst_margin - 0.09) <= 1e-12
+
+    @pytest.mark.xfail(strict=True, reason="a node 1e-11 from 1 keeps its own pole in the arc bound")
+    def test_cover_passes(self):
+        f = sc.construct(self.PARAMS, sc.make_measure([(cmath.exp(1e-11j), 1)]))
+        assert sc.check_covering(f, self.PARAMS, 0.9, 0.99, 256).passed
+
+
+class TestMemberNearTheCircle:
+    # a one-atom member whose node 0.99964663 - 0.02658218i lies 0.0266 from 1: at r_inner = 0.999 and
+    # rho = 0.99999 from 512 start arcs the bisection budget runs out, as for TestCoreNearTheCircle, with
+    # 52 arcs undecided at bound -1.999.  ROADMAP items 9 and 14 mend it
+    PARAMS = sc.ClassParams(0.9397012195347239 + 0.02439756900937313j, 0.621046028061495)
+    F = sc.construct(PARAMS, sc.random_measure(1, 179135429))
+
+    def test_covers_from_1024_start_arcs(self):
+        report = sc.check_covering(self.F, self.PARAMS, 0.999, 0.99999, 1024)
+        assert report.passed and report.worst_margin >= 0.99999 - 0.999
+
+    @pytest.mark.xfail(strict=True, reason="from 512 start arcs the bisection budget runs out before the margin is certified")
+    def test_cover_passes_from_512_start_arcs(self):
+        assert sc.check_covering(self.F, self.PARAMS, 0.999, 0.99999, 512).passed

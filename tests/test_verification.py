@@ -261,6 +261,12 @@ class TestMembership:
         f, params = worked_example
         assert check_membership(GridEvaluation(f), params).passed
 
+    def test_interior_node_members_pass(self, interior_population):
+        # members whose measure has no atom, beta 1e-3 below the class expression's least value on the circle
+        for f, params in interior_population:
+            ev = GridEvaluation(f)
+            assert check_membership(ev, params).passed and check_distortion(ev, params).passed, (f, params)
+
     def test_cube_fails_unit_class(self):
         # (1-z)**3 is not in the beta = 0 class: the margin equals
         # Re(5 - 4/(1-z)), negative once Re(1/(1-z)) > 5/4
